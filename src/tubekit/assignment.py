@@ -8,7 +8,6 @@ are supported directly; only min(rows, cols) pairs are produced.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 
@@ -36,6 +35,10 @@ def _pairs_total(cost: np.ndarray, pairs: list[tuple[int, int]]) -> float:
 
 
 def _optimal_total(cost: np.ndarray) -> float:
+    # Imported here, not at module top: scipy.optimize takes most of a second
+    # to import, and only subcommands that assign should pay for it.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     return _pairs_total(cost, list(zip(rows.tolist(), cols.tolist())))
 

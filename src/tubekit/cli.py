@@ -288,7 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detection-tube association, mining, and grounding metrics.")
     parser.add_argument("--version", action="version",
                         version=f"tubekit {__version__} (schema {SCHEMA_VERSION})")
-    default_jobs = int(os.environ.get("TUBEKIT_JOBS", "1"))
+    jobs_env = os.environ.get("TUBEKIT_JOBS", "1")
+    try:
+        default_jobs = int(jobs_env)
+    except ValueError:
+        parser.error(f"TUBEKIT_JOBS must be an integer, got {jobs_env!r}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a seeded synthetic scene")

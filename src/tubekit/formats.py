@@ -1,13 +1,16 @@
 """File formats: JSONL streams and JSON documents, loadable back bit-exact.
 
 Floats are written with 9 significant digits everywhere, so identical inputs
-produce byte-identical files.  JSONL diagnostics carry 1-based line numbers.
+produce byte-identical files.  A JSON document is written compact, on one
+line, by CPython's C encoder; non-finite numbers are refused on both write
+and read.  JSONL diagnostics carry 1-based line numbers.
 Intervals may be given in seconds (ts_sec / te_sec) instead of frames when
 the document carries an fps; they are converted once at load time.
 """
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +30,81 @@ def f9(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
+def _f9s(values) -> list[float]:
+    """f9 over a whole vector: one .tolist(), then plain Python floats."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return [float(f"{v:.9g}") for v in values]
+
+
+_POW10 = np.array([float(10 ** i) for i in range(23)])   # all exact doubles
+
+
+def _f9_rows(vectors: list) -> list[list[float]]:
+    """[_f9s(v) for v in vectors], rounded in one numpy pass.
+
+    With m = 8 - floor(log10|x|), the nine significant digits of x are
+    k = rint(|x|·10^m), and k / 10^m is the double nearest to them, which is
+    what float() of the printed digits gives: k and 10^m (m <= 22) are exact
+    doubles and IEEE division rounds correctly.  That holds only where the
+    rounded product |x|·10^m picks the same k as the exact one, so an element
+    goes through f9 instead when it is zero or not finite, when |x| lies
+    outside about [1e-14, 1e9), or when the product is within 1e-6 of a
+    rounding tie.
+    """
+    if not vectors:
+        return []
+    x = np.concatenate(vectors).astype(float)
+    mag = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = 8.0 - np.floor(np.log10(mag))
+        exact = (m >= 0.0) & (m <= 22.0)
+        scale = _POW10[np.where(exact, m, 0.0).astype(np.intp)]
+        p = mag * scale
+        k = np.rint(p)
+        exact &= (p >= 1e8) & (p <= 1e9 - 1.0) & (np.abs(np.abs(p - k) - 0.5) > 1e-6)
+    flat = np.copysign(k / scale, x).tolist()
+    if not exact.all():
+        for i in np.flatnonzero(~exact).tolist():
+            flat[i] = f9(x[i])
+    out, start = [], 0
+    for v in vectors:
+        out.append(flat[start:start + len(v)])
+        start += len(v)
+    return out
+
+
 def _dump(obj) -> str:
     return json.dumps(obj)
+
+
+def _write_doc(path: str, doc: dict) -> None:
+    """Write `doc` as one compact JSON line; refuse NaN and infinities."""
+    try:
+        text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    except ValueError as e:
+        raise ValidationError(f"{path}: refusing to write a non-finite number ({e})") from e
+    Path(path).write_text(text + "\n")
 
 
 def _require(obj: dict, key: str, path: str, line: int | None = None):
     if key not in obj:
         raise FormatError(f"missing required key '{key}'", path=path, line=line)
     return obj[key]
+
+
+def _as_int(value, what: str, path: str, line: int | None = None) -> int:
+    # Not isinstance: bool is an int subclass, and int() would take true as 1
+    # and truncate 8.7 to 8 in silence.
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise FormatError(f"'{what}' must be an integer, got {value!r}", path=path, line=line)
+
+
+def _int_field(obj: dict, key: str, path: str, line: int | None = None) -> int:
+    return _as_int(_require(obj, key, path, line), key, path, line)
 
 
 def _box_from(arr, path: str, line: int | None = None) -> Box:
@@ -77,7 +147,7 @@ def _iter_jsonl(path: str):
 
 def _interval_from(obj: dict, path: str, line: int | None = None) -> tuple[int, int]:
     if "ts" in obj and "te" in obj:
-        return int(obj["ts"]), int(obj["te"])
+        return _int_field(obj, "ts", path, line), _int_field(obj, "te", path, line)
     if "ts_sec" in obj and "te_sec" in obj:
         if "fps" not in obj:
             raise FormatError("second-denominated interval needs an fps key",
@@ -98,13 +168,14 @@ def save_detections(path: str, video_id: str, fps: float,
               "frame_count": len(frames),
               "feature_dim": frames[0].feature_dim}
     lines = [_dump(header)]
+    embeds = iter(_f9_rows([d.feature for fr in frames for d in fr.detections]))
     for fr in frames:
         lines.append(_dump({
             "t": fr.t,
             "detections": [{
-                "box": [f9(v) for v in d.box.to_list()],
+                "box": _f9s(d.box.to_list()),
                 "score": f9(d.score),
-                "embed": [f9(v) for v in d.feature],
+                "embed": next(embeds),
             } for d in fr.detections],
         }))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -119,12 +190,12 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
     meta = {
         "video_id": str(_require(header, "video_id", path, lineno)),
         "fps": float(_require(header, "fps", path, lineno)),
-        "frame_count": int(_require(header, "frame_count", path, lineno)),
-        "feature_dim": int(_require(header, "feature_dim", path, lineno)),
+        "frame_count": _int_field(header, "frame_count", path, lineno),
+        "feature_dim": _int_field(header, "feature_dim", path, lineno),
     }
     frames: list[FrameDetections] = []
     for lineno, obj in it:
-        t = int(_require(obj, "t", path, lineno))
+        t = _int_field(obj, "t", path, lineno)
         if t != len(frames):
             raise FormatError(f"expected frame t={len(frames)}, got t={t}",
                               path=path, line=lineno)
@@ -160,10 +231,10 @@ def save_gt(path: str, video_id: str, gt: GtTube) -> None:
         "video_id": video_id,
         "ts": gt.ts,
         "te": gt.te,
-        "boxes": [{"t": t, "box": [f9(v) for v in gt.boxes[t].to_list()]}
+        "boxes": [{"t": t, "box": _f9s(gt.boxes[t].to_list())}
                   for t in range(gt.ts, gt.te + 1)],
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_doc(path, doc)
 
 
 def _gt_from_obj(obj: dict, path: str, line: int | None = None) -> tuple[str, GtTube]:
@@ -171,7 +242,7 @@ def _gt_from_obj(obj: dict, path: str, line: int | None = None) -> tuple[str, Gt
     ts, te = _interval_from(obj, path, line)
     boxes = {}
     for item in _require(obj, "boxes", path, line):
-        t = int(_require(item, "t", path, line))
+        t = _int_field(item, "t", path, line)
         boxes[t] = _box_from(_require(item, "box", path, line), path, line)
     try:
         return video_id, GtTube(ts=ts, te=te, boxes=boxes)
@@ -201,41 +272,55 @@ def load_gt_collection(path: str) -> list[tuple[str, GtTube]]:
 
 def save_tubes(path: str, video_id: str, tubes: list[Tube],
                include_embeds: bool = False) -> None:
+    if include_embeds:
+        for tube in tubes:
+            for r in tube.records:
+                if r.feature is None:
+                    raise ValidationError(
+                        f"tube {tube.slot_id} has no feature at frame {r.t}")
+        embeds = iter(_f9_rows([r.feature for tube in tubes for r in tube.records]))
     out = []
     for tube in tubes:
         records = []
         for r in tube.records:
-            rec = {"t": r.t, "box": [f9(v) for v in r.box.to_list()],
+            rec = {"t": r.t, "box": _f9s(r.box.to_list()),
                    "score": f9(r.score), "det": r.det}
             if include_embeds:
-                if r.feature is None:
-                    raise ValidationError(
-                        f"tube {tube.slot_id} has no feature at frame {r.t}")
-                rec["embed"] = [f9(v) for v in r.feature]
+                rec["embed"] = next(embeds)
             records.append(rec)
         out.append({"slot_id": tube.slot_id, "records": records})
     doc = {"video_id": video_id, "n_q": len(tubes), "tubes": out}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_doc(path, doc)
 
 
 def load_tubes(path: str) -> tuple[str, list[Tube]]:
     obj = _load_json_doc(path)
     video_id = str(_require(obj, "video_id", path))
-    n_q = int(_require(obj, "n_q", path))
+    n_q = _int_field(obj, "n_q", path)
     tubes = []
     for entry in _require(obj, "tubes", path):
+        slot_id = _int_field(entry, "slot_id", path)
         records = []
         for r in _require(entry, "records", path):
+            t = _int_field(r, "t", path)
+            score = float(_require(r, "score", path))
+            if not math.isfinite(score):
+                raise FormatError(f"tube {slot_id} frame {t}: score must be finite, "
+                                  f"got {score!r}", path=path)
             embed = r.get("embed")
+            if embed is not None:
+                if not all(map(math.isfinite, embed)):
+                    raise FormatError(f"tube {slot_id} frame {t}: embed must be finite",
+                                      path=path)
+                embed = np.asarray(embed, dtype=float)
             records.append(TubeRecord(
-                t=int(_require(r, "t", path)),
+                t=t,
                 box=_box_from(_require(r, "box", path), path),
-                score=float(_require(r, "score", path)),
-                feature=None if embed is None else np.asarray(embed, dtype=float),
-                det=None if r.get("det") is None else int(r["det"]),
+                score=score,
+                feature=embed,
+                det=None if r.get("det") is None else _int_field(r, "det", path),
             ))
-        tubes.append(Tube(slot_id=int(_require(entry, "slot_id", path)),
-                          records=records))
+        tubes.append(Tube(slot_id=slot_id, records=records))
     if len(tubes) != n_q:
         raise FormatError(f"header promises n_q={n_q} tubes, file has {len(tubes)}",
                           path=path)
@@ -250,7 +335,7 @@ def save_predictions(path: str, items: list[tuple[str, Prediction]]) -> None:
         keys = sorted(pred.boxes)
         lines.append(_dump({
             "video_id": video_id, "ts": pred.ts, "te": pred.te,
-            "boxes": [{"t": t, "box": [f9(v) for v in pred.boxes[t].to_list()]}
+            "boxes": [{"t": t, "box": _f9s(pred.boxes[t].to_list())}
                       for t in keys],
         }))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -263,7 +348,7 @@ def load_predictions(path: str) -> list[tuple[str, Prediction]]:
         ts, te = _interval_from(obj, path, lineno)
         boxes = {}
         for item in _require(obj, "boxes", path, lineno):
-            t = int(_require(item, "t", path, lineno))
+            t = _int_field(item, "t", path, lineno)
             boxes[t] = _box_from(_require(item, "box", path, lineno), path, lineno)
         try:
             out.append((video_id, Prediction(ts=ts, te=te, boxes=boxes)))
@@ -279,7 +364,7 @@ def load_predictions(path: str) -> list[tuple[str, Prediction]]:
 def save_labels(path: str, video_id: str, identities: list[list[int]]) -> None:
     doc = {"video_id": video_id,
            "frames": [{"t": t, "ids": ids} for t, ids in enumerate(identities)]}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_doc(path, doc)
 
 
 def load_labels(path: str) -> tuple[str, list[list[int]]]:
@@ -287,7 +372,7 @@ def load_labels(path: str) -> tuple[str, list[list[int]]]:
     video_id = str(_require(obj, "video_id", path))
     identities = []
     for item in _require(obj, "frames", path):
-        t = int(_require(item, "t", path))
+        t = _int_field(item, "t", path)
         if t != len(identities):
             raise FormatError(f"expected frame t={len(identities)}, got t={t}", path=path)
         identities.append([int(x) for x in _require(item, "ids", path)])
@@ -298,7 +383,7 @@ def load_labels(path: str) -> tuple[str, list[list[int]]]:
 
 def save_candidates(path: str, video_id: str, candidates: list[CandidateTube]) -> None:
     def _record(r: CandidateRecord) -> dict:
-        rec = {"t": r.t, "box": [f9(v) for v in r.box.to_list()],
+        rec = {"t": r.t, "box": _f9s(r.box.to_list()),
                "score": f9(r.score)}
         if r.interpolated:
             rec["interpolated"] = True
@@ -310,10 +395,10 @@ def save_candidates(path: str, video_id: str, candidates: list[CandidateTube]) -
             "category": c.category,
             "span": [c.span[0], c.span[1]],
             "records": [_record(r) for r in c.records],
-            "appearance": [f9(v) for v in c.appearance],
+            "appearance": _f9s(c.appearance),
         } for c in candidates],
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_doc(path, doc)
 
 
 def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
@@ -327,14 +412,14 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
         records = []
         for r in _require(c, "records", path):
             records.append(CandidateRecord(
-                t=int(_require(r, "t", path)),
+                t=_int_field(r, "t", path),
                 box=_box_from(_require(r, "box", path), path),
                 score=float(_require(r, "score", path)),
                 interpolated=bool(r.get("interpolated", False))))
         try:
             out.append(CandidateTube(
                 category=str(_require(c, "category", path)),
-                span=(int(span[0]), int(span[1])),
+                span=(_as_int(span[0], "span", path), _as_int(span[1], "span", path)),
                 records=records,
                 appearance=np.asarray(_require(c, "appearance", path), dtype=float)))
         except ValidationError as e:
@@ -346,4 +431,4 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
 
 def save_report(path: str, doc: dict) -> None:
     """Reports are plain JSON documents; floats must already be f9-rounded."""
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_doc(path, doc)

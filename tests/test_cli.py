@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: exit codes, file outputs, byte stability."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tubekit
 from tubekit.association import Tube, TubeRecord
 from tubekit.cli import main
 from tubekit.formats import load_gt, load_predictions, load_tubes, save_candidates, save_gt, save_tubes
@@ -49,6 +54,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_bad_jobs_env_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        prefix = simulate(tmp_path, "s")
+        monkeypatch.setenv("TUBEKIT_JOBS", "two")
+        with pytest.raises(SystemExit) as exc:
+            main(["associate", f"{prefix}.detections.jsonl",
+                  "--out", str(tmp_path / "t.json")])
+        assert exc.value.code == 2
+        assert "TUBEKIT_JOBS must be an integer, got 'two'" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
 
     def test_version_string(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -112,6 +127,24 @@ class TestAssociate:
         for a, b in zip(serial, parallel):
             assert sha(a) == sha(b)
 
+    def test_cold_start_skips_scipy_optimize(self, tmp_path, capsys):
+        prefix = simulate(tmp_path, "s")
+        out = tmp_path / "t.json"
+        code = (
+            "import sys, tubekit.cli\n"
+            "assert 'scipy.optimize' not in sys.modules, 'loaded at import'\n"
+            f"assert tubekit.cli.main(['associate', {prefix + '.detections.jsonl'!r},"
+            f" '--n-q', '2', '--out', {str(out)!r}]) == 0\n"
+            "assert 'scipy.optimize' in sys.modules\n")
+        src = str(Path(tubekit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        _, tubes = load_tubes(str(out))
+        assert len(tubes) == 2
+
     def test_out_with_several_inputs_rejected(self, tmp_path, capsys):
         prefix = simulate(tmp_path, "s")
         assert main(["associate", f"{prefix}.detections.jsonl",
@@ -147,6 +180,17 @@ class TestMine:
         assert report["config"]["lambda_bbox"] == 5.0
         assert len(report["costs"]) == 2
         assert report["costs"][1]["total"] == 0.0
+
+    def test_nan_score_is_format_error(self, tmp_path, capsys):
+        tubes_path, gt_path = write_planted_tubes(tmp_path)
+        doc = json.loads(tubes_path.read_text())
+        doc["tubes"][0]["records"][0]["score"] = float("nan")
+        tubes_path.write_text(json.dumps(doc))   # a bare NaN, as json.dumps allows
+        out = tmp_path / "mine.json"
+        assert main(["mine", "--tubes", str(tubes_path), "--gt", str(gt_path),
+                     "--out", str(out)]) == 2
+        assert "score must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_video_id_mismatch_rejected(self, tmp_path, capsys):
         tubes_path, _ = write_planted_tubes(tmp_path)

@@ -1,5 +1,6 @@
 """File round trips, byte stability, and malformed-input diagnostics."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from tubekit.association import Detection, FrameDetections, Tube, TubeRecord
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.errors import FormatError, ValidationError
-from tubekit.formats import (f9, load_candidates, load_detections, load_gt,
+from tubekit.formats import (_f9_rows, f9, load_candidates, load_detections, load_gt,
                              load_gt_collection, load_labels, load_predictions,
                              load_tubes, save_candidates, save_detections,
                              save_gt, save_labels, save_predictions,
@@ -46,6 +47,51 @@ class TestF9:
         assert f9(0.25) == 0.25
         assert f9(1.0) == 1.0
         assert f9(0.1) == 0.1
+
+
+class TestF9Rows:
+    """The one-pass rounding must give exactly what scalar f9 gives."""
+
+    EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-310, 1e-300,
+             1.7976931348623157e308, 1e-14, 9.99999999e-15, 3e-15, 1e-5,
+             9.9999999951e-6, 0.1, 1 / 3, 2 / 3, 0.5, 2.675, 4.35, 1.0000000005,
+             1.0000000015, 9.9999999995, 99999999.5, 1e8, 123456788.5,
+             123456789.5, 999999999.4, 999999999.5, 1e9, 123456789012.0, 1e22,
+             6.02214076e23]
+
+    @staticmethod
+    def _same(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is float
+            if math.isnan(w):
+                assert math.isnan(g)
+            else:
+                assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (g, w)
+
+    def test_matches_scalar_f9(self):
+        rng = np.random.default_rng(61)
+        mags = 10.0 ** rng.integers(-20, 20, size=20000)
+        ties = ((rng.integers(10 ** 8, 10 ** 9, size=5000) + 0.5)
+                * 10.0 ** rng.integers(-22, 4, size=5000))   # halfway between 9-digit values
+        values = np.concatenate([rng.normal(size=20000) * mags, ties, -ties,
+                                 np.array(self.EDGES), -np.array(self.EDGES)])
+        rounded = [f9(v) for v in values[:2000]]
+        values = np.concatenate([values, rounded])         # already-rounded input
+        vectors = np.array_split(values, 997)              # ragged lengths
+        got = _f9_rows(vectors)
+        assert [len(v) for v in got] == [len(v) for v in vectors]
+        for g, v in zip(got, vectors):
+            self._same(g, [f9(x) for x in v])
+
+    def test_float32_and_int_input(self):
+        vectors = [np.array([0.1, 1 / 3, 7.5], dtype=np.float32), np.array([3, -7, 0])]
+        got = _f9_rows(vectors)
+        for g, v in zip(got, vectors):
+            self._same(g, [f9(x) for x in v])
+
+    def test_empty(self):
+        assert _f9_rows([]) == []
 
 
 class TestDetections:
@@ -296,3 +342,232 @@ class TestReports:
     def test_missing_file_is_format_error(self, tmp_path):
         with pytest.raises(FormatError):
             load_gt(str(tmp_path / "nope.json"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_refused_naming_the_path(self, tmp_path, bad):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValidationError, match="non-finite") as err:
+            save_report(str(path), {"costs": [{"total": bad}]})
+        assert str(path) in str(err.value)
+        assert not path.exists()
+
+    def test_non_finite_tube_score_refused(self, tmp_path):
+        tubes = [Tube(slot_id=0, records=[
+            TubeRecord(t=0, box=BOX, score=float("nan"), feature=None, det=0)])]
+        with pytest.raises(ValidationError, match="non-finite"):
+            save_tubes(str(tmp_path / "t.json"), "vid", tubes)
+
+
+THIRD = 1.0 / 3.0   # f9 rounds it to 0.333333333
+BOX3 = Box(THIRD, 0.25, 0.5, 2.0 / 3.0)
+BOX3_F9 = [0.333333333, 0.25, 0.5, 0.666666667]
+
+
+def _doc_cases():
+    """(name, write(path), load-and-rewrite(src, dst) or None, expected dict)."""
+    gt = GtTube(ts=1, te=2, boxes={1: BOX3, 2: BOX})
+
+    def write_gt(p):
+        save_gt(p, "vid", gt)
+
+    def rewrite_gt(src, dst):
+        save_gt(dst, *load_gt(src))
+
+    tubes = [Tube(slot_id=3, records=[
+        TubeRecord(t=0, box=BOX3, score=THIRD, feature=np.array([THIRD, 2.0]), det=1),
+        TubeRecord(t=1, box=BOX3, score=0.0, feature=np.array([THIRD, 2.0]), det=None)])]
+
+    def write_tubes(p, embeds):
+        save_tubes(p, "vid", tubes, include_embeds=embeds)
+
+    def rewrite_tubes(src, dst, embeds):
+        save_tubes(dst, *load_tubes(src), include_embeds=embeds)
+
+    def tube_doc(embeds):
+        recs = [{"t": 0, "box": BOX3_F9, "score": 0.333333333, "det": 1},
+                {"t": 1, "box": BOX3_F9, "score": 0.0, "det": None}]
+        if embeds:
+            for r in recs:
+                r["embed"] = [0.333333333, 2.0]
+        return {"video_id": "vid", "n_q": 1, "tubes": [{"slot_id": 3, "records": recs}]}
+
+    def write_labels(p):
+        save_labels(p, "vid", [[0, -1], [1]])
+
+    def rewrite_labels(src, dst):
+        save_labels(dst, *load_labels(src))
+
+    cands = [CandidateTube(category="dog", span=(4, 5), records=[
+        CandidateRecord(t=4, box=BOX3, score=THIRD),
+        CandidateRecord(t=5, box=BOX, score=0.5, interpolated=True)],
+        appearance=np.array([THIRD, 1.0]))]
+
+    def write_cands(p):
+        save_candidates(p, "vid", cands)
+
+    def rewrite_cands(src, dst):
+        save_candidates(dst, *load_candidates(src))
+
+    def write_report(p):
+        save_report(p, {"schema_version": 1, "command": "mine",
+                        "config": {"lambda_bbox": 5.0}, "selected": 0,
+                        "costs": [{"slot_id": 0, "total": f9(THIRD)}]})
+
+    return [
+        ("gt", write_gt, rewrite_gt,
+         {"video_id": "vid", "ts": 1, "te": 2,
+          "boxes": [{"t": 1, "box": BOX3_F9}, {"t": 2, "box": [0.25, 0.25, 0.5, 0.5]}]}),
+        ("tubes", lambda p: write_tubes(p, False),
+         lambda s, d: rewrite_tubes(s, d, False), tube_doc(False)),
+        ("tubes+embed", lambda p: write_tubes(p, True),
+         lambda s, d: rewrite_tubes(s, d, True), tube_doc(True)),
+        ("labels", write_labels, rewrite_labels,
+         {"video_id": "vid", "frames": [{"t": 0, "ids": [0, -1]}, {"t": 1, "ids": [1]}]}),
+        ("candidates", write_cands, rewrite_cands,
+         {"video_id": "vid", "candidates": [{
+             "category": "dog", "span": [4, 5],
+             "records": [{"t": 4, "box": BOX3_F9, "score": 0.333333333},
+                         {"t": 5, "box": [0.25, 0.25, 0.5, 0.5], "score": 0.5,
+                          "interpolated": True}],
+             "appearance": [0.333333333, 1.0]}]}),
+        ("report", write_report, None,
+         {"schema_version": 1, "command": "mine", "config": {"lambda_bbox": 5.0},
+          "selected": 0, "costs": [{"slot_id": 0, "total": 0.333333333}]}),
+    ]
+
+
+def _same_types(a, b) -> bool:
+    """== that also tells 1 from 1.0, so ints must stay ints."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_types(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same_types(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+class TestDocumentWriters:
+    @pytest.mark.parametrize("name, write, rewrite, expected", _doc_cases(),
+                             ids=[c[0] for c in _doc_cases()])
+    def test_one_compact_line_with_f9_content(self, tmp_path, name, write, rewrite,
+                                              expected):
+        first = tmp_path / "a.json"
+        write(str(first))
+        text = first.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert ": " not in text and ", " not in text
+        assert "NaN" not in text and "Infinity" not in text
+        assert _same_types(json.loads(text), expected)
+        again = tmp_path / "b.json"
+        write(str(again))
+        assert again.read_bytes() == first.read_bytes()
+        if rewrite is not None:
+            reread = tmp_path / "c.json"
+            rewrite(str(first), str(reread))
+            assert reread.read_bytes() == first.read_bytes()
+
+
+class TestNonFiniteInput:
+    def _tube_doc(self, **record):
+        rec = {"t": 0, "box": BOX.to_list(), "score": 0.5, "det": 0, "embed": [1.0, 2.0]}
+        rec.update(record)
+        return {"video_id": "v", "n_q": 1, "tubes": [{"slot_id": 0, "records": [rec]}]}
+
+    @pytest.mark.parametrize("record, what", [
+        ({"score": float("nan")}, "score"),
+        ({"score": float("inf")}, "score"),
+        ({"embed": [1.0, float("nan")]}, "embed"),
+        ({"embed": [float("-inf"), 1.0]}, "embed"),
+    ])
+    def test_tube_file_rejected(self, tmp_path, record, what):
+        path = tmp_path / "nan.tubes.json"
+        path.write_text(json.dumps(self._tube_doc(**record)))  # bare NaN/Infinity
+        with pytest.raises(FormatError, match=f"{what} must be finite") as err:
+            load_tubes(str(path))
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_overflowing_literal_rejected(self, tmp_path):
+        path = tmp_path / "big.tubes.json"
+        path.write_text(json.dumps(self._tube_doc(score=0.125)).replace("0.125", "1e999"))
+        with pytest.raises(FormatError, match="score must be finite"):
+            load_tubes(str(path))
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    def test_detections_frame_index(self, tmp_path, bad):
+        path = tmp_path / "clip.jsonl"
+        save_detections(str(path), "vid", 25.0, make_frames())
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[2])   # frame t=1; int(True) and int(1.5) both give 1
+        obj["t"] = bad
+        lines[2] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="'t' must be an integer") as err:
+            load_detections(str(path))
+        assert f"{path}:3:" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [True, 8.7])
+    def test_predictions_interval(self, tmp_path, bad):
+        path = tmp_path / "p.jsonl"
+        doc = {"video_id": "v", "ts": 0, "te": bad,
+               "boxes": [{"t": t, "box": BOX.to_list()} for t in range(9)]}
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(FormatError, match="'te' must be an integer") as err:
+            load_predictions(str(path))
+        assert f"{path}:1:" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["ts", "te"])
+    @pytest.mark.parametrize("bad", [True, 8.7])
+    def test_gt_interval(self, tmp_path, key, bad):
+        doc = {"video_id": "v", "ts": 1, "te": 8,
+               "boxes": [{"t": t, "box": BOX.to_list()} for t in range(1, 9)]}
+        doc[key] = bad
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"'{key}' must be an integer"):
+            load_gt(str(path))
+
+    @pytest.mark.parametrize("where, key", [("doc", "n_q"), ("tube", "slot_id"),
+                                            ("record", "t"), ("record", "det")])
+    @pytest.mark.parametrize("bad", [True, 0.5, "0"], ids=["bool", "fraction", "string"])
+    def test_tube_fields(self, tmp_path, where, key, bad):
+        rec = {"t": 0, "box": BOX.to_list(), "score": 0.5, "det": 0}
+        tube = {"slot_id": 0, "records": [rec]}
+        doc = {"video_id": "v", "n_q": 1, "tubes": [tube]}
+        {"doc": doc, "tube": tube, "record": rec}[where][key] = bad
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"'{key}' must be an integer"):
+            load_tubes(str(path))
+
+    def test_null_det_and_integral_float_still_load(self, tmp_path):
+        doc = {"video_id": "v", "n_q": 1, "tubes": [{"slot_id": 0, "records": [
+            {"t": 0, "box": BOX.to_list(), "score": 0.0, "det": None},
+            {"t": 1.0, "box": BOX.to_list(), "score": 0.5}]}]}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        _, tubes = load_tubes(str(path))
+        assert [(r.t, r.det) for r in tubes[0].records] == [(0, None), (1, None)]
+        assert type(tubes[0].records[1].t) is int
+
+    @pytest.mark.parametrize("span", [[0, True], [0.5, 1]])
+    def test_candidate_span(self, tmp_path, span):
+        doc = {"video_id": "v", "candidates": [{
+            "category": "dog", "span": span,
+            "records": [{"t": 0, "box": BOX.to_list(), "score": 0.9},
+                        {"t": 1, "box": BOX.to_list(), "score": 0.9}],
+            "appearance": [1.0]}]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="'span' must be an integer"):
+            load_candidates(str(path))
+
+    def test_header_counts(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        path.write_text(json.dumps({"video_id": "v", "fps": 25.0, "frame_count": 2.5,
+                                    "feature_dim": 4}) + "\n")
+        with pytest.raises(FormatError, match="'frame_count' must be an integer") as err:
+            load_detections(str(path))
+        assert f"{path}:1:" in str(err.value)
