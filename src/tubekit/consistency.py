@@ -21,7 +21,9 @@ import numpy as np
 
 from .association import Tube
 from .errors import NonSmoothError, ValidationError
-from .geometry import Box, giou
+from .geometry import Box, corners
+from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
+from .mining import corner_temporal_cost
 
 
 @dataclass(frozen=True)
@@ -99,13 +101,8 @@ def feature_loss(tube: MinedTube) -> float:
 
 
 def geom_loss(tube: MinedTube) -> float:
-    # Deliberately the same accumulation as the mining temporal cost, so the
-    # two agree bit for bit on the same boxes.
-    n = len(tube.boxes)
-    acc = 0.0
-    for a, b in zip(tube.boxes, tube.boxes[1:]):
-        acc += 1.0 - giou(a, b)
-    return acc / (n - 1)
+    # The mining temporal cost itself, so the two agree bit for bit.
+    return corner_temporal_cost(corners(tube.boxes))
 
 
 def combined_loss(tube: MinedTube, weights: LossWeights | None = None) -> float:
@@ -123,42 +120,28 @@ def _feature_loss_raw(f: np.ndarray) -> float:
     return acc / (f.shape[0] - 1)
 
 
-def _geom_loss_raw(b: np.ndarray) -> float:
-    # Unvalidated corner arithmetic, used for finite differencing only.
-    acc = 0.0
-    for t in range(b.shape[0] - 1):
-        acc += 1.0 - _giou_raw(b[t], b[t + 1])
-    return acc / (b.shape[0] - 1)
+def _check_smooth(a: np.ndarray, b: np.ndarray, iw: np.ndarray, ih: np.ndarray,
+                  identical: np.ndarray) -> None:
+    """Refuse at the first pair, in frame order, that sits at a kink.
 
-
-def _giou_raw(a, b) -> float:
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    inter = iw * ih if (iw > 0.0 and ih > 0.0) else 0.0
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    u = area_a + area_b - inter
-    c = (max(a[2], b[2]) - min(a[0], b[0])) * (max(a[3], b[3]) - min(a[1], b[1]))
-    return inter / u - (c - u) / c
-
-
-def _pair_is_identical(a, b) -> bool:
-    return a[0] == b[0] and a[1] == b[1] and a[2] == b[2] and a[3] == b[3]
-
-
-def _check_pair_smooth(a, b, t: int) -> None:
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    if iw <= 0.0 or ih <= 0.0:
-        raise NonSmoothError(
-            f"non-smooth point: boxes at frames {t} and {t + 1} touch or do not overlap")
-    if a[0] == b[0] or a[1] == b[1] or a[2] == b[2] or a[3] == b[3]:
+    a and b are the (T-1, 4) corners of the first and second box of each
+    consecutive pair, iw and ih their intersection extents.
+    """
+    apart = (iw <= 0.0) | (ih <= 0.0)
+    kinked = ~identical & (apart | (a == b).any(axis=1))
+    if kinked.any():
+        t = int(np.argmax(kinked))
+        if apart[t]:
+            raise NonSmoothError(
+                f"non-smooth point: boxes at frames {t} and {t + 1} touch or do not overlap")
         raise NonSmoothError(
             f"non-smooth point: boxes at frames {t} and {t + 1} share a coordinate")
 
 
-def _giou_pair_grads(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """d giou / d corners for a strictly overlapping, untied pair.
+def _giou_pair_grads(a: np.ndarray, b: np.ndarray, iw: np.ndarray,
+                     ih: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d giou / d corners for each row pair of two (N, 4) corner arrays, all
+    strictly overlapping and untied; iw and ih are their intersection extents.
 
     With I the intersection, U the union and C the enclosing area,
     giou = I/U - 1 + U/C, so
@@ -168,45 +151,31 @@ def _giou_pair_grads(a, b) -> tuple[np.ndarray, np.ndarray]:
     Each of I, U, C is bilinear in whichever corner the min/max picks, which
     is why tied coordinates have no derivative.
     """
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
+    ax1, ay1, ax2, ay2 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    bx1, by1, bx2, by2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
     inter = iw * ih
-    wa, ha = a[2] - a[0], a[3] - a[1]
-    wb, hb = b[2] - b[0], b[3] - b[1]
+    wa, ha = ax2 - ax1, ay2 - ay1
+    wb, hb = bx2 - bx1, by2 - by1
     u = wa * ha + wb * hb - inter
-    cw = max(a[2], b[2]) - min(a[0], b[0])
-    ch = max(a[3], b[3]) - min(a[1], b[1])
+    cw = np.maximum(ax2, bx2) - np.minimum(ax1, bx1)
+    ch = np.maximum(ay2, by2) - np.minimum(ay1, by1)
     c = cw * ch
 
-    di_a = np.array([
-        -ih if a[0] > b[0] else 0.0,
-        -iw if a[1] > b[1] else 0.0,
-        ih if a[2] < b[2] else 0.0,
-        iw if a[3] < b[3] else 0.0,
-    ])
-    di_b = np.array([
-        -ih if b[0] > a[0] else 0.0,
-        -iw if b[1] > a[1] else 0.0,
-        ih if b[2] < a[2] else 0.0,
-        iw if b[3] < a[3] else 0.0,
-    ])
-    darea_a = np.array([-ha, -wa, ha, wa])
-    darea_b = np.array([-hb, -wb, hb, wb])
-    du_a = darea_a - di_a
-    du_b = darea_b - di_b
-    dc_a = np.array([
-        -ch if a[0] < b[0] else 0.0,
-        -cw if a[1] < b[1] else 0.0,
-        ch if a[2] > b[2] else 0.0,
-        cw if a[3] > b[3] else 0.0,
-    ])
-    dc_b = np.array([
-        -ch if b[0] < a[0] else 0.0,
-        -cw if b[1] < a[1] else 0.0,
-        ch if b[2] > a[2] else 0.0,
-        cw if b[3] > a[3] else 0.0,
-    ])
+    def pick(cond, v):
+        return np.where(cond, v, 0.0)
 
+    di_a = np.stack([pick(ax1 > bx1, -ih), pick(ay1 > by1, -iw),
+                     pick(ax2 < bx2, ih), pick(ay2 < by2, iw)], axis=1)
+    di_b = np.stack([pick(bx1 > ax1, -ih), pick(by1 > ay1, -iw),
+                     pick(bx2 < ax2, ih), pick(by2 < ay2, iw)], axis=1)
+    du_a = np.stack([-ha, -wa, ha, wa], axis=1) - di_a
+    du_b = np.stack([-hb, -wb, hb, wb], axis=1) - di_b
+    dc_a = np.stack([pick(ax1 < bx1, -ch), pick(ay1 < by1, -cw),
+                     pick(ax2 > bx2, ch), pick(ay2 > by2, cw)], axis=1)
+    dc_b = np.stack([pick(bx1 < ax1, -ch), pick(by1 < ay1, -cw),
+                     pick(bx2 > ax2, ch), pick(by2 > ay2, cw)], axis=1)
+
+    inter, u, c = inter[:, None], u[:, None], c[:, None]
     dg_a = (di_a * u - inter * du_a) / (u * u) + (du_a * c - u * dc_a) / (c * c)
     dg_b = (di_b * u - inter * du_b) / (u * u) + (du_b * c - u * dc_b) / (c * c)
     return dg_a, dg_b
@@ -223,15 +192,18 @@ def _cos_pair_grads(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return gu, gv
 
 
+def _identical_pairs(boxes: np.ndarray) -> np.ndarray:
+    """Per pair (t, t+1): the two boxes are exactly identical."""
+    return (boxes[:-1] == boxes[1:]).all(axis=1)
+
+
 def _identical_pair_mask(boxes: np.ndarray) -> np.ndarray:
     """Per-box flag: box belongs to at least one exactly identical adjacent
     pair (the kink special case)."""
-    n = boxes.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    for t in range(n - 1):
-        if _pair_is_identical(boxes[t], boxes[t + 1]):
-            mask[t] = True
-            mask[t + 1] = True
+    same = _identical_pairs(boxes)
+    mask = np.zeros(boxes.shape[0], dtype=bool)
+    mask[:-1] |= same
+    mask[1:] |= same
     return mask
 
 
@@ -252,16 +224,19 @@ def loss_gradients(tube: MinedTube) -> Gradients:
         d_features[t] -= scale * gu
         d_features[t + 1] -= scale * gv
 
-    boxes = np.array([b.to_list() for b in tube.boxes], dtype=float)
+    boxes = corners(tube.boxes)
+    a, b = boxes[:-1], boxes[1:]
+    identical = _identical_pairs(boxes)
+    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    _check_smooth(a, b, iw, ih, identical)
+    dg_a, dg_b = _giou_pair_grads(a, b, iw, ih)
+    # Identical pairs contribute nothing.  Pair t-1 reaches box t before
+    # pair t does, the order in which a per-pair loop would subtract them.
+    keep = ~identical[:, None]
     d_boxes = np.zeros((n, 4), dtype=float)
-    for t in range(n - 1):
-        a, b = boxes[t], boxes[t + 1]
-        if _pair_is_identical(a, b):
-            continue
-        _check_pair_smooth(a, b, t)
-        dg_a, dg_b = _giou_pair_grads(a, b)
-        d_boxes[t] -= scale * dg_a
-        d_boxes[t + 1] -= scale * dg_b
+    d_boxes[1:] -= np.where(keep, scale * dg_b, 0.0)
+    d_boxes[:-1] -= np.where(keep, scale * dg_a, 0.0)
     return Gradients(d_features=d_features, d_boxes=d_boxes)
 
 
@@ -279,7 +254,7 @@ def grad_check(tube: MinedTube, h: float = 1e-6) -> GradCheckReport:
         raise ValidationError(f"step must be positive and finite, got {h}")
     grads = loss_gradients(tube)
     f = np.array(tube.features, dtype=float)
-    boxes = np.array([b.to_list() for b in tube.boxes], dtype=float)
+    boxes = corners(tube.boxes)
 
     max_rel = 0.0
     max_abs_num = 0.0
@@ -305,9 +280,9 @@ def grad_check(tube: MinedTube, h: float = 1e-6) -> GradCheckReport:
         for k in range(4):
             orig = boxes[t, k]
             boxes[t, k] = orig + h
-            hi = _geom_loss_raw(boxes)
+            hi = corner_temporal_cost(boxes)
             boxes[t, k] = orig - h
-            lo = _geom_loss_raw(boxes)
+            lo = corner_temporal_cost(boxes)
             boxes[t, k] = orig
             num = (hi - lo) / (2.0 * h)
             ana = grads.d_boxes[t, k]

@@ -88,9 +88,10 @@ def _write_doc(path: str, doc: dict) -> None:
 
 
 def _require(obj: dict, key: str, path: str, line: int | None = None):
-    if key not in obj:
-        raise FormatError(f"missing required key '{key}'", path=path, line=line)
-    return obj[key]
+    try:
+        return obj[key]
+    except (KeyError, TypeError):   # TypeError: obj is not an object
+        raise FormatError(f"missing required key '{key}'", path=path, line=line) from None
 
 
 def _as_int(value, what: str, path: str, line: int | None = None) -> int:
@@ -104,13 +105,27 @@ def _as_int(value, what: str, path: str, line: int | None = None) -> int:
 
 
 def _int_field(obj: dict, key: str, path: str, line: int | None = None) -> int:
-    return _as_int(_require(obj, key, path, line), key, path, line)
+    value = _require(obj, key, path, line)
+    return value if type(value) is int else _as_int(value, key, path, line)
+
+
+def _float_field(obj: dict, key: str, path: str, line: int | None = None) -> float:
+    # A JSON number only: float() would take the string "0.5", and true as 1.
+    value = _require(obj, key, path, line)
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise FormatError(f"'{key}' must be a number, got {value!r}", path=path, line=line)
 
 
 def _box_from(arr, path: str, line: int | None = None) -> Box:
     try:
         return Box.from_list(arr)
-    except (ValidationError, TypeError) as e:
+    except (ValidationError, TypeError, ValueError) as e:
         raise FormatError(f"bad box {arr!r}: {e}", path=path, line=line) from e
 
 
@@ -152,8 +167,13 @@ def _interval_from(obj: dict, path: str, line: int | None = None) -> tuple[int, 
         if "fps" not in obj:
             raise FormatError("second-denominated interval needs an fps key",
                               path=path, line=line)
-        fps = float(obj["fps"])
-        return int(round(float(obj["ts_sec"]) * fps)), int(round(float(obj["te_sec"]) * fps))
+        fps = _float_field(obj, "fps", path, line)
+        ts = _float_field(obj, "ts_sec", path, line) * fps
+        te = _float_field(obj, "te_sec", path, line) * fps
+        if not (math.isfinite(ts) and math.isfinite(te)):
+            raise FormatError(f"interval in frames must be finite, got [{ts!r}, {te!r}]",
+                              path=path, line=line)
+        return int(round(ts)), int(round(te))
     raise FormatError("interval needs ts/te (frames) or ts_sec/te_sec plus fps",
                       path=path, line=line)
 
@@ -189,7 +209,7 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
         raise FormatError("empty detections file", path=path) from None
     meta = {
         "video_id": str(_require(header, "video_id", path, lineno)),
-        "fps": float(_require(header, "fps", path, lineno)),
+        "fps": _float_field(header, "fps", path, lineno),
         "frame_count": _int_field(header, "frame_count", path, lineno),
         "feature_dim": _int_field(header, "feature_dim", path, lineno),
     }
@@ -209,7 +229,7 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
                     f"{meta['feature_dim']}", path=path, line=lineno)
             try:
                 dets.append(Detection(box=box,
-                                      score=float(_require(d, "score", path, lineno)),
+                                      score=_float_field(d, "score", path, lineno),
                                       feature=embed))
             except ValidationError as e:
                 raise FormatError(str(e), path=path, line=lineno) from e
@@ -297,34 +317,64 @@ def load_tubes(path: str) -> tuple[str, list[Tube]]:
     obj = _load_json_doc(path)
     video_id = str(_require(obj, "video_id", path))
     n_q = _int_field(obj, "n_q", path)
-    tubes = []
-    for entry in _require(obj, "tubes", path):
-        slot_id = _int_field(entry, "slot_id", path)
-        records = []
-        for r in _require(entry, "records", path):
-            t = _int_field(r, "t", path)
-            score = float(_require(r, "score", path))
-            if not math.isfinite(score):
-                raise FormatError(f"tube {slot_id} frame {t}: score must be finite, "
-                                  f"got {score!r}", path=path)
-            embed = r.get("embed")
-            if embed is not None:
-                if not all(map(math.isfinite, embed)):
-                    raise FormatError(f"tube {slot_id} frame {t}: embed must be finite",
-                                      path=path)
-                embed = np.asarray(embed, dtype=float)
-            records.append(TubeRecord(
-                t=t,
-                box=_box_from(_require(r, "box", path), path),
-                score=score,
-                feature=embed,
-                det=None if r.get("det") is None else _int_field(r, "det", path),
-            ))
-        tubes.append(Tube(slot_id=slot_id, records=records))
+    tubes = [_tube_from(entry, path) for entry in _require(obj, "tubes", path)]
     if len(tubes) != n_q:
         raise FormatError(f"header promises n_q={n_q} tubes, file has {len(tubes)}",
                           path=path)
     return video_id, tubes
+
+
+def _tube_from(entry: dict, path: str) -> Tube:
+    """Decode one tube.  Its embeddings are stacked into one (T, D) array
+    first, and each record takes a row of it as its feature."""
+    slot_id = _int_field(entry, "slot_id", path)
+    raw = _require(entry, "records", path)
+    if type(raw) is not list:
+        raise FormatError(f"tube {slot_id}: records must be an array", path=path)
+    records, prev = [], None
+    for r, feature in zip(raw, _tube_features(slot_id, raw, path)):
+        t = _int_field(r, "t", path)
+        if prev is not None and t <= prev:
+            raise FormatError(f"tube {slot_id}: records must be strictly increasing in t, "
+                              f"got t={t} after t={prev}", path=path)
+        score = _float_field(r, "score", path)
+        if not math.isfinite(score):
+            raise FormatError(f"tube {slot_id} frame {t}: score must be finite, "
+                              f"got {score!r}", path=path)
+        det = r.get("det")
+        # Positional, in field order (t, box, score, feature, det): keyword
+        # arguments cost measurably more in this once-per-record call.
+        records.append(TubeRecord(t, _box_from(_require(r, "box", path), path), score,
+                                  feature, None if det is None else _as_int(det, "det", path)))
+        prev = t
+    return Tube(slot_id=slot_id, records=records)
+
+
+def _tube_features(slot_id: int, records: list[dict], path: str):
+    """The tube's embeddings as one (T, D) array, or T Nones when it has none."""
+    try:
+        embeds = [r.get("embed") for r in records]
+    except AttributeError:
+        raise FormatError(f"tube {slot_id}: every record must be an object", path=path) from None
+    missing = embeds.count(None)
+    if missing == len(embeds):
+        return embeds
+    if missing:
+        t = records[embeds.index(None)].get("t")
+        raise FormatError(f"tube {slot_id} frame {t}: embed missing, "
+                          "but other records of the tube have one", path=path)
+    try:
+        features = np.array(embeds)
+    except ValueError:
+        features = None   # ragged
+    if features is None or features.ndim != 2 or features.dtype.kind not in "biuf":
+        raise FormatError(f"tube {slot_id}: every embed must be an array of numbers, "
+                          "all of one length", path=path)
+    features = features.astype(float, copy=False)
+    if not np.isfinite(features).all():
+        t = records[int(np.argmin(np.isfinite(features).all(axis=1)))].get("t")
+        raise FormatError(f"tube {slot_id} frame {t}: embed must be finite", path=path)
+    return features
 
 
 # -------------------------------------------------------------- predictions
@@ -375,7 +425,10 @@ def load_labels(path: str) -> tuple[str, list[list[int]]]:
         t = _int_field(item, "t", path)
         if t != len(identities):
             raise FormatError(f"expected frame t={len(identities)}, got t={t}", path=path)
-        identities.append([int(x) for x in _require(item, "ids", path)])
+        ids = _require(item, "ids", path)
+        if not isinstance(ids, list):
+            raise FormatError(f"'ids' must be an array, got {ids!r}", path=path)
+        identities.append([_as_int(x, "ids", path) for x in ids])
     return video_id, identities
 
 
@@ -414,7 +467,7 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
             records.append(CandidateRecord(
                 t=_int_field(r, "t", path),
                 box=_box_from(_require(r, "box", path), path),
-                score=float(_require(r, "score", path)),
+                score=_float_field(r, "score", path),
                 interpolated=bool(r.get("interpolated", False))))
         try:
             out.append(CandidateTube(

@@ -4,11 +4,18 @@ Boxes live in corner form [x1, y1, x2, y2] with 0 <= x1 < x2 <= 1 and
 0 <= y1 < y2 <= 1.  Construction clamps coordinates into [0, 1] and rejects
 boxes that are left with zero area.  Center-size form (cx, cy, w, h) is the
 secondary representation used by L1 matching costs.
+
+The scalar functions take Box objects.  `giou_pairs` is the same GIoU over
+(N, 4) corner arrays, row by row, for the per-frame loops of mining and the
+consistency losses; `sum_in_order` adds per-frame terms in the order a plain
+accumulation loop would.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -26,16 +33,24 @@ class Box:
     y2: float
 
     def __post_init__(self):
-        vals = (self.x1, self.y1, self.x2, self.y2)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValidationError(f"box coordinates must be finite, got {vals}")
-        object.__setattr__(self, "x1", min(max(self.x1, 0.0), 1.0))
-        object.__setattr__(self, "y1", min(max(self.y1, 0.0), 1.0))
-        object.__setattr__(self, "x2", min(max(self.x2, 0.0), 1.0))
-        object.__setattr__(self, "y2", min(max(self.y2, 0.0), 1.0))
+        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+        isfinite = math.isfinite
+        if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
+            raise ValidationError(
+                f"box coordinates must be finite, got {(x1, y1, x2, y2)}")
+        # Clamp into [0, 1].  A coordinate already inside is kept as the very
+        # object given, as min(max(v, 0.0), 1.0) would return it.
+        if not 0.0 <= x1 <= 1.0:
+            object.__setattr__(self, "x1", min(max(x1, 0.0), 1.0))
+        if not 0.0 <= y1 <= 1.0:
+            object.__setattr__(self, "y1", min(max(y1, 0.0), 1.0))
+        if not 0.0 <= x2 <= 1.0:
+            object.__setattr__(self, "x2", min(max(x2, 0.0), 1.0))
+        if not 0.0 <= y2 <= 1.0:
+            object.__setattr__(self, "y2", min(max(y2, 0.0), 1.0))
         if self.x2 - self.x1 <= _MIN_EXTENT or self.y2 - self.y1 <= _MIN_EXTENT:
             raise ValidationError(
-                f"box has no area after clamping to the unit square: {vals}"
+                f"box has no area after clamping to the unit square: {(x1, y1, x2, y2)}"
             )
 
     @property
@@ -122,3 +137,40 @@ def giou(a: Box, b: Box) -> float:
     u = union_area(a, b)
     c = enclosing_area(a, b)
     return intersection_area(a, b) / u - (c - u) / c
+
+
+# ------------------------------------------------------------ array kernels
+
+def corners(boxes) -> np.ndarray:
+    """(N, 4) float array of the boxes' corners, in Box field order."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def giou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """giou of each row of `a` with the same row of `b`, both (N, 4) corners.
+
+    Performs the IEEE operations of the scalar `giou`, in the same order, so
+    for rows that are valid boxes each element equals
+    giou(Box(*a[i]), Box(*b[i])) bit for bit.  Rows are not validated: this
+    is also the kernel of finite-difference probes.
+    """
+    ax1, ay1, ax2, ay2 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    bx1, by1, bx2, by2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    u = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    c = (np.maximum(ax2, bx2) - np.minimum(ax1, bx1)) * (np.maximum(ay2, by2) - np.minimum(ay1, by1))
+    return inter / u - (c - u) / c
+
+
+def sum_in_order(values: np.ndarray) -> float:
+    """0.0 + v[0] + v[1] + ..., left to right, as an `acc += v` loop adds.
+
+    np.sum adds pairwise and can differ in the last bit; a cumulative sum
+    is sequential.
+    """
+    if values.shape[0] == 0:
+        return 0.0
+    # + 0.0 is the loop's starting value: it turns an all -0.0 sum into 0.0.
+    return float(np.cumsum(values)[-1]) + 0.0

@@ -17,9 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .association import Tube
 from .errors import ValidationError
-from .geometry import Box, giou, to_center_size
+from .geometry import Box, corners, giou_pairs, sum_in_order
+from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
 
 
 @dataclass(frozen=True)
@@ -70,20 +73,38 @@ class CostBreakdown:
 
 def center_size_l1(a: Box, b: Box) -> float:
     """Sum of absolute differences in (cx, cy, w, h)."""
-    ca, cb = to_center_size(a), to_center_size(b)
-    return (abs(ca.cx - cb.cx) + abs(ca.cy - cb.cy)
-            + abs(ca.w - cb.w) + abs(ca.h - cb.h))
+    return float(_center_size_l1_pairs(corners([a]), corners([b]))[0])
+
+
+def _center_size_l1_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """center_size_l1 of each row of `a` with the same row of `b`, both
+    (N, 4) corners; the terms are added in (cx, cy, w, h) order."""
+    dcx = np.abs(0.5 * (a[:, 0] + a[:, 2]) - 0.5 * (b[:, 0] + b[:, 2]))
+    dcy = np.abs(0.5 * (a[:, 1] + a[:, 3]) - 0.5 * (b[:, 1] + b[:, 3]))
+    dw = np.abs((a[:, 2] - a[:, 0]) - (b[:, 2] - b[:, 0]))
+    dh = np.abs((a[:, 3] - a[:, 1]) - (b[:, 3] - b[:, 1]))
+    return dcx + dcy + dw + dh
+
+
+def corner_temporal_cost(c: np.ndarray) -> float:
+    """Mean (1 - giou) over consecutive rows of a (T >= 2, 4) corner array.
+
+    This is both the mining temporal cost and the consistency geometry loss,
+    so the two agree bit for bit on the same boxes.
+    """
+    return sum_in_order(1.0 - giou_pairs(c[:-1], c[1:])) / (c.shape[0] - 1)
+
+
+def _tube_corners(tube: Tube) -> np.ndarray:
+    n = len(tube.records)
+    if n < 2:
+        raise ValidationError(f"temporal cost needs at least 2 records, tube {tube.slot_id} has {n}")
+    return corners([r.box for r in tube.records])
 
 
 def temporal_cost(tube: Tube) -> float:
     """Mean (1 - giou) over consecutive box pairs; needs at least 2 records."""
-    n = len(tube.records)
-    if n < 2:
-        raise ValidationError(f"temporal cost needs at least 2 records, tube {tube.slot_id} has {n}")
-    acc = 0.0
-    for a, b in zip(tube.records, tube.records[1:]):
-        acc += 1.0 - giou(a.box, b.box)
-    return acc / (n - 1)
+    return corner_temporal_cost(_tube_corners(tube))
 
 
 def match_cost(tube: Tube, gt: GtTube, weights: CostWeights | None = None) -> CostBreakdown:
@@ -91,25 +112,31 @@ def match_cost(tube: Tube, gt: GtTube, weights: CostWeights | None = None) -> Co
     frame of the GT interval (association guarantees full-clip coverage)."""
     if weights is None:
         weights = CostWeights()
-    by_t = {r.t: r for r in tube.records}
-    missing = [t for t in range(gt.ts, gt.te + 1) if t not in by_t]
+    return _match_cost(tube, gt, _gt_corners(gt), weights)
+
+
+def _gt_corners(gt: GtTube) -> np.ndarray:
+    return corners([gt.boxes[t] for t in range(gt.ts, gt.te + 1)])
+
+
+def _match_cost(tube: Tube, gt: GtTube, gt_c: np.ndarray,
+                weights: CostWeights) -> CostBreakdown:
+    pos = {r.t: i for i, r in enumerate(tube.records)}
+    missing = [t for t in range(gt.ts, gt.te + 1) if t not in pos]
     if missing:
         raise ValidationError(
             f"tube {tube.slot_id} does not cover GT frames {missing[:5]}")
+    c = _tube_corners(tube)
+    idx = [pos[t] for t in range(gt.ts, gt.te + 1)]
+    on_gt = c[idx]
+    scores = np.array([r.score for r in tube.records], dtype=float)[idx]
 
-    c_cls = 0.0
-    c_bbox = 0.0
-    c_giou = 0.0
-    for t in range(gt.ts, gt.te + 1):
-        rec = by_t[t]
-        c_cls += 1.0 - rec.score
-        c_bbox += center_size_l1(rec.box, gt.boxes[t])
-        c_giou += 1.0 - giou(rec.box, gt.boxes[t])
+    # Per-frame terms summed left to right, in frame order.
     n = gt.length
-    c_cls /= n
-    c_bbox /= n
-    c_giou /= n
-    c_temp = temporal_cost(tube)
+    c_cls = sum_in_order(1.0 - scores) / n
+    c_bbox = sum_in_order(_center_size_l1_pairs(on_gt, gt_c)) / n
+    c_giou = sum_in_order(1.0 - giou_pairs(on_gt, gt_c)) / n
+    c_temp = corner_temporal_cost(c)
     total = (weights.w_cls * c_cls + weights.w_bbox * c_bbox
              + weights.w_giou * c_giou + weights.w_temp * c_temp)
     return CostBreakdown(c_cls=c_cls, c_bbox=c_bbox, c_giou=c_giou,
@@ -125,7 +152,10 @@ def mine_best_tube(tubes: list[Tube], gt: GtTube,
     """
     if not tubes:
         raise ValidationError("mine_best_tube needs at least one tube")
-    breakdowns = [match_cost(tube, gt, weights) for tube in tubes]
+    if weights is None:
+        weights = CostWeights()
+    gt_c = _gt_corners(gt)
+    breakdowns = [_match_cost(tube, gt, gt_c, weights) for tube in tubes]
     best = 0
     for i, b in enumerate(breakdowns):
         if b.total < breakdowns[best].total:

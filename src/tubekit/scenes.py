@@ -65,6 +65,13 @@ def _reflect(x: float, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.5 * (lo + hi)
     span = hi - lo
+    if not lo - span <= x <= hi + span:
+        # Farther out than one span, the mirror loop below would take about
+        # |x| / span turns (forever at 1e300).  Reduce modulo the mirror
+        # period first; a point within one span keeps the plain loop.
+        if not math.isfinite(x):
+            raise ValidationError(f"a motion step overflowed to {x}; motion_step is too large")
+        x = lo + math.fmod(x - lo, 2.0 * span)
     while x < lo or x > hi:
         if x < lo:
             x = lo + (lo - x)

@@ -92,6 +92,25 @@ class TestSimulate:
             assert sha(tmp_path / f"a.{suffix}") == sha(tmp_path / f"b.{suffix}")
 
 
+    @pytest.mark.parametrize("step, code", [("1e300", 0), ("1e308", 1)])
+    def test_huge_motion_step_ends(self, tmp_path, step, code):
+        # The border fold used to loop forever at these sizes.  At 1e308 a
+        # step overflows to infinity, which has no folded position.
+        prefix = str(tmp_path / "s")
+        src = str(Path(tubekit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        result = subprocess.run(
+            [sys.executable, "-m", "tubekit.cli", "simulate", "--seed", "3", "--frames", "12",
+             "--objects", "2", "--motion-step", step, "--out", prefix],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == code, result.stderr
+        if code == 0:
+            assert load_gt(prefix + ".gt.json")[1].length >= 1
+        else:
+            assert "motion_step is too large" in result.stderr
+
+
 class TestAssociate:
     def test_single_file(self, tmp_path, capsys):
         prefix = simulate(tmp_path, "s")
@@ -190,6 +209,28 @@ class TestMine:
         assert main(["mine", "--tubes", str(tubes_path), "--gt", str(gt_path),
                      "--out", str(out)]) == 2
         assert "score must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_string_score_is_format_error(self, tmp_path, capsys):
+        tubes_path, gt_path = write_planted_tubes(tmp_path)
+        doc = json.loads(tubes_path.read_text())
+        doc["tubes"][1]["records"][3]["score"] = "high"
+        tubes_path.write_text(json.dumps(doc))
+        out = tmp_path / "mine.json"
+        assert main(["mine", "--tubes", str(tubes_path), "--gt", str(gt_path),
+                     "--out", str(out)]) == 2
+        assert "'score' must be a number, got 'high'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reversed_tube_is_format_error(self, tmp_path, capsys):
+        tubes_path, gt_path = write_planted_tubes(tmp_path)
+        doc = json.loads(tubes_path.read_text())
+        doc["tubes"][1]["records"].reverse()
+        tubes_path.write_text(json.dumps(doc))
+        out = tmp_path / "mine.json"
+        assert main(["mine", "--tubes", str(tubes_path), "--gt", str(gt_path),
+                     "--out", str(out)]) == 2
+        assert "tube 1: records must be strictly increasing in t" in capsys.readouterr().err
         assert not out.exists()
 
     def test_video_id_mismatch_rejected(self, tmp_path, capsys):

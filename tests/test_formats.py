@@ -571,3 +571,171 @@ class TestIntegerFields:
         with pytest.raises(FormatError, match="'frame_count' must be an integer") as err:
             load_detections(str(path))
         assert f"{path}:1:" in str(err.value)
+
+
+NOT_NUMBERS = [pytest.param("high", id="string"), pytest.param("0.5", id="numeric-string"),
+               pytest.param(True, id="bool"), pytest.param(None, id="null")]
+
+
+class TestNumberFields:
+    """Float fields take JSON numbers only; float() would take "0.5" and true."""
+
+    @pytest.mark.parametrize("bad", NOT_NUMBERS)
+    def test_tube_score(self, tmp_path, bad):
+        doc = {"video_id": "v", "n_q": 1, "tubes": [{"slot_id": 0, "records": [
+            {"t": 0, "box": BOX.to_list(), "score": bad, "det": 0}]}]}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="'score' must be a number") as err:
+            load_tubes(str(path))
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("bad", NOT_NUMBERS)
+    @pytest.mark.parametrize("key, lineno", [("fps", 1), ("score", 2)])
+    def test_detections(self, tmp_path, key, lineno, bad):
+        path = tmp_path / "clip.jsonl"
+        save_detections(str(path), "vid", 25.0, make_frames())
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[lineno - 1])
+        if key == "fps":
+            obj["fps"] = bad
+        else:
+            obj["detections"][0]["score"] = bad
+        lines[lineno - 1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"'{key}' must be a number") as err:
+            load_detections(str(path))
+        assert f"{path}:{lineno}:" in str(err.value)
+
+    @pytest.mark.parametrize("bad", NOT_NUMBERS)
+    @pytest.mark.parametrize("key", ["fps", "ts_sec", "te_sec"])
+    def test_seconds_interval(self, tmp_path, key, bad):
+        doc = {"video_id": "v", "ts_sec": 0.2, "te_sec": 0.5, "fps": 10.0,
+               "boxes": [{"t": t, "box": BOX.to_list()} for t in range(2, 6)]}
+        doc[key] = bad
+        path = tmp_path / "sec.gt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"'{key}' must be a number"):
+            load_gt(str(path))
+        pred = tmp_path / "p.jsonl"
+        pred.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(FormatError, match=f"'{key}' must be a number") as err:
+            load_predictions(str(pred))
+        assert f"{pred}:1:" in str(err.value)
+
+    @pytest.mark.parametrize("fps, ts_sec", [(1e308, 10.0), (10.0, 1e999)])
+    def test_seconds_interval_must_be_finite_in_frames(self, tmp_path, fps, ts_sec):
+        doc = {"video_id": "v", "ts_sec": ts_sec, "te_sec": 0.5, "fps": fps,
+               "boxes": [{"t": 2, "box": BOX.to_list()}]}
+        path = tmp_path / "big.gt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="must be finite"):
+            load_gt(str(path))
+
+    @pytest.mark.parametrize("bad", NOT_NUMBERS)
+    def test_candidate_score(self, tmp_path, bad):
+        doc = {"video_id": "v", "candidates": [{
+            "category": "dog", "span": [0, 1],
+            "records": [{"t": 0, "box": BOX.to_list(), "score": bad}],
+            "appearance": [1.0]}]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="'score' must be a number"):
+            load_candidates(str(path))
+
+    def test_integers_are_numbers(self, tmp_path):
+        doc = {"video_id": "v", "ts_sec": 1, "te_sec": 2, "fps": 2,
+               "boxes": [{"t": t, "box": BOX.to_list()} for t in range(2, 5)]}
+        path = tmp_path / "int.gt.json"
+        path.write_text(json.dumps(doc))
+        _, gt = load_gt(str(path))
+        assert (gt.ts, gt.te) == (2, 4)
+        doc = {"video_id": "v", "n_q": 1, "tubes": [{"slot_id": 0, "records": [
+            {"t": 0, "box": BOX.to_list(), "score": 1, "det": 0}]}]}
+        path = tmp_path / "int.tubes.json"
+        path.write_text(json.dumps(doc))
+        _, tubes = load_tubes(str(path))
+        assert tubes[0].records[0].score == 1.0
+
+    @pytest.mark.parametrize("box", [["a", "b", "c", "d"], "abcd"])
+    def test_non_numeric_box_is_format_error(self, tmp_path, box):
+        doc = {"video_id": "v", "ts": 0, "te": 0, "boxes": [{"t": 0, "box": box}]}
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="bad box"):
+            load_gt(str(path))
+
+
+class TestLabelIds:
+    @pytest.mark.parametrize("ids", [[True, 1, -2], [0, 1.5], [0, "1"], [None]],
+                             ids=["bool", "fraction", "string", "null"])
+    def test_non_integer_id_refused(self, tmp_path, ids):
+        path = tmp_path / "l.json"
+        path.write_text(json.dumps({"video_id": "v", "frames": [{"t": 0, "ids": ids}]}))
+        with pytest.raises(FormatError, match="'ids' must be an integer"):
+            load_labels(str(path))
+
+    def test_ids_must_be_an_array(self, tmp_path):
+        path = tmp_path / "l.json"
+        path.write_text(json.dumps({"video_id": "v", "frames": [{"t": 0, "ids": "12"}]}))
+        with pytest.raises(FormatError, match="'ids' must be an array"):
+            load_labels(str(path))
+
+    def test_integral_floats_still_load_as_ints(self, tmp_path):
+        path = tmp_path / "l.json"
+        path.write_text(json.dumps({"video_id": "v", "frames": [{"t": 0, "ids": [1.0, -2]}]}))
+        _, identities = load_labels(str(path))
+        assert identities == [[1, -2]]
+        assert all(type(i) is int for i in identities[0])
+
+
+class TestTubeDecode:
+    def _write(self, tmp_path, records, slot_id=3):
+        doc = {"video_id": "v", "n_q": 1, "tubes": [{"slot_id": slot_id, "records": records}]}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @staticmethod
+    def _rec(t, **extra):
+        return {"t": t, "box": BOX.to_list(), "score": 0.5, "det": 0, **extra}
+
+    @pytest.mark.parametrize("ts", [[2, 1, 0], [0, 1, 1], [0, 2, 1]],
+                             ids=["reversed", "repeated", "swapped"])
+    def test_records_strictly_increasing(self, tmp_path, ts):
+        path = self._write(tmp_path, [self._rec(t) for t in ts])
+        with pytest.raises(FormatError, match="tube 3: records must be strictly increasing in t"):
+            load_tubes(path)
+
+    def test_features_are_rows_of_one_float_array(self, tmp_path):
+        path = self._write(tmp_path, [self._rec(0, embed=[1, 2]), self._rec(1, embed=[3.5, True])])
+        _, tubes = load_tubes(path)
+        feats = [r.feature for r in tubes[0].records]
+        assert all(f.dtype == np.float64 and f.shape == (2,) for f in feats)
+        assert np.array_equal(np.stack(feats), [[1.0, 2.0], [3.5, 1.0]])
+
+    def test_embed_on_some_records_only(self, tmp_path):
+        path = self._write(tmp_path, [self._rec(0, embed=[1.0]), self._rec(1), self._rec(2)])
+        with pytest.raises(FormatError, match="tube 3 frame 1: embed missing"):
+            load_tubes(path)
+
+    @pytest.mark.parametrize("embeds", [
+        [[1.0, 2.0], [1.0]], [[1.0, "2"], [1.0, 2.0]], [[1.0, None], [1.0, 2.0]],
+        [[[1.0]], [[2.0]]], [1.0, 2.0]],
+        ids=["ragged", "string", "null", "nested", "scalar"])
+    def test_embeds_must_be_equal_length_number_arrays(self, tmp_path, embeds):
+        path = self._write(tmp_path, [self._rec(t, embed=e) for t, e in enumerate(embeds)])
+        with pytest.raises(FormatError, match="tube 3: every embed must be an array of numbers"):
+            load_tubes(path)
+
+    def test_non_finite_embed_names_its_frame(self, tmp_path):
+        path = self._write(tmp_path, [self._rec(t, embed=[1.0, 2.0]) for t in (4, 5)]
+                           + [self._rec(6, embed=[1.0, 1e999])])
+        with pytest.raises(FormatError, match="tube 3 frame 6: embed must be finite"):
+            load_tubes(path)
+
+    @pytest.mark.parametrize("records", [[[0, 1]], ["r"], {"t": 0}], ids=["list", "str", "dict"])
+    def test_records_must_be_objects_in_an_array(self, tmp_path, records):
+        with pytest.raises(FormatError, match="tube 3: (every record must be an object"
+                                              "|records must be an array)"):
+            load_tubes(self._write(tmp_path, records))

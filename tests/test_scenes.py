@@ -7,7 +7,7 @@ from tubekit.association import (AssociationConfig, Tube, TubeRecord,
 from tubekit.errors import ValidationError
 from tubekit.geometry import Box
 from tubekit.metrics import select_tube
-from tubekit.scenes import (LabeledScene, SceneConfig, generate_scene,
+from tubekit.scenes import (LabeledScene, SceneConfig, _reflect, generate_scene,
                             identity_switch_rate)
 
 
@@ -26,6 +26,32 @@ class TestSceneConfig:
             SceneConfig(seed=0, motion_step=-0.1)
         with pytest.raises(ValidationError):
             SceneConfig(seed=0, feature_dim=1)
+
+
+class TestReflect:
+    def test_lands_in_range_at_any_distance(self):
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            lo = float(rng.uniform(0.0, 0.2))
+            hi = lo + float(rng.uniform(0.3, 0.8))
+            x = float(rng.normal()) * 10.0 ** float(rng.uniform(-1, 300))
+            assert lo <= _reflect(x, lo, hi) <= hi
+
+    def test_within_one_span_is_one_mirror(self):
+        rng = np.random.default_rng(19)
+        lo, hi = 0.1, 0.85
+        for x in rng.uniform(lo - (hi - lo), hi + (hi - lo), size=2000):
+            want = lo + (lo - x) if x < lo else hi - (x - hi) if x > hi else x
+            assert _reflect(x, lo, hi) == want
+
+    def test_far_point_folds_with_period_two_spans(self):
+        assert _reflect(5.0, 0.0, 1.0) == 1.0
+        assert _reflect(5.5, 0.0, 1.0) == 0.5
+        assert _reflect(-7.25, 0.0, 1.0) == 0.75
+
+    def test_infinite_step_refused(self):
+        with pytest.raises(ValidationError, match="motion_step is too large"):
+            _reflect(float("inf"), 0.1, 0.9)
 
 
 class TestGenerateScene:
