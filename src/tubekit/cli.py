@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -41,6 +40,8 @@ def _report_head(command: str, config: dict) -> dict:
 # ------------------------------------------------------------------ simulate
 
 def _cmd_simulate(args) -> int:
+    if not (math.isfinite(args.fps) and args.fps > 0.0):
+        raise ValidationError(f"--fps must be a positive finite number, got {args.fps}")
     cfg = SceneConfig(seed=args.seed, frames=args.frames, objects=args.objects,
                       feature_dim=args.feature_dim,
                       appearance_drift=args.appearance_drift,
@@ -62,18 +63,6 @@ def _cmd_simulate(args) -> int:
 
 # ----------------------------------------------------------------- associate
 
-def _associate_one(path: str, args) -> tuple[str, str]:
-    meta, frames = load_detections(path)
-    cfg = AssociationConfig(n_q=args.n_q, alpha=args.alpha)
-    tubes = run_association(frames, cfg)
-    if args.out:
-        out_path = args.out
-    else:
-        out_path = str(Path(args.out_dir) / f"{meta['video_id']}.tubes.json")
-    save_tubes(out_path, meta["video_id"], tubes, include_embeds=args.embed)
-    return meta["video_id"], out_path
-
-
 def _cmd_associate(args) -> int:
     if len(args.detections) > 1 and args.out:
         raise ValidationError("use --out-dir when associating several files")
@@ -81,11 +70,19 @@ def _cmd_associate(args) -> int:
         raise ValidationError("one of --out or --out-dir is required")
     if args.out_dir:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    if args.jobs > 1 and len(args.detections) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda p: _associate_one(p, args), args.detections))
-    else:
-        results = [_associate_one(p, args) for p in args.detections]
+    sources: dict[str, str] = {}
+    results = []
+    for path in args.detections:
+        meta, frames = load_detections(path)
+        video_id = meta["video_id"]
+        if video_id in sources:
+            raise ValidationError(f"{sources[video_id]} and {path} both hold video_id "
+                                  f"'{video_id}'; each would write the same tube file")
+        sources[video_id] = path
+        tubes = run_association(frames, AssociationConfig(n_q=args.n_q, alpha=args.alpha))
+        out_path = args.out or str(Path(args.out_dir) / f"{video_id}.tubes.json")
+        save_tubes(out_path, video_id, tubes, include_embeds=args.embed)
+        results.append((video_id, out_path))
     for video_id, out_path in sorted(results):
         print(f"{video_id}: {args.n_q} tubes -> {out_path}")
     return 0
@@ -288,11 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detection-tube association, mining, and grounding metrics.")
     parser.add_argument("--version", action="version",
                         version=f"tubekit {__version__} (schema {SCHEMA_VERSION})")
-    jobs_env = os.environ.get("TUBEKIT_JOBS", "1")
-    try:
-        default_jobs = int(jobs_env)
-    except ValueError:
-        parser.error(f"TUBEKIT_JOBS must be an integer, got {jobs_env!r}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a seeded synthetic scene")
@@ -321,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include per-record embeddings in the tube file")
     p.add_argument("--out", default=None)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--jobs", type=int, default=default_jobs)
     p.set_defaults(func=_cmd_associate)
 
     p = sub.add_parser("mine", help="pick the tube closest to an annotation")

@@ -2,8 +2,10 @@
 
 Floats are written with 9 significant digits everywhere, so identical inputs
 produce byte-identical files.  A JSON document is written compact, on one
-line, by CPython's C encoder; non-finite numbers are refused on both write
-and read.  JSONL diagnostics carry 1-based line numbers.
+line, and a JSONL line with json.dumps' default separators, both by CPython's
+C encoder; non-finite numbers are refused on both write and read.  A number
+field, box coordinate or vector element must be a JSON number: strings and
+booleans are refused.  JSONL diagnostics carry 1-based line numbers.
 Intervals may be given in seconds (ts_sec / te_sec) instead of frames when
 the document carries an fps; they are converted once at load time.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -74,17 +77,22 @@ def _f9_rows(vectors: list) -> list[list[float]]:
     return out
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj)
+# Both refuse NaN and infinities.  JSONL lines keep json.dumps' default
+# separators, so their bytes are what they were before the check.
+_LINE = json.JSONEncoder(allow_nan=False)
+_DOC = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+def _encode(path: str, obj, encoder: json.JSONEncoder = _LINE) -> str:
+    try:
+        return encoder.encode(obj)
+    except ValueError as e:
+        raise ValidationError(f"{path}: refusing to write a non-finite number ({e})") from e
 
 
 def _write_doc(path: str, doc: dict) -> None:
-    """Write `doc` as one compact JSON line; refuse NaN and infinities."""
-    try:
-        text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
-    except ValueError as e:
-        raise ValidationError(f"{path}: refusing to write a non-finite number ({e})") from e
-    Path(path).write_text(text + "\n")
+    """Write `doc` as one compact JSON line."""
+    Path(path).write_text(_encode(path, doc, _DOC) + "\n")
 
 
 def _require(obj: dict, key: str, path: str, line: int | None = None):
@@ -122,11 +130,28 @@ def _float_field(obj: dict, key: str, path: str, line: int | None = None) -> flo
     raise FormatError(f"'{key}' must be a number, got {value!r}", path=path, line=line)
 
 
+_NUMBER = frozenset((float, int))   # JSON numbers: type(true) is bool, not int
+
+
 def _box_from(arr, path: str, line: int | None = None) -> Box:
+    # Box.from_list's float() would take "0.5" and true.
+    if type(arr) is not list or not _NUMBER.issuperset(map(type, arr)):
+        raise FormatError(f"bad box {arr!r}: coordinates must be numbers", path=path, line=line)
     try:
         return Box.from_list(arr)
-    except (ValidationError, TypeError, ValueError) as e:
+    except (ValidationError, OverflowError) as e:
         raise FormatError(f"bad box {arr!r}: {e}", path=path, line=line) from e
+
+
+def _vector_field(obj: dict, key: str, path: str, line: int | None = None) -> np.ndarray:
+    """A float vector from an array of JSON numbers, the rule of _float_field."""
+    value = _require(obj, key, path, line)
+    if type(value) is list and _NUMBER.issuperset(map(type, value)):
+        try:
+            return np.asarray(value, dtype=float)
+        except OverflowError:
+            pass
+    raise FormatError(f"'{key}' must be an array of numbers", path=path, line=line)
 
 
 def _load_json_doc(path: str) -> dict:
@@ -187,10 +212,10 @@ def save_detections(path: str, video_id: str, fps: float,
     header = {"video_id": video_id, "fps": f9(fps),
               "frame_count": len(frames),
               "feature_dim": frames[0].feature_dim}
-    lines = [_dump(header)]
+    lines = [_encode(path, header)]
     embeds = iter(_f9_rows([d.feature for fr in frames for d in fr.detections]))
     for fr in frames:
-        lines.append(_dump({
+        lines.append(_encode(path, {
             "t": fr.t,
             "detections": [{
                 "box": _f9s(d.box.to_list()),
@@ -213,6 +238,8 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
         "frame_count": _int_field(header, "frame_count", path, lineno),
         "feature_dim": _int_field(header, "feature_dim", path, lineno),
     }
+    if not math.isfinite(meta["fps"]):
+        raise FormatError(f"'fps' must be finite, got {meta['fps']!r}", path=path, line=lineno)
     frames: list[FrameDetections] = []
     for lineno, obj in it:
         t = _int_field(obj, "t", path, lineno)
@@ -222,7 +249,7 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
         dets = []
         for d in _require(obj, "detections", path, lineno):
             box = _box_from(_require(d, "box", path, lineno), path, lineno)
-            embed = np.asarray(_require(d, "embed", path, lineno), dtype=float)
+            embed = _vector_field(d, "embed", path, lineno)
             if embed.shape != (meta["feature_dim"],):
                 raise FormatError(
                     f"embed length {embed.shape} does not match feature_dim "
@@ -363,11 +390,14 @@ def _tube_features(slot_id: int, records: list[dict], path: str):
         t = records[embeds.index(None)].get("t")
         raise FormatError(f"tube {slot_id} frame {t}: embed missing, "
                           "but other records of the tube have one", path=path)
-    try:
-        features = np.array(embeds)
-    except ValueError:
-        features = None   # ragged
-    if features is None or features.ndim != 2 or features.dtype.kind not in "biuf":
+    features = None
+    if (set(map(type, embeds)) == {list}
+            and _NUMBER.issuperset(map(type, chain.from_iterable(embeds)))):
+        try:
+            features = np.array(embeds)
+        except ValueError:
+            pass   # ragged
+    if features is None or features.ndim != 2 or features.dtype.kind not in "iuf":
         raise FormatError(f"tube {slot_id}: every embed must be an array of numbers, "
                           "all of one length", path=path)
     features = features.astype(float, copy=False)
@@ -383,7 +413,7 @@ def save_predictions(path: str, items: list[tuple[str, Prediction]]) -> None:
     lines = []
     for video_id, pred in items:
         keys = sorted(pred.boxes)
-        lines.append(_dump({
+        lines.append(_encode(path, {
             "video_id": video_id, "ts": pred.ts, "te": pred.te,
             "boxes": [{"t": t, "box": _f9s(pred.boxes[t].to_list())}
                       for t in keys],
@@ -474,7 +504,7 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
                 category=str(_require(c, "category", path)),
                 span=(_as_int(span[0], "span", path), _as_int(span[1], "span", path)),
                 records=records,
-                appearance=np.asarray(_require(c, "appearance", path), dtype=float)))
+                appearance=_vector_field(c, "appearance", path)))
         except ValidationError as e:
             raise FormatError(str(e), path=path) from e
     return video_id, out

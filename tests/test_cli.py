@@ -55,15 +55,17 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_bad_jobs_env_is_usage_error(self, tmp_path, capsys, monkeypatch):
+    def test_jobs_is_not_an_option(self, tmp_path, capsys, monkeypatch):
         prefix = simulate(tmp_path, "s")
-        monkeypatch.setenv("TUBEKIT_JOBS", "two")
+        out = tmp_path / "t.json"
         with pytest.raises(SystemExit) as exc:
-            main(["associate", f"{prefix}.detections.jsonl",
-                  "--out", str(tmp_path / "t.json")])
+            main(["associate", f"{prefix}.detections.jsonl", "--jobs", "2",
+                  "--out", str(out)])
         assert exc.value.code == 2
-        assert "TUBEKIT_JOBS must be an integer, got 'two'" in capsys.readouterr().err
-        assert not (tmp_path / "t.json").exists()
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setenv("TUBEKIT_JOBS", "two")
+        assert main(["associate", f"{prefix}.detections.jsonl", "--out", str(out)]) == 0
 
     def test_version_string(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -84,6 +86,13 @@ class TestSimulate:
     def test_labels_flag(self, tmp_path, capsys):
         simulate(tmp_path, "s", "--labels")
         assert (tmp_path / "s.labels.json").exists()
+
+    @pytest.mark.parametrize("fps", ["nan", "inf", "-3", "0"])
+    def test_fps_must_be_positive_and_finite(self, tmp_path, capsys, fps):
+        assert main(["simulate", "--seed", "1", "--fps", fps,
+                     "--out", str(tmp_path / "s")]) == 1
+        assert "--fps must be a positive finite number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         simulate(tmp_path, "a", "--labels")
@@ -129,22 +138,58 @@ class TestAssociate:
                          "--out", str(tmp_path / f"{name}.json")]) == 0
         assert sha(tmp_path / "x.json") == sha(tmp_path / "y.json")
 
-    def test_jobs_do_not_change_bytes(self, tmp_path, capsys):
+    def test_out_dir_matches_single_input_runs(self, tmp_path, capsys):
         p1 = simulate(tmp_path, "c1")
-        prefix2 = str(tmp_path / "c2")
-        assert main(["simulate", "--seed", "22", "--frames", "20",
-                     "--out", prefix2]) == 0
-        for jobs, sub in (("1", "serial"), ("4", "parallel")):
-            outdir = tmp_path / sub
-            assert main(["associate", f"{p1}.detections.jsonl",
-                         f"{prefix2}.detections.jsonl",
-                         "--n-q", "2", "--jobs", jobs,
-                         "--out-dir", str(outdir)]) == 0
-        serial = sorted((tmp_path / "serial").iterdir())
-        parallel = sorted((tmp_path / "parallel").iterdir())
-        assert [p.name for p in serial] == [p.name for p in parallel]
-        for a, b in zip(serial, parallel):
-            assert sha(a) == sha(b)
+        p2 = str(tmp_path / "c2")
+        assert main(["simulate", "--seed", "22", "--frames", "20", "--out", p2]) == 0
+        inputs = [f"{p2}.detections.jsonl", f"{p1}.detections.jsonl"]
+        capsys.readouterr()
+        for sub in ("run", "rerun"):
+            assert main(["associate", *inputs, "--n-q", "2", "--embed",
+                         "--out-dir", str(tmp_path / sub)]) == 0
+            assert capsys.readouterr().out == "".join(
+                f"{v}: 2 tubes -> {tmp_path / sub / f'{v}.tubes.json'}\n"
+                for v in ("sim-21", "sim-22"))
+        for path, video_id in zip(inputs, ("sim-22", "sim-21")):
+            single = tmp_path / f"{video_id}.json"
+            assert main(["associate", path, "--n-q", "2", "--embed",
+                         "--out", str(single)]) == 0
+            name = f"{video_id}.tubes.json"
+            assert sha(tmp_path / "run" / name) == sha(single) == sha(tmp_path / "rerun" / name)
+        assert len(list((tmp_path / "run").iterdir())) == 2
+
+    def test_repeated_video_id_refused(self, tmp_path, capsys):
+        a = simulate(tmp_path, "a", "--video-id", "same")
+        b = str(tmp_path / "b")
+        assert main(["simulate", "--seed", "22", "--frames", "20", "--video-id", "same",
+                     "--out", b]) == 0
+        solo = tmp_path / "solo.json"
+        assert main(["associate", f"{a}.detections.jsonl", "--n-q", "2",
+                     "--out", str(solo)]) == 0
+        capsys.readouterr()
+        outdir = tmp_path / "o"
+        assert main(["associate", f"{a}.detections.jsonl", f"{b}.detections.jsonl",
+                     "--n-q", "2", "--out-dir", str(outdir)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{a}.detections.jsonl and {b}.detections.jsonl" in err
+        assert "'same'" in err
+        # The first input's file stands; the second never overwrote it.
+        assert [p.name for p in outdir.iterdir()] == ["same.tubes.json"]
+        assert sha(outdir / "same.tubes.json") == sha(solo)
+
+    def test_string_embed_is_format_error(self, tmp_path, capsys):
+        prefix = simulate(tmp_path, "s")
+        path = Path(f"{prefix}.detections.jsonl")
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj["detections"][0]["embed"] = [str(x) for x in obj["detections"][0]["embed"]]
+        lines[1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "t.json"
+        assert main(["associate", str(path), "--out", str(out)]) == 2
+        assert f"{path}:2: 'embed' must be an array of numbers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cold_start_skips_scipy_optimize(self, tmp_path, capsys):
         prefix = simulate(tmp_path, "s")
@@ -152,6 +197,7 @@ class TestAssociate:
         code = (
             "import sys, tubekit.cli\n"
             "assert 'scipy.optimize' not in sys.modules, 'loaded at import'\n"
+            "assert 'concurrent.futures' not in sys.modules, 'loaded at import'\n"
             f"assert tubekit.cli.main(['associate', {prefix + '.detections.jsonl'!r},"
             f" '--n-q', '2', '--out', {str(out)!r}]) == 0\n"
             "assert 'scipy.optimize' in sys.modules\n")

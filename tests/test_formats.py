@@ -172,6 +172,38 @@ class TestDetections:
             load_detections(str(path))
 
 
+class TestJsonlWriters:
+    def test_lines_keep_default_separators(self, tmp_path):
+        det = tmp_path / "d.jsonl"
+        save_detections(str(det), "v", 1 / 3, [FrameDetections(t=0, detections=[
+            Detection(box=Box(0.1, 0.2, 1 / 3, 0.5), score=0.5, feature=np.array([1.0, 2]))])])
+        assert det.read_text() == (
+            '{"video_id": "v", "fps": 0.333333333, "frame_count": 1, "feature_dim": 2}\n'
+            '{"t": 0, "detections": [{"box": [0.1, 0.2, 0.333333333, 0.5], "score": 0.5, '
+            '"embed": [1.0, 2.0]}]}\n')
+        pred = tmp_path / "p.jsonl"
+        save_predictions(str(pred), [("a", Prediction(ts=1, te=1, boxes={1: BOX}))])
+        assert pred.read_text() == (
+            '{"video_id": "a", "ts": 1, "te": 1, "boxes": [{"t": 1, "box": [0.25, 0.25, 0.5, 0.5]}]}\n')
+
+    @pytest.mark.parametrize("fps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused_and_nothing_written(self, tmp_path, fps):
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(ValidationError, match="non-finite") as err:
+            save_detections(str(path), "v", fps, make_frames())
+        assert str(path) in str(err.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fps", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_fps_rejected_on_load(self, tmp_path, fps):
+        path = tmp_path / "d.jsonl"
+        save_detections(str(path), "v", 25.0, make_frames())
+        path.write_text(path.read_text().replace('"fps": 25.0', f'"fps": {fps}', 1))
+        with pytest.raises(FormatError, match="'fps' must be finite") as err:
+            load_detections(str(path))
+        assert err.value.line == 1 and f"{path}:1:" in str(err.value)
+
+
 class TestGt:
     def _gt(self):
         return GtTube(ts=2, te=5, boxes={t: BOX for t in range(2, 6)})
@@ -666,6 +698,84 @@ class TestNumberFields:
             load_gt(str(path))
 
 
+NOT_NUMBER_ELEMENTS = NOT_NUMBERS + [pytest.param(10 ** 400, id="huge-int")]
+
+
+class TestNumberArrays:
+    """Box coordinates and vector elements take JSON numbers only, as float
+    fields do; Box.from_list's float() and np.asarray would take "0.5" and true."""
+
+    @staticmethod
+    def _spoil(values, bad):
+        # The last element: coerced, true and "0.5" would still make a valid box.
+        return [*values[:-1], bad]
+
+    @pytest.mark.parametrize("bad", NOT_NUMBER_ELEMENTS)
+    @pytest.mark.parametrize("key, match", [("box", "bad box"),
+                                            ("embed", "'embed' must be an array of numbers")])
+    def test_detections(self, tmp_path, key, match, bad):
+        path = tmp_path / "clip.jsonl"
+        save_detections(str(path), "vid", 25.0, make_frames())
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[2])
+        det = obj["detections"][1]
+        det[key] = self._spoil(det[key], bad)
+        lines[2] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=match) as err:
+            load_detections(str(path))
+        assert f"{path}:3:" in str(err.value)
+
+    @pytest.mark.parametrize("bad", NOT_NUMBER_ELEMENTS)
+    @pytest.mark.parametrize("key, match", [("box", "bad box"),
+                                            ("embed", "every embed must be an array of numbers")])
+    def test_tubes(self, tmp_path, key, match, bad):
+        rec = {"t": 0, "box": BOX.to_list(), "score": 0.5, "det": 0, "embed": [1.0, 2.0]}
+        rec[key] = self._spoil(rec[key], bad)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"video_id": "v", "n_q": 1,
+                                    "tubes": [{"slot_id": 0, "records": [rec]}]}))
+        with pytest.raises(FormatError, match=match):
+            load_tubes(str(path))
+
+    @pytest.mark.parametrize("bad", NOT_NUMBER_ELEMENTS)
+    def test_gt(self, tmp_path, bad):
+        good = {"video_id": "a", "ts": 0, "te": 0, "boxes": [{"t": 0, "box": BOX.to_list()}]}
+        spoilt = {**good, "boxes": [{"t": 0, "box": self._spoil(BOX.to_list(), bad)}]}
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(spoilt))
+        with pytest.raises(FormatError, match="bad box"):
+            load_gt(str(path))
+        lines = tmp_path / "gt.jsonl"
+        lines.write_text(json.dumps(good) + "\n" + json.dumps(spoilt) + "\n")
+        with pytest.raises(FormatError, match="bad box") as err:
+            load_gt_collection(str(lines))
+        assert f"{lines}:2:" in str(err.value)
+
+    @pytest.mark.parametrize("bad", NOT_NUMBER_ELEMENTS)
+    def test_predictions(self, tmp_path, bad):
+        good = {"video_id": "a", "ts": 0, "te": 0, "boxes": [{"t": 0, "box": BOX.to_list()}]}
+        spoilt = {**good, "boxes": [{"t": 0, "box": self._spoil(BOX.to_list(), bad)}]}
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(spoilt) + "\n")
+        with pytest.raises(FormatError, match="bad box") as err:
+            load_predictions(str(path))
+        assert f"{path}:2:" in str(err.value)
+
+    @pytest.mark.parametrize("bad", NOT_NUMBER_ELEMENTS)
+    @pytest.mark.parametrize("key, match", [("box", "bad box"),
+                                            ("appearance", "'appearance' must be an array")])
+    def test_candidates(self, tmp_path, key, match, bad):
+        rec = {"t": 0, "box": BOX.to_list(), "score": 0.5}
+        cand = {"category": "dog", "span": [0, 0], "records": [rec], "appearance": [1.0, 0.5]}
+        target = rec if key == "box" else cand
+        target[key] = self._spoil(target[key], bad)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"video_id": "v", "candidates": [cand]}))
+        with pytest.raises(FormatError, match=match):
+            load_candidates(str(path))
+
+
 class TestLabelIds:
     @pytest.mark.parametrize("ids", [[True, 1, -2], [0, 1.5], [0, "1"], [None]],
                              ids=["bool", "fraction", "string", "null"])
@@ -708,11 +818,11 @@ class TestTubeDecode:
             load_tubes(path)
 
     def test_features_are_rows_of_one_float_array(self, tmp_path):
-        path = self._write(tmp_path, [self._rec(0, embed=[1, 2]), self._rec(1, embed=[3.5, True])])
+        path = self._write(tmp_path, [self._rec(0, embed=[1, 2]), self._rec(1, embed=[3.5, 4])])
         _, tubes = load_tubes(path)
         feats = [r.feature for r in tubes[0].records]
         assert all(f.dtype == np.float64 and f.shape == (2,) for f in feats)
-        assert np.array_equal(np.stack(feats), [[1.0, 2.0], [3.5, 1.0]])
+        assert np.array_equal(np.stack(feats), [[1.0, 2.0], [3.5, 4.0]])
 
     def test_embed_on_some_records_only(self, tmp_path):
         path = self._write(tmp_path, [self._rec(0, embed=[1.0]), self._rec(1), self._rec(2)])
@@ -721,8 +831,9 @@ class TestTubeDecode:
 
     @pytest.mark.parametrize("embeds", [
         [[1.0, 2.0], [1.0]], [[1.0, "2"], [1.0, 2.0]], [[1.0, None], [1.0, 2.0]],
-        [[[1.0]], [[2.0]]], [1.0, 2.0]],
-        ids=["ragged", "string", "null", "nested", "scalar"])
+        [[[1.0]], [[2.0]]], [1.0, 2.0], [[True, False], [True, True]], [[1.0, 2.0], [3.5, True]],
+        [[1.0, 10 ** 400], [1.0, 2.0]]],
+        ids=["ragged", "string", "null", "nested", "scalar", "bool", "mixed-bool", "huge-int"])
     def test_embeds_must_be_equal_length_number_arrays(self, tmp_path, embeds):
         path = self._write(tmp_path, [self._rec(t, embed=e) for t, e in enumerate(embeds)])
         with pytest.raises(FormatError, match="tube 3: every embed must be an array of numbers"):
