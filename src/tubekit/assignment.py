@@ -1,9 +1,21 @@
 """Minimum-cost bipartite assignment with deterministic tie-breaking.
 
-The core solver is scipy's linear_sum_assignment.  On top of it we pin down
-which optimum is returned: among all assignments of minimal total cost, the
-lexicographically smallest (row, col) pair list wins.  Rectangular matrices
-are supported directly; only min(rows, cols) pairs are produced.
+The solver is the Hungarian method in its shortest-augmenting-path form
+(Kuhn 1955; Munkres 1957; Jonker and Volgenant 1987), run on the zero-padded
+square matrix.  Besides the matching sigma it returns row and column
+potentials u, v: the reduced costs rc = c - u - v are >= 0 everywhere and 0
+on sigma, which certifies that sigma is optimal.
+
+Among all assignments of minimal total cost, the lexicographically smallest
+(row, col) pair list is returned.  The potentials settle this without a
+second solve on almost every matrix: the cheapest assignment that uses
+edge (r, c) costs best + G[r, c], where G[r, c] = rc[r, c] + D[c, sigma(r)]
+and D holds the shortest alternating-path distances between columns over rc.
+When every edge off sigma has G above the tie slack, sigma is the only
+optimum.  Otherwise rows are fixed greedily, each to the smallest column that
+still admits an optimal total; a column is re-solved only when its G does
+not already rule it out.  Rectangular matrices are supported; only
+min(rows, cols) pairs are produced.
 """
 from __future__ import annotations
 
@@ -15,6 +27,7 @@ from .errors import ValidationError
 # ties during lexicographic refinement.  Summation-order noise is a few ulps;
 # genuine cost gaps on real data are many orders larger.
 _TIE_RTOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 def _validated_cost(cost) -> np.ndarray:
@@ -34,13 +47,108 @@ def _pairs_total(cost: np.ndarray, pairs: list[tuple[int, int]]) -> float:
     return total
 
 
-def _optimal_total(cost: np.ndarray) -> float:
-    # Imported here, not at module top: scipy.optimize takes most of a second
-    # to import, and only subcommands that assign should pay for it.
-    from scipy.optimize import linear_sum_assignment
+def _hungarian(c: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Optimal matching of a square matrix, with its dual potentials.
 
-    rows, cols = linear_sum_assignment(cost)
-    return _pairs_total(cost, list(zip(rows.tolist(), cols.tolist())))
+    Returns (sigma, u, v): row r is matched to column sigma[r], and
+    c - u[:, None] - v is >= 0 up to rounding and 0 on the matching.
+    """
+    n = c.shape[0]
+    u = c.min(axis=1)
+    v = np.zeros(n)
+    row_of = [-1] * n
+    col_of = [-1] * n
+    # Row minima are tight edges: a column still free goes to its first
+    # claimant.  On well-separated costs that is already the whole matching.
+    for r, j in enumerate(c.argmin(axis=1).tolist()):
+        if row_of[j] < 0:
+            row_of[j], col_of[r] = r, j
+    for i in [r for r in range(n) if col_of[r] < 0]:
+        # Dijkstra over columns on the reduced costs, from free row i to the
+        # nearest free column.
+        dist = c[i] - u[i] - v
+        prev = np.full(n, i)
+        todo = np.ones(n, dtype=bool)
+        scanned = []
+        while True:
+            j = int(np.where(todo, dist, np.inf).argmin())
+            r = row_of[j]
+            if r < 0:
+                break
+            todo[j] = False
+            scanned.append(j)
+            alt = dist[j] + (c[r] - u[r] - v)
+            better = todo & (alt < dist)
+            dist[better] = alt[better]
+            prev[better] = r
+        # Shift the potentials so that the path becomes tight, then augment.
+        d = dist[j]
+        u[i] += d
+        for k in scanned:
+            u[row_of[k]] += d - dist[k]
+            v[k] -= d - dist[k]
+        while True:
+            r = int(prev[j])
+            row_of[j] = r
+            col_of[r], j = j, col_of[r]
+            if r == i:
+                break
+    return col_of, u, v
+
+
+def _padded(c: np.ndarray) -> np.ndarray:
+    n_rows, n_cols = c.shape
+    n = max(n_rows, n_cols)
+    return np.pad(c, ((0, n - n_rows), (0, n - n_cols))) if n_rows != n_cols else c
+
+
+def _real_pairs(sigma: list[int], n_rows: int, n_cols: int) -> list[tuple[int, int]]:
+    return [(r, j) for r, j in enumerate(sigma[:n_rows]) if j < n_cols]
+
+
+def _optimal_total(cost: np.ndarray) -> float:
+    if cost.size == 0:
+        return 0.0
+    sigma = _hungarian(_padded(cost))[0]
+    return _pairs_total(cost, _real_pairs(sigma, *cost.shape))
+
+
+def _tie_gaps(rc: np.ndarray, sigma: list[int]) -> np.ndarray:
+    """G[r, c]: what the cheapest assignment using edge (r, c) costs above
+    the optimum, from the reduced costs rc of the padded square matrix."""
+    n = rc.shape[0]
+    rows = np.arange(n)
+    rc[rows, sigma] = 0.0
+    np.maximum(rc, 0.0, out=rc)
+    # Moving from column a to column b re-matches a's row to b.  Floyd-Warshall
+    # over those moves gives D, the alternating-path distances.
+    row_of = np.empty(n, dtype=int)
+    row_of[sigma] = rows
+    dist = rc[row_of]
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+    return rc + dist[:, sigma].T
+
+
+def _scan(c, row, free_cols, need, partial, best_total, tol, ruled_out=None):
+    """Position in free_cols of the first column whose best completion is
+    within tol of the optimum, or (None, position of the nearest miss).
+    Columns flagged in ruled_out are passed over without a re-solve."""
+    fallback = None
+    fallback_gap = np.inf
+    for ci, col in enumerate(free_cols):
+        if ruled_out is not None and ruled_out[col]:
+            continue
+        completion = 0.0
+        if need > 0:
+            completion = _optimal_total(c[row + 1:, [x for x in free_cols if x != col]])
+        gap = abs(partial + float(c[row, col]) + completion - best_total)
+        if gap <= tol:
+            return ci, None
+        if gap < fallback_gap:
+            fallback_gap = gap
+            fallback = ci
+    return None, fallback
 
 
 def solve_assignment(cost, maximize: bool = False) -> list[tuple[int, int]]:
@@ -61,49 +169,55 @@ def solve_assignment(cost, maximize: bool = False) -> list[tuple[int, int]]:
         c = -c
     n_rows, n_cols = c.shape
     n_pairs = min(n_rows, n_cols)
-    best_total = _optimal_total(c)
+    padded = _padded(c)
+    sigma, u, v = _hungarian(padded)
+    optimum = _real_pairs(sigma, n_rows, n_cols)
+    best_total = _pairs_total(c, optimum)
+    tol = _TIE_RTOL * max(1.0, abs(best_total))
 
-    # Greedy prefix fixing: walk rows in order, give each the smallest column
-    # that still admits an optimal completion.  A row may stay unassigned only
-    # when rows outnumber columns.
+    # An edge whose G exceeds slack is in no assignment within tol of the
+    # optimum, whatever the rounding: slack covers the drift of the matched
+    # edges' reduced costs, the most negative reduced cost, and the rounding
+    # of rc and of a re-solved total.
+    n = padded.shape[0]
+    matched = (np.arange(n), sigma)
+    rc = padded - u[:, None] - v
+    scale = np.abs(padded).max() + np.abs(u).max() + np.abs(v).max()
+    slack = 2.0 * tol + n * (np.abs(rc[matched]).max() + max(0.0, -rc.min())
+                             + 8.0 * n * _EPS * scale)
+    rc[matched] = np.inf
+    if rc[:n_rows, :n_cols].min() > slack:
+        return optimum
+    tie = _tie_gaps(rc, sigma) <= slack
+    if np.count_nonzero(tie[:n_rows, :n_cols]) == len(optimum):
+        return optimum
+
+    # A real tie.  Greedy prefix fixing: walk rows in order, give each the
+    # smallest column that still admits an optimal completion.  A row may
+    # stay unassigned only when rows outnumber columns.
     pairs: list[tuple[int, int]] = []
     partial = 0.0
     free_cols = list(range(n_cols))
     row = 0
     while len(pairs) < n_pairs and row < n_rows:
-        rows_left_after = n_rows - row - 1
-        tol = _TIE_RTOL * max(1.0, abs(best_total))
+        need = n_pairs - len(pairs) - 1
         chosen = None
-        fallback = None
-        fallback_gap = np.inf
-        for ci, col in enumerate(free_cols):
-            need = n_pairs - len(pairs) - 1
-            if need > 0:
-                if rows_left_after < need:
-                    break  # not enough rows left to finish; cannot assign this row
-                sub = c[np.ix_(range(row + 1, n_rows), [x for x in free_cols if x != col])]
-                completion = _optimal_total(sub)
-            else:
-                completion = 0.0
-            total = partial + float(c[row, col]) + completion
-            gap = abs(total - best_total)
-            if gap <= tol:
-                chosen = ci
-                break
-            if gap < fallback_gap:
-                fallback_gap = gap
-                fallback = ci
-        if chosen is None and n_rows <= n_cols:
-            # Every row must be assigned; numerical slack forced us here.
-            chosen = fallback
+        if need <= n_rows - row - 1:   # enough rows left to finish
+            chosen, fallback = _scan(c, row, free_cols, need, partial, best_total,
+                                     tol, ~tie[row])
+            if chosen is None:
+                # Rows > cols: skip this row if that keeps the optimum; G on
+                # the padding columns rules that out without a re-solve.
+                skip = n_rows > n_cols and bool(tie[row, n_cols:].any()) and abs(
+                    partial + _optimal_total(c[row + 1:, free_cols]) - best_total) <= tol
+                if not skip:
+                    # Numerical slack: take the nearest miss over every column.
+                    if not tie[row, free_cols].all():
+                        fallback = _scan(c, row, free_cols, need, partial, best_total, tol)[1]
+                    chosen = fallback
         if chosen is None:
-            # rows > cols: check whether skipping this row keeps the optimum.
-            sub = c[np.ix_(range(row + 1, n_rows), free_cols)]
-            skip_total = partial + _optimal_total(sub)
-            if abs(skip_total - best_total) <= tol or fallback is None:
-                row += 1
-                continue
-            chosen = fallback
+            row += 1
+            continue
         col = free_cols.pop(chosen)
         pairs.append((row, col))
         partial += float(c[row, col])

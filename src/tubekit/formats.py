@@ -154,11 +154,14 @@ def _vector_field(obj: dict, key: str, path: str, line: int | None = None) -> np
     raise FormatError(f"'{key}' must be an array of numbers", path=path, line=line)
 
 
-def _load_json_doc(path: str) -> dict:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as e:
         raise FormatError(f"cannot read file: {e}", path=path) from e
+
+
+def _parse_json_doc(text: str, path: str) -> dict:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -168,12 +171,15 @@ def _load_json_doc(path: str) -> dict:
     return obj
 
 
-def _iter_jsonl(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise FormatError(f"cannot read file: {e}", path=path) from e
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _load_json_doc(path: str) -> dict:
+    return _parse_json_doc(_read_text(path), path)
+
+
+def _iter_jsonl(path: str, lines: list[str] | None = None, start: int = 1):
+    """(line number, object) for each non-blank line, numbered from start."""
+    if lines is None:
+        lines = _read_text(path).splitlines()
+    for lineno, line in enumerate(lines, start=start):
         if not line.strip():
             continue
         try:
@@ -185,6 +191,13 @@ def _iter_jsonl(path: str):
         yield lineno, obj
 
 
+def _fps_field(obj: dict, path: str, line: int | None = None) -> float:
+    fps = _float_field(obj, "fps", path, line)
+    if not (math.isfinite(fps) and fps > 0.0):
+        raise FormatError(f"'fps' must be finite and positive, got {fps!r}", path=path, line=line)
+    return fps
+
+
 def _interval_from(obj: dict, path: str, line: int | None = None) -> tuple[int, int]:
     if "ts" in obj and "te" in obj:
         return _int_field(obj, "ts", path, line), _int_field(obj, "te", path, line)
@@ -192,7 +205,7 @@ def _interval_from(obj: dict, path: str, line: int | None = None) -> tuple[int, 
         if "fps" not in obj:
             raise FormatError("second-denominated interval needs an fps key",
                               path=path, line=line)
-        fps = _float_field(obj, "fps", path, line)
+        fps = _fps_field(obj, path, line)
         ts = _float_field(obj, "ts_sec", path, line) * fps
         te = _float_field(obj, "te_sec", path, line) * fps
         if not (math.isfinite(ts) and math.isfinite(te)):
@@ -234,12 +247,10 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
         raise FormatError("empty detections file", path=path) from None
     meta = {
         "video_id": str(_require(header, "video_id", path, lineno)),
-        "fps": _float_field(header, "fps", path, lineno),
+        "fps": _fps_field(header, path, lineno),
         "frame_count": _int_field(header, "frame_count", path, lineno),
         "feature_dim": _int_field(header, "feature_dim", path, lineno),
     }
-    if not math.isfinite(meta["fps"]):
-        raise FormatError(f"'fps' must be finite, got {meta['fps']!r}", path=path, line=lineno)
     frames: list[FrameDetections] = []
     for lineno, obj in it:
         t = _int_field(obj, "t", path, lineno)
@@ -302,17 +313,26 @@ def load_gt(path: str) -> tuple[str, GtTube]:
 
 
 def load_gt_collection(path: str) -> list[tuple[str, GtTube]]:
-    """One GT per line (JSONL), or a single GT document (JSON)."""
-    try:
-        obj = _load_json_doc(path)
-    except FormatError:
-        obj = None
-    if obj is not None:
-        return [_gt_from_obj(obj, path)]
-    out = [_gt_from_obj(o, path, lineno) for lineno, o in _iter_jsonl(path)]
-    if not out:
+    """One GT per line (JSONL), or a single GT document (JSON).
+
+    The file is JSONL when its first non-blank line is a JSON object on its
+    own; otherwise it is decoded as one document, so a syntax error is
+    reported at its own line either way.
+    """
+    text = _read_text(path)
+    lines = text.splitlines()
+    first = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if first is None:
         raise FormatError("empty ground-truth file", path=path)
-    return out
+    try:
+        head = json.loads(lines[first])
+    except json.JSONDecodeError:
+        head = None
+    if not isinstance(head, dict):
+        return [_gt_from_obj(_parse_json_doc(text, path), path)]
+    rest = _iter_jsonl(path, lines[first + 1:], start=first + 2)
+    return [_gt_from_obj(head, path, first + 1),
+            *(_gt_from_obj(o, path, lineno) for lineno, o in rest)]
 
 
 # ---------------------------------------------------------------- tube files

@@ -1,11 +1,14 @@
-"""Assignment solver against a brute-force oracle, plus cosine similarity."""
+"""Assignment solver against a brute-force oracle and the scipy-based
+solver it replaced, its dual certificate, plus cosine similarity."""
 import itertools
 
 import numpy as np
 import pytest
 
-from tubekit.assignment import (assignment_total, cosine_similarity,
-                                cosine_similarity_matrix, solve_assignment)
+from tubekit.assignment import (_TIE_RTOL, _hungarian, _padded, _pairs_total,
+                                _tie_gaps, _validated_cost, assignment_total,
+                                cosine_similarity, cosine_similarity_matrix,
+                                solve_assignment)
 from tubekit.errors import ValidationError
 
 
@@ -115,6 +118,195 @@ class TestSolveAssignment:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             solve_assignment([[1.0, np.inf], [0.0, 1.0]])
+
+
+def _scipy_optimal_total(cost: np.ndarray) -> float:
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(cost)
+    return _pairs_total(cost, list(zip(rows.tolist(), cols.tolist())))
+
+
+def _reference_solve_assignment(cost, maximize: bool = False) -> list[tuple[int, int]]:
+    """The solver before the dual certificate: one scipy re-solve per
+    candidate column.  Kept as the reference the present solver must match
+    pair for pair."""
+    c = _validated_cost(cost)
+    if maximize:
+        c = -c
+    n_rows, n_cols = c.shape
+    n_pairs = min(n_rows, n_cols)
+    best_total = _scipy_optimal_total(c)
+
+    # Greedy prefix fixing: walk rows in order, give each the smallest column
+    # that still admits an optimal completion.  A row may stay unassigned only
+    # when rows outnumber columns.
+    pairs: list[tuple[int, int]] = []
+    partial = 0.0
+    free_cols = list(range(n_cols))
+    row = 0
+    while len(pairs) < n_pairs and row < n_rows:
+        rows_left_after = n_rows - row - 1
+        tol = _TIE_RTOL * max(1.0, abs(best_total))
+        chosen = None
+        fallback = None
+        fallback_gap = np.inf
+        for ci, col in enumerate(free_cols):
+            need = n_pairs - len(pairs) - 1
+            if need > 0:
+                if rows_left_after < need:
+                    break  # not enough rows left to finish; cannot assign this row
+                sub = c[np.ix_(range(row + 1, n_rows), [x for x in free_cols if x != col])]
+                completion = _scipy_optimal_total(sub)
+            else:
+                completion = 0.0
+            total = partial + float(c[row, col]) + completion
+            gap = abs(total - best_total)
+            if gap <= tol:
+                chosen = ci
+                break
+            if gap < fallback_gap:
+                fallback_gap = gap
+                fallback = ci
+        if chosen is None and n_rows <= n_cols:
+            # Every row must be assigned; numerical slack forced us here.
+            chosen = fallback
+        if chosen is None:
+            # rows > cols: check whether skipping this row keeps the optimum.
+            sub = c[np.ix_(range(row + 1, n_rows), free_cols)]
+            skip_total = partial + _scipy_optimal_total(sub)
+            if abs(skip_total - best_total) <= tol or fallback is None:
+                row += 1
+                continue
+            chosen = fallback
+        col = free_cols.pop(chosen)
+        pairs.append((row, col))
+        partial += float(c[row, col])
+        row += 1
+    return pairs
+
+
+def _shapes(rng, count: int, low: int, high: int):
+    """Square shapes first, then rectangular ones both ways round."""
+    for k in range(count):
+        n = int(rng.integers(low, high + 1))
+        if k < count // 2:
+            yield n, n
+        else:
+            m = int(rng.integers(low, high + 1))
+            yield (n, m) if k % 2 else (m, n)
+
+
+def _planted_near_tie(rng, n_rows: int, n_cols: int, delta: float) -> np.ndarray:
+    """Costs whose optimum is a planted matching of cost 0, with a rival
+    that swaps two of its columns and costs delta more; any other
+    assignment costs at least 0.5 more."""
+    c = rng.uniform(0.5, 1.0, size=(n_rows, n_cols))
+    k = min(n_rows, n_cols)
+    rows = rng.permutation(n_rows)[:k]
+    cols = rng.permutation(n_cols)[:k]
+    c[rows, cols] = 0.0
+    c[rows[0], cols[1]] = max(delta, 0.0)
+    c[rows[1], cols[0]] = max(-delta, 0.0)
+    return c
+
+
+class TestDualCertificate:
+    """The Hungarian's matching and potentials against enumeration."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(41)
+        for n_rows, n_cols in _shapes(rng, 60, 1, 6):
+            yield rng.uniform(-1.0, 1.0, size=(n_rows, n_cols)), 1e-12
+            yield rng.integers(0, 3, size=(n_rows, n_cols)).astype(float), 0.0
+
+    def test_total_matches_brute_force(self):
+        for cost, _ in self._cases():
+            n_rows, n_cols = cost.shape
+            sigma, _, _ = _hungarian(_padded(cost))
+            pairs = [(r, j) for r, j in enumerate(sigma[:n_rows]) if j < n_cols]
+            assert len(pairs) == min(n_rows, n_cols)
+            oracle_total, _ = brute_force_optimum(cost)
+            assert assignment_total(cost, pairs) == pytest.approx(oracle_total, abs=1e-10)
+
+    def test_reduced_costs_certify_the_matching(self):
+        for cost, margin in self._cases():
+            padded = _padded(cost)
+            sigma, u, v = _hungarian(padded)
+            rc = padded - u[:, None] - v
+            assert rc.min() >= -margin
+            on_sigma = rc[np.arange(len(sigma)), sigma]
+            if margin == 0.0:
+                assert np.all(on_sigma == 0.0)
+            else:
+                assert np.abs(on_sigma).max() <= margin
+
+    def test_gaps_are_the_cost_of_forcing_each_edge(self):
+        for cost, _ in self._cases():
+            padded = _padded(cost)
+            n = padded.shape[0]
+            sigma, u, v = _hungarian(padded)
+            gaps = _tie_gaps(padded - u[:, None] - v, sigma)
+            perms = np.array(list(itertools.permutations(range(n))))
+            totals = padded[np.arange(n), perms].sum(axis=1)
+            best = totals.min()
+            for r in range(n):
+                for c in range(n):
+                    forced = totals[perms[:, r] == c].min() - best
+                    assert gaps[r, c] == pytest.approx(forced, abs=1e-9)
+
+
+class TestAgainstReference:
+    """Exact pair-list equality with the scipy-based solver it replaced."""
+
+    @pytest.fixture(autouse=True)
+    def _scipy(self):
+        pytest.importorskip("scipy.optimize")
+
+    @staticmethod
+    def _agree(cost):
+        for maximize in (False, True):
+            assert solve_assignment(cost, maximize) == \
+                _reference_solve_assignment(cost, maximize), (cost, maximize)
+
+    def test_random(self):
+        rng = np.random.default_rng(43)
+        for n_rows, n_cols in _shapes(rng, 200, 1, 9):
+            self._agree(rng.uniform(0.0, 1.0, size=(n_rows, n_cols)))
+            self._agree(rng.normal(size=(n_rows, n_cols)))
+
+    def test_planted_exact_ties(self):
+        rng = np.random.default_rng(47)
+        for n_rows, n_cols in _shapes(rng, 120, 2, 7):
+            self._agree(rng.choice([0.0, 0.5, 1.0], size=(n_rows, n_cols)))
+            self._agree(rng.integers(0, 3, size=(n_rows, n_cols)).astype(float))
+            self._agree(_planted_near_tie(rng, n_rows, n_cols, 0.0))
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-11, 1e-10, 5e-10, 1e-9, 2e-9, 1e-8])
+    def test_near_ties_around_tolerance(self, delta):
+        rng = np.random.default_rng(53)
+        for n_rows, n_cols in _shapes(rng, 60, 2, 8):
+            self._agree(_planted_near_tie(rng, n_rows, n_cols, delta))
+            self._agree(_planted_near_tie(rng, n_rows, n_cols, -delta))
+            c = _planted_near_tie(rng, n_rows, n_cols, delta)
+            self._agree(c + rng.uniform(-1e-9, 1e-9, size=c.shape))
+
+    def test_duplicate_rows_and_columns(self):
+        rng = np.random.default_rng(59)
+        for n_rows, n_cols in _shapes(rng, 120, 2, 8):
+            c = rng.uniform(0.0, 1.0, size=(n_rows, n_cols))
+            c[rng.integers(n_rows)] = c[rng.integers(n_rows)]
+            c[:, rng.integers(n_cols)] = c[:, rng.integers(n_cols)]
+            self._agree(c)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e9, 1e12])
+    def test_large_magnitudes(self, scale):
+        rng = np.random.default_rng(61)
+        for n_rows, n_cols in _shapes(rng, 60, 2, 8):
+            self._agree(scale * rng.uniform(0.0, 1.0, size=(n_rows, n_cols)))
+            self._agree(scale * rng.integers(0, 3, size=(n_rows, n_cols)).astype(float))
+            self._agree(scale * _planted_near_tie(rng, n_rows, n_cols, 1e-9))
 
 
 class TestCosineSimilarity:

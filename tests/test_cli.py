@@ -196,11 +196,13 @@ class TestAssociate:
         out = tmp_path / "t.json"
         code = (
             "import sys, tubekit.cli\n"
-            "assert 'scipy.optimize' not in sys.modules, 'loaded at import'\n"
+            "def scipy_loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not scipy_loaded(), scipy_loaded()\n"
             "assert 'concurrent.futures' not in sys.modules, 'loaded at import'\n"
             f"assert tubekit.cli.main(['associate', {prefix + '.detections.jsonl'!r},"
             f" '--n-q', '2', '--out', {str(out)!r}]) == 0\n"
-            "assert 'scipy.optimize' in sys.modules\n")
+            "assert not scipy_loaded(), scipy_loaded()\n")
         src = str(Path(tubekit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))

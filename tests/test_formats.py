@@ -203,6 +203,15 @@ class TestJsonlWriters:
             load_detections(str(path))
         assert err.value.line == 1 and f"{path}:1:" in str(err.value)
 
+    @pytest.mark.parametrize("fps", ["0", "0.0", "-3.0"])
+    def test_non_positive_fps_rejected_on_load(self, tmp_path, fps):
+        path = tmp_path / "d.jsonl"
+        save_detections(str(path), "v", 25.0, make_frames())
+        path.write_text(path.read_text().replace('"fps": 25.0', f'"fps": {fps}', 1))
+        with pytest.raises(FormatError, match="'fps' must be finite and positive") as err:
+            load_detections(str(path))
+        assert err.value.line == 1 and f"{path}:1:" in str(err.value)
+
 
 class TestGt:
     def _gt(self):
@@ -232,6 +241,32 @@ class TestGt:
         with pytest.raises(FormatError, match="fps"):
             load_gt(str(path))
 
+    @pytest.mark.parametrize("fps", [0.0, -10.0, math.nan, math.inf])
+    def test_seconds_need_a_positive_finite_fps(self, tmp_path, fps):
+        doc = {"video_id": "v", "ts_sec": 0.2, "te_sec": 0.5, "fps": fps,
+               "boxes": [{"t": 0, "box": BOX.to_list()}]}
+        path = tmp_path / "fps.gt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="'fps' must be finite and positive"):
+            load_gt(str(path))
+        pred = tmp_path / "p.jsonl"
+        pred.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(FormatError, match="'fps' must be finite and positive") as err:
+            load_predictions(str(pred))
+        assert f"{pred}:1:" in str(err.value)
+
+    def test_collection_document_error_at_its_line(self, tmp_path):
+        path = tmp_path / "pretty.gt.json"
+        save_gt(str(path), "vid", self._gt())
+        text = json.dumps(json.loads(path.read_text()), indent=2).splitlines()
+        assert text[2].startswith('  "ts": ')
+        text[2] = text[2].replace(":", "", 1)
+        path.write_text("\n".join(text) + "\n")
+        for load in (load_gt, load_gt_collection):
+            with pytest.raises(FormatError, match="invalid JSON") as err:
+                load(str(path))
+            assert err.value.line == 3 and f"{path}:3:" in str(err.value)
+
     def test_collection_single_document(self, tmp_path):
         path = str(tmp_path / "one.gt.json")
         save_gt(path, "vid", self._gt())
@@ -248,6 +283,21 @@ class TestGt:
         path.write_text("\n".join(lines) + "\n")
         items = load_gt_collection(str(path))
         assert [vid for vid, _ in items] == ["a", "b", "c"]
+
+    def test_collection_jsonl_lines_numbered_from_the_file(self, tmp_path):
+        path = tmp_path / "many.gt.jsonl"
+        line = {"video_id": "a", "ts": 0, "te": 0, "boxes": [{"t": 0, "box": BOX.to_list()}]}
+        lines = ["", json.dumps(line), "  ", json.dumps({**line, "video_id": "b"})]
+        path.write_text("\n".join(lines) + "\n")
+        assert [vid for vid, _ in load_gt_collection(str(path))] == ["a", "b"]
+        path.write_text("\n".join(lines + [json.dumps({**line, "te": 1})]) + "\n")
+        with pytest.raises(FormatError) as err:
+            load_gt_collection(str(path))
+        assert err.value.line == 5 and f"{path}:5:" in str(err.value)
+        path.write_text("\n".join(lines + ["{"]) + "\n")
+        with pytest.raises(FormatError, match="invalid JSON") as err:
+            load_gt_collection(str(path))
+        assert err.value.line == 5
 
     def test_sparse_boxes_rejected(self, tmp_path):
         doc = {"video_id": "v", "ts": 0, "te": 3,
