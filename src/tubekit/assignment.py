@@ -7,15 +7,17 @@ potentials u, v: the reduced costs rc = c - u - v are >= 0 everywhere and 0
 on sigma, which certifies that sigma is optimal.
 
 Among all assignments of minimal total cost, the lexicographically smallest
-(row, col) pair list is returned.  The potentials settle this without a
-second solve on almost every matrix: the cheapest assignment that uses
-edge (r, c) costs best + G[r, c], where G[r, c] = rc[r, c] + D[c, sigma(r)]
-and D holds the shortest alternating-path distances between columns over rc.
-When every edge off sigma has G above the tie slack, sigma is the only
-optimum.  Otherwise rows are fixed greedily, each to the smallest column that
-still admits an optimal total; a column is re-solved only when its G does
-not already rule it out.  Rectangular matrices are supported; only
-min(rows, cols) pairs are produced.
+(row, col) pair list is returned: rows are fixed in order, each to the
+smallest column whose best completion stays within a tolerance of the
+optimum, or left unassigned when rows outnumber columns.  The potentials
+decide almost every such test without a second solve.  The cheapest
+assignment that uses edge (r, c) costs best + G[r, c], where
+G[r, c] = rc[r, c] + D[c, sigma(r)] and D holds the shortest alternating-path
+distances between columns over rc.  When no edge off sigma has G within the
+tolerance, sigma is the answer; otherwise each fixed row leaves a smaller
+problem whose optimum one augmenting path restores.  A completion is
+re-solved only when G lies within rounding of the tolerance.  Rectangular
+matrices are supported; only min(rows, cols) pairs are produced.
 """
 from __future__ import annotations
 
@@ -47,12 +49,55 @@ def _pairs_total(cost: np.ndarray, pairs: list[tuple[int, int]]) -> float:
     return total
 
 
-def _hungarian(c: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Optimal matching of a square matrix, with its dual potentials.
+def _augment(c, u, v, row_of, col_of, i) -> None:
+    """Match free row i along a shortest augmenting path over the reduced
+    costs (Dijkstra over columns), shifting u and v so that the path and
+    the matching stay tight."""
+    n = c.shape[0]
+    dist = c[i] - u[i] - v
+    prev = np.full(n, i)
+    todo = np.ones(n, dtype=bool)
+    scanned = []
+    while True:
+        j = int(np.where(todo, dist, np.inf).argmin())
+        r = row_of[j]
+        if r < 0:
+            break
+        todo[j] = False
+        scanned.append(j)
+        alt = dist[j] + (c[r] - u[r] - v)
+        better = todo & (alt < dist)
+        dist[better] = alt[better]
+        prev[better] = r
+    d = dist[j]
+    u[i] += d
+    for k in scanned:
+        u[row_of[k]] += d - dist[k]
+        v[k] -= d - dist[k]
+    while True:
+        r = int(prev[j])
+        row_of[j] = r
+        col_of[r], j = j, col_of[r]
+        if r == i:
+            break
+
+
+def _hungarian(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Optimal matching of the zero-padded square form of cost, with its
+    dual potentials.
 
     Returns (sigma, u, v): row r is matched to column sigma[r], and
-    c - u[:, None] - v is >= 0 up to rounding and 0 on the matching.
+    padded - u[:, None] - v is >= 0 up to rounding and 0 on the matching.
+    A matrix with more rows than columns is solved transposed, so that its
+    padding is zero rows, which the tight start below places at once.
     """
+    if cost.shape[0] > cost.shape[1]:
+        col_of, v, u = _hungarian(cost.T)
+        sigma = [0] * len(col_of)
+        for r, j in enumerate(col_of):
+            sigma[j] = r
+        return sigma, u, v
+    c = _padded(cost)
     n = c.shape[0]
     u = c.min(axis=1)
     v = np.zeros(n)
@@ -63,43 +108,29 @@ def _hungarian(c: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     for r, j in enumerate(c.argmin(axis=1).tolist()):
         if row_of[j] < 0:
             row_of[j], col_of[r] = r, j
-    for i in [r for r in range(n) if col_of[r] < 0]:
-        # Dijkstra over columns on the reduced costs, from free row i to the
-        # nearest free column.
-        dist = c[i] - u[i] - v
-        prev = np.full(n, i)
-        todo = np.ones(n, dtype=bool)
-        scanned = []
-        while True:
-            j = int(np.where(todo, dist, np.inf).argmin())
-            r = row_of[j]
-            if r < 0:
-                break
-            todo[j] = False
-            scanned.append(j)
-            alt = dist[j] + (c[r] - u[r] - v)
-            better = todo & (alt < dist)
-            dist[better] = alt[better]
-            prev[better] = r
-        # Shift the potentials so that the path becomes tight, then augment.
-        d = dist[j]
-        u[i] += d
-        for k in scanned:
-            u[row_of[k]] += d - dist[k]
-            v[k] -= d - dist[k]
-        while True:
-            r = int(prev[j])
-            row_of[j] = r
-            col_of[r], j = j, col_of[r]
-            if r == i:
-                break
+    left = [r for r in range(n) if col_of[r] < 0]
+    if left:
+        # A row whose first minimum is taken may have another one still
+        # free: zero padding rows always do, integer or repeated costs often.
+        free = np.array(row_of) < 0
+        tight = (c[left] == u[left, None]) & free
+        for i in np.flatnonzero(tight.any(axis=1)).tolist():
+            js = np.flatnonzero(tight[i] & free)
+            if js.size:
+                j = int(js[0])
+                row_of[j], col_of[left[i]], free[j] = left[i], j, False
+        for i in [r for r in left if col_of[r] < 0]:
+            _augment(c, u, v, row_of, col_of, i)
     return col_of, u, v
 
 
 def _padded(c: np.ndarray) -> np.ndarray:
     n_rows, n_cols = c.shape
-    n = max(n_rows, n_cols)
-    return np.pad(c, ((0, n - n_rows), (0, n - n_cols))) if n_rows != n_cols else c
+    if n_rows == n_cols:
+        return c
+    p = np.zeros((max(n_rows, n_cols),) * 2)
+    p[:n_rows, :n_cols] = c
+    return p
 
 
 def _real_pairs(sigma: list[int], n_rows: int, n_cols: int) -> list[tuple[int, int]]:
@@ -109,7 +140,7 @@ def _real_pairs(sigma: list[int], n_rows: int, n_cols: int) -> list[tuple[int, i
 def _optimal_total(cost: np.ndarray) -> float:
     if cost.size == 0:
         return 0.0
-    sigma = _hungarian(_padded(cost))[0]
+    sigma = _hungarian(cost)[0]
     return _pairs_total(cost, _real_pairs(sigma, *cost.shape))
 
 
@@ -130,27 +161,6 @@ def _tie_gaps(rc: np.ndarray, sigma: list[int]) -> np.ndarray:
     return rc + dist[:, sigma].T
 
 
-def _scan(c, row, free_cols, need, partial, best_total, tol, ruled_out=None):
-    """Position in free_cols of the first column whose best completion is
-    within tol of the optimum, or (None, position of the nearest miss).
-    Columns flagged in ruled_out are passed over without a re-solve."""
-    fallback = None
-    fallback_gap = np.inf
-    for ci, col in enumerate(free_cols):
-        if ruled_out is not None and ruled_out[col]:
-            continue
-        completion = 0.0
-        if need > 0:
-            completion = _optimal_total(c[row + 1:, [x for x in free_cols if x != col]])
-        gap = abs(partial + float(c[row, col]) + completion - best_total)
-        if gap <= tol:
-            return ci, None
-        if gap < fallback_gap:
-            fallback_gap = gap
-            fallback = ci
-    return None, fallback
-
-
 def solve_assignment(cost, maximize: bool = False) -> list[tuple[int, int]]:
     """Solve the rectangular assignment problem.
 
@@ -169,60 +179,86 @@ def solve_assignment(cost, maximize: bool = False) -> list[tuple[int, int]]:
         c = -c
     n_rows, n_cols = c.shape
     n_pairs = min(n_rows, n_cols)
-    padded = _padded(c)
-    sigma, u, v = _hungarian(padded)
-    optimum = _real_pairs(sigma, n_rows, n_cols)
-    best_total = _pairs_total(c, optimum)
+    sub = _padded(c)
+    sigma, u, v = _hungarian(c)
+    best_total = _pairs_total(c, _real_pairs(sigma, n_rows, n_cols))
     tol = _TIE_RTOL * max(1.0, abs(best_total))
+    n = sub.shape[0]
+    c_max = np.abs(sub).max()
 
-    # An edge whose G exceeds slack is in no assignment within tol of the
-    # optimum, whatever the rounding: slack covers the drift of the matched
-    # edges' reduced costs, the most negative reduced cost, and the rounding
-    # of rc and of a re-solved total.
-    n = padded.shape[0]
-    matched = (np.arange(n), sigma)
-    rc = padded - u[:, None] - v
-    scale = np.abs(padded).max() + np.abs(u).max() + np.abs(v).max()
-    slack = 2.0 * tol + n * (np.abs(rc[matched]).max() + max(0.0, -rc.min())
-                             + 8.0 * n * _EPS * scale)
-    rc[matched] = np.inf
-    if rc[:n_rows, :n_cols].min() > slack:
-        return optimum
-    tie = _tie_gaps(rc, sigma) <= slack
-    if np.count_nonzero(tie[:n_rows, :n_cols]) == len(optimum):
-        return optimum
-
-    # A real tie.  Greedy prefix fixing: walk rows in order, give each the
-    # smallest column that still admits an optimal completion.  A row may
-    # stay unassigned only when rows outnumber columns.
+    # Greedy prefix fixing.  sub is what is left of the padded matrix: rows
+    # row.. in order, then padding rows, against the columns `cols`, real
+    # ones first; sigma, u and v are its optimum and potentials.
     pairs: list[tuple[int, int]] = []
     partial = 0.0
-    free_cols = list(range(n_cols))
+    cols = list(range(n))
     row = 0
-    while len(pairs) < n_pairs and row < n_rows:
-        need = n_pairs - len(pairs) - 1
-        chosen = None
-        if need <= n_rows - row - 1:   # enough rows left to finish
-            chosen, fallback = _scan(c, row, free_cols, need, partial, best_total,
-                                     tol, ~tie[row])
-            if chosen is None:
-                # Rows > cols: skip this row if that keeps the optimum; G on
-                # the padding columns rules that out without a re-solve.
-                skip = n_rows > n_cols and bool(tie[row, n_cols:].any()) and abs(
-                    partial + _optimal_total(c[row + 1:, free_cols]) - best_total) <= tol
-                if not skip:
-                    # Numerical slack: take the nearest miss over every column.
-                    if not tie[row, free_cols].all():
-                        fallback = _scan(c, row, free_cols, need, partial, best_total, tol)[1]
-                    chosen = fallback
+    while len(pairs) < n_pairs:
+        m = sub.shape[0]
+        k = n_cols - len(pairs)                 # real columns left
+        matched = (np.arange(m), sigma)
+        rc = sub - u[:, None] - v
+        # spent: what the best completion of the fixed rows costs above the
+        # optimum.  band bounds the rounding of spent + G against the totals
+        # the tolerance test sums: the drift of the matched edges' reduced
+        # costs, the most negative reduced cost, and summation error.
+        spent = partial + float(sub[matched].sum()) - best_total
+        band = m * (np.abs(rc[matched]).max() + max(0.0, -rc.min())) + \
+            8.0 * n * n * _EPS * (c_max + np.abs(u).max() + np.abs(v).max())
+        rc[matched] = np.inf
+        # sigma is the answer when every other assignment is over tol for
+        # sure: by rc alone, or else by G, which rc bounds from below.
+        settled = abs(spent) <= tol - band
+        if settled and spent + rc[:n_rows - row, :k].min() > tol + band:
+            break
+        # gaps: |spent + G| along this row.  Once G has been worked out, a
+        # row whose rc keeps every column but sigma's out of reach skips it.
+        gaps = np.full(m, np.inf)
+        if row == 0 or spent + rc[0].min() <= tol + band:
+            g = np.abs(spent + _tie_gaps(rc, sigma))
+            g[matched] = np.inf
+            if settled and g[:n_rows - row, :k].min() > tol + band:
+                break
+            gaps = g[0]
+        gaps[sigma[0]] = abs(spent)
+
+        def off_by(j: int) -> float:
+            # Exact test: re-solve the rows below without column j.
+            rest = [cols[x] for x in range(k) if x != j]
+            head = float(c[row, cols[j]]) if j < k else 0.0
+            return abs(partial + head + _optimal_total(c[row + 1:, rest]) - best_total)
+
+        def fits(j: int) -> bool:
+            return gaps[j] <= tol - band or (gaps[j] <= tol + band and off_by(j) <= tol)
+
+        # The smallest real column that fits; else leave the row unassigned
+        # (a padding column) if that fits; else, numerical slack, the
+        # nearest miss over the real columns.
+        skip = [sigma[0] if sigma[0] >= k else k] if m > k else []
+        chosen = next((j for j in [*range(k), *skip] if fits(j)), None)
         if chosen is None:
-            row += 1
-            continue
-        col = free_cols.pop(chosen)
-        pairs.append((row, col))
-        partial += float(c[row, col])
+            chosen = min(range(k), key=off_by)
+        col = cols.pop(chosen)
+        if col < n_cols:
+            pairs.append((row, col))
+            partial += float(c[row, col])
+
+        # Drop the fixed row and its column; the row that held the column,
+        # if another, is matched again along one augmenting path.
+        holder = sigma.index(chosen)
+        keep = np.arange(m) != chosen
+        sub, u, v = sub[1:, keep], u[1:], v[keep]
+        sigma = [j - (j > chosen) for j in sigma[1:]]
+        row_of = [-1] * (m - 1)
+        for r, j in enumerate(sigma):
+            if r != holder - 1:
+                row_of[j] = r
+        if holder > 0:
+            sigma[holder - 1] = -1
+            _augment(sub, u, v, row_of, sigma, holder - 1)
         row += 1
-    return pairs
+    k = n_cols - len(pairs)
+    return pairs + [(row + r, cols[j]) for r, j in enumerate(sigma[:n_rows - row]) if j < k]
 
 
 def assignment_total(cost, pairs: list[tuple[int, int]]) -> float:

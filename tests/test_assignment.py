@@ -224,7 +224,7 @@ class TestDualCertificate:
     def test_total_matches_brute_force(self):
         for cost, _ in self._cases():
             n_rows, n_cols = cost.shape
-            sigma, _, _ = _hungarian(_padded(cost))
+            sigma, _, _ = _hungarian(cost)
             pairs = [(r, j) for r, j in enumerate(sigma[:n_rows]) if j < n_cols]
             assert len(pairs) == min(n_rows, n_cols)
             oracle_total, _ = brute_force_optimum(cost)
@@ -233,7 +233,7 @@ class TestDualCertificate:
     def test_reduced_costs_certify_the_matching(self):
         for cost, margin in self._cases():
             padded = _padded(cost)
-            sigma, u, v = _hungarian(padded)
+            sigma, u, v = _hungarian(cost)
             rc = padded - u[:, None] - v
             assert rc.min() >= -margin
             on_sigma = rc[np.arange(len(sigma)), sigma]
@@ -246,7 +246,7 @@ class TestDualCertificate:
         for cost, _ in self._cases():
             padded = _padded(cost)
             n = padded.shape[0]
-            sigma, u, v = _hungarian(padded)
+            sigma, u, v = _hungarian(cost)
             gaps = _tie_gaps(padded - u[:, None] - v, sigma)
             perms = np.array(list(itertools.permutations(range(n))))
             totals = padded[np.arange(n), perms].sum(axis=1)
@@ -307,6 +307,48 @@ class TestAgainstReference:
             self._agree(scale * rng.uniform(0.0, 1.0, size=(n_rows, n_cols)))
             self._agree(scale * rng.integers(0, 3, size=(n_rows, n_cols)).astype(float))
             self._agree(scale * _planted_near_tie(rng, n_rows, n_cols, 1e-9))
+
+    # Entries near 1e8 whose optimum is about 0: the tolerance (1e-9) is
+    # below the entries' rounding unit, so no re-solved total meets it and
+    # the nearest-miss fallback decides.  The solver must still follow the
+    # scipy-based one here, fallback included.
+    CANCELLING = [
+        [[641847378.47, 251363173.54, -86989283.39],
+         [597601081.58, 396614777.08, 165980199.82],
+         [850774510.53, -89503899.53, 782562874.04],
+         [176493182.93, 557441465.27, -22784600.09]],
+        [[-3753366.69, 266214743.76, 317275263.4],
+         [108534863.83, 388891849.68, 285133829.29],
+         [335079739.11, 172238410.46, 130426553.69],
+         [-176107619.58, 116719660.59, -168485043.77]],
+    ]
+
+    @pytest.mark.parametrize("cost", CANCELLING)
+    def test_cancelling_pinned(self, cost):
+        self._agree(np.array(cost))
+        self._agree(np.array(cost).T)
+
+    def test_cancelling_large_magnitudes(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(67)
+        for n_rows, n_cols in _shapes(rng, 160, 2, 7):
+            c = rng.uniform(-1.0, 1.0, size=(n_rows, n_cols)) * 10.0 ** rng.uniform(6, 9)
+            rows, cols = linear_sum_assignment(c)
+            c -= c[rows, cols].sum() / len(rows)
+            self._agree(c)
+            self._agree(np.round(c, 2))
+
+    def test_repeated_slots(self):
+        # Association's shape of tie: slots seeded by cycling fewer
+        # detections than slots hold equal rows of negated cosines.
+        rng = np.random.default_rng(71)
+        for _ in range(80):
+            n_slots, n_det = int(rng.integers(2, 10)), int(rng.integers(1, 10))
+            det = rng.normal(size=(n_det, 8))
+            memory = det[np.arange(n_slots) % n_det]
+            feats = det[rng.permutation(n_det)] + 0.05 * rng.normal(size=(n_det, 8))
+            self._agree(-cosine_similarity_matrix(memory, feats))
 
 
 class TestCosineSimilarity:
