@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Sub-solutions within this tolerance of the optimal total are treated as
-# ties during lexicographic refinement.  Summation-order noise is a few ulps;
-# genuine cost gaps on real data are many orders larger.
+# Sub-solutions within tol = _TIE_RTOL * max(1, |best|) + 2 n^2 eps max|c|
+# (n pairs) of the optimal total are ties: summation-order noise, plus the
+# rounding of sums whose entries cancel.  Real cost gaps are far larger.
 _TIE_RTOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
@@ -182,9 +182,9 @@ def solve_assignment(cost, maximize: bool = False) -> list[tuple[int, int]]:
     sub = _padded(c)
     sigma, u, v = _hungarian(c)
     best_total = _pairs_total(c, _real_pairs(sigma, n_rows, n_cols))
-    tol = _TIE_RTOL * max(1.0, abs(best_total))
     n = sub.shape[0]
     c_max = np.abs(sub).max()
+    tol = _TIE_RTOL * max(1.0, abs(best_total)) + 2.0 * n_pairs * n_pairs * _EPS * c_max
 
     # Greedy prefix fixing.  sub is what is left of the padded matrix: rows
     # row.. in order, then padding rows, against the columns `cols`, real

@@ -30,8 +30,8 @@ class Detection:
         f = np.asarray(self.feature, dtype=float)
         if f.ndim != 1 or not np.all(np.isfinite(f)):
             raise ValidationError("detection feature must be a finite 1-D vector")
-        if float(np.linalg.norm(f)) == 0.0:
-            raise ValidationError("detection feature must have positive norm")
+        if not 0.0 < float(np.linalg.norm(f)) < np.inf:
+            raise ValidationError("detection feature must have a finite, positive norm")
         object.__setattr__(self, "feature", f)
 
 
@@ -91,8 +91,9 @@ class TubeMemory:
             raise ValidationError(f"memory must be a non-empty (n_q, d) array, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValidationError("memory contains non-finite values")
-        if np.any(np.linalg.norm(v, axis=1) == 0.0):
-            raise ValidationError("memory contains a zero-norm slot vector")
+        norms = np.linalg.norm(v, axis=1)
+        if not np.all((0.0 < norms) & (norms < np.inf)):
+            raise ValidationError("memory contains a slot vector whose norm is zero or overflows")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 

@@ -43,12 +43,13 @@ class CandidateTube:
         if s > e:
             raise ValidationError(f"empty span {self.span}")
         ts = [r.t for r in self.records]
-        if ts != list(range(s, e + 1)):
+        if len(ts) != e - s + 1 or ts != list(range(s, e + 1)):
             raise ValidationError(
                 f"records must cover the span densely: span {self.span}, frames {ts[:5]}...")
         a = np.array(self.appearance, dtype=float)
-        if a.ndim != 1 or not np.all(np.isfinite(a)) or float(np.linalg.norm(a)) == 0.0:
-            raise ValidationError("appearance must be a finite 1-D vector with positive norm")
+        if (a.ndim != 1 or not np.all(np.isfinite(a))
+                or not 0.0 < float(np.linalg.norm(a)) < np.inf):
+            raise ValidationError("appearance must be a finite 1-D vector with a finite, positive norm")
         a.setflags(write=False)
         object.__setattr__(self, "appearance", a)
 

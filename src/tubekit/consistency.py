@@ -12,6 +12,10 @@ rather than silently pick a subgradient.  The one exception is a pair of
 exactly identical boxes: that is the global minimum of the pair term
 (a symmetric kink), and its gradient contribution is defined as zero so a
 constant tube reports zero gradients everywhere.
+
+grad_check differences each coordinate's two pair terms only, and skips a
+box coordinate whose step h reaches a kink: the same coordinate of a
+neighbouring box, or a pair's zero intersection width or height.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import numpy as np
 
 from .association import Tube
 from .errors import NonSmoothError, ValidationError
-from .geometry import Box, corners
+from .geometry import Box, corners, giou_pairs
 from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
 from .mining import corner_temporal_cost
 
@@ -42,8 +46,9 @@ class MinedTube:
                 f"{len(self.boxes)} boxes for {f.shape[0]} feature rows")
         if not np.all(np.isfinite(f)):
             raise ValidationError("features contain non-finite values")
-        if np.any(np.linalg.norm(f, axis=1) == 0.0):
-            raise ValidationError("features contain a zero-norm row")
+        norms = np.linalg.norm(f, axis=1)
+        if not np.all((0.0 < norms) & (norms < np.inf)):
+            raise ValidationError("features contain a row whose norm is zero or overflows")
         f.setflags(write=False)
         object.__setattr__(self, "features", f)
 
@@ -192,19 +197,12 @@ def _cos_pair_grads(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return gu, gv
 
 
-def _identical_pairs(boxes: np.ndarray) -> np.ndarray:
-    """Per pair (t, t+1): the two boxes are exactly identical."""
-    return (boxes[:-1] == boxes[1:]).all(axis=1)
-
-
-def _identical_pair_mask(boxes: np.ndarray) -> np.ndarray:
-    """Per-box flag: box belongs to at least one exactly identical adjacent
-    pair (the kink special case)."""
-    same = _identical_pairs(boxes)
-    mask = np.zeros(boxes.shape[0], dtype=bool)
-    mask[:-1] |= same
-    mask[1:] |= same
-    return mask
+def _pair_extents(boxes: np.ndarray):
+    """First and second corners of each consecutive pair, with the pair's
+    intersection width and height."""
+    a, b = boxes[:-1], boxes[1:]
+    return (a, b, np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0]),
+            np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1]))
 
 
 def loss_gradients(tube: MinedTube) -> Gradients:
@@ -224,11 +222,8 @@ def loss_gradients(tube: MinedTube) -> Gradients:
         d_features[t] -= scale * gu
         d_features[t + 1] -= scale * gv
 
-    boxes = corners(tube.boxes)
-    a, b = boxes[:-1], boxes[1:]
-    identical = _identical_pairs(boxes)
-    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
-    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    a, b, iw, ih = _pair_extents(corners(tube.boxes))
+    identical = (a == b).all(axis=1)
     _check_smooth(a, b, iw, ih, identical)
     dg_a, dg_b = _giou_pair_grads(a, b, iw, ih)
     # Identical pairs contribute nothing.  Pair t-1 reaches box t before
@@ -240,59 +235,55 @@ def loss_gradients(tube: MinedTube) -> Gradients:
     return Gradients(d_features=d_features, d_boxes=d_boxes)
 
 
+def _pair_cos_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1 - cos of each row of `a` with the same row of `b`."""
+    return 1.0 - (np.einsum("ij,ij->i", a, b)
+                  / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)))
+
+
+def _local_differences(x: np.ndarray, pair_cost, h: float) -> np.ndarray:
+    """Central differences of mean(pair_cost(x[:-1], x[1:])) for every entry.
+
+    Entry (t, k) enters only pairs (t-1, t) and (t, t+1), so each probe moves
+    column k of every row at once and re-evaluates just those two terms
+    against the unmoved neighbours.
+    """
+    def terms(k: int, step: float) -> np.ndarray:
+        moved = x.copy()
+        moved[:, k] += step
+        return np.r_[0.0, pair_cost(x[:-1], moved[1:])] + np.r_[pair_cost(moved[:-1], x[1:]), 0.0]
+
+    num = np.stack([terms(k, h) - terms(k, -h) for k in range(x.shape[1])], axis=1)
+    return num / (2.0 * h) / (x.shape[0] - 1)
+
+
 def grad_check(tube: MinedTube, h: float = 1e-6) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    Every feature component is checked.  Box coordinates are checked unless
-    the box belongs to an exactly identical adjacent pair: the loss has a
-    symmetric kink there, central differences do not estimate a derivative at
-    a kink, and those coordinates are counted in skipped_kink_coords instead.
-    Relative error floors its denominator at 1e-3, so components near
-    zero are compared absolutely at that scale.
+    Every feature component is checked.  A box coordinate is skipped and
+    counted in skipped_kink_coords when a kink of its two pair terms lies
+    within h: the same coordinate of box t-1 or t+1 is within h of it, or
+    either pair's intersection width or height is within h of 0.  Relative
+    error floors its denominator at 1e-3, so components near zero are
+    compared absolutely at that scale.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValidationError(f"step must be positive and finite, got {h}")
     grads = loss_gradients(tube)
-    f = np.array(tube.features, dtype=float)
     boxes = corners(tube.boxes)
+    a, b, iw, ih = _pair_extents(boxes)
+    pair_kink = (np.abs(a - b) <= h) | ((iw <= h) | (ih <= h))[:, None]
+    kinked = np.pad(pair_kink, ((0, 1), (0, 0))) | np.pad(pair_kink, ((1, 0), (0, 0)))
 
-    max_rel = 0.0
-    max_abs_num = 0.0
-    for t in range(f.shape[0]):
-        for d in range(f.shape[1]):
-            orig = f[t, d]
-            f[t, d] = orig + h
-            hi = _feature_loss_raw(f)
-            f[t, d] = orig - h
-            lo = _feature_loss_raw(f)
-            f[t, d] = orig
-            num = (hi - lo) / (2.0 * h)
-            ana = grads.d_features[t, d]
-            max_abs_num = max(max_abs_num, abs(num))
-            max_rel = max(max_rel, abs(ana - num) / max(abs(ana), abs(num), _REL_GUARD))
-
-    kinked = _identical_pair_mask(boxes)
-    skipped = 0
-    for t in range(boxes.shape[0]):
-        if kinked[t]:
-            skipped += 4
-            continue
-        for k in range(4):
-            orig = boxes[t, k]
-            boxes[t, k] = orig + h
-            hi = corner_temporal_cost(boxes)
-            boxes[t, k] = orig - h
-            lo = corner_temporal_cost(boxes)
-            boxes[t, k] = orig
-            num = (hi - lo) / (2.0 * h)
-            ana = grads.d_boxes[t, k]
-            max_abs_num = max(max_abs_num, abs(num))
-            max_rel = max(max_rel, abs(ana - num) / max(abs(ana), abs(num), _REL_GUARD))
-
-    max_abs_ana = max(float(np.max(np.abs(grads.d_features))),
-                      float(np.max(np.abs(grads.d_boxes))))
-    return GradCheckReport(max_rel_error=max_rel,
-                           max_abs_analytic=max_abs_ana,
-                           max_abs_numeric=max_abs_num,
-                           skipped_kink_coords=skipped,
-                           step=h)
+    ana = np.concatenate([grads.d_features.ravel(), grads.d_boxes[~kinked]])
+    num = np.concatenate([
+        _local_differences(tube.features, _pair_cos_cost, h).ravel(),
+        _local_differences(boxes, lambda a, b: 1.0 - giou_pairs(a, b), h)[~kinked]])
+    rel = np.abs(ana - num) / np.maximum(np.maximum(np.abs(ana), np.abs(num)), _REL_GUARD)
+    return GradCheckReport(
+        max_rel_error=float(np.max(rel)),
+        max_abs_analytic=float(max(np.max(np.abs(grads.d_features)),
+                                   np.max(np.abs(grads.d_boxes)))),
+        max_abs_numeric=float(np.max(np.abs(num))),
+        skipped_kink_coords=int(kinked.sum()),
+        step=h)

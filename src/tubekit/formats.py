@@ -102,6 +102,12 @@ def _require(obj: dict, key: str, path: str, line: int | None = None):
         raise FormatError(f"missing required key '{key}'", path=path, line=line) from None
 
 
+def _list_field(obj: dict, key: str, path: str, line: int | None = None) -> list:
+    if type(value := _require(obj, key, path, line)) is not list:
+        raise FormatError(f"'{key}' must be an array", path=path, line=line)
+    return value
+
+
 def _as_int(value, what: str, path: str, line: int | None = None) -> int:
     # Not isinstance: bool is an int subclass, and int() would take true as 1
     # and truncate 8.7 to 8 in silence.
@@ -258,7 +264,7 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
             raise FormatError(f"expected frame t={len(frames)}, got t={t}",
                               path=path, line=lineno)
         dets = []
-        for d in _require(obj, "detections", path, lineno):
+        for d in _list_field(obj, "detections", path, lineno):
             box = _box_from(_require(d, "box", path, lineno), path, lineno)
             embed = _vector_field(d, "embed", path, lineno)
             if embed.shape != (meta["feature_dim"],):
@@ -299,7 +305,7 @@ def _gt_from_obj(obj: dict, path: str, line: int | None = None) -> tuple[str, Gt
     video_id = str(_require(obj, "video_id", path, line))
     ts, te = _interval_from(obj, path, line)
     boxes = {}
-    for item in _require(obj, "boxes", path, line):
+    for item in _list_field(obj, "boxes", path, line):
         t = _int_field(item, "t", path, line)
         boxes[t] = _box_from(_require(item, "box", path, line), path, line)
     try:
@@ -364,7 +370,7 @@ def load_tubes(path: str) -> tuple[str, list[Tube]]:
     obj = _load_json_doc(path)
     video_id = str(_require(obj, "video_id", path))
     n_q = _int_field(obj, "n_q", path)
-    tubes = [_tube_from(entry, path) for entry in _require(obj, "tubes", path)]
+    tubes = [_tube_from(entry, path) for entry in _list_field(obj, "tubes", path)]
     if len(tubes) != n_q:
         raise FormatError(f"header promises n_q={n_q} tubes, file has {len(tubes)}",
                           path=path)
@@ -447,7 +453,7 @@ def load_predictions(path: str) -> list[tuple[str, Prediction]]:
         video_id = str(_require(obj, "video_id", path, lineno))
         ts, te = _interval_from(obj, path, lineno)
         boxes = {}
-        for item in _require(obj, "boxes", path, lineno):
+        for item in _list_field(obj, "boxes", path, lineno):
             t = _int_field(item, "t", path, lineno)
             boxes[t] = _box_from(_require(item, "box", path, lineno), path, lineno)
         try:
@@ -471,14 +477,11 @@ def load_labels(path: str) -> tuple[str, list[list[int]]]:
     obj = _load_json_doc(path)
     video_id = str(_require(obj, "video_id", path))
     identities = []
-    for item in _require(obj, "frames", path):
+    for item in _list_field(obj, "frames", path):
         t = _int_field(item, "t", path)
         if t != len(identities):
             raise FormatError(f"expected frame t={len(identities)}, got t={t}", path=path)
-        ids = _require(item, "ids", path)
-        if not isinstance(ids, list):
-            raise FormatError(f"'ids' must be an array, got {ids!r}", path=path)
-        identities.append([_as_int(x, "ids", path) for x in ids])
+        identities.append([_as_int(x, "ids", path) for x in _list_field(item, "ids", path)])
     return video_id, identities
 
 
@@ -508,12 +511,12 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
     obj = _load_json_doc(path)
     video_id = str(_require(obj, "video_id", path))
     out = []
-    for c in _require(obj, "candidates", path):
+    for c in _list_field(obj, "candidates", path):
         span = _require(c, "span", path)
         if not (isinstance(span, list) and len(span) == 2):
             raise FormatError(f"span must be a 2-element array, got {span!r}", path=path)
         records = []
-        for r in _require(c, "records", path):
+        for r in _list_field(c, "records", path):
             records.append(CandidateRecord(
                 t=_int_field(r, "t", path),
                 box=_box_from(_require(r, "box", path), path),

@@ -38,7 +38,7 @@ class Prediction:
         if not self.boxes:
             raise ValidationError("prediction has no boxes")
         keys = sorted(self.boxes)
-        if keys != list(range(keys[0], keys[-1] + 1)):
+        if keys[-1] - keys[0] + 1 != len(keys):
             raise ValidationError("prediction boxes must cover a contiguous frame range")
         if self.ts < keys[0] or self.te > keys[-1]:
             raise ValidationError(

@@ -32,6 +32,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             det(0.5, [0.0, 0.0])
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_detection_feature_norm_overflow(self):
+        with pytest.raises(ValidationError, match="finite, positive norm"):
+            det(0.5, [1e200, 1e200])
+
     def test_frame_needs_detections(self):
         with pytest.raises(ValidationError):
             FrameDetections(t=0, detections=[])
@@ -50,6 +55,11 @@ class TestValidation:
     def test_memory_rejects_zero_row(self):
         with pytest.raises(ValidationError):
             TubeMemory(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_memory_rejects_overflowing_row(self):
+        with pytest.raises(ValidationError, match="overflows"):
+            TubeMemory(np.array([[1.0, 0.0], [1e200, 1e200]]))
 
     def test_memory_is_read_only_copy(self):
         src = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -33,6 +33,11 @@ class TestCandidateTube:
         with pytest.raises(ValidationError):
             cand((0, 2), [0.0, 0.0])
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_appearance_rejected(self):
+        with pytest.raises(ValidationError, match="finite, positive norm"):
+            cand((0, 2), [1e200, 1e200])
+
     def test_real_record_count_ignores_interpolation(self):
         records = [CandidateRecord(t=0, box=BOX_A, score=0.5),
                    CandidateRecord(t=1, box=BOX_A, score=0.5, interpolated=True),

@@ -191,6 +191,23 @@ class TestAssociate:
         assert f"{path}:2: 'embed' must be an array of numbers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_embed_is_format_error(self, tmp_path, capsys):
+        # Finite elements whose norm overflows are refused like a zero norm,
+        # at the line that holds them.
+        prefix = simulate(tmp_path, "s")
+        path = Path(f"{prefix}.detections.jsonl")
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[2])
+        obj["detections"][0]["embed"] = [1e200] * len(obj["detections"][0]["embed"])
+        lines[2] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "t.json"
+        assert main(["associate", str(path), "--out", str(out)]) == 2
+        assert (f"{path}:3: detection feature must have a finite, positive norm"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_cold_start_skips_scipy_optimize(self, tmp_path, capsys):
         prefix = simulate(tmp_path, "s")
         out = tmp_path / "t.json"
@@ -327,6 +344,21 @@ class TestLossesAndGradCheck:
         save_tubes(str(plain), "plant", tubes)  # embeds dropped on save
         assert main(["losses", "--tubes", str(plain),
                      "--out", str(tmp_path / "r.json")]) == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_embeds_refused(self, tmp_path, capsys):
+        # Two adjacent embeds whose norms overflow: refused as features,
+        # not left to turn the loss into NaN at the writer.
+        tubes = self._tubes_with_embeds(tmp_path)
+        doc = json.loads(tubes.read_text())
+        for rec in doc["tubes"][0]["records"][1:3]:
+            rec["embed"] = [1e200] * len(rec["embed"])
+        tubes.write_text(json.dumps(doc))
+        out = tmp_path / "losses.json"
+        assert main(["losses", "--tubes", str(tubes), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: features contain a row whose norm is zero or overflows" in err
+        assert not out.exists()
 
     def test_grad_check_report(self, tmp_path, capsys):
         tubes = self._tubes_with_embeds(tmp_path)

@@ -2,19 +2,24 @@
 
 The gradient oracle here is central finite differencing of the public loss
 functions, rebuilt through the public constructors for every probe, so it
-shares no code with the analytic path.
+shares no code with the analytic path.  grad_check's local probe is checked
+against central differences of the whole loss, one coordinate at a time.
 """
+import time
+
 import numpy as np
 import pytest
 
 from conftest import make_smooth_tube
 from tubekit.association import Tube, TubeRecord
 from tubekit.consistency import (GradCheckReport, Gradients, LossWeights,
-                                 MinedTube, combined_loss, feature_loss,
-                                 geom_loss, grad_check, loss_gradients)
+                                 MinedTube, _feature_loss_raw,
+                                 _local_differences, _pair_cos_cost,
+                                 combined_loss, feature_loss, geom_loss,
+                                 grad_check, loss_gradients)
 from tubekit.errors import NonSmoothError, ValidationError
-from tubekit.geometry import Box
-from tubekit.mining import temporal_cost
+from tubekit.geometry import Box, corners, giou_pairs
+from tubekit.mining import corner_temporal_cost, temporal_cost
 
 A = Box(0.2, 0.2, 0.5, 0.5)
 B = Box(0.3, 0.25, 0.62, 0.57)  # strict overlap with A, no tied coordinate
@@ -50,6 +55,28 @@ def fd_box_gradients(tube: MinedTube, h: float = 1e-6) -> np.ndarray:
     return out
 
 
+def whole_loss_differences(tube: MinedTube, h: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences of the whole feature and geometry losses, one
+    coordinate at a time, on raw arrays: grad_check's probe before it
+    differenced only the pair terms a coordinate enters."""
+    f = np.array(tube.features, dtype=float)
+    boxes = corners(tube.boxes)
+    out = []
+    for x, loss in ((f, _feature_loss_raw), (boxes, corner_temporal_cost)):
+        num = np.empty_like(x)
+        for t in range(x.shape[0]):
+            for k in range(x.shape[1]):
+                orig = x[t, k]
+                x[t, k] = orig + h
+                hi = loss(x)
+                x[t, k] = orig - h
+                lo = loss(x)
+                x[t, k] = orig
+                num[t, k] = (hi - lo) / (2.0 * h)
+        out.append(num)
+    return out[0], out[1]
+
+
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
     return float(np.max(np.abs(analytic - numeric) / denom))
@@ -68,6 +95,13 @@ class TestMinedTube:
         f = np.ones((2, 4))
         f[1] = 0.0
         with pytest.raises(ValidationError):
+            MinedTube(features=f, boxes=[A, B])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_norm_row_rejected(self):
+        f = np.ones((2, 4))
+        f[1] = 1e200
+        with pytest.raises(ValidationError, match="overflows"):
             MinedTube(features=f, boxes=[A, B])
 
     def test_features_read_only(self):
@@ -222,6 +256,44 @@ class TestGradients:
         assert report.skipped_kink_coords == 0
         assert report.max_rel_error < 1e-4
         assert report.max_abs_analytic > 0.0
+
+    def test_local_probe_matches_whole_loss(self):
+        for seed in range(20):
+            mt = make_smooth_tube(seed, length=int(2 + seed % 6), dim=6)
+            num_f, num_b = whole_loss_differences(mt)
+            local_f = _local_differences(mt.features, _pair_cos_cost, 1e-6)
+            local_b = _local_differences(corners(mt.boxes),
+                                         lambda a, b: 1.0 - giou_pairs(a, b), 1e-6)
+            assert np.max(np.abs(local_f - num_f)) < 1e-8
+            assert np.max(np.abs(local_b - num_b)) < 1e-8
+
+    def test_near_kink_coordinates_skipped(self):
+        # Boxes 3 and 4 have y2 values 2.9e-7 apart, less than the step: a
+        # central difference of either y2 straddles the min/max switch.
+        mt = make_smooth_tube(7, length=8, dim=4)
+        boxes = list(mt.boxes)
+        boxes[4] = Box(boxes[4].x1, boxes[4].y1, boxes[4].x2, boxes[3].y2 + 2.9e-7)
+        near = MinedTube(features=mt.features, boxes=boxes)
+        report = grad_check(near)
+        assert report.skipped_kink_coords == 2
+        assert report.max_rel_error < 1e-4
+
+    def test_touching_within_step_skipped(self):
+        # Pair (1, 2) overlaps by less than h in x: every coordinate of both
+        # boxes sits within a step of the empty-intersection kink.
+        near = Box(A.x2 - 5e-7, 0.25, A.x2 + 0.3, 0.55)
+        mt = MinedTube(features=np.array([[1.0, 0.2], [0.8, 0.3], [1.1, 0.1]]),
+                       boxes=[B, A, near])
+        report = grad_check(mt)
+        assert report.skipped_kink_coords == 2 * 4
+        assert report.max_rel_error < 1e-4
+
+    def test_grad_check_budget(self):
+        mt = make_smooth_tube(11, length=128, dim=64)
+        start = time.perf_counter()
+        report = grad_check(mt)
+        assert time.perf_counter() - start < 2.0
+        assert report.max_rel_error < 1e-4
 
     def test_grad_check_step_validation(self):
         with pytest.raises(ValidationError):
