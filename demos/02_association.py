@@ -37,7 +37,7 @@ def main():
     print(f"associated {len(tubes)} tubes, each spanning the full clip")
     for tube in tubes:
         print(f"  slot {tube.slot_id}: mean score {tube.mean_score():.3f}, "
-              f"{sum(1 for r in tube.records if r.det is None)} gap frames")
+              f"{int((tube.det < 0).sum())} gap frames")
     print()
 
     rates = identity_switch_rate(tubes, scene)

@@ -8,7 +8,7 @@
 
 import numpy as np
 
-from tubekit import (Box, MinedTube, combined_loss, feature_loss, geom_loss,
+from tubekit import (MinedTube, combined_loss, feature_loss, geom_loss,
                      grad_check, loss_gradients)
 
 
@@ -16,13 +16,13 @@ def smooth_tube(seed, length=6, dim=8):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(length, dim))
     feats[:, 0] += 2.0
-    boxes = []
+    boxes = np.empty((length, 4))   # one [x1, y1, x2, y2] row per frame
     cx, cy = 0.5, 0.5
-    for _ in range(length):
+    for t in range(length):
         cx = float(np.clip(cx + rng.uniform(-0.02, 0.02), 0.3, 0.7))
         cy = float(np.clip(cy + rng.uniform(-0.02, 0.02), 0.3, 0.7))
         w, h = rng.uniform(0.25, 0.35, size=2)
-        boxes.append(Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
+        boxes[t] = [cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2]
     return MinedTube(features=feats, boxes=boxes)
 
 
@@ -53,7 +53,7 @@ def main():
     print()
 
     frozen = MinedTube(features=np.tile(np.array([1.0, 2.0, 0.5]), (5, 1)),
-                       boxes=[Box(0.3, 0.3, 0.6, 0.6)] * 5)
+                       boxes=np.tile([0.3, 0.3, 0.6, 0.6], (5, 1)))
     print("a perfectly static tube costs nothing")
     print(f"  feature_loss = {feature_loss(frozen)}")
     print(f"  geom_loss    = {geom_loss(frozen)}")

@@ -267,6 +267,17 @@ def assignment_total(cost, pairs: list[tuple[int, int]]) -> float:
     return _pairs_total(c, pairs)
 
 
+def norms_finite_positive(vectors: np.ndarray) -> bool:
+    """Whether a vector, or every row of a 2-D stack, has a finite, positive
+    norm.  A norm that overflows counts as not finite, without numpy's
+    overflow warning: the caller's refusal is the one report."""
+    with np.errstate(over="ignore"):
+        if vectors.ndim == 1:
+            return bool(0.0 < np.linalg.norm(vectors) < np.inf)
+        norms = np.linalg.norm(vectors, axis=1)
+    return bool(np.all((0.0 < norms) & (norms < np.inf)))
+
+
 def cosine_similarity(u, v) -> float:
     """Cosine of the angle between two vectors; rejects zero-norm inputs."""
     ua = np.asarray(u, dtype=float)

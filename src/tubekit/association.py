@@ -1,21 +1,23 @@
 """Memory-based association of per-frame detections into tubes.
 
 One reference memory vector per tube slot.  Each frame, the top detections by
-confidence are matched to slots by cosine similarity (Hungarian), matched
-slots blend the matched feature into their memory with a constant EMA factor,
-and every slot appends one record per frame.  Slots that find no match keep
-their memory untouched and repeat their last box with confidence 0, so a tube
-always spans every processed frame.
+confidence are matched to slots by cosine similarity (Hungarian), and matched
+slots blend the matched feature into their memory with a constant EMA
+factor.  A Tube holds its slot's track as per-frame columns: frame index,
+box, score, source detection index and feature.  A slot that finds no match
+keeps its memory untouched and repeats its previous box and feature at
+score 0 with detection index -1, so a tube always spans every processed
+frame.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import cosine_similarity_matrix, solve_assignment
+from .assignment import cosine_similarity_matrix, norms_finite_positive, solve_assignment
 from .errors import ValidationError
-from .geometry import Box
+from .geometry import Box, corner_rows, corners
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ class Detection:
         f = np.asarray(self.feature, dtype=float)
         if f.ndim != 1 or not np.all(np.isfinite(f)):
             raise ValidationError("detection feature must be a finite 1-D vector")
-        if not 0.0 < float(np.linalg.norm(f)) < np.inf:
+        if not norms_finite_positive(f):
             raise ValidationError("detection feature must have a finite, positive norm")
         object.__setattr__(self, "feature", f)
 
@@ -54,9 +56,8 @@ class FrameDetections:
 
 @dataclass(frozen=True)
 class TubeRecord:
-    """One frame of one tube.  det is the source detection index within its
-    frame, or None for a gap fill (repeated box, confidence 0).  feature is
-    None only on tubes loaded from files written without embeddings."""
+    """One frame of a tube, as Tube.records lists it; det is None for a gap
+    and feature None when the tube has no features."""
 
     t: int
     box: Box
@@ -65,18 +66,60 @@ class TubeRecord:
     det: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tube:
+    """One slot's track over T frames, as read-only per-frame columns.
+
+    t (T,) frame indices, strictly increasing; boxes (T, 4) corners, each
+    row a box by Box's rule; scores (T,); det (T,) the source detection
+    index within its frame, -1 for a gap fill (the previous box and feature
+    at score 0); features (T, D), or None for a tube loaded from a file
+    written without embeddings.
+    """
+
     slot_id: int
-    records: list[TubeRecord] = field(default_factory=list)
+    t: np.ndarray
+    boxes: np.ndarray
+    scores: np.ndarray
+    det: np.ndarray
+    features: np.ndarray | None = None
+
+    def __post_init__(self):
+        cols = {"t": np.array(self.t, dtype=np.int64), "boxes": corner_rows(self.boxes),
+                "scores": np.array(self.scores, dtype=float),
+                "det": np.array(self.det, dtype=np.int64)}
+        if self.features is not None:
+            cols["features"] = np.array(self.features, dtype=float)
+        t, shapes = cols["t"], {k: c.shape for k, c in cols.items()}
+        if any(len(shape) != (2 if k in ("boxes", "features") else 1) or shape[0] != len(t)
+               for k, shape in shapes.items()):
+            raise ValidationError(f"tube columns must hold one row per frame, got {shapes}")
+        if np.any(t[1:] <= t[:-1]):
+            i = int(np.argmax(t[1:] <= t[:-1]))
+            raise ValidationError(f"records must be strictly increasing in t, "
+                                  f"got t={t[i + 1]} after t={t[i]}")
+        if np.any(cols["det"] < -1):
+            raise ValidationError("det must be a detection index, or -1 for a gap")
+        for name, c in cols.items():
+            c.setflags(write=False)
+            object.__setattr__(self, name, c)
+
+    @property
+    def records(self) -> list[TubeRecord]:
+        """The tube frame by frame, built anew on each access."""
+        features = [None] * len(self.t) if self.features is None else self.features
+        return [TubeRecord(t, Box(*box), score, feature, None if det < 0 else det)
+                for t, box, score, feature, det in zip(
+                    self.t.tolist(), self.boxes.tolist(), self.scores.tolist(),
+                    features, self.det.tolist())]
 
     def timestamps(self) -> list[int]:
-        return [r.t for r in self.records]
+        return self.t.tolist()
 
     def mean_score(self) -> float:
-        if not self.records:
+        if not len(self.t):
             raise ValidationError(f"tube {self.slot_id} has no records")
-        return float(np.mean([r.score for r in self.records]))
+        return float(np.mean(self.scores))
 
 
 @dataclass(frozen=True)
@@ -91,8 +134,7 @@ class TubeMemory:
             raise ValidationError(f"memory must be a non-empty (n_q, d) array, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValidationError("memory contains non-finite values")
-        norms = np.linalg.norm(v, axis=1)
-        if not np.all((0.0 < norms) & (norms < np.inf)):
+        if not norms_finite_positive(v):
             raise ValidationError("memory contains a slot vector whose norm is zero or overflows")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
@@ -122,65 +164,43 @@ def top_by_confidence(frame: FrameDetections, k: int) -> list[int]:
     return order[:k]
 
 
-def init_memory(frame: FrameDetections, cfg: AssociationConfig) -> tuple[TubeMemory, list[Tube]]:
-    """Seed n_q slots from the first frame.
+def init_memory(frame: FrameDetections, cfg: AssociationConfig) -> tuple[TubeMemory, np.ndarray]:
+    """Seed n_q slots from the first frame; returns the memory and the
+    (n_q,) detection index each slot took.
 
     Slot i takes the i-th detection in confidence order.  When the frame has
     fewer than n_q detections the available ones are cycled so the slot count
     stays fixed for the whole clip.
     """
     order = top_by_confidence(frame, cfg.n_q)
-    tubes = []
-    vectors = np.empty((cfg.n_q, frame.feature_dim), dtype=float)
-    for slot in range(cfg.n_q):
-        di = order[slot % len(order)]
-        det = frame.detections[di]
-        vectors[slot] = det.feature
-        tubes.append(Tube(slot_id=slot, records=[
-            TubeRecord(t=frame.t, box=det.box, score=det.score,
-                       feature=det.feature, det=di)
-        ]))
-    return TubeMemory(vectors), tubes
+    det = np.array([order[slot % len(order)] for slot in range(cfg.n_q)])
+    return TubeMemory(np.stack([frame.detections[i].feature for i in det])), det
 
 
-def associate_step(memory: TubeMemory, tubes: list[Tube], frame: FrameDetections,
-                   cfg: AssociationConfig) -> TubeMemory:
-    """Match one frame against the memory and extend every tube by one record.
+def associate_step(memory: TubeMemory, frame: FrameDetections,
+                   cfg: AssociationConfig) -> tuple[TubeMemory, np.ndarray]:
+    """Match one frame against the memory.
 
-    Returns the updated memory.  Matched slots blend the matched detection's
-    feature in with factor alpha; unmatched slots keep their memory and repeat
-    their last record's box and feature at confidence 0.
+    Returns the updated memory and the (n_q,) detection index each slot
+    matched, -1 where it matched none.  Matched slots blend the matched
+    detection's feature in with factor alpha; unmatched slots keep theirs.
     """
-    if len(tubes) != memory.n_q:
-        raise ValidationError(f"expected {memory.n_q} tubes, got {len(tubes)}")
     if frame.feature_dim != memory.vectors.shape[1]:
         raise ValidationError(
             f"frame feature dim {frame.feature_dim} does not match memory dim {memory.vectors.shape[1]}")
     chosen = top_by_confidence(frame, cfg.n_q)
     feats = np.stack([frame.detections[i].feature for i in chosen])
-    sim = cosine_similarity_matrix(memory.vectors, feats)
-    pairs = solve_assignment(-sim)
-
-    matched: dict[int, int] = {slot: chosen[j] for slot, j in pairs}
+    pairs = solve_assignment(-cosine_similarity_matrix(memory.vectors, feats))
+    slots, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+    det = np.full(memory.n_q, -1)
+    det[slots] = np.array(chosen)[cols]
     vectors = memory.vectors.copy()
-    for tube in tubes:
-        slot = tube.slot_id
-        if slot in matched:
-            det = frame.detections[matched[slot]]
-            tube.records.append(TubeRecord(
-                t=frame.t, box=det.box, score=det.score,
-                feature=det.feature, det=matched[slot]))
-            vectors[slot] = (1.0 - cfg.alpha) * vectors[slot] + cfg.alpha * det.feature
-        else:
-            last = tube.records[-1]
-            tube.records.append(TubeRecord(
-                t=frame.t, box=last.box, score=0.0,
-                feature=last.feature, det=None))
-    return TubeMemory(vectors)
+    vectors[slots] = (1.0 - cfg.alpha) * vectors[slots] + cfg.alpha * feats[cols]
+    return TubeMemory(vectors), det
 
 
 def run_association(frames: list[FrameDetections], cfg: AssociationConfig | None = None) -> list[Tube]:
-    """Fold a whole clip into n_q tubes, one record per tube per frame."""
+    """Fold a whole clip into n_q tubes, one row per tube per frame."""
     if cfg is None:
         cfg = AssociationConfig()
     if not frames:
@@ -188,7 +208,21 @@ def run_association(frames: list[FrameDetections], cfg: AssociationConfig | None
     ts = [f.t for f in frames]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValidationError("frame timestamps must be strictly increasing")
-    memory, tubes = init_memory(frames[0], cfg)
+    memory, seeded = init_memory(frames[0], cfg)
+    det = [seeded]
     for frame in frames[1:]:
-        memory = associate_step(memory, tubes, frame, cfg)
-    return tubes
+        memory, matched = associate_step(memory, frame, cfg)
+        det.append(matched)
+    det = np.array(det)
+    # A gap repeats the row before it, so row (k, slot) shows what the slot
+    # matched at `last`, its latest match up to frame k; src indexes that
+    # detection among all of the clip's.
+    last = np.maximum.accumulate(np.where(det >= 0, np.arange(len(frames))[:, None], 0))
+    first = np.cumsum([0] + [len(f.detections) for f in frames[:-1]])
+    src = first[last] + np.take_along_axis(det, last, axis=0)
+    dets = [d for f in frames for d in f.detections]
+    boxes = corners([d.box for d in dets])[src]
+    scores = np.where(det >= 0, np.array([d.score for d in dets])[src], 0.0)
+    features = np.stack([d.feature for d in dets])[src]
+    return [Tube(slot, ts, boxes[:, slot], scores[:, slot], det[:, slot], features[:, slot])
+            for slot in range(cfg.n_q)]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assignment import norms_finite_positive
 from .errors import ValidationError
 from .geometry import Box
 from .mining import GtTube
@@ -47,8 +48,7 @@ class CandidateTube:
             raise ValidationError(
                 f"records must cover the span densely: span {self.span}, frames {ts[:5]}...")
         a = np.array(self.appearance, dtype=float)
-        if (a.ndim != 1 or not np.all(np.isfinite(a))
-                or not 0.0 < float(np.linalg.norm(a)) < np.inf):
+        if a.ndim != 1 or not np.all(np.isfinite(a)) or not norms_finite_positive(a):
             raise ValidationError("appearance must be a finite 1-D vector with a finite, positive norm")
         a.setflags(write=False)
         object.__setattr__(self, "appearance", a)

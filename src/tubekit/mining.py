@@ -98,10 +98,10 @@ def corner_temporal_cost(c: np.ndarray) -> float:
 
 
 def _tube_corners(tube: Tube) -> np.ndarray:
-    n = len(tube.records)
+    n = len(tube.t)
     if n < 2:
         raise ValidationError(f"temporal cost needs at least 2 records, tube {tube.slot_id} has {n}")
-    return corners([r.box for r in tube.records])
+    return tube.boxes
 
 
 def temporal_cost(tube: Tube) -> float:
@@ -123,21 +123,19 @@ def _gt_corners(gt: GtTube) -> np.ndarray:
 
 def _match_cost(tube: Tube, gt: GtTube, gt_c: np.ndarray,
                 weights: CostWeights) -> CostBreakdown:
-    pos = {r.t: i for i, r in enumerate(tube.records)}
-    missing = [t for t in range(gt.ts, gt.te + 1) if t not in pos]
-    if missing:
+    frames = np.arange(gt.ts, gt.te + 1)
+    missing = frames[~np.isin(frames, tube.t)]
+    if missing.size:
         raise ValidationError(
-            f"tube {tube.slot_id} does not cover GT frames {missing[:5]}")
+            f"tube {tube.slot_id} does not cover GT frames {missing[:5].tolist()}")
     c = _tube_corners(tube)
-    idx = [pos[t] for t in range(gt.ts, gt.te + 1)]
-    on_gt = c[idx]
-    scores = np.array([r.score for r in tube.records], dtype=float)[idx]
+    on_gt = np.searchsorted(tube.t, frames)
 
     # Per-frame terms summed left to right, in frame order.
     n = gt.length
-    c_cls = sum_in_order(1.0 - scores) / n
-    c_bbox = sum_in_order(_center_size_l1_pairs(on_gt, gt_c)) / n
-    c_giou = sum_in_order(1.0 - giou_pairs(on_gt, gt_c)) / n
+    c_cls = sum_in_order(1.0 - tube.scores[on_gt]) / n
+    c_bbox = sum_in_order(_center_size_l1_pairs(c[on_gt], gt_c)) / n
+    c_giou = sum_in_order(1.0 - giou_pairs(c[on_gt], gt_c)) / n
     c_temp = corner_temporal_cost(c)
     total = (weights.w_cls * c_cls + weights.w_bbox * c_bbox
              + weights.w_giou * c_giou + weights.w_temp * c_temp)

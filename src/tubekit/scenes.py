@@ -173,22 +173,19 @@ def generate_scene(cfg: SceneConfig) -> LabeledScene:
 
 
 def _tube_switch_rate(tube: Tube, identities: list[list[int]]) -> float:
-    if len(tube.records) < 2:
+    if len(tube.t) < 2:
         raise ValidationError("switch rate needs at least 2 records")
+    if tube.det[0] < 0:
+        raise ValidationError("tube starts with a gap record")
     labels = []
-    prev = None
-    for rec in tube.records:
-        if rec.det is None:
-            if prev is None:
-                raise ValidationError("tube starts with a gap record")
-            labels.append(prev)
-            continue
-        if rec.t >= len(identities) or rec.det >= len(identities[rec.t]):
-            raise ValidationError(
-                f"record at frame {rec.t} references detection {rec.det} "
-                "outside the labeled scene")
-        prev = identities[rec.t][rec.det]
-        labels.append(prev)
+    for t, det in zip(tube.t.tolist(), tube.det.tolist()):
+        if det >= 0:   # a gap keeps the label of the box it repeats
+            if t >= len(identities) or det >= len(identities[t]):
+                raise ValidationError(
+                    f"record at frame {t} references detection {det} "
+                    "outside the labeled scene")
+            label = identities[t][det]
+        labels.append(label)
     switches = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
     return switches / (len(labels) - 1)
 
@@ -198,7 +195,7 @@ def identity_switch_rate(tubes: list[Tube], scene: LabeledScene) -> list[float]:
     differ.
 
     scene.identities[t][i] labels detection i of frame t.  Gap records (det
-    None) inherit the previous record's identity, since the tube is still
+    -1) inherit the previous record's identity, since the tube is still
     sitting on that object's last box.
     """
     return [_tube_switch_rate(tube, scene.identities) for tube in tubes]

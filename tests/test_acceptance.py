@@ -11,17 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_smooth_tube
+from conftest import make_smooth_tube, make_tube
 from tubekit.assignment import assignment_total, solve_assignment
 from tubekit.association import (AssociationConfig, Detection, FrameDetections,
-                                 Tube, TubeRecord, run_association)
+                                 run_association)
 from tubekit.autolabel import (CandidateRecord, CandidateTube, coverage_filter,
                                merge_tubes)
 from tubekit.cli import main
 from tubekit.consistency import MinedTube, feature_loss, geom_loss, grad_check
 from tubekit.decoding import ExposureConfig, simulate_decoding
 from tubekit.formats import load_labels, load_tubes
-from tubekit.geometry import Box, giou, iou
+from tubekit.geometry import Box, corners, giou, iou
 from tubekit.metrics import evaluate, Prediction
 from tubekit.mining import CostWeights, GtTube, match_cost, mine_best_tube, temporal_cost
 from tubekit.scenes import SceneConfig, generate_scene, identity_switch_rate
@@ -111,7 +111,7 @@ def test_criterion_03_gradient_check():
         assert report.skipped_kink_coords == 0
 
     const = MinedTube(features=np.tile([0.6, -1.2, 0.4], (5, 1)),
-                      boxes=[Box(0.2, 0.3, 0.5, 0.6)] * 5)
+                      boxes=corners([Box(0.2, 0.3, 0.5, 0.6)] * 5))
     assert geom_loss(const) == 0.0
     assert feature_loss(const) <= 1e-12
     const_report = grad_check(const)
@@ -127,10 +127,8 @@ def test_criterion_04_loss_equals_mining_cost():
     for seed in range(100):
         n = int(rng.integers(2, 9))
         boxes = _walk_boxes(rng, n, step=0.05)
-        mined = MinedTube(features=np.ones((n, 2)), boxes=boxes)
-        tube = Tube(slot_id=seed, records=[
-            TubeRecord(t=t, box=b, score=0.5, feature=None)
-            for t, b in enumerate(boxes)])
+        mined = MinedTube(features=np.ones((n, 2)), boxes=corners(boxes))
+        tube = make_tube(seed, boxes, 0.5)
         assert geom_loss(mined) == temporal_cost(tube)
     print("criterion 4: 100 tubes bit-identical")
 
@@ -239,16 +237,11 @@ def test_criterion_06_mining_planted_tube():
         rng = np.random.default_rng(600 + seed)
         track = _walk_boxes(rng, 20)
         gt = GtTube(ts=6, te=13, boxes={t: track[t] for t in range(6, 14)})
-        planted = Tube(slot_id=0, records=[
-            TubeRecord(t=t, box=b, score=1.0, feature=None)
-            for t, b in enumerate(track)])
+        planted = make_tube(0, track, 1.0)
         tubes = [planted]
         for slot in range(1, 15):
             jitter = _walk_boxes(rng, 20, step=0.15, size=0.18)
-            tubes.append(Tube(slot_id=slot, records=[
-                TubeRecord(t=t, box=b, score=float(rng.uniform(0.3, 0.9)),
-                           feature=None)
-                for t, b in enumerate(jitter)]))
+            tubes.append(make_tube(slot, jitter, [float(rng.uniform(0.3, 0.9)) for _ in jitter]))
         best, _ = mine_best_tube(tubes, gt, CostWeights(1.0, 5.0, 3.0, 2.0))
         wins += best == 0
     assert wins == 100
@@ -259,14 +252,10 @@ def test_criterion_06_mining_planted_tube():
         rng = np.random.default_rng(6600 + seed)
         track = _walk_boxes(rng, 20)
         gt = GtTube(ts=6, te=13, boxes={t: track[t] for t in range(6, 14)})
-        smooth = Tube(slot_id=0, records=[
-            TubeRecord(t=t, box=b, score=1.0, feature=None)
-            for t, b in enumerate(track)])
+        smooth = make_tube(0, track, 1.0)
         outside = _walk_boxes(rng, 20, step=0.2, size=0.15)
-        jittery = Tube(slot_id=1, records=[
-            TubeRecord(t=t, box=track[t] if 6 <= t <= 13 else outside[t],
-                       score=1.0, feature=None)
-            for t in range(20)])
+        jittery = make_tube(1, [track[t] if 6 <= t <= 13 else outside[t]
+                                for t in range(20)], 1.0)
         ca = match_cost(smooth, gt, no_temp)
         cb = match_cost(jittery, gt, no_temp)
         assert ca.total == cb.total

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tubekit.association import (AssociationConfig, Detection, FrameDetections,
-                                 TubeMemory, init_memory, run_association,
+                                 Tube, TubeMemory, init_memory, run_association,
                                  associate_step, top_by_confidence)
 from tubekit.errors import ValidationError
 from tubekit.geometry import Box
@@ -70,6 +70,33 @@ class TestValidation:
             mem.vectors[0, 0] = 2.0
 
 
+class TestTube:
+    COLUMNS = dict(slot_id=0, t=[0, 1, 2], boxes=np.tile([0.1, 0.1, 0.5, 0.5], (3, 1)),
+                   scores=[0.5, 0.5, 0.0], det=[0, 1, -1])
+
+    def test_columns_are_read_only_copies(self):
+        boxes = np.tile([0.1, 0.1, 0.5, 0.5], (3, 1))
+        tube = Tube(**{**self.COLUMNS, "boxes": boxes})
+        boxes[0, 0] = 0.3
+        assert tube.boxes[0, 0] == 0.1
+        for column in (tube.t, tube.boxes, tube.scores, tube.det):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        assert [(r.t, r.det, r.box.to_list()) for r in tube.records] == \
+            [(t, d, [0.1, 0.1, 0.5, 0.5]) for t, d in [(0, 0), (1, 1), (2, None)]]
+
+    @pytest.mark.parametrize("column, value, match", [
+        ("t", [0, 2, 2], "strictly increasing in t, got t=2 after t=2"),
+        ("scores", [0.5, 0.5], "one row per frame"),
+        ("det", [0, -2, 1], "det must be a detection index"),
+        ("features", np.ones((2, 4)), "one row per frame"),
+        ("boxes", [[0.1, 0.1, 0.1, 0.5]] * 3, "no area"),
+    ])
+    def test_bad_columns_refused(self, column, value, match):
+        with pytest.raises(ValidationError, match=match):
+            Tube(**{**self.COLUMNS, column: value})
+
+
 class TestTopByConfidence:
     def test_sorted_by_score(self):
         frame = FrameDetections(t=0, detections=[
@@ -90,22 +117,22 @@ class TestInitMemory:
     def test_direct_seeding(self):
         frame = FrameDetections(t=0, detections=[
             det(0.9, basis(0, 3)), det(0.8, basis(1, 3)), det(0.7, basis(2, 3))])
-        memory, tubes = init_memory(frame, AssociationConfig(n_q=3))
+        memory, seeded = init_memory(frame, AssociationConfig(n_q=3))
         assert np.array_equal(memory.vectors, np.eye(3))
-        assert [t.records[0].det for t in tubes] == [0, 1, 2]
+        assert seeded.tolist() == [0, 1, 2]
 
     def test_seeding_follows_confidence_order(self):
         frame = FrameDetections(t=0, detections=[
             det(0.1, basis(0, 3)), det(0.9, basis(1, 3)), det(0.5, basis(2, 3))])
-        memory, tubes = init_memory(frame, AssociationConfig(n_q=3))
-        assert [t.records[0].det for t in tubes] == [1, 2, 0]
+        memory, seeded = init_memory(frame, AssociationConfig(n_q=3))
+        assert seeded.tolist() == [1, 2, 0]
         assert np.array_equal(memory.vectors[0], basis(1, 3))
 
     def test_cycling_when_short(self):
         frame = FrameDetections(t=0, detections=[
             det(0.9, basis(0, 2)), det(0.8, basis(1, 2))])
-        memory, tubes = init_memory(frame, AssociationConfig(n_q=5))
-        assert [t.records[0].det for t in tubes] == [0, 1, 0, 1, 0]
+        memory, seeded = init_memory(frame, AssociationConfig(n_q=5))
+        assert seeded.tolist() == [0, 1, 0, 1, 0]
         assert memory.n_q == 5
 
 
@@ -118,19 +145,19 @@ class TestAssociateStep:
         seed_frame = FrameDetections(t=0, detections=[
             det(0.9, basis(i, n)) for i in range(n)])
         for perm in itertools.permutations(range(n)):
-            memory, tubes = init_memory(seed_frame, cfg)
+            memory, _ = init_memory(seed_frame, cfg)
             frame = FrameDetections(t=1, detections=[
                 det(0.9, basis(perm[j], n)) for j in range(n)])
-            associate_step(memory, tubes, frame, cfg)
-            for slot, tube in enumerate(tubes):
-                assert perm[tube.records[1].det] == slot
+            _, matched = associate_step(memory, frame, cfg)
+            for slot in range(n):
+                assert perm[matched[slot]] == slot
 
     def test_ema_blend_is_bit_exact(self):
         cfg = AssociationConfig(n_q=1, alpha=0.3)
         seed = FrameDetections(t=0, detections=[det(0.9, [1.0, 2.0, 3.0])])
-        memory, tubes = init_memory(seed, cfg)
+        memory, _ = init_memory(seed, cfg)
         nxt = FrameDetections(t=1, detections=[det(0.9, [4.0, 5.0, 6.0])])
-        memory = associate_step(memory, tubes, nxt, cfg)
+        memory, _ = associate_step(memory, nxt, cfg)
         expected = 0.7 * np.array([1.0, 2.0, 3.0]) + 0.3 * np.array([4.0, 5.0, 6.0])
         assert np.array_equal(memory.vectors[0], expected)
 
@@ -138,11 +165,11 @@ class TestAssociateStep:
         cfg = AssociationConfig(n_q=2, alpha=1.0)
         seed = FrameDetections(t=0, detections=[det(0.9, basis(0, 2)),
                                                 det(0.8, basis(1, 2))])
-        memory, tubes = init_memory(seed, cfg)
+        memory, _ = init_memory(seed, cfg)
         f1 = np.array([0.9, 0.1])
         f2 = np.array([0.2, 0.8])
         frame = FrameDetections(t=1, detections=[det(0.9, f1), det(0.8, f2)])
-        memory = associate_step(memory, tubes, frame, cfg)
+        memory, _ = associate_step(memory, frame, cfg)
         assert np.array_equal(memory.vectors[0], f1)
         assert np.array_equal(memory.vectors[1], f2)
 
@@ -150,51 +177,56 @@ class TestAssociateStep:
         cfg = AssociationConfig(n_q=2, alpha=0.0)
         seed = FrameDetections(t=0, detections=[det(0.9, basis(0, 2)),
                                                 det(0.8, basis(1, 2))])
-        memory, tubes = init_memory(seed, cfg)
+        memory, _ = init_memory(seed, cfg)
         frame = FrameDetections(t=1, detections=[det(0.9, [0.9, 0.1]),
                                                  det(0.8, [0.2, 0.8])])
-        memory = associate_step(memory, tubes, frame, cfg)
+        memory, matched = associate_step(memory, frame, cfg)
         assert np.array_equal(memory.vectors, np.eye(2))
-        assert all(len(t.records) == 2 for t in tubes)
+        assert matched.tolist() == [0, 1]
 
     def test_pool_truncation_keeps_original_indices(self):
         # n_q = 1 with three detections: only the most confident enters the
         # pool, and the stored det index refers to the full frame list.
         cfg = AssociationConfig(n_q=1, alpha=0.5)
         seed = FrameDetections(t=0, detections=[det(0.9, [1.0, 0.0])])
-        memory, tubes = init_memory(seed, cfg)
+        memory, _ = init_memory(seed, cfg)
         frame = FrameDetections(t=1, detections=[
             det(0.1, [1.0, 0.0]), det(0.2, [1.0, 0.0]), det(0.95, [0.8, 0.2])])
-        associate_step(memory, tubes, frame, cfg)
-        assert tubes[0].records[1].det == 2
+        _, matched = associate_step(memory, frame, cfg)
+        assert matched.tolist() == [2]
 
     def test_gap_rule(self):
-        # Two slots, one detection in the pool: the unmatched slot repeats its
-        # box at confidence 0 and its memory row survives untouched.
+        # Two slots, one detection in the pool: the unmatched slot matches
+        # none, its memory row survives untouched, and its tube repeats the
+        # previous box and feature at confidence 0.
         cfg = AssociationConfig(n_q=2, alpha=0.5)
         box0 = Box(0.1, 0.1, 0.3, 0.3)
         box1 = Box(0.6, 0.6, 0.8, 0.8)
         seed = FrameDetections(t=0, detections=[det(0.9, basis(0, 2), box0),
                                                 det(0.8, basis(1, 2), box1)])
-        memory, tubes = init_memory(seed, cfg)
+        memory, _ = init_memory(seed, cfg)
         frame = FrameDetections(t=1, detections=[det(0.9, [1.0, 0.05],
                                                      Box(0.2, 0.2, 0.4, 0.4))])
-        memory = associate_step(memory, tubes, frame, cfg)
-        gap = tubes[1].records[1]
-        assert gap.det is None
-        assert gap.score == 0.0
-        assert gap.box == box1
-        assert np.array_equal(gap.feature, basis(1, 2))
+        memory, matched = associate_step(memory, frame, cfg)
+        assert matched.tolist() == [0, -1]
+        # Two gap frames in a row both repeat the last matched row.
+        again = FrameDetections(t=2, detections=frame.detections)
+        tubes = run_association([seed, frame, again], cfg)
+        for gap in tubes[1].records[1:]:
+            assert gap.det is None
+            assert gap.score == 0.0
+            assert gap.box == box1
+            assert np.array_equal(gap.feature, basis(1, 2))
         assert np.array_equal(memory.vectors[1], basis(1, 2))
         assert tubes[0].records[1].det == 0
 
     def test_dim_mismatch_rejected(self):
         cfg = AssociationConfig(n_q=1, alpha=0.5)
         seed = FrameDetections(t=0, detections=[det(0.9, [1.0, 0.0])])
-        memory, tubes = init_memory(seed, cfg)
+        memory, _ = init_memory(seed, cfg)
         frame = FrameDetections(t=1, detections=[det(0.9, [1.0, 0.0, 0.0])])
         with pytest.raises(ValidationError):
-            associate_step(memory, tubes, frame, cfg)
+            associate_step(memory, frame, cfg)
 
 
 def _random_clip(seed: int, frames: int = 8, per_frame: int = 4, dim: int = 6):
@@ -249,8 +281,8 @@ class TestRunAssociation:
         lo = np.min([d.feature for f in frames for d in f.detections], axis=0)
         hi = np.max([d.feature for f in frames for d in f.detections], axis=0)
         cfg = AssociationConfig(n_q=4, alpha=0.25)
-        memory, tubes = init_memory(frames[0], cfg)
+        memory, _ = init_memory(frames[0], cfg)
         for frame in frames[1:]:
-            memory = associate_step(memory, tubes, frame, cfg)
+            memory, _ = associate_step(memory, frame, cfg)
             assert np.all(memory.vectors >= lo - 1e-12)
             assert np.all(memory.vectors <= hi + 1e-12)

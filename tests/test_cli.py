@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tubekit
-from tubekit.association import Tube, TubeRecord
+from conftest import make_tube
 from tubekit.cli import main
 from tubekit.formats import load_gt, load_predictions, load_tubes, save_candidates, save_gt, save_tubes
 from tubekit.autolabel import CandidateRecord, CandidateTube
@@ -208,6 +208,27 @@ class TestAssociate:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_overflowing_embed_prints_only_the_error(self, tmp_path):
+        # In a fresh process, where numpy's overflow warning would reach
+        # stderr: the refusal must be the one line there.
+        prefix = simulate(tmp_path, "s")
+        path = Path(f"{prefix}.detections.jsonl")
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[2])
+        obj["detections"][0]["embed"] = [1e200] * len(obj["detections"][0]["embed"])
+        lines[2] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        src = str(Path(tubekit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        result = subprocess.run(
+            [sys.executable, "-m", "tubekit.cli", "associate", str(path),
+             "--out", str(tmp_path / "t.json")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2
+        assert result.stderr == (f"error: {path}:3: detection feature must have "
+                                 "a finite, positive norm\n")
+
     def test_cold_start_skips_scipy_optimize(self, tmp_path, capsys):
         prefix = simulate(tmp_path, "s")
         out = tmp_path / "t.json"
@@ -239,12 +260,9 @@ class TestAssociate:
 def write_planted_tubes(tmp_path):
     # Tube 1 sits exactly on the GT box; tube 0 is far away.
     tubes = [
-        Tube(slot_id=0, records=[
-            TubeRecord(t=t, box=OFF, score=1.0, feature=np.array([1.0, 0.0]), det=0)
-            for t in range(6)]),
-        Tube(slot_id=1, records=[
-            TubeRecord(t=t, box=B, score=1.0, feature=np.array([1.0, 0.0]), det=1)
-            for t in range(6)]),
+        make_tube(0, [OFF] * 6, 1.0, features=np.tile([1.0, 0.0], (6, 1))),
+        make_tube(1, [B] * 6, 1.0, det=np.ones(6, dtype=int),
+                  features=np.tile([1.0, 0.0], (6, 1))),
     ]
     tubes_path = tmp_path / "plant.tubes.json"
     gt_path = tmp_path / "plant.gt.json"

@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_smooth_tube
-from tubekit.association import Tube, TubeRecord
+from conftest import make_smooth_tube, make_tube
 from tubekit.consistency import (GradCheckReport, Gradients, LossWeights,
                                  MinedTube, _feature_loss_raw,
                                  _local_differences, _pair_cos_cost,
@@ -40,18 +39,16 @@ def fd_feature_gradients(tube: MinedTube, h: float = 1e-6) -> np.ndarray:
 
 
 def fd_box_gradients(tube: MinedTube, h: float = 1e-6) -> np.ndarray:
-    corners = np.array([b.to_list() for b in tube.boxes], dtype=float)
-    out = np.zeros_like(corners)
-    for t in range(corners.shape[0]):
+    base = np.array(tube.boxes, dtype=float)
+    out = np.zeros_like(base)
+    for t in range(base.shape[0]):
         for k in range(4):
-            hi = corners.copy()
+            hi = base.copy()
             hi[t, k] += h
-            lo = corners.copy()
+            lo = base.copy()
             lo[t, k] -= h
-            out[t, k] = (geom_loss(MinedTube(features=tube.features,
-                                             boxes=[Box.from_list(r) for r in hi]))
-                         - geom_loss(MinedTube(features=tube.features,
-                                               boxes=[Box.from_list(r) for r in lo]))) / (2 * h)
+            out[t, k] = (geom_loss(MinedTube(features=tube.features, boxes=hi))
+                         - geom_loss(MinedTube(features=tube.features, boxes=lo))) / (2 * h)
     return out
 
 
@@ -60,7 +57,7 @@ def whole_loss_differences(tube: MinedTube, h: float = 1e-6) -> tuple[np.ndarray
     coordinate at a time, on raw arrays: grad_check's probe before it
     differenced only the pair terms a coordinate enters."""
     f = np.array(tube.features, dtype=float)
-    boxes = corners(tube.boxes)
+    boxes = np.array(tube.boxes, dtype=float)
     out = []
     for x, loss in ((f, _feature_loss_raw), (boxes, corner_temporal_cost)):
         num = np.empty_like(x)
@@ -85,60 +82,57 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 class TestMinedTube:
     def test_needs_two_frames(self):
         with pytest.raises(ValidationError):
-            MinedTube(features=np.ones((1, 4)), boxes=[A])
+            MinedTube(features=np.ones((1, 4)), boxes=corners([A]))
 
     def test_box_count_must_match(self):
         with pytest.raises(ValidationError):
-            MinedTube(features=np.ones((3, 4)), boxes=[A, B])
+            MinedTube(features=np.ones((3, 4)), boxes=corners([A, B]))
 
     def test_zero_norm_row_rejected(self):
         f = np.ones((2, 4))
         f[1] = 0.0
         with pytest.raises(ValidationError):
-            MinedTube(features=f, boxes=[A, B])
+            MinedTube(features=f, boxes=corners([A, B]))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_norm_row_rejected(self):
         f = np.ones((2, 4))
         f[1] = 1e200
         with pytest.raises(ValidationError, match="overflows"):
-            MinedTube(features=f, boxes=[A, B])
+            MinedTube(features=f, boxes=corners([A, B]))
 
     def test_features_read_only(self):
-        mt = MinedTube(features=np.ones((2, 4)), boxes=[A, B])
+        mt = MinedTube(features=np.ones((2, 4)), boxes=corners([A, B]))
         with pytest.raises(ValueError):
             mt.features[0, 0] = 2.0
 
     def test_from_tube_requires_embeddings(self):
-        tube = Tube(slot_id=3, records=[
-            TubeRecord(t=0, box=A, score=1.0, feature=None),
-            TubeRecord(t=1, box=B, score=1.0, feature=None)])
+        tube = make_tube(3, [A, B], 1.0)
         with pytest.raises(ValidationError, match="embeddings"):
             MinedTube.from_tube(tube)
 
     def test_from_tube_stacks_records(self):
-        tube = Tube(slot_id=0, records=[
-            TubeRecord(t=0, box=A, score=1.0, feature=np.array([1.0, 0.0])),
-            TubeRecord(t=1, box=B, score=1.0, feature=np.array([0.0, 1.0]))])
+        tube = make_tube(0, [A, B], 1.0, features=np.eye(2))
         mt = MinedTube.from_tube(tube)
         assert mt.length == 2
         assert np.array_equal(mt.features, np.eye(2))
+        assert np.array_equal(mt.boxes, corners([A, B]))
 
 
 class TestLossValues:
     def test_feature_loss_orthogonal_alternation(self):
         # Pairs (e1, e2) and (e2, e1): each costs 1, mean is exactly 1.
         mt = MinedTube(features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
-                       boxes=[A, A, A])
+                       boxes=corners([A, A, A]))
         assert feature_loss(mt) == 1.0
 
     def test_feature_loss_antipodal(self):
-        mt = MinedTube(features=np.array([[1.0, 1.0], [-1.0, -1.0]]), boxes=[A, A])
+        mt = MinedTube(features=np.array([[1.0, 1.0], [-1.0, -1.0]]), boxes=corners([A, A]))
         assert feature_loss(mt) == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_tube_both_losses_zero(self):
         mt = MinedTube(features=np.tile([1.0, 2.0, 3.0], (4, 1)),
-                       boxes=[A, A, A, A])
+                       boxes=corners([A, A, A, A]))
         assert geom_loss(mt) == 0.0
         assert feature_loss(mt) == pytest.approx(0.0, abs=1e-12)
 
@@ -153,10 +147,8 @@ class TestLossValues:
                 y1 = float(np.clip(y1 + rng.uniform(-0.05, 0.05), 0.0, 0.6))
                 boxes.append(Box(x1, y1, x1 + rng.uniform(0.2, 0.3),
                                  y1 + rng.uniform(0.2, 0.3)))
-            mt = MinedTube(features=np.ones((5, 2)), boxes=boxes)
-            tube = Tube(slot_id=seed, records=[
-                TubeRecord(t=t, box=b, score=0.5, feature=None)
-                for t, b in enumerate(boxes)])
+            mt = MinedTube(features=np.ones((5, 2)), boxes=corners(boxes))
+            tube = make_tube(seed, boxes, 0.5)
             assert geom_loss(mt) == temporal_cost(tube)
 
     def test_loss_ranges(self):
@@ -208,13 +200,13 @@ class TestGradients:
 
     def test_constant_tube_gradients_vanish(self):
         mt = MinedTube(features=np.tile([1.0, 2.0], (5, 1)),
-                       boxes=[A] * 5)
+                       boxes=corners([A] * 5))
         grads = loss_gradients(mt)
         assert np.all(np.abs(grads.d_features) < 1e-12)
         assert np.array_equal(grads.d_boxes, np.zeros((5, 4)))
 
     def test_constant_tube_grad_check(self):
-        mt = MinedTube(features=np.tile([1.0, 2.0], (5, 1)), boxes=[A] * 5)
+        mt = MinedTube(features=np.tile([1.0, 2.0], (5, 1)), boxes=corners([A] * 5))
         report = grad_check(mt)
         assert report.max_abs_analytic < 1e-8
         assert report.max_abs_numeric < 1e-8
@@ -224,7 +216,7 @@ class TestGradients:
         # Pair (0, 1) is the flat-minimum kink, pair (1, 2) is smooth; the
         # kink contributes nothing and the rest still checks out.
         mt = MinedTube(features=np.array([[1.0, 0.2], [0.8, 0.3], [1.1, 0.1]]),
-                       boxes=[A, A, B])
+                       boxes=corners([A, A, B]))
         grads = loss_gradients(mt)
         assert np.array_equal(grads.d_boxes[0], np.zeros(4))
         report = grad_check(mt)
@@ -233,20 +225,20 @@ class TestGradients:
 
     def test_touching_boxes_refused(self):
         touching = Box(A.x2, 0.2, A.x2 + 0.3, 0.5)
-        mt = MinedTube(features=np.ones((2, 2)), boxes=[A, touching])
+        mt = MinedTube(features=np.ones((2, 2)), boxes=corners([A, touching]))
         with pytest.raises(NonSmoothError):
             loss_gradients(mt)
 
     def test_partial_coordinate_tie_refused(self):
         tied = Box(A.x1, 0.25, 0.6, 0.6)  # shares x1 with A, overlaps strictly
-        mt = MinedTube(features=np.ones((2, 2)), boxes=[A, tied])
+        mt = MinedTube(features=np.ones((2, 2)), boxes=corners([A, tied]))
         with pytest.raises(NonSmoothError):
             loss_gradients(mt)
 
     def test_losses_still_defined_at_kinks(self):
         # Only the gradient refuses; the loss itself is fine everywhere.
         touching = Box(A.x2, 0.2, A.x2 + 0.3, 0.5)
-        mt = MinedTube(features=np.ones((2, 2)), boxes=[A, touching])
+        mt = MinedTube(features=np.ones((2, 2)), boxes=corners([A, touching]))
         assert geom_loss(mt) > 0.0
 
     def test_grad_check_report_shape(self):
@@ -262,7 +254,7 @@ class TestGradients:
             mt = make_smooth_tube(seed, length=int(2 + seed % 6), dim=6)
             num_f, num_b = whole_loss_differences(mt)
             local_f = _local_differences(mt.features, _pair_cos_cost, 1e-6)
-            local_b = _local_differences(corners(mt.boxes),
+            local_b = _local_differences(mt.boxes,
                                          lambda a, b: 1.0 - giou_pairs(a, b), 1e-6)
             assert np.max(np.abs(local_f - num_f)) < 1e-8
             assert np.max(np.abs(local_b - num_b)) < 1e-8
@@ -271,8 +263,8 @@ class TestGradients:
         # Boxes 3 and 4 have y2 values 2.9e-7 apart, less than the step: a
         # central difference of either y2 straddles the min/max switch.
         mt = make_smooth_tube(7, length=8, dim=4)
-        boxes = list(mt.boxes)
-        boxes[4] = Box(boxes[4].x1, boxes[4].y1, boxes[4].x2, boxes[3].y2 + 2.9e-7)
+        boxes = np.array(mt.boxes)
+        boxes[4, 3] = boxes[3, 3] + 2.9e-7
         near = MinedTube(features=mt.features, boxes=boxes)
         report = grad_check(near)
         assert report.skipped_kink_coords == 2
@@ -283,7 +275,7 @@ class TestGradients:
         # boxes sits within a step of the empty-intersection kink.
         near = Box(A.x2 - 5e-7, 0.25, A.x2 + 0.3, 0.55)
         mt = MinedTube(features=np.array([[1.0, 0.2], [0.8, 0.3], [1.1, 0.1]]),
-                       boxes=[B, A, near])
+                       boxes=corners([B, A, near]))
         report = grad_check(mt)
         assert report.skipped_kink_coords == 2 * 4
         assert report.max_rel_error < 1e-4

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tubekit.association import Detection, FrameDetections, Tube, TubeRecord
+from conftest import make_tube
+from tubekit.association import Detection, FrameDetections
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.errors import FormatError
 from tubekit.formats import (f9, load_candidates, load_detections, load_gt,
@@ -73,10 +74,13 @@ def tube_files(draw):
     tubes = []
     for slot in range(draw(st.integers(1, 3))):
         ts = sorted(draw(st.sets(st.integers(0, 20), max_size=4)))
-        tubes.append(Tube(slot_id=slot, records=[
-            TubeRecord(t, draw(boxes()), draw(scores),
-                       draw(vectors(dim)) if embeds else None,
-                       draw(st.none() | st.integers(0, 9))) for t in ts]))
+        rows = [(draw(boxes()), draw(scores), draw(vectors(dim)) if embeds else None,
+                 draw(st.none() | st.integers(0, 9))) for _ in ts]
+        box_col, score_col, feature_col, det_col = zip(*rows) if rows else ([],) * 4
+        tubes.append(make_tube(
+            slot, list(box_col), list(score_col), t=ts,
+            det=[-1 if d is None else d for d in det_col],
+            features=np.array(feature_col).reshape(len(ts), dim) if embeds else None))
     return draw(video_ids), tubes, embeds
 
 

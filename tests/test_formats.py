@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tubekit.association import Detection, FrameDetections, Tube, TubeRecord
+from conftest import make_tube
+from tubekit.association import Detection, FrameDetections
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.errors import FormatError, ValidationError
 from tubekit.formats import (_f9_rows, f9, load_candidates, load_detections, load_gt,
@@ -92,6 +93,16 @@ class TestF9Rows:
 
     def test_empty(self):
         assert _f9_rows([]) == []
+
+    def test_two_dimensional_input_keeps_rows(self):
+        rng = np.random.default_rng(62)
+        arrays = [rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-12, 8, size=(n, 4))
+                  for n in (3, 0, 5)] + [np.array([[-0.0, math.inf, 1 / 3, 2.675]])]
+        got = _f9_rows(arrays)
+        assert [len(g) for g in got] == [len(a) for a in arrays]
+        for g, a in zip(got, arrays):
+            for grow, arow in zip(g, a):
+                self._same(grow, [f9(x) for x in arow])
 
 
 class TestDetections:
@@ -310,11 +321,9 @@ class TestGt:
 
 class TestTubes:
     def _tubes(self, with_features: bool = True):
-        feat = np.array([1.0, 2.0]) if with_features else None
-        return [Tube(slot_id=s, records=[
-            TubeRecord(t=t, box=BOX, score=0.5, feature=feat,
-                       det=t if t % 2 == 0 else None)
-            for t in range(3)]) for s in range(2)]
+        feat = np.tile([1.0, 2.0], (3, 1)) if with_features else None
+        return [make_tube(s, [BOX] * 3, 0.5, det=[0, -1, 2], features=feat)
+                for s in range(2)]
 
     def test_round_trip_without_embeds(self, tmp_path):
         path = str(tmp_path / "clip.tubes.json")
@@ -352,6 +361,32 @@ class TestTubes:
         _, tubes = load_tubes(str(p1))
         save_tubes(str(p2), "vid", tubes, include_embeds=True)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+    def test_golden_clamp_and_negative_zero_round_trip(self, tmp_path):
+        # An out-of-range coordinate is clamped once, -0.0 keeps its sign, and
+        # load, save, load, save gives the pinned bytes below.
+        doc = {"video_id": "g", "n_q": 2, "tubes": [
+            {"slot_id": 0, "records": [
+                {"t": 0, "box": [-0.0, 0.25, 1.5, 0.75], "score": 0.5, "det": 0,
+                 "embed": [1.0, -0.0]},
+                {"t": 2, "box": [-0.25, -0.0, 0.5, 1e-12], "score": 0.0, "det": None,
+                 "embed": [1.0, -0.0]}]},
+            {"slot_id": 4, "records": [
+                {"t": 1, "box": [0.1, 0.2, 0.30000000000000004, 2], "score": 1, "det": 3,
+                 "embed": [-2.5e-7, 3]}]}]}
+        golden = (
+            '{"video_id":"g","n_q":2,"tubes":[{"slot_id":0,"records":['
+            '{"t":0,"box":[-0.0,0.25,1.0,0.75],"score":0.5,"det":0,"embed":[1.0,-0.0]},'
+            '{"t":2,"box":[0.0,-0.0,0.5,1e-12],"score":0.0,"det":null,"embed":[1.0,-0.0]}]},'
+            '{"slot_id":4,"records":['
+            '{"t":1,"box":[0.1,0.2,0.3,1.0],"score":1.0,"det":3,"embed":[-2.5e-07,3.0]}]}]}\n')
+        src, once, twice = (tmp_path / n for n in ("in.json", "a.json", "b.json"))
+        src.write_text(json.dumps(doc))
+        save_tubes(str(once), *load_tubes(str(src)), include_embeds=True)
+        save_tubes(str(twice), *load_tubes(str(once)), include_embeds=True)
+        assert once.read_text() == golden
+        assert twice.read_text() == golden
 
 
 class TestPredictions:
@@ -434,8 +469,7 @@ class TestReports:
         assert not path.exists()
 
     def test_non_finite_tube_score_refused(self, tmp_path):
-        tubes = [Tube(slot_id=0, records=[
-            TubeRecord(t=0, box=BOX, score=float("nan"), feature=None, det=0)])]
+        tubes = [make_tube(0, [BOX], float("nan"))]
         with pytest.raises(ValidationError, match="non-finite"):
             save_tubes(str(tmp_path / "t.json"), "vid", tubes)
 
@@ -455,9 +489,8 @@ def _doc_cases():
     def rewrite_gt(src, dst):
         save_gt(dst, *load_gt(src))
 
-    tubes = [Tube(slot_id=3, records=[
-        TubeRecord(t=0, box=BOX3, score=THIRD, feature=np.array([THIRD, 2.0]), det=1),
-        TubeRecord(t=1, box=BOX3, score=0.0, feature=np.array([THIRD, 2.0]), det=None)])]
+    tubes = [make_tube(3, [BOX3] * 2, [THIRD, 0.0], det=[1, -1],
+                       features=np.tile([THIRD, 2.0], (2, 1)))]
 
     def write_tubes(p, embeds):
         save_tubes(p, "vid", tubes, include_embeds=embeds)

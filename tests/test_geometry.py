@@ -1,10 +1,14 @@
 """Box geometry: construction, conversions, IoU and generalized IoU."""
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubekit.errors import ValidationError
-from tubekit.geometry import (Box, CenterSizeBox, enclosing_area, giou,
-                              intersection_area, iou, to_center_size,
+from tubekit.geometry import (Box, CenterSizeBox, corner_rows, enclosing_area,
+                              giou, intersection_area, iou, to_center_size,
                               to_corner, union_area)
 
 
@@ -153,3 +157,54 @@ class TestPairProperties:
         b = Box(0.3, 0.2, 0.7, 0.6)
         assert enclosing_area(a, b) == pytest.approx(union_area(a, b), abs=1e-15)
         assert giou(a, b) == iou(a, b)
+
+
+# Coordinates in range, out of range, at the edges, -0.0, NaN and +-inf.
+_coords = st.one_of(
+    st.floats(0.0, 1.0), st.floats(-2.0, 3.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1e-300, 1.0 + 2e-16, float("nan"),
+                     float("inf"), float("-inf")]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _box_tuples(draw):
+    c = [draw(_coords) for _ in range(4)]
+    tie = draw(st.sampled_from(["none", "x", "y"]))   # touching edges, zero area
+    if tie == "x":
+        c[2] = c[0]
+    elif tie == "y":
+        c[3] = c[1]
+    return tuple(c)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(_box_tuples(), min_size=1, max_size=5))
+def test_corner_rows_follows_box(rows):
+    """corner_rows refuses exactly the rows Box refuses, with Box's message
+    for the first of them, and otherwise clamps to Box's bits."""
+    want = []
+    for r in rows:
+        try:
+            want.append(Box(*r).to_list())
+        except ValidationError as e:
+            want.append(str(e))
+    refused = [w for w in want if isinstance(w, str)]
+    if refused:
+        with pytest.raises(ValidationError) as err:
+            corner_rows(rows)
+        assert str(err.value) == refused[0]
+    else:
+        assert corner_rows(rows).tobytes() == np.array(want).tobytes()
+    for r, w in zip(rows, want):
+        if isinstance(w, str):
+            with pytest.raises(ValidationError, match="^" + re.escape(w) + "$"):
+                corner_rows([r])
+        else:
+            assert corner_rows([r]).tobytes() == np.array([w]).tobytes()
+
+
+def test_corner_rows_shape():
+    assert corner_rows(np.empty((0, 4))).shape == (0, 4)
+    with pytest.raises(ValidationError, match="box rows must be an"):
+        corner_rows([0.1, 0.1, 0.5, 0.5])

@@ -1,8 +1,9 @@
-"""The array GIoU kernel against scalar oracles, bit for bit.
+"""The array IoU and GIoU kernels against scalar oracles, bit for bit.
 
-`giou_pairs` is compared with the scalar `geometry.giou`.  Mining costs,
-the geometry loss and the loss gradients are compared with the per-pair
-Python loops they replaced, copied below unchanged as oracles.  Every
+`giou_pairs` and `iou_pairs` are compared with the scalar `geometry.giou`
+and `geometry.iou`.  Mining costs, the geometry loss, the loss gradients,
+v_iou and the drift profile are compared with the per-frame Python loops
+they replaced, copied below unchanged as oracles.  Every
 comparison is `==` on floats or on `tobytes()`, never approximate: the array
 code performs the same IEEE operations in the same order.
 """
@@ -14,7 +15,8 @@ import pytest
 from tubekit.association import AssociationConfig, Tube, run_association
 from tubekit.consistency import MinedTube, geom_loss, loss_gradients
 from tubekit.errors import NonSmoothError
-from tubekit.geometry import Box, corners, giou, giou_pairs, sum_in_order
+from tubekit.geometry import Box, corners, giou, giou_pairs, iou, iou_pairs, sum_in_order
+from tubekit.metrics import Prediction, drift_profile, split_fifths, v_iou
 from tubekit.mining import (CostWeights, GtTube, match_cost, mine_best_tube,
                             temporal_cost)
 from tubekit.scenes import SceneConfig, generate_scene
@@ -51,6 +53,23 @@ def oracle_match_cost(tube: Tube, gt: GtTube, w: CostWeights) -> tuple:
     c_temp = oracle_temporal_cost([r.box for r in tube.records])
     total = w.w_cls * c_cls + w.w_bbox * c_bbox + w.w_giou * c_giou + w.w_temp * c_temp
     return c_cls, c_bbox, c_giou, c_temp, total
+
+
+def oracle_v_iou(pred: Prediction, gt: GtTube) -> float:
+    s_i = range(max(pred.ts, gt.ts), min(pred.te, gt.te) + 1)
+    s_u = (pred.te - pred.ts + 1) + (gt.te - gt.ts + 1) - len(s_i)
+    acc = 0.0
+    for t in s_i:
+        acc += iou(pred.boxes[t], gt.boxes[t])
+    return acc / s_u
+
+
+def oracle_drift_profile(pred: Prediction, gt: GtTube) -> list[float]:
+    profile = []
+    for ps, pe in split_fifths(gt.ts, gt.te):
+        vals = [iou(pred.boxes[t], gt.boxes[t]) for t in range(ps, pe + 1)]
+        profile.append(float(np.mean(vals)))
+    return profile
 
 
 def _oracle_check_pair_smooth(a, b, t):
@@ -100,7 +119,7 @@ def oracle_loss_gradients(tube: MinedTube) -> tuple[np.ndarray, np.ndarray]:
         cos = float(np.dot(u, v)) / (nu * nv)
         d_features[t] -= scale * (v / (nu * nv) - cos * u / (nu * nu))
         d_features[t + 1] -= scale * (u / (nu * nv) - cos * v / (nv * nv))
-    boxes = np.array([b.to_list() for b in tube.boxes], dtype=float)
+    boxes = np.array(tube.boxes, dtype=float)
     d_boxes = np.zeros((n, 4), dtype=float)
     for t in range(n - 1):
         a, b = boxes[t], boxes[t + 1]
@@ -173,6 +192,25 @@ class TestGiouPairs:
         want = np.array([giou(p, q) for p, q in zip(a, b)])
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name, a, b", EDGE_PAIRS, ids=[p[0] for p in EDGE_PAIRS])
+    def test_iou_edge_cases_equal_scalar_bitwise(self, name, a, b):
+        got = iou_pairs(corners([a, b]), corners([b, a]))
+        assert _bits(got[0]) == _bits(iou(a, b))
+        assert _bits(got[1]) == _bits(iou(b, a))
+
+    def test_iou_seeded_batch_equals_scalar_bitwise(self):
+        rng = np.random.default_rng(2020)
+        lo = rng.uniform(-0.1, 0.9, size=(20000, 2))
+        ext = rng.uniform(0.1 + 1e-6, 0.6, size=(20000, 2))
+        boxes = [Box(x, y, x + w, y + h) for (x, y), (w, h) in zip(lo, ext)]
+        grid = np.round(rng.uniform(0.0, 0.9, size=(2000, 2)), 1)
+        ext = np.round(rng.uniform(0.1, 0.5, size=(2000, 2)), 1)
+        boxes += [Box(x, y, x + w, y + h) for (x, y), (w, h) in zip(grid, ext)]
+        a, b = boxes[0::2], boxes[1::2]
+        want = np.array([iou(p, q) for p, q in zip(a, b)])
+        assert iou_pairs(corners(a), corners(b)).tobytes() == want.tobytes()
+        assert (want == 0.0).any() and (want == 1.0).any()
+
     def test_corners_keep_field_order(self):
         c = corners([Box(0.1, 0.2, 0.3, 0.4)])
         assert c.shape == (1, 4) and c.tolist() == [[0.1, 0.2, 0.3, 0.4]]
@@ -227,8 +265,20 @@ class TestCallersEqualOracles:
         tubes, _ = _scene_tubes(seed)
         for tube in tubes:
             mined = MinedTube.from_tube(tube)
-            assert geom_loss(mined) == oracle_temporal_cost(mined.boxes)
+            assert geom_loss(mined) == oracle_temporal_cost([Box(*r) for r in mined.boxes.tolist()])
             assert _outcome(_grad_bytes, mined) == _outcome(_oracle_grad_bytes, mined)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_v_iou_and_drift_profile(self, seed):
+        tubes, gt = _scene_tubes(seed)
+        intervals = [(gt.ts, gt.te), (0, 39), (gt.ts + 3, gt.te - 2),
+                     (gt.te - 4, 39), (0, gt.ts)]
+        for tube in tubes:
+            for ts, te in intervals:
+                pred = Prediction.from_tube(tube, ts=ts, te=te)
+                assert _bits(v_iou(pred, gt)) == _bits(oracle_v_iou(pred, gt))
+                assert (np.array(drift_profile(pred, gt)).tobytes()
+                        == np.array(oracle_drift_profile(pred, gt)).tobytes())
 
     def test_scenes_reach_every_gradient_case(self):
         """The seeded scenes above cover smooth tubes, zero-gradient
@@ -242,7 +292,7 @@ class TestCallersEqualOracles:
                 if isinstance(out, str):
                     seen.add(re.sub(r".* frames \d+ and \d+ ", "", out))
                 else:
-                    c = corners(mined.boxes)
+                    c = mined.boxes
                     seen.add("smooth")
                     if (c[1:] == c[:-1]).all(axis=1).any():
                         seen.add("identical pairs")
@@ -259,7 +309,7 @@ class TestCallersEqualOracles:
         # Pairs: identical (skipped), smooth, the kink under test, and a later
         # kink that must not be the one reported.
         boxes = [a, a, b, third, Box(0.9, 0.9, 1.0, 1.0)]
-        mined = MinedTube(features=np.ones((5, 3)) + np.eye(5, 3), boxes=boxes)
+        mined = MinedTube(features=np.ones((5, 3)) + np.eye(5, 3), boxes=corners(boxes))
         with pytest.raises(NonSmoothError) as err:
             loss_gradients(mined)
         assert str(err.value) == _outcome(_oracle_grad_bytes, mined)[len("NonSmoothError: "):]
@@ -267,7 +317,7 @@ class TestCallersEqualOracles:
 
     def test_constant_tube_zero_box_gradient(self):
         box = Box(0.1, 0.2, 0.4, 0.6)
-        mined = MinedTube(features=np.eye(4), boxes=[box] * 4)
+        mined = MinedTube(features=np.eye(4), boxes=corners([box] * 4))
         g = loss_gradients(mined)
         assert g.d_boxes.tobytes() == np.zeros((4, 4)).tobytes()
         assert _grad_bytes(mined) == _oracle_grad_bytes(mined)

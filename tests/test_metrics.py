@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from tubekit.association import Tube, TubeRecord
+from conftest import make_tube
+from tubekit.association import Tube
 from tubekit.errors import ValidationError
 from tubekit.geometry import Box
 from tubekit.metrics import (EvalReport, Prediction, drift_profile, evaluate,
@@ -15,9 +16,7 @@ HALF = Box(0.3, 0.3, 0.45, 0.6)  # left half of B
 
 
 def tube(scores: list[float], slot: int = 0) -> Tube:
-    return Tube(slot_id=slot, records=[
-        TubeRecord(t=t, box=B, score=s, feature=None)
-        for t, s in enumerate(scores)])
+    return make_tube(slot, [B] * len(scores), scores)
 
 
 def pred(ts: int, te: int, boxes: dict[int, Box]) -> Prediction:

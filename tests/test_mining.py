@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from tubekit.association import Tube, TubeRecord
+from conftest import make_tube
+from tubekit.association import Tube
 from tubekit.errors import ValidationError
 from tubekit.geometry import Box
 from tubekit.mining import (CostBreakdown, CostWeights, GtTube, center_size_l1,
@@ -13,9 +14,8 @@ B_SHIFT = Box(0.3, 0.2, 0.5, 0.4)  # same box moved +0.1 along x
 
 
 def tube(records: list[tuple[int, Box, float]], slot: int = 0) -> Tube:
-    return Tube(slot_id=slot, records=[
-        TubeRecord(t=t, box=box, score=score, feature=None)
-        for t, box, score in records])
+    ts, boxes, scores = zip(*records)
+    return make_tube(slot, list(boxes), list(scores), t=list(ts))
 
 
 class TestGtTube:

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from tubekit.association import (AssociationConfig, Tube, TubeRecord,
-                                 run_association)
+from conftest import make_tube
+from tubekit.association import AssociationConfig, run_association
 from tubekit.errors import ValidationError
 from tubekit.geometry import Box
 from tubekit.metrics import select_tube
@@ -137,44 +137,35 @@ class TestIdentitySwitchRate:
     def test_hand_built_single_switch(self):
         # Ten records, one identity change: 1 differing pair out of 9.
         box = self._boxes()
-        recs = [TubeRecord(t=t, box=box, score=1.0, feature=None, det=0)
-                for t in range(10)]
         identities = [[0]] * 6 + [[1]] * 4
-        tube = Tube(slot_id=0, records=recs)
+        tube = make_tube(0, [box] * 10, 1.0)
         scene = self._scene_with_identities(identities)
         assert identity_switch_rate([tube], scene) == [pytest.approx(1.0 / 9.0)]
 
     def test_gap_records_inherit_identity(self):
         box = self._boxes()
-        recs = [
-            TubeRecord(t=0, box=box, score=1.0, feature=None, det=0),
-            TubeRecord(t=1, box=box, score=0.0, feature=None, det=None),
-            TubeRecord(t=2, box=box, score=1.0, feature=None, det=0),
-        ]
+        tube = make_tube(0, [box] * 3, [1.0, 0.0, 1.0], det=[0, -1, 0])
         identities = [[0], [5], [0]]
         scene = self._scene_with_identities(identities)
-        assert identity_switch_rate([Tube(slot_id=0, records=recs)], scene) == [0.0]
+        assert identity_switch_rate([tube], scene) == [0.0]
 
     def test_leading_gap_rejected(self):
         box = self._boxes()
-        recs = [TubeRecord(t=0, box=box, score=0.0, feature=None, det=None),
-                TubeRecord(t=1, box=box, score=1.0, feature=None, det=0)]
+        tube = make_tube(0, [box] * 2, [0.0, 1.0], det=[-1, 0])
         scene = self._scene_with_identities([[0], [0]])
         with pytest.raises(ValidationError):
-            identity_switch_rate([Tube(slot_id=0, records=recs)], scene)
+            identity_switch_rate([tube], scene)
 
     def test_out_of_range_detection_rejected(self):
         box = self._boxes()
-        recs = [TubeRecord(t=0, box=box, score=1.0, feature=None, det=0),
-                TubeRecord(t=1, box=box, score=1.0, feature=None, det=7)]
+        tube = make_tube(0, [box] * 2, 1.0, det=[0, 7])
         scene = self._scene_with_identities([[0], [0]])
         with pytest.raises(ValidationError):
-            identity_switch_rate([Tube(slot_id=0, records=recs)], scene)
+            identity_switch_rate([tube], scene)
 
     def test_single_record_rejected(self):
         box = self._boxes()
-        tube = Tube(slot_id=0, records=[
-            TubeRecord(t=0, box=box, score=1.0, feature=None, det=0)])
+        tube = make_tube(0, [box], 1.0)
         scene = self._scene_with_identities([[0], [0]])
         with pytest.raises(ValidationError):
             identity_switch_rate([tube], scene)
