@@ -31,7 +31,7 @@ def main():
                       distractor_rate=1.0)
     scene = generate_scene(cfg)
     print(f"scene: {cfg.frames} frames, {cfg.objects} objects, "
-          f"{sum(len(f.detections) for f in scene.frames)} detections total")
+          f"{sum(len(f.scores) for f in scene.frames)} detections total")
 
     tubes = run_association(scene.frames, AssociationConfig(n_q=4, alpha=0.1))
     print(f"associated {len(tubes)} tubes, each spanning the full clip")

@@ -269,12 +269,13 @@ def assignment_total(cost, pairs: list[tuple[int, int]]) -> float:
 
 def norms_finite_positive(vectors: np.ndarray) -> bool:
     """Whether a vector, or every row of a 2-D stack, has a finite, positive
-    norm.  A norm that overflows counts as not finite, without numpy's
-    overflow warning: the caller's refusal is the one report."""
+    norm, so only finite elements.  A norm that overflows counts as not
+    finite, without numpy's overflow warning: the caller's refusal is the
+    one report.  The norm squares before its root, so a nonzero vector whose
+    squared norm underflows, such as [1e-200, 1e-200], counts as zero and is
+    refused: each cosine in tubekit divides by this norm."""
     with np.errstate(over="ignore"):
-        if vectors.ndim == 1:
-            return bool(0.0 < np.linalg.norm(vectors) < np.inf)
-        norms = np.linalg.norm(vectors, axis=1)
+        norms = np.linalg.norm(np.atleast_2d(vectors), axis=1)
     return bool(np.all((0.0 < norms) & (norms < np.inf)))
 
 

@@ -1,6 +1,8 @@
 """Memory-based association of per-frame detections into tubes.
 
-One reference memory vector per tube slot.  Each frame, the top detections by
+A frame's detections are read-only columns (FrameDetections): boxes,
+scores and features, one row per detection, validated once per frame.  One
+reference memory vector per tube slot.  Each frame, the top detections by
 confidence are matched to slots by cosine similarity (Hungarian), and matched
 slots blend the matched feature into their memory with a constant EMA
 factor.  A Tube holds its slot's track as per-frame columns: frame index,
@@ -17,41 +19,60 @@ import numpy as np
 
 from .assignment import cosine_similarity_matrix, norms_finite_positive, solve_assignment
 from .errors import ValidationError
-from .geometry import Box, corner_rows, corners
+from .geometry import Box, corner_rows
 
 
 @dataclass(frozen=True)
 class Detection:
+    """One detection, as FrameDetections.detections lists it."""
+
     box: Box
     score: float
     feature: np.ndarray
 
-    def __post_init__(self):
-        if not (0.0 <= self.score <= 1.0):
-            raise ValidationError(f"detection score must lie in [0, 1], got {self.score}")
-        f = np.asarray(self.feature, dtype=float)
-        if f.ndim != 1 or not np.all(np.isfinite(f)):
-            raise ValidationError("detection feature must be a finite 1-D vector")
-        if not norms_finite_positive(f):
-            raise ValidationError("detection feature must have a finite, positive norm")
-        object.__setattr__(self, "feature", f)
-
 
 @dataclass(frozen=True)
 class FrameDetections:
+    """One frame's N >= 1 detections, as read-only columns.
+
+    boxes (N, 4) corners, each row a box by Box's rule; scores (N,) in
+    [0, 1]; features (N, D), every row with a finite, positive norm (see
+    norms_finite_positive), and so finite.
+    """
+
     t: int
-    detections: list[Detection]
+    boxes: np.ndarray
+    scores: np.ndarray
+    features: np.ndarray
 
     def __post_init__(self):
-        if not self.detections:
+        scores = np.array(self.scores, dtype=float)
+        if not scores.size:
             raise ValidationError(f"frame {self.t} has no detections")
-        dims = {d.feature.shape[0] for d in self.detections}
-        if len(dims) != 1:
-            raise ValidationError(f"frame {self.t} mixes feature dims {sorted(dims)}")
+        try:
+            features = np.array(self.features, dtype=float)
+        except ValueError as e:   # ragged rows
+            raise ValidationError(f"frame {self.t}: features must be rows of one length") from e
+        boxes = corner_rows(self.boxes)
+        if scores.shape != boxes.shape[:1] or features.ndim != 2 or len(features) != len(boxes):
+            raise ValidationError(f"frame {self.t}: boxes, scores and features must hold one row "
+                                  f"per detection, got {boxes.shape}, {scores.shape} and "
+                                  f"{features.shape}")
+        in_range = (0.0 <= scores) & (scores <= 1.0)
+        if not in_range.all():
+            raise ValidationError(f"detection score must lie in [0, 1], "
+                                  f"got {scores[np.argmin(in_range)]}")
+        if not norms_finite_positive(features):
+            raise ValidationError("detection feature must have a finite, positive norm")
+        for name, c in (("boxes", boxes), ("scores", scores), ("features", features)):
+            c.setflags(write=False)
+            object.__setattr__(self, name, c)
 
     @property
-    def feature_dim(self) -> int:
-        return self.detections[0].feature.shape[0]
+    def detections(self) -> list[Detection]:
+        """The frame detection by detection, built anew on each access."""
+        return [Detection(Box(*box), score, feature) for box, score, feature in zip(
+            self.boxes.tolist(), self.scores.tolist(), self.features)]
 
 
 @dataclass(frozen=True)
@@ -132,10 +153,9 @@ class TubeMemory:
         v = np.array(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValidationError(f"memory must be a non-empty (n_q, d) array, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("memory contains non-finite values")
         if not norms_finite_positive(v):
-            raise ValidationError("memory contains a slot vector whose norm is zero or overflows")
+            raise ValidationError("memory contains a slot vector that is not finite, "
+                                  "or whose norm is zero or overflows")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 
@@ -156,12 +176,10 @@ class AssociationConfig:
             raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
 
 
-def top_by_confidence(frame: FrameDetections, k: int) -> list[int]:
+def top_by_confidence(frame: FrameDetections, k: int) -> np.ndarray:
     """Indices of the k highest-confidence detections; score ties keep the
     lower detection index first."""
-    order = sorted(range(len(frame.detections)),
-                   key=lambda i: (-frame.detections[i].score, i))
-    return order[:k]
+    return np.argsort(-frame.scores, kind="stable")[:k]
 
 
 def init_memory(frame: FrameDetections, cfg: AssociationConfig) -> tuple[TubeMemory, np.ndarray]:
@@ -173,8 +191,8 @@ def init_memory(frame: FrameDetections, cfg: AssociationConfig) -> tuple[TubeMem
     stays fixed for the whole clip.
     """
     order = top_by_confidence(frame, cfg.n_q)
-    det = np.array([order[slot % len(order)] for slot in range(cfg.n_q)])
-    return TubeMemory(np.stack([frame.detections[i].feature for i in det])), det
+    det = order[np.arange(cfg.n_q) % len(order)]
+    return TubeMemory(frame.features[det]), det
 
 
 def associate_step(memory: TubeMemory, frame: FrameDetections,
@@ -184,16 +202,14 @@ def associate_step(memory: TubeMemory, frame: FrameDetections,
     Returns the updated memory and the (n_q,) detection index each slot
     matched, -1 where it matched none.  Matched slots blend the matched
     detection's feature in with factor alpha; unmatched slots keep theirs.
+    A frame whose feature dim is not the memory's is refused.
     """
-    if frame.feature_dim != memory.vectors.shape[1]:
-        raise ValidationError(
-            f"frame feature dim {frame.feature_dim} does not match memory dim {memory.vectors.shape[1]}")
     chosen = top_by_confidence(frame, cfg.n_q)
-    feats = np.stack([frame.detections[i].feature for i in chosen])
+    feats = frame.features[chosen]
     pairs = solve_assignment(-cosine_similarity_matrix(memory.vectors, feats))
     slots, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
     det = np.full(memory.n_q, -1)
-    det[slots] = np.array(chosen)[cols]
+    det[slots] = chosen[cols]
     vectors = memory.vectors.copy()
     vectors[slots] = (1.0 - cfg.alpha) * vectors[slots] + cfg.alpha * feats[cols]
     return TubeMemory(vectors), det
@@ -218,11 +234,10 @@ def run_association(frames: list[FrameDetections], cfg: AssociationConfig | None
     # matched at `last`, its latest match up to frame k; src indexes that
     # detection among all of the clip's.
     last = np.maximum.accumulate(np.where(det >= 0, np.arange(len(frames))[:, None], 0))
-    first = np.cumsum([0] + [len(f.detections) for f in frames[:-1]])
+    first = np.cumsum([0] + [len(f.scores) for f in frames[:-1]])
     src = first[last] + np.take_along_axis(det, last, axis=0)
-    dets = [d for f in frames for d in f.detections]
-    boxes = corners([d.box for d in dets])[src]
-    scores = np.where(det >= 0, np.array([d.score for d in dets])[src], 0.0)
-    features = np.stack([d.feature for d in dets])[src]
+    boxes = np.concatenate([f.boxes for f in frames])[src]
+    scores = np.where(det >= 0, np.concatenate([f.scores for f in frames])[src], 0.0)
+    features = np.concatenate([f.features for f in frames])[src]
     return [Tube(slot, ts, boxes[:, slot], scores[:, slot], det[:, slot], features[:, slot])
             for slot in range(cfg.n_q)]

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .association import Detection, FrameDetections, Tube
+from .association import FrameDetections, Tube
 from .autolabel import CandidateRecord, CandidateTube
 from .errors import FormatError, ValidationError
 from .geometry import Box
@@ -149,20 +149,9 @@ def _box_from(arr, path: str, line: int | None = None) -> Box:
         raise FormatError(f"bad box {arr!r}: {e}", path=path, line=line) from e
 
 
-def _vector_field(obj: dict, key: str, path: str, line: int | None = None) -> np.ndarray:
-    """A float vector from an array of JSON numbers, the rule of _float_field."""
-    value = _require(obj, key, path, line)
-    if type(value) is list and _NUMBER.issuperset(map(type, value)):
-        try:
-            return np.asarray(value, dtype=float)
-        except OverflowError:
-            pass
-    raise FormatError(f"'{key}' must be an array of numbers", path=path, line=line)
-
-
-def _read_text(path: str) -> str:
+def _open(path: str):
     try:
-        return Path(path).read_text()
+        return open(path)
     except OSError as e:
         raise FormatError(f"cannot read file: {e}", path=path) from e
 
@@ -178,13 +167,18 @@ def _parse_json_doc(text: str, path: str) -> dict:
 
 
 def _load_json_doc(path: str) -> dict:
-    return _parse_json_doc(_read_text(path), path)
+    with _open(path) as fh:
+        return _parse_json_doc(fh.read(), path)
 
 
-def _iter_jsonl(path: str, lines: list[str] | None = None, start: int = 1):
-    """(line number, object) for each non-blank line, numbered from start."""
+def _iter_jsonl(path: str, lines=None, start: int = 1):
+    """(line number, object) for each non-blank line of `lines`, numbered
+    from start; without `lines`, of the file, read one line at a time so
+    that a large file is never held whole."""
     if lines is None:
-        lines = _read_text(path).splitlines()
+        with _open(path) as fh:
+            yield from _iter_jsonl(path, fh, start)
+        return
     for lineno, line in enumerate(lines, start=start):
         if not line.strip():
             continue
@@ -230,17 +224,16 @@ def save_detections(path: str, video_id: str, fps: float,
         raise ValidationError("refusing to write an empty detections file")
     header = {"video_id": video_id, "fps": f9(fps),
               "frame_count": len(frames),
-              "feature_dim": frames[0].feature_dim}
+              "feature_dim": frames[0].features.shape[1]}
     lines = [_encode(path, header)]
-    embeds = iter(_f9_rows([d.feature for fr in frames for d in fr.detections]))
+    boxes = iter(_f9_rows([fr.boxes for fr in frames]))
+    scores = iter(_f9_rows([fr.scores for fr in frames]))
+    embeds = iter(_f9_rows([fr.features for fr in frames]))
     for fr in frames:
         lines.append(_encode(path, {
             "t": fr.t,
-            "detections": [{
-                "box": _f9s(d.box.to_list()),
-                "score": f9(d.score),
-                "embed": next(embeds),
-            } for d in fr.detections],
+            "detections": [{"box": box, "score": score, "embed": embed}
+                           for box, score, embed in zip(next(boxes), next(scores), next(embeds))],
         }))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -263,22 +256,16 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
         if t != len(frames):
             raise FormatError(f"expected frame t={len(frames)}, got t={t}",
                               path=path, line=lineno)
-        dets = []
-        for d in _list_field(obj, "detections", path, lineno):
-            box = _box_from(_require(d, "box", path, lineno), path, lineno)
-            embed = _vector_field(d, "embed", path, lineno)
-            if embed.shape != (meta["feature_dim"],):
-                raise FormatError(
-                    f"embed length {embed.shape} does not match feature_dim "
-                    f"{meta['feature_dim']}", path=path, line=lineno)
-            try:
-                dets.append(Detection(box=box,
-                                      score=_float_field(d, "score", path, lineno),
-                                      feature=embed))
-            except ValidationError as e:
-                raise FormatError(str(e), path=path, line=lineno) from e
+        dets = _list_field(obj, "detections", path, lineno)
+        boxes = _box_rows([_require(d, "box", path, lineno) for d in dets], path, lineno)
+        embeds = _number_rows([_require(d, "embed", path, lineno) for d in dets],
+                              meta["feature_dim"])
+        if embeds is None and dets:   # no dets: FrameDetections refuses the empty frame
+            raise FormatError(f"'embed' must be an array of numbers of length feature_dim "
+                              f"({meta['feature_dim']})", path=path, line=lineno)
+        scores = [_float_field(d, "score", path, lineno) for d in dets]
         try:
-            frames.append(FrameDetections(t=t, detections=dets))
+            frames.append(FrameDetections(t, boxes, scores, embeds))
         except ValidationError as e:
             raise FormatError(str(e), path=path, line=lineno) from e
     if len(frames) != meta["frame_count"]:
@@ -325,7 +312,8 @@ def load_gt_collection(path: str) -> list[tuple[str, GtTube]]:
     own; otherwise it is decoded as one document, so a syntax error is
     reported at its own line either way.
     """
-    text = _read_text(path)
+    with _open(path) as fh:
+        text = fh.read()
     lines = text.splitlines()
     first = next((i for i, line in enumerate(lines) if line.strip()), None)
     if first is None:
@@ -408,16 +396,27 @@ def _det_field(value, path: str) -> int:
     return det
 
 
-def _box_rows(boxes: list, path: str) -> np.ndarray:
+def _number_rows(rows: list, width: int | None = None) -> np.ndarray | None:
+    """(N, W) floats from N >= 1 JSON arrays of W JSON numbers each, W = width
+    when given; None when the rows are not that.  Not float(), which would
+    take "0.5" and true."""
+    if not (all(type(r) is list for r in rows)
+            and _NUMBER.issuperset(map(type, chain.from_iterable(rows)))):
+        return None
+    try:
+        a = np.array(rows, dtype=float)
+    except (ValueError, OverflowError):   # ragged, or an integer beyond the float range
+        return None
+    return a if a.ndim == 2 and width in (None, a.shape[1]) else None
+
+
+def _box_rows(boxes: list, path: str, line: int | None = None) -> np.ndarray:
     """(N, 4) floats from JSON box arrays of four JSON numbers each; past
     the first bad box, _box_from's message names it."""
-    if all(type(b) is list and len(b) == 4 and _NUMBER.issuperset(map(type, b))
-           for b in boxes):
-        try:
-            return np.array(boxes, dtype=float).reshape(-1, 4)
-        except OverflowError:   # an integer beyond the float range
-            pass
-    return np.array([_box_from(arr, path).to_list() for arr in boxes]).reshape(-1, 4)
+    rows = _number_rows(boxes, 4)
+    if rows is None:
+        rows = np.array([_box_from(arr, path, line).to_list() for arr in boxes]).reshape(-1, 4)
+    return rows
 
 
 def _tube_features(slot_id: int, records: list[dict], path: str):
@@ -433,17 +432,10 @@ def _tube_features(slot_id: int, records: list[dict], path: str):
         t = records[embeds.index(None)].get("t")
         raise FormatError(f"tube {slot_id} frame {t}: embed missing, "
                           "but other records of the tube have one", path=path)
-    features = None
-    if (set(map(type, embeds)) == {list}
-            and _NUMBER.issuperset(map(type, chain.from_iterable(embeds)))):
-        try:
-            features = np.array(embeds)
-        except ValueError:
-            pass   # ragged
-    if features is None or features.ndim != 2 or features.dtype.kind not in "iuf":
+    features = _number_rows(embeds)
+    if features is None:
         raise FormatError(f"tube {slot_id}: every embed must be an array of numbers, "
                           "all of one length", path=path)
-    features = features.astype(float, copy=False)
     if not np.isfinite(features).all():
         t = records[int(np.argmin(np.isfinite(features).all(axis=1)))].get("t")
         raise FormatError(f"tube {slot_id} frame {t}: embed must be finite", path=path)
@@ -539,12 +531,15 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
                 box=_box_from(_require(r, "box", path), path),
                 score=_float_field(r, "score", path),
                 interpolated=bool(r.get("interpolated", False))))
+        appearance = _number_rows([_require(c, "appearance", path)])
+        if appearance is None:
+            raise FormatError("'appearance' must be an array of numbers", path=path)
         try:
             out.append(CandidateTube(
                 category=str(_require(c, "category", path)),
                 span=(_as_int(span[0], "span", path), _as_int(span[1], "span", path)),
                 records=records,
-                appearance=_vector_field(c, "appearance", path)))
+                appearance=appearance[0]))
         except ValidationError as e:
             raise FormatError(str(e), path=path) from e
     return video_id, out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import Detection, FrameDetections, Tube
+from .association import FrameDetections, Tube
 from .errors import ValidationError
 from .geometry import Box
 from .mining import GtTube
@@ -80,17 +80,15 @@ def _reflect(x: float, lo: float, hi: float) -> float:
     return x
 
 
-def _sanitize_corners(c: np.ndarray) -> Box:
+def _sanitize_corners(c) -> list[float]:
     x1, y1, x2, y2 = float(c[0]), float(c[1]), float(c[2]), float(c[3])
-    if x1 > x2:
-        x1, x2 = x2, x1
-    if y1 > y2:
-        y1, y2 = y2, y1
+    x1, x2 = min(x1, x2), max(x1, x2)
+    y1, y2 = min(y1, y2), max(y1, y2)
     x1 = min(max(x1, 0.0), 1.0 - _MIN_EXTENT)
     y1 = min(max(y1, 0.0), 1.0 - _MIN_EXTENT)
     x2 = min(max(x2, x1 + _MIN_EXTENT), 1.0)
     y2 = min(max(y2, y1 + _MIN_EXTENT), 1.0)
-    return Box(x1, y1, x2, y2)
+    return [x1, y1, x2, y2]
 
 
 def generate_scene(cfg: SceneConfig) -> LabeledScene:
@@ -99,11 +97,7 @@ def generate_scene(cfg: SceneConfig) -> LabeledScene:
     T, D = cfg.frames, cfg.feature_dim
 
     sizes = rng.uniform(0.12, 0.3, size=(cfg.objects, 2))
-    centers = np.empty((cfg.objects, 2))
-    for i in range(cfg.objects):
-        w, h = sizes[i]
-        centers[i, 0] = rng.uniform(w / 2, 1 - w / 2)
-        centers[i, 1] = rng.uniform(h / 2, 1 - h / 2)
+    centers = rng.uniform(sizes / 2, 1 - sizes / 2)   # drawn x, y per object in turn
     base_feats = rng.normal(0.0, 1.0, size=(cfg.objects, D))
     base_feats /= np.linalg.norm(base_feats, axis=1, keepdims=True)
     base_conf = rng.uniform(0.7, 0.95, size=cfg.objects)
@@ -118,6 +112,7 @@ def generate_scene(cfg: SceneConfig) -> LabeledScene:
         gt_ts, gt_te = 0, T - 1
 
     drift = np.zeros((cfg.objects, D))
+    noise_scales = [cfg.detection_noise] * 4 + [cfg.confidence_noise]
     frames: list[FrameDetections] = []
     identities: list[list[int]] = []
     gt_boxes: dict[int, Box] = {}
@@ -133,21 +128,16 @@ def generate_scene(cfg: SceneConfig) -> LabeledScene:
                 centers[i, 1] = _reflect(centers[i, 1] + steps[i, 1], h / 2, 1 - h / 2)
             drift += drift_steps
 
-        dets: list[Detection] = []
-        ids: list[int] = []
-        for i in range(cfg.objects):
-            w, h = sizes[i]
-            true_corners = np.array([centers[i, 0] - w / 2, centers[i, 1] - h / 2,
-                                     centers[i, 0] + w / 2, centers[i, 1] + h / 2])
-            jitter = rng.normal(0.0, cfg.detection_noise, size=4)
-            conf_noise = rng.normal(0.0, cfg.confidence_noise)
-            box = _sanitize_corners(true_corners + jitter)
-            conf = min(max(base_conf[i] + conf_noise, 0.0), 1.0)
-            dets.append(Detection(box=box, score=float(conf),
-                                  feature=base_feats[i] + drift[i]))
-            ids.append(i)
-            if i == 0 and gt_ts <= t <= gt_te:
-                gt_boxes[t] = _sanitize_corners(true_corners)
+        # Per object, in object order: four corner jitters, then one
+        # confidence offset, as one draw.
+        noise = rng.normal(0.0, noise_scales, size=(cfg.objects, 5))
+        true_corners = np.concatenate([centers - sizes / 2, centers + sizes / 2], axis=1)
+        boxes = [_sanitize_corners(c) for c in true_corners + noise[:, :4]]
+        scores = [min(max(conf, 0.0), 1.0) for conf in (base_conf + noise[:, 4]).tolist()]
+        features = [base_feats + drift]
+        ids = list(range(cfg.objects))
+        if gt_ts <= t <= gt_te:
+            gt_boxes[t] = Box(*_sanitize_corners(true_corners[0]))
 
         n_spur = int(rng.poisson(cfg.distractor_rate))
         for _ in range(n_spur):
@@ -157,15 +147,13 @@ def generate_scene(cfg: SceneConfig) -> LabeledScene:
             cy = rng.uniform(h / 2, 1 - h / 2)
             feat = rng.normal(0.0, 1.0, size=D)
             feat /= np.linalg.norm(feat)
-            conf = rng.uniform(0.05, 0.5)
-            dets.append(Detection(
-                box=_sanitize_corners(np.array([cx - w / 2, cy - h / 2,
-                                                cx + w / 2, cy + h / 2])),
-                score=float(conf), feature=feat))
+            boxes.append(_sanitize_corners([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2]))
+            scores.append(rng.uniform(0.05, 0.5))
+            features.append(feat[None])
             ids.append(next_distractor)
             next_distractor -= 1
 
-        frames.append(FrameDetections(t=t, detections=dets))
+        frames.append(FrameDetections(t, boxes, scores, np.concatenate(features)))
         identities.append(ids)
 
     gt = GtTube(ts=gt_ts, te=gt_te, boxes=gt_boxes)

@@ -1,12 +1,19 @@
-"""Shared helpers: array-built tubes, and seeded smooth tubes for gradient
-and loss tests."""
+"""Shared helpers: array-built frames and tubes, and seeded smooth tubes for
+gradient and loss tests."""
 from __future__ import annotations
 
 import numpy as np
 
-from tubekit.association import Tube
+from tubekit.association import FrameDetections, Tube
 from tubekit.consistency import MinedTube
 from tubekit.geometry import Box, corners
+
+
+def make_frame(t: int, dets) -> FrameDetections:
+    """FrameDetections at frame t from per-detection (box, score, feature)
+    tuples, with Box boxes."""
+    boxes, scores, features = zip(*dets) if dets else ((), (), ())
+    return FrameDetections(t, corners(boxes), list(scores), list(features))
 
 
 def make_tube(slot_id: int, boxes: list[Box], scores, t=None, det=None,

@@ -7,14 +7,14 @@ captured output of a failure carries the measured numbers.
 import itertools
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_smooth_tube, make_tube
 from tubekit.assignment import assignment_total, solve_assignment
-from tubekit.association import (AssociationConfig, Detection, FrameDetections,
-                                 run_association)
+from tubekit.association import AssociationConfig, run_association
 from tubekit.autolabel import (CandidateRecord, CandidateTube, coverage_filter,
                                merge_tubes)
 from tubekit.cli import main
@@ -178,11 +178,8 @@ def _drift_switch_rates(appearance_drift: float,
             rng = np.random.default_rng([seed, 1])
             frames = []
             for f in scene.frames:
-                noise = rng.normal(0.0, feature_noise,
-                                   size=(len(f.detections), f.feature_dim))
-                frames.append(FrameDetections(t=f.t, detections=[
-                    Detection(box=d.box, score=d.score, feature=d.feature + n)
-                    for d, n in zip(f.detections, noise)]))
+                noise = rng.normal(0.0, feature_noise, size=f.features.shape)
+                frames.append(replace(f, features=f.features + noise))
         for alpha in (0.1, 1.0):
             tubes = run_association(frames, AssociationConfig(n_q=4, alpha=alpha))
             rates[alpha].extend(identity_switch_rate(tubes, scene))

@@ -1,20 +1,25 @@
 """Detection-to-tube association: memory seeding, matching, gaps, EMA."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tubekit.association import (AssociationConfig, Detection, FrameDetections,
-                                 Tube, TubeMemory, init_memory, run_association,
-                                 associate_step, top_by_confidence)
+from conftest import make_frame
+from tubekit.association import (AssociationConfig, FrameDetections, Tube, TubeMemory,
+                                 init_memory, run_association, associate_step,
+                                 top_by_confidence)
 from tubekit.errors import ValidationError
 from tubekit.geometry import Box
 
 BOX = Box(0.4, 0.4, 0.6, 0.6)
 
 
-def det(score: float, feature, box: Box = BOX) -> Detection:
-    return Detection(box=box, score=score, feature=np.asarray(feature, dtype=float))
+def det(score: float, feature, box: Box = BOX) -> tuple:
+    """One detection as make_frame takes it."""
+    return box, score, np.asarray(feature, dtype=float)
 
 
 def basis(i: int, dim: int) -> np.ndarray:
@@ -25,26 +30,32 @@ def basis(i: int, dim: int) -> np.ndarray:
 
 class TestValidation:
     def test_detection_score_range(self):
-        with pytest.raises(ValidationError):
-            det(1.5, [1.0, 0.0])
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\], got 1.5"):
+            make_frame(0, [det(0.5, [1.0, 0.0]), det(1.5, [1.0, 0.0])])
 
     def test_detection_zero_feature(self):
-        with pytest.raises(ValidationError):
-            det(0.5, [0.0, 0.0])
+        with pytest.raises(ValidationError, match="finite, positive norm"):
+            make_frame(0, [det(0.5, [1.0, 0.0]), det(0.5, [0.0, 0.0])])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_detection_feature_norm_overflow(self):
         with pytest.raises(ValidationError, match="finite, positive norm"):
-            det(0.5, [1e200, 1e200])
+            make_frame(0, [det(0.5, [1e200, 1e200])])
+
+    def test_detection_underflowing_norm_refused(self):
+        # The squared norm underflows to 0, so the vector is refused as if
+        # its norm were zero: the documented rule of norms_finite_positive.
+        with pytest.raises(ValidationError, match="finite, positive norm"):
+            make_frame(0, [det(0.5, [1e-200, 1e-200])])
 
     def test_frame_needs_detections(self):
-        with pytest.raises(ValidationError):
-            FrameDetections(t=0, detections=[])
+        with pytest.raises(ValidationError, match="frame 0 has no detections"):
+            make_frame(0, [])
 
     def test_frame_rejects_mixed_dims(self):
-        with pytest.raises(ValidationError):
-            FrameDetections(t=0, detections=[det(0.5, [1.0, 0.0]),
-                                             det(0.5, [1.0, 0.0, 0.0])])
+        # Features of two lengths are a ragged features column.
+        with pytest.raises(ValidationError, match="rows of one length"):
+            make_frame(0, [det(0.5, [1.0, 0.0]), det(0.5, [1.0, 0.0, 0.0])])
 
     def test_config_ranges(self):
         with pytest.raises(ValidationError):
@@ -68,6 +79,33 @@ class TestValidation:
         assert mem.vectors[0, 0] == 1.0
         with pytest.raises(ValueError):
             mem.vectors[0, 0] = 2.0
+
+
+class TestFrameDetections:
+    def test_columns_are_read_only_copies(self):
+        features = np.array([[1.0, 0.0], [0.0, 1.0]])
+        frame = make_frame(3, [det(0.5, features[0]),
+                               det(0.7, features[1], Box(0.1, 0.2, 0.3, 1.5))])
+        features[0, 0] = 5.0
+        assert frame.features[0, 0] == 1.0
+        assert frame.boxes.tolist() == [BOX.to_list(), [0.1, 0.2, 0.3, 1.0]]
+        for column in (frame.boxes, frame.scores, frame.features):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        assert [(d.box, d.score, d.feature.tolist()) for d in frame.detections] == \
+            [(BOX, 0.5, [1.0, 0.0]), (Box(0.1, 0.2, 0.3, 1.0), 0.7, [0.0, 1.0])]
+        assert frame.features.shape == (2, 2)
+
+    @pytest.mark.parametrize("column, value", [
+        ("boxes", [[0.1, 0.1, 0.5, 0.5]]),
+        ("scores", [0.5]),
+        ("features", np.ones((2, 2, 1))),
+    ])
+    def test_columns_of_other_lengths_refused(self, column, value):
+        columns = dict(t=0, boxes=[[0.1, 0.1, 0.5, 0.5]] * 2, scores=[0.5, 0.5],
+                       features=np.eye(2))
+        with pytest.raises(ValidationError, match="one row per detection"):
+            FrameDetections(**{**columns, column: value})
 
 
 class TestTube:
@@ -99,37 +137,48 @@ class TestTube:
 
 class TestTopByConfidence:
     def test_sorted_by_score(self):
-        frame = FrameDetections(t=0, detections=[
+        frame = make_frame(0, [
             det(0.2, [1.0, 0.0]), det(0.9, [0.0, 1.0]), det(0.5, [1.0, 1.0])])
-        assert top_by_confidence(frame, 2) == [1, 2]
+        assert top_by_confidence(frame, 2).tolist() == [1, 2]
 
     def test_score_tie_keeps_lower_index(self):
-        frame = FrameDetections(t=0, detections=[
+        frame = make_frame(0, [
             det(0.5, [1.0, 0.0]), det(0.5, [0.0, 1.0])])
-        assert top_by_confidence(frame, 2) == [0, 1]
+        assert top_by_confidence(frame, 2).tolist() == [0, 1]
 
     def test_k_larger_than_frame(self):
-        frame = FrameDetections(t=0, detections=[det(0.5, [1.0, 0.0])])
-        assert top_by_confidence(frame, 4) == [0]
+        frame = make_frame(0, [det(0.5, [1.0, 0.0])])
+        assert top_by_confidence(frame, 4).tolist() == [0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(scores=st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.5]) | st.floats(0.0, 1.0),
+                           min_size=1, max_size=12),
+           k=st.integers(1, 14))
+    def test_matches_sorting_on_score_then_index(self, scores, k):
+        # Tie-heavy scores, 0.0 against -0.0 included: the two compare
+        # equal, so the lower index comes first either way.
+        frame = make_frame(0, [det(s, [1.0, 0.0]) for s in scores])
+        expected = sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]
+        assert top_by_confidence(frame, k).tolist() == expected
 
 
 class TestInitMemory:
     def test_direct_seeding(self):
-        frame = FrameDetections(t=0, detections=[
+        frame = make_frame(0, [
             det(0.9, basis(0, 3)), det(0.8, basis(1, 3)), det(0.7, basis(2, 3))])
         memory, seeded = init_memory(frame, AssociationConfig(n_q=3))
         assert np.array_equal(memory.vectors, np.eye(3))
         assert seeded.tolist() == [0, 1, 2]
 
     def test_seeding_follows_confidence_order(self):
-        frame = FrameDetections(t=0, detections=[
+        frame = make_frame(0, [
             det(0.1, basis(0, 3)), det(0.9, basis(1, 3)), det(0.5, basis(2, 3))])
         memory, seeded = init_memory(frame, AssociationConfig(n_q=3))
         assert seeded.tolist() == [1, 2, 0]
         assert np.array_equal(memory.vectors[0], basis(1, 3))
 
     def test_cycling_when_short(self):
-        frame = FrameDetections(t=0, detections=[
+        frame = make_frame(0, [
             det(0.9, basis(0, 2)), det(0.8, basis(1, 2))])
         memory, seeded = init_memory(frame, AssociationConfig(n_q=5))
         assert seeded.tolist() == [0, 1, 0, 1, 0]
@@ -142,11 +191,11 @@ class TestAssociateStep:
         # of the detections must be matched back to its seeding slot.
         n = 5
         cfg = AssociationConfig(n_q=n, alpha=0.5)
-        seed_frame = FrameDetections(t=0, detections=[
+        seed_frame = make_frame(0, [
             det(0.9, basis(i, n)) for i in range(n)])
         for perm in itertools.permutations(range(n)):
             memory, _ = init_memory(seed_frame, cfg)
-            frame = FrameDetections(t=1, detections=[
+            frame = make_frame(1, [
                 det(0.9, basis(perm[j], n)) for j in range(n)])
             _, matched = associate_step(memory, frame, cfg)
             for slot in range(n):
@@ -154,32 +203,32 @@ class TestAssociateStep:
 
     def test_ema_blend_is_bit_exact(self):
         cfg = AssociationConfig(n_q=1, alpha=0.3)
-        seed = FrameDetections(t=0, detections=[det(0.9, [1.0, 2.0, 3.0])])
+        seed = make_frame(0, [det(0.9, [1.0, 2.0, 3.0])])
         memory, _ = init_memory(seed, cfg)
-        nxt = FrameDetections(t=1, detections=[det(0.9, [4.0, 5.0, 6.0])])
+        nxt = make_frame(1, [det(0.9, [4.0, 5.0, 6.0])])
         memory, _ = associate_step(memory, nxt, cfg)
         expected = 0.7 * np.array([1.0, 2.0, 3.0]) + 0.3 * np.array([4.0, 5.0, 6.0])
         assert np.array_equal(memory.vectors[0], expected)
 
     def test_alpha_one_memory_equals_frame(self):
         cfg = AssociationConfig(n_q=2, alpha=1.0)
-        seed = FrameDetections(t=0, detections=[det(0.9, basis(0, 2)),
-                                                det(0.8, basis(1, 2))])
+        seed = make_frame(0, [det(0.9, basis(0, 2)),
+                              det(0.8, basis(1, 2))])
         memory, _ = init_memory(seed, cfg)
         f1 = np.array([0.9, 0.1])
         f2 = np.array([0.2, 0.8])
-        frame = FrameDetections(t=1, detections=[det(0.9, f1), det(0.8, f2)])
+        frame = make_frame(1, [det(0.9, f1), det(0.8, f2)])
         memory, _ = associate_step(memory, frame, cfg)
         assert np.array_equal(memory.vectors[0], f1)
         assert np.array_equal(memory.vectors[1], f2)
 
     def test_alpha_zero_memory_frozen(self):
         cfg = AssociationConfig(n_q=2, alpha=0.0)
-        seed = FrameDetections(t=0, detections=[det(0.9, basis(0, 2)),
-                                                det(0.8, basis(1, 2))])
+        seed = make_frame(0, [det(0.9, basis(0, 2)),
+                              det(0.8, basis(1, 2))])
         memory, _ = init_memory(seed, cfg)
-        frame = FrameDetections(t=1, detections=[det(0.9, [0.9, 0.1]),
-                                                 det(0.8, [0.2, 0.8])])
+        frame = make_frame(1, [det(0.9, [0.9, 0.1]),
+                               det(0.8, [0.2, 0.8])])
         memory, matched = associate_step(memory, frame, cfg)
         assert np.array_equal(memory.vectors, np.eye(2))
         assert matched.tolist() == [0, 1]
@@ -188,9 +237,9 @@ class TestAssociateStep:
         # n_q = 1 with three detections: only the most confident enters the
         # pool, and the stored det index refers to the full frame list.
         cfg = AssociationConfig(n_q=1, alpha=0.5)
-        seed = FrameDetections(t=0, detections=[det(0.9, [1.0, 0.0])])
+        seed = make_frame(0, [det(0.9, [1.0, 0.0])])
         memory, _ = init_memory(seed, cfg)
-        frame = FrameDetections(t=1, detections=[
+        frame = make_frame(1, [
             det(0.1, [1.0, 0.0]), det(0.2, [1.0, 0.0]), det(0.95, [0.8, 0.2])])
         _, matched = associate_step(memory, frame, cfg)
         assert matched.tolist() == [2]
@@ -202,15 +251,15 @@ class TestAssociateStep:
         cfg = AssociationConfig(n_q=2, alpha=0.5)
         box0 = Box(0.1, 0.1, 0.3, 0.3)
         box1 = Box(0.6, 0.6, 0.8, 0.8)
-        seed = FrameDetections(t=0, detections=[det(0.9, basis(0, 2), box0),
-                                                det(0.8, basis(1, 2), box1)])
+        seed = make_frame(0, [det(0.9, basis(0, 2), box0),
+                              det(0.8, basis(1, 2), box1)])
         memory, _ = init_memory(seed, cfg)
-        frame = FrameDetections(t=1, detections=[det(0.9, [1.0, 0.05],
-                                                     Box(0.2, 0.2, 0.4, 0.4))])
+        frame = make_frame(1, [det(0.9, [1.0, 0.05],
+                               Box(0.2, 0.2, 0.4, 0.4))])
         memory, matched = associate_step(memory, frame, cfg)
         assert matched.tolist() == [0, -1]
         # Two gap frames in a row both repeat the last matched row.
-        again = FrameDetections(t=2, detections=frame.detections)
+        again = replace(frame, t=2)
         tubes = run_association([seed, frame, again], cfg)
         for gap in tubes[1].records[1:]:
             assert gap.det is None
@@ -222,9 +271,9 @@ class TestAssociateStep:
 
     def test_dim_mismatch_rejected(self):
         cfg = AssociationConfig(n_q=1, alpha=0.5)
-        seed = FrameDetections(t=0, detections=[det(0.9, [1.0, 0.0])])
+        seed = make_frame(0, [det(0.9, [1.0, 0.0])])
         memory, _ = init_memory(seed, cfg)
-        frame = FrameDetections(t=1, detections=[det(0.9, [1.0, 0.0, 0.0])])
+        frame = make_frame(1, [det(0.9, [1.0, 0.0, 0.0])])
         with pytest.raises(ValidationError):
             associate_step(memory, frame, cfg)
 
@@ -241,7 +290,7 @@ def _random_clip(seed: int, frames: int = 8, per_frame: int = 4, dim: int = 6):
             feat = rng.normal(size=dim)
             feat[0] += 2.0
             dets.append(det(float(rng.uniform(0.1, 1.0)), feat, box))
-        out.append(FrameDetections(t=t, detections=dets))
+        out.append(make_frame(t, dets))
     return out
 
 
@@ -255,7 +304,7 @@ class TestRunAssociation:
 
     def test_rejects_non_increasing_timestamps(self):
         frames = _random_clip(2)
-        frames[3] = FrameDetections(t=2, detections=frames[3].detections)
+        frames[3] = replace(frames[3], t=2)
         with pytest.raises(ValidationError):
             run_association(frames)
 

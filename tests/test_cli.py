@@ -32,6 +32,18 @@ def simulate(tmp_path, name: str, *extra: str) -> str:
     return prefix
 
 
+def spoil_embed(prefix: str, line: int, value: float) -> Path:
+    """Set every element of the first embed on `line` (1-based) of the
+    detections file of `prefix` to `value`; returns the file."""
+    path = Path(f"{prefix}.detections.jsonl")
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[line - 1])
+    obj["detections"][0]["embed"] = [value] * len(obj["detections"][0]["embed"])
+    lines[line - 1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path, capsys):
         assert main(["simulate", "--seed", "1", "--out", str(tmp_path / "s")]) == 0
@@ -120,6 +132,29 @@ class TestSimulate:
             assert "motion_step is too large" in result.stderr
 
 
+class TestGoldenBytes:
+    """simulate, then associate --embed, byte for byte: generate_scene,
+    save_detections, load_detections, run_association and save_tubes all
+    lie on this path.  A change that moves one of these digests must say
+    which bytes changed and why."""
+
+    DIGESTS = {
+        "detections.jsonl": "7c5512d9104d86ea0df9c3c98f7728ddc49fb5d7eed3d0563bf6f0a437e04c8f",
+        "gt.json": "28cbade33e72070cb163e9b3b9a3fe5effd2dcf9a53c35615638ec91196a73ae",
+        "labels.json": "b16e2f7237985e2ec0d2989a8655802f530bd13a03fce43e652d907da7a9ac11",
+        "tubes.json": "7562a80a38bb6e65da3b92a1dba757bceac877be141144e79e1181e2abca7c83",
+    }
+
+    def test_simulate_then_associate(self, tmp_path, capsys):
+        prefix = str(tmp_path / "g")
+        assert main(["simulate", "--seed", "7", "--frames", "24", "--objects", "3",
+                     "--feature-dim", "8", "--labels", "--out", prefix]) == 0
+        assert main(["associate", "--n-q", "3", "--embed", f"{prefix}.detections.jsonl",
+                     "--out", f"{prefix}.tubes.json"]) == 0
+        assert {suffix: sha(Path(f"{prefix}.{suffix}")) for suffix in self.DIGESTS} == \
+            self.DIGESTS
+
+
 class TestAssociate:
     def test_single_file(self, tmp_path, capsys):
         prefix = simulate(tmp_path, "s")
@@ -195,29 +230,28 @@ class TestAssociate:
     def test_overflowing_embed_is_format_error(self, tmp_path, capsys):
         # Finite elements whose norm overflows are refused like a zero norm,
         # at the line that holds them.
-        prefix = simulate(tmp_path, "s")
-        path = Path(f"{prefix}.detections.jsonl")
-        lines = path.read_text().splitlines()
-        obj = json.loads(lines[2])
-        obj["detections"][0]["embed"] = [1e200] * len(obj["detections"][0]["embed"])
-        lines[2] = json.dumps(obj)
-        path.write_text("\n".join(lines) + "\n")
+        path = spoil_embed(simulate(tmp_path, "s"), 3, 1e200)
         out = tmp_path / "t.json"
         assert main(["associate", str(path), "--out", str(out)]) == 2
         assert (f"{path}:3: detection feature must have a finite, positive norm"
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_underflowing_embed_is_format_error(self, tmp_path, capsys):
+        # A nonzero embed whose squared norm underflows to 0 is refused as a
+        # zero norm (the rule of norms_finite_positive), on one error line.
+        path = spoil_embed(simulate(tmp_path, "s"), 3, 1e-200)
+        out = tmp_path / "t.json"
+        capsys.readouterr()
+        assert main(["associate", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {path}:3: detection feature must have "
+                                           "a finite, positive norm\n")
+        assert not out.exists()
+
     def test_overflowing_embed_prints_only_the_error(self, tmp_path):
         # In a fresh process, where numpy's overflow warning would reach
         # stderr: the refusal must be the one line there.
-        prefix = simulate(tmp_path, "s")
-        path = Path(f"{prefix}.detections.jsonl")
-        lines = path.read_text().splitlines()
-        obj = json.loads(lines[2])
-        obj["detections"][0]["embed"] = [1e200] * len(obj["detections"][0]["embed"])
-        lines[2] = json.dumps(obj)
-        path.write_text("\n".join(lines) + "\n")
+        path = spoil_embed(simulate(tmp_path, "s"), 3, 1e200)
         src = str(Path(tubekit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_tube
-from tubekit.association import Detection, FrameDetections
+from conftest import make_frame, make_tube
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.errors import FormatError
 from tubekit.formats import (f9, load_candidates, load_detections, load_gt,
@@ -54,9 +53,9 @@ def vectors(dim: int):
 @st.composite
 def detection_files(draw):
     dim = draw(st.integers(1, 4))
-    frames = [FrameDetections(t=t, detections=[
-        Detection(box=draw(boxes()), score=draw(scores), feature=draw(vectors(dim)))
-        for _ in range(draw(st.integers(1, 3)))]) for t in range(draw(st.integers(1, 3)))]
+    frames = [make_frame(t, [(draw(boxes()), draw(scores), draw(vectors(dim)))
+                             for _ in range(draw(st.integers(1, 3)))])
+              for t in range(draw(st.integers(1, 3)))]
     return draw(video_ids), draw(st.floats(1e-3, 1e3)), frames
 
 
@@ -122,7 +121,7 @@ def test_detections_round_trip(tmp_path, doc):
     save_detections(str(path), video_id, fps, frames)
     meta, loaded = load_detections(str(path))
     assert meta == {"video_id": video_id, "fps": f9(fps), "frame_count": len(frames),
-                    "feature_dim": frames[0].feature_dim}
+                    "feature_dim": frames[0].features.shape[1]}
     assert len(loaded) == len(frames)
     for fr, lf in zip(frames, loaded):
         assert lf.t == fr.t and len(lf.detections) == len(fr.detections)

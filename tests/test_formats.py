@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_tube
-from tubekit.association import Detection, FrameDetections
+from conftest import make_frame, make_tube
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.errors import FormatError, ValidationError
 from tubekit.formats import (_f9_rows, f9, load_candidates, load_detections, load_gt,
@@ -30,10 +29,8 @@ def make_frames(n: int = 3, per_frame: int = 2, dim: int = 4):
             x1 = rng.uniform(0.0, 0.6)
             feat = rng.normal(size=dim)
             feat[0] += 2.0
-            dets.append(Detection(box=Box(x1, 0.2, x1 + 0.3, 0.5),
-                                  score=float(rng.uniform(0.1, 1.0)),
-                                  feature=feat))
-        out.append(FrameDetections(t=t, detections=dets))
+            dets.append((Box(x1, 0.2, x1 + 0.3, 0.5), float(rng.uniform(0.1, 1.0)), feat))
+        out.append(make_frame(t, dets))
     return out
 
 
@@ -183,11 +180,21 @@ class TestDetections:
             load_detections(str(path))
 
 
+@pytest.mark.parametrize("load", [load_detections, load_predictions, load_gt_collection,
+                                  load_tubes])
+@pytest.mark.parametrize("name", ["absent.jsonl", "."])
+def test_unreadable_file_is_format_error(tmp_path, load, name):
+    path = tmp_path / name
+    with pytest.raises(FormatError, match="cannot read file") as err:
+        load(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
 class TestJsonlWriters:
     def test_lines_keep_default_separators(self, tmp_path):
         det = tmp_path / "d.jsonl"
-        save_detections(str(det), "v", 1 / 3, [FrameDetections(t=0, detections=[
-            Detection(box=Box(0.1, 0.2, 1 / 3, 0.5), score=0.5, feature=np.array([1.0, 2]))])])
+        save_detections(str(det), "v", 1 / 3, [
+            make_frame(0, [(Box(0.1, 0.2, 1 / 3, 0.5), 0.5, np.array([1.0, 2]))])])
         assert det.read_text() == (
             '{"video_id": "v", "fps": 0.333333333, "frame_count": 1, "feature_dim": 2}\n'
             '{"t": 0, "detections": [{"box": [0.1, 0.2, 0.333333333, 0.5], "score": 0.5, '
