@@ -1,4 +1,5 @@
-"""Box geometry walkthrough: corner and center-size forms, IoU, and GIoU.
+"""Box geometry walkthrough: corner form, IoU and GIoU, one pair at a time
+and row by row.
 
 All boxes live in normalized [0, 1] image coordinates, corner order
 (x1, y1, x2, y2).  GIoU extends IoU below zero for disjoint boxes, which
@@ -7,7 +8,8 @@ is what makes it usable as a regression signal when there is no overlap.
 
 import numpy as np
 
-from tubekit import Box, giou, iou, to_center_size, to_corner
+from tubekit import Box, giou, iou
+from tubekit.geometry import corners, giou_pairs, iou_pairs
 
 
 def main():
@@ -29,22 +31,7 @@ def main():
     print(f"  iou(a, far)  = {iou(a, far):.6f}   giou(a, far)  = {giou(a, far):.6f}")
     print()
 
-    cs = to_center_size(a)
-    back = to_corner(cs)
-    print("center-size round trip")
-    print(f"  corners {a.to_list()} -> (cx={cs.cx}, cy={cs.cy}, w={cs.w}, h={cs.h})")
-    print(f"  and back -> {back.to_list()}")
-    print()
-
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(2000):
-        x1, y1 = rng.uniform(0, 0.8, size=2)
-        w, h = rng.uniform(0.05, 0.2, size=2)
-        box = Box(x1, y1, x1 + w, y1 + h)
-        rt = to_corner(to_center_size(box))
-        worst = max(worst, max(abs(p - q) for p, q in zip(box.to_list(), rt.to_list())))
-    print(f"worst round-trip drift over 2000 random boxes: {worst:.3e}")
 
     # GIoU never exceeds IoU and both are symmetric.
     def random_box():
@@ -52,12 +39,17 @@ def main():
         y = np.sort(rng.uniform(0, 1, size=2))
         return Box(x[0], y[0], max(x[1], x[0] + 1e-3), max(y[1], y[0] + 1e-3))
 
-    viol = 0
-    for _ in range(2000):
-        p, q = random_box(), random_box()
-        if giou(p, q) > iou(p, q) + 1e-15 or giou(p, q) != giou(q, p):
-            viol += 1
+    pairs = [(random_box(), random_box()) for _ in range(2000)]
+    viol = sum(1 for p, q in pairs if giou(p, q) > iou(p, q) + 1e-15 or giou(p, q) != giou(q, p))
     print(f"giou <= iou and symmetry violations over 2000 random pairs: {viol}")
+
+    # Tubes, GT and predictions keep their boxes as (N, 4) corner arrays, one
+    # row per frame; the array kernels give the scalar values bit for bit.
+    first = corners([p for p, _ in pairs])
+    second = corners([q for _, q in pairs])
+    differ = (np.count_nonzero(iou_pairs(first, second) != [iou(p, q) for p, q in pairs])
+              + np.count_nonzero(giou_pairs(first, second) != [giou(p, q) for p, q in pairs]))
+    print(f"rows where iou_pairs or giou_pairs differ from the scalar functions: {differ}")
 
 
 if __name__ == "__main__":

@@ -39,11 +39,9 @@ def main():
     print()
 
     # Interval mistakes dilute vIoU even when every shared box is right.
-    shifted = Prediction(ts=gt.ts, te=gt.te,
-                         boxes=dict(pred.boxes))
-    half = Prediction(ts=gt.ts, te=(gt.ts + gt.te) // 2,
-                      boxes={t: b for t, b in pred.boxes.items()
-                             if t <= (gt.ts + gt.te) // 2})
+    mid = (gt.ts + gt.te) // 2
+    shifted = Prediction(ts=gt.ts, te=gt.te, t0=pred.t0, boxes=pred.boxes)
+    half = Prediction(ts=gt.ts, te=mid, t0=pred.t0, boxes=pred.boxes[:mid - pred.t0 + 1])
     print("temporal truncation vs the full interval")
     print(f"  full interval:  v_iou = {v_iou(shifted, gt):.4f}")
     print(f"  first half cut: v_iou = {v_iou(half, gt):.4f}")

@@ -13,9 +13,8 @@ from tubekit import (ExposureConfig, SceneConfig, generate_scene, p_error_free,
 
 
 def gt_track(frames):
-    scene = generate_scene(SceneConfig(seed=41, frames=frames, motion_step=0.012))
-    gt = scene.gt
-    return [gt.boxes[t] for t in range(gt.ts, gt.te + 1)]
+    """The GT boxes of a simulated clip, one (x1, y1, x2, y2) row per frame."""
+    return generate_scene(SceneConfig(seed=41, frames=frames, motion_step=0.012)).gt.boxes
 
 
 def main():

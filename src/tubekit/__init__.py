@@ -16,7 +16,7 @@ from .consistency import (GradCheckReport, Gradients, LossWeights, MinedTube,
                           loss_gradients)
 from .decoding import DecodingReport, ExposureConfig, p_error_free, simulate_decoding
 from .errors import FormatError, NonSmoothError, ValidationError
-from .geometry import (Box, CenterSizeBox, giou, iou, to_center_size, to_corner)
+from .geometry import Box, giou, iou
 from .metrics import (EvalReport, Prediction, SampleResult, drift_profile,
                       evaluate, select_tube, split_fifths, t_iou, v_iou)
 from .mining import (CostBreakdown, CostWeights, GtTube, match_cost,
@@ -25,17 +25,16 @@ from .scenes import LabeledScene, SceneConfig, generate_scene, identity_switch_r
 
 __all__ = [
     "AssociationConfig", "AutolabelConfig", "Box", "CandidateRecord",
-    "CandidateTube", "CenterSizeBox", "CostBreakdown", "CostWeights",
-    "DecodingReport", "Detection", "EvalReport", "ExposureConfig",
-    "FormatError", "FrameDetections", "GradCheckReport", "Gradients",
-    "GtTube", "LabeledScene", "LossWeights", "MinedTube", "NonSmoothError",
-    "Prediction", "SampleResult", "SceneConfig", "Tube", "TubeMemory",
-    "TubeRecord", "ValidationError", "assemble_annotation", "associate_step",
+    "CandidateTube", "CostBreakdown", "CostWeights", "DecodingReport",
+    "Detection", "EvalReport", "ExposureConfig", "FormatError",
+    "FrameDetections", "GradCheckReport", "Gradients", "GtTube",
+    "LabeledScene", "LossWeights", "MinedTube", "NonSmoothError", "Prediction",
+    "SampleResult", "SceneConfig", "Tube", "TubeMemory", "TubeRecord",
+    "ValidationError", "assemble_annotation", "associate_step",
     "combined_loss", "cosine_similarity", "coverage_filter", "drift_profile",
     "evaluate", "feature_loss", "find_merge_conflicts", "generate_scene",
     "geom_loss", "giou", "grad_check", "identity_switch_rate", "init_memory",
     "iou", "loss_gradients", "match_cost", "merge_tubes", "mine_best_tube",
     "p_error_free", "run_association", "select_tube", "simulate_decoding",
-    "solve_assignment", "split_fifths", "t_iou", "temporal_cost",
-    "to_center_size", "to_corner", "v_iou",
+    "solve_assignment", "split_fifths", "t_iou", "temporal_cost", "v_iou",
 ]

@@ -5,6 +5,9 @@ overlap are merged greedily, highest similarity first, until no pair
 qualifies.  Merging bridges the frame gap by linear interpolation and
 averages the appearance vectors weighted by how many real (non-interpolated)
 records each side contributes, so the count of real records is conserved.
+A gap is bridged only when it spans no more frames than the two fragments
+have real records together, so no merge interpolates more frames than the
+candidates hold real records.
 
 Fragments that qualify on category and appearance but overlap in time cannot
 be one object seen twice; they are left alone and can be listed with
@@ -20,7 +23,7 @@ import numpy as np
 
 from .assignment import norms_finite_positive
 from .errors import ValidationError
-from .geometry import Box
+from .geometry import Box, corners
 from .mining import GtTube
 
 
@@ -84,8 +87,12 @@ def _spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 
 def _mergeable(a: CandidateTube, b: CandidateTube, cfg: AutolabelConfig) -> bool:
+    # Not overlapping, so the frames between them are the later start less
+    # the earlier end, less one.
     return (a.category == b.category
             and not _spans_overlap(a.span, b.span)
+            and (max(a.span[0], b.span[0]) - min(a.span[1], b.span[1]) - 1
+                 <= a.real_record_count + b.real_record_count)
             and _cos(a.appearance, b.appearance) >= cfg.appearance_threshold)
 
 
@@ -117,7 +124,8 @@ def _merge_pair(a: CandidateTube, b: CandidateTube) -> CandidateTube:
 
 def merge_tubes(candidates: list[CandidateTube],
                 cfg: AutolabelConfig | None = None) -> list[CandidateTube]:
-    """Merge until no pair qualifies (same category, non-overlapping spans,
+    """Merge until no pair qualifies (same category, non-overlapping spans
+    with no more frames between them than real records in the two,
     appearance cosine at or above the threshold).
 
     Highest-similarity pair first; similarity ties go to the pair whose
@@ -207,5 +215,5 @@ def assemble_annotation(candidates: list[CandidateTube], interval: tuple[int, in
         return None
     s = max(interval[0], winner.span[0])
     e = min(interval[1], winner.span[1])
-    boxes = {r.t: r.box for r in winner.records if s <= r.t <= e}
-    return GtTube(ts=s, te=e, boxes=boxes)
+    records = winner.records[s - winner.span[0]:e - winner.span[0] + 1]
+    return GtTube(ts=s, te=e, boxes=corners([r.box for r in records]))

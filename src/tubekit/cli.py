@@ -27,7 +27,6 @@ from .formats import (SCHEMA_VERSION, f9, load_candidates, load_detections,
                       load_gt, load_gt_collection, load_tubes,
                       load_predictions, save_detections, save_gt, save_labels,
                       save_predictions, save_report, save_tubes)
-from .geometry import Box
 from .metrics import Prediction, drift_profile, evaluate, select_tube
 from .mining import CostWeights, mine_best_tube
 from .scenes import SceneConfig, generate_scene
@@ -240,7 +239,7 @@ def _cmd_exposure(args) -> int:
                          per_step_error=args.eps, trials=args.trials,
                          drift_step=args.drift_step,
                          token_budget=args.token_budget, seed=args.seed)
-    track = [Box(0.4, 0.4, 0.6, 0.6)] * frames
+    track = [[0.4, 0.4, 0.6, 0.6]] * frames
     rep = simulate_decoding(cfg, track)
     report = _report_head("exposure", {
         "length": args.length, "eps": f9(args.eps), "trials": args.trials,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Box
+from .geometry import corner_rows
 from .metrics import split_fifths
 
 
@@ -65,14 +65,16 @@ class DecodingReport:
     profile: list[float]   # mean IoU per fifth of the track
 
 
-def simulate_decoding(cfg: ExposureConfig, gt_boxes: list[Box]) -> DecodingReport:
+def simulate_decoding(cfg: ExposureConfig, gt_boxes) -> DecodingReport:
     """Monte Carlo decode of a ground-truth track.
 
-    gt_boxes is the dense track being decoded; its length times the token
-    budget must equal sequence_length.  Needs at least 5 frames so the
-    five-part profile is defined.
+    gt_boxes is the dense track being decoded, a (T, 4) corner array with
+    each row by Box's rule; T times the token budget must equal
+    sequence_length.  Needs at least 5 frames so the five-part profile is
+    defined.
     """
-    T = len(gt_boxes)
+    corners = corner_rows(gt_boxes)
+    T = corners.shape[0]
     if T < 5:
         raise ValidationError(f"need at least 5 ground-truth boxes, got {T}")
     if T * cfg.token_budget != cfg.sequence_length:
@@ -96,7 +98,6 @@ def simulate_decoding(cfg: ExposureConfig, gt_boxes: list[Box]) -> DecodingRepor
     corrupted = np.arange(T)[None, :] >= error_frame[:, None]   # (R, T)
     offsets = np.cumsum(steps * corrupted[:, :, None], axis=1)  # (R, T, 2)
 
-    corners = np.array([b.to_list() for b in gt_boxes])         # (T, 4)
     w = corners[:, 2] - corners[:, 0]
     h = corners[:, 3] - corners[:, 1]
     gt_cx = 0.5 * (corners[:, 0] + corners[:, 2])

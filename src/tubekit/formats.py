@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from contextlib import contextmanager
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -149,11 +150,19 @@ def _box_from(arr, path: str, line: int | None = None) -> Box:
         raise FormatError(f"bad box {arr!r}: {e}", path=path, line=line) from e
 
 
+@contextmanager
 def _open(path: str):
+    """The file as UTF-8 text, whatever the locale; a file that cannot be
+    opened, or whose bytes are not UTF-8, is a FormatError."""
     try:
-        return open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as e:
         raise FormatError(f"cannot read file: {e}", path=path) from e
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise FormatError(f"cannot read file: not UTF-8 text ({e.reason})", path=path) from e
 
 
 def _parse_json_doc(text: str, path: str) -> dict:
@@ -277,26 +286,63 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
 
 # ------------------------------------------------------------------ gt files
 
+def _frame_box_list(t0: int, rows: list) -> list[dict]:
+    return [{"t": t, "box": box} for t, box in enumerate(rows, t0)]
+
+
+def _frame_boxes(obj: dict, path: str, line: int | None = None) -> tuple[int, np.ndarray]:
+    """The 'boxes' of a GT or prediction, [{"t": ..., "box": [...]}, ...] in
+    any frame order, as (t0, rows): row i is the box of frame t0 + i.  A
+    frame listed twice, or a frame missing between the first and the last,
+    is refused.  No boxes give (0, an empty (0, 4) array)."""
+    items = _list_field(obj, "boxes", path, line)
+    t = [_int_field(item, "t", path, line) for item in items]
+    rows = _box_rows([_require(item, "box", path, line) for item in items], path, line)
+    if not t:
+        return 0, rows
+    t0 = min(t)
+    if t != list(range(t0, t0 + len(t))):
+        order = sorted(range(len(t)), key=t.__getitem__)
+        t, rows = [t[i] for i in order], rows[order]
+        twice = [a for a, b in zip(t, t[1:]) if a == b]
+        if twice:
+            raise FormatError(f"frame {twice[0]} has more than one box", path=path, line=line)
+        missing = list(islice(chain.from_iterable(range(a + 1, b) for a, b in zip(t, t[1:])), 5))
+        if missing:
+            raise FormatError(f"boxes must cover a contiguous frame range; missing boxes at "
+                              f"frames {missing}", path=path, line=line)
+    return t0, rows
+
+
 def save_gt(path: str, video_id: str, gt: GtTube) -> None:
     doc = {
         "video_id": video_id,
         "ts": gt.ts,
         "te": gt.te,
-        "boxes": [{"t": t, "box": _f9s(gt.boxes[t].to_list())}
-                  for t in range(gt.ts, gt.te + 1)],
+        "boxes": _frame_box_list(gt.ts, _f9_rows([gt.boxes])[0]),
     }
     _write_doc(path, doc)
+
+
+def _gt_misfit(ts: int, te: int, t0: int, n: int) -> str:
+    """Why boxes on frames t0 .. t0 + n - 1 do not fill [ts, te]: the first
+    five GT frames without a box or, failing those, with a box outside."""
+    have = range(t0, t0 + n)
+    # The first five missing frames lie within n + 5 of ts.
+    missing = [t for t in range(ts, min(te, ts + n + 4) + 1) if t not in have]
+    if missing:
+        return f"GT interval is missing boxes at frames {missing[:5]}"
+    return f"GT has boxes outside its interval at frames {[t for t in have if not ts <= t <= te][:5]}"
 
 
 def _gt_from_obj(obj: dict, path: str, line: int | None = None) -> tuple[str, GtTube]:
     video_id = str(_require(obj, "video_id", path, line))
     ts, te = _interval_from(obj, path, line)
-    boxes = {}
-    for item in _list_field(obj, "boxes", path, line):
-        t = _int_field(item, "t", path, line)
-        boxes[t] = _box_from(_require(item, "box", path, line), path, line)
+    t0, rows = _frame_boxes(obj, path, line)
     try:
-        return video_id, GtTube(ts=ts, te=te, boxes=boxes)
+        if ts <= te and (t0, len(rows)) != (ts, te - ts + 1):
+            raise ValidationError(_gt_misfit(ts, te, t0, len(rows)))
+        return video_id, GtTube(ts=ts, te=te, boxes=rows)
     except ValidationError as e:
         raise FormatError(str(e), path=path, line=line) from e
 
@@ -445,14 +491,10 @@ def _tube_features(slot_id: int, records: list[dict], path: str):
 # -------------------------------------------------------------- predictions
 
 def save_predictions(path: str, items: list[tuple[str, Prediction]]) -> None:
-    lines = []
-    for video_id, pred in items:
-        keys = sorted(pred.boxes)
-        lines.append(_encode(path, {
-            "video_id": video_id, "ts": pred.ts, "te": pred.te,
-            "boxes": [{"t": t, "box": _f9s(pred.boxes[t].to_list())}
-                      for t in keys],
-        }))
+    boxes = _f9_rows([pred.boxes for _, pred in items])
+    lines = [_encode(path, {"video_id": video_id, "ts": pred.ts, "te": pred.te,
+                            "boxes": _frame_box_list(pred.t0, rows)})
+             for (video_id, pred), rows in zip(items, boxes)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -461,12 +503,9 @@ def load_predictions(path: str) -> list[tuple[str, Prediction]]:
     for lineno, obj in _iter_jsonl(path):
         video_id = str(_require(obj, "video_id", path, lineno))
         ts, te = _interval_from(obj, path, lineno)
-        boxes = {}
-        for item in _list_field(obj, "boxes", path, lineno):
-            t = _int_field(item, "t", path, lineno)
-            boxes[t] = _box_from(_require(item, "box", path, lineno), path, lineno)
+        t0, rows = _frame_boxes(obj, path, lineno)
         try:
-            out.append((video_id, Prediction(ts=ts, te=te, boxes=boxes)))
+            out.append((video_id, Prediction(ts=ts, te=te, t0=t0, boxes=rows)))
         except ValidationError as e:
             raise FormatError(str(e), path=path, line=lineno) from e
     if not out:

@@ -2,15 +2,15 @@
 
 Boxes live in corner form [x1, y1, x2, y2] with 0 <= x1 < x2 <= 1 and
 0 <= y1 < y2 <= 1.  Construction clamps coordinates into [0, 1] and rejects
-boxes that are left with zero area.  Center-size form (cx, cy, w, h) is the
-secondary representation used by L1 matching costs.
+boxes that are left with zero area.
 
 The scalar functions take Box objects.  The array kernels take (N, 4)
-corner arrays, the layout of a tube's boxes: `corner_rows` applies Box's
-rule to every row, and `iou_pairs` and `giou_pairs` are the scalar IoU and
-GIoU row by row, bit for bit, for the per-frame loops of mining, the
-consistency losses and the metrics; `sum_in_order` adds per-frame terms in
-the order a plain accumulation loop would.
+corner arrays, the layout of the boxes of a tube, a GT and a prediction:
+`corner_rows` applies Box's rule to every row, and `iou_pairs` and
+`giou_pairs` are the scalar IoU and GIoU row by row, bit for bit, for the
+per-frame loops of mining, the consistency losses and the metrics;
+`sum_in_order` adds per-frame terms in the order a plain accumulation loop
+would.
 """
 from __future__ import annotations
 
@@ -70,43 +70,6 @@ class Box:
         return cls(float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3]))
 
 
-@dataclass(frozen=True)
-class CenterSizeBox:
-    """Box in center-size form (cx, cy, w, h); w and h strictly positive."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        vals = (self.cx, self.cy, self.w, self.h)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValidationError(f"center-size coordinates must be finite, got {vals}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValidationError(f"center-size box needs positive extents, got {vals}")
-
-
-def to_center_size(box: Box) -> CenterSizeBox:
-    """Corner form -> center-size form."""
-    return CenterSizeBox(
-        cx=0.5 * (box.x1 + box.x2),
-        cy=0.5 * (box.y1 + box.y2),
-        w=box.x2 - box.x1,
-        h=box.y2 - box.y1,
-    )
-
-
-def to_corner(cs: CenterSizeBox) -> Box:
-    """Center-size form -> corner form.  Inverse of to_center_size."""
-    return Box(
-        x1=cs.cx - 0.5 * cs.w,
-        y1=cs.cy - 0.5 * cs.h,
-        x2=cs.cx + 0.5 * cs.w,
-        y2=cs.cy + 0.5 * cs.h,
-    )
-
-
 def intersection_area(a: Box, b: Box) -> float:
     iw = min(a.x2, b.x2) - max(a.x1, b.x1)
     ih = min(a.y2, b.y2) - max(a.y1, b.y1)
@@ -115,19 +78,10 @@ def intersection_area(a: Box, b: Box) -> float:
     return iw * ih
 
 
-def union_area(a: Box, b: Box) -> float:
-    return a.area + b.area - intersection_area(a, b)
-
-
 def iou(a: Box, b: Box) -> float:
     """Intersection over union, in [0, 1]."""
     inter = intersection_area(a, b)
     return inter / (a.area + b.area - inter)
-
-
-def enclosing_area(a: Box, b: Box) -> float:
-    """Area of the smallest axis-aligned box containing both."""
-    return (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
 
 
 def giou(a: Box, b: Box) -> float:
@@ -136,9 +90,10 @@ def giou(a: Box, b: Box) -> float:
     Equals plain IoU whenever the enclosing box coincides with the union.
     Far-apart small boxes approach -1; identical boxes give exactly 1.
     """
-    u = union_area(a, b)
-    c = enclosing_area(a, b)
-    return intersection_area(a, b) / u - (c - u) / c
+    inter = intersection_area(a, b)
+    u = a.area + b.area - inter
+    c = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
+    return inter / u - (c - u) / c
 
 
 # ------------------------------------------------------------ array kernels

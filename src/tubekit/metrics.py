@@ -20,36 +20,45 @@ import numpy as np
 
 from .association import Tube
 from .errors import ValidationError
-from .geometry import Box, corners, iou_pairs, sum_in_order
+from .geometry import corner_rows, iou_pairs, sum_in_order
 from .geometry import iou  # noqa: F401  (kept: perfbench counts iou calls through this name)
 from .mining import GtTube
 
 
 @dataclass(frozen=True)
 class Prediction:
-    """Predicted interval plus per-frame boxes dense over the clip."""
+    """Predicted interval [ts, te] plus boxes contiguous from frame t0:
+    boxes is a read-only (K, 4) corner array whose row i is the box of
+    frame t0 + i, each row by Box's rule, and [ts, te] lies within
+    [t0, t0 + K - 1]."""
 
     ts: int
     te: int
-    boxes: dict[int, Box]
+    t0: int
+    boxes: np.ndarray
 
     def __post_init__(self):
         if self.ts > self.te:
             raise ValidationError(f"empty predicted interval [{self.ts}, {self.te}]")
-        if not self.boxes:
+        boxes = corner_rows(self.boxes)
+        if not boxes.shape[0]:
             raise ValidationError("prediction has no boxes")
-        keys = sorted(self.boxes)
-        if keys[-1] - keys[0] + 1 != len(keys):
-            raise ValidationError("prediction boxes must cover a contiguous frame range")
-        if self.ts < keys[0] or self.te > keys[-1]:
+        last = self.t0 + boxes.shape[0] - 1
+        if self.ts < self.t0 or self.te > last:
             raise ValidationError(
                 f"predicted interval [{self.ts}, {self.te}] extends past the "
-                f"predicted boxes [{keys[0]}, {keys[-1]}]")
+                f"predicted boxes [{self.t0}, {last}]")
+        boxes.setflags(write=False)
+        object.__setattr__(self, "boxes", boxes)
 
     @classmethod
     def from_tube(cls, tube: Tube, ts: int, te: int) -> "Prediction":
-        return cls(ts=ts, te=te, boxes={t: Box(*box) for t, box in
-                                        zip(tube.t.tolist(), tube.boxes.tolist())})
+        """The prediction of [ts, te] that carries all the tube's boxes; the
+        tube's frames must be contiguous."""
+        t = tube.t
+        if len(t) and t[-1] - t[0] + 1 != len(t):   # t is strictly increasing
+            raise ValidationError("prediction boxes must cover a contiguous frame range")
+        return cls(ts=ts, te=te, t0=int(t[0]) if len(t) else 0, boxes=tube.boxes)
 
 
 def select_tube(tubes: list[Tube]) -> int:
@@ -83,18 +92,17 @@ def t_iou(a: tuple[int, int], b: tuple[int, int]) -> float:
 
 def v_iou(pred: Prediction, gt: GtTube) -> float:
     """Spatio-temporal IoU of a prediction against the annotation."""
-    s_i = range(max(pred.ts, gt.ts), min(pred.te, gt.te) + 1)
-    s_u = (_interval_len(pred.ts, pred.te) + _interval_len(gt.ts, gt.te)
-           - len(s_i))
-    missing = [t for t in s_i if t not in pred.boxes]
-    if missing:
-        raise ValidationError(f"prediction lacks boxes at shared frames {missing[:5]}")
-    return sum_in_order(_frame_ious(pred, gt, s_i)) / s_u
+    lo = max(pred.ts, gt.ts)
+    n_i = max(0, min(pred.te, gt.te) - lo + 1)
+    s_u = _interval_len(pred.ts, pred.te) + _interval_len(gt.ts, gt.te) - n_i
+    return sum_in_order(_frame_ious(pred, gt, lo, n_i)) / s_u
 
 
-def _frame_ious(pred: Prediction, gt: GtTube, frames: range) -> np.ndarray:
-    return iou_pairs(corners([pred.boxes[t] for t in frames]),
-                     corners([gt.boxes[t] for t in frames]))
+def _frame_ious(pred: Prediction, gt: GtTube, lo: int, n: int) -> np.ndarray:
+    """Box IoU of the prediction and the GT on frames lo .. lo + n - 1,
+    which both cover."""
+    return iou_pairs(pred.boxes[lo - pred.t0:lo - pred.t0 + n],
+                     gt.boxes[lo - gt.ts:lo - gt.ts + n])
 
 
 def split_fifths(s: int, e: int) -> list[tuple[int, int]]:
@@ -116,10 +124,11 @@ def split_fifths(s: int, e: int) -> list[tuple[int, int]]:
 def drift_profile(pred: Prediction, gt: GtTube) -> list[float]:
     """Mean per-frame box IoU over each fifth of the GT interval."""
     parts = split_fifths(gt.ts, gt.te)
-    missing = [t for t in range(gt.ts, gt.te + 1) if t not in pred.boxes]
-    if missing:
+    have = range(pred.t0, pred.t0 + pred.boxes.shape[0])
+    if gt.ts not in have or gt.te not in have:
+        missing = [t for t in range(gt.ts, gt.te + 1) if t not in have]
         raise ValidationError(f"prediction lacks boxes at GT frames {missing[:5]}")
-    ious = _frame_ious(pred, gt, range(gt.ts, gt.te + 1))
+    ious = _frame_ious(pred, gt, gt.ts, gt.length)
     return [float(np.mean(ious[ps - gt.ts:pe - gt.ts + 1])) for ps, pe in parts]
 
 

@@ -21,29 +21,29 @@ import numpy as np
 
 from .association import Tube
 from .errors import ValidationError
-from .geometry import Box, corners, giou_pairs, sum_in_order
+from .geometry import corner_rows, giou_pairs, sum_in_order
 from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
 
 
 @dataclass(frozen=True)
 class GtTube:
-    """Dense per-frame annotation over an inclusive frame interval [ts, te]."""
+    """Dense per-frame annotation over an inclusive frame interval [ts, te]:
+    boxes is a read-only (L, 4) corner array, L = te - ts + 1, whose row i
+    is the box of frame ts + i, each row by Box's rule."""
 
     ts: int
     te: int
-    boxes: dict[int, Box]
+    boxes: np.ndarray
 
     def __post_init__(self):
         if self.ts > self.te:
             raise ValidationError(f"empty GT interval [{self.ts}, {self.te}]")
-        # The first five missing frames lie within len(boxes) + 5 of ts.
-        last = min(self.te, self.ts + len(self.boxes) + 4)
-        missing = [t for t in range(self.ts, last + 1) if t not in self.boxes]
-        if missing:
-            raise ValidationError(f"GT interval is missing boxes at frames {missing[:5]}")
-        extra = [t for t in self.boxes if t < self.ts or t > self.te]
-        if extra:
-            raise ValidationError(f"GT has boxes outside its interval at frames {sorted(extra)[:5]}")
+        boxes = corner_rows(self.boxes)
+        if boxes.shape[0] != self.length:
+            raise ValidationError(f"GT interval [{self.ts}, {self.te}] has {self.length} "
+                                  f"frames but {boxes.shape[0]} boxes")
+        boxes.setflags(write=False)
+        object.__setattr__(self, "boxes", boxes)
 
     @property
     def length(self) -> int:
@@ -73,14 +73,9 @@ class CostBreakdown:
     total: float
 
 
-def center_size_l1(a: Box, b: Box) -> float:
-    """Sum of absolute differences in (cx, cy, w, h)."""
-    return float(_center_size_l1_pairs(corners([a]), corners([b]))[0])
-
-
 def _center_size_l1_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """center_size_l1 of each row of `a` with the same row of `b`, both
-    (N, 4) corners; the terms are added in (cx, cy, w, h) order."""
+    """Sum of absolute differences in (cx, cy, w, h) of each row of `a` with
+    the same row of `b`, both (N, 4) corners, added in that order."""
     dcx = np.abs(0.5 * (a[:, 0] + a[:, 2]) - 0.5 * (b[:, 0] + b[:, 2]))
     dcy = np.abs(0.5 * (a[:, 1] + a[:, 3]) - 0.5 * (b[:, 1] + b[:, 3]))
     dw = np.abs((a[:, 2] - a[:, 0]) - (b[:, 2] - b[:, 0]))
@@ -114,15 +109,6 @@ def match_cost(tube: Tube, gt: GtTube, weights: CostWeights | None = None) -> Co
     frame of the GT interval (association guarantees full-clip coverage)."""
     if weights is None:
         weights = CostWeights()
-    return _match_cost(tube, gt, _gt_corners(gt), weights)
-
-
-def _gt_corners(gt: GtTube) -> np.ndarray:
-    return corners([gt.boxes[t] for t in range(gt.ts, gt.te + 1)])
-
-
-def _match_cost(tube: Tube, gt: GtTube, gt_c: np.ndarray,
-                weights: CostWeights) -> CostBreakdown:
     frames = np.arange(gt.ts, gt.te + 1)
     missing = frames[~np.isin(frames, tube.t)]
     if missing.size:
@@ -134,8 +120,8 @@ def _match_cost(tube: Tube, gt: GtTube, gt_c: np.ndarray,
     # Per-frame terms summed left to right, in frame order.
     n = gt.length
     c_cls = sum_in_order(1.0 - tube.scores[on_gt]) / n
-    c_bbox = sum_in_order(_center_size_l1_pairs(c[on_gt], gt_c)) / n
-    c_giou = sum_in_order(1.0 - giou_pairs(c[on_gt], gt_c)) / n
+    c_bbox = sum_in_order(_center_size_l1_pairs(c[on_gt], gt.boxes)) / n
+    c_giou = sum_in_order(1.0 - giou_pairs(c[on_gt], gt.boxes)) / n
     c_temp = corner_temporal_cost(c)
     total = (weights.w_cls * c_cls + weights.w_bbox * c_bbox
              + weights.w_giou * c_giou + weights.w_temp * c_temp)
@@ -152,10 +138,7 @@ def mine_best_tube(tubes: list[Tube], gt: GtTube,
     """
     if not tubes:
         raise ValidationError("mine_best_tube needs at least one tube")
-    if weights is None:
-        weights = CostWeights()
-    gt_c = _gt_corners(gt)
-    breakdowns = [_match_cost(tube, gt, gt_c, weights) for tube in tubes]
+    breakdowns = [match_cost(tube, gt, weights) for tube in tubes]
     best = 0
     for i, b in enumerate(breakdowns):
         if b.total < breakdowns[best].total:

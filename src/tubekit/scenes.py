@@ -20,7 +20,6 @@ import numpy as np
 
 from .association import FrameDetections, Tube
 from .errors import ValidationError
-from .geometry import Box
 from .mining import GtTube
 
 _MIN_EXTENT = 1e-3
@@ -115,7 +114,7 @@ def generate_scene(cfg: SceneConfig) -> LabeledScene:
     noise_scales = [cfg.detection_noise] * 4 + [cfg.confidence_noise]
     frames: list[FrameDetections] = []
     identities: list[list[int]] = []
-    gt_boxes: dict[int, Box] = {}
+    gt_boxes: list[list[float]] = []
     next_distractor = -1
 
     for t in range(T):
@@ -137,7 +136,7 @@ def generate_scene(cfg: SceneConfig) -> LabeledScene:
         features = [base_feats + drift]
         ids = list(range(cfg.objects))
         if gt_ts <= t <= gt_te:
-            gt_boxes[t] = Box(*_sanitize_corners(true_corners[0]))
+            gt_boxes.append(_sanitize_corners(true_corners[0]))
 
         n_spur = int(rng.poisson(cfg.distractor_rate))
         for _ in range(n_spur):
@@ -156,7 +155,7 @@ def generate_scene(cfg: SceneConfig) -> LabeledScene:
         frames.append(FrameDetections(t, boxes, scores, np.concatenate(features)))
         identities.append(ids)
 
-    gt = GtTube(ts=gt_ts, te=gt_te, boxes=gt_boxes)
+    gt = GtTube(ts=gt_ts, te=gt_te, boxes=np.array(gt_boxes))
     return LabeledScene(config=cfg, frames=frames, identities=identities, gt=gt)
 
 

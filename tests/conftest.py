@@ -1,5 +1,5 @@
-"""Shared helpers: array-built frames and tubes, and seeded smooth tubes for
-gradient and loss tests."""
+"""Shared helpers: array-built frames, tubes, GT and predictions, and seeded
+smooth tubes for gradient and loss tests."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,6 +7,8 @@ import numpy as np
 from tubekit.association import FrameDetections, Tube
 from tubekit.consistency import MinedTube
 from tubekit.geometry import Box, corners
+from tubekit.metrics import Prediction
+from tubekit.mining import GtTube
 
 
 def make_frame(t: int, dets) -> FrameDetections:
@@ -25,6 +27,16 @@ def make_tube(slot_id: int, boxes: list[Box], scores, t=None, det=None,
     return Tube(slot_id=slot_id, t=np.arange(n) if t is None else t,
                 boxes=corners(boxes), scores=np.broadcast_to(np.asarray(scores, float), (n,)),
                 det=np.zeros(n, dtype=int) if det is None else det, features=features)
+
+
+def make_gt(ts: int, boxes: list[Box]) -> GtTube:
+    """GtTube over frames ts .. ts + len(boxes) - 1 from per-frame Boxes."""
+    return GtTube(ts=ts, te=ts + len(boxes) - 1, boxes=corners(boxes))
+
+
+def make_prediction(ts: int, te: int, t0: int, boxes: list[Box]) -> Prediction:
+    """Prediction of [ts, te] from per-frame Boxes, the first at frame t0."""
+    return Prediction(ts=ts, te=te, t0=t0, boxes=corners(boxes))
 
 
 def make_smooth_tube(seed: int, length: int = 5, dim: int = 8) -> MinedTube:

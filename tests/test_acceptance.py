@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_smooth_tube, make_tube
+from conftest import make_gt, make_prediction, make_smooth_tube, make_tube
 from tubekit.assignment import assignment_total, solve_assignment
 from tubekit.association import AssociationConfig, run_association
 from tubekit.autolabel import (CandidateRecord, CandidateTube, coverage_filter,
@@ -22,8 +22,8 @@ from tubekit.consistency import MinedTube, feature_loss, geom_loss, grad_check
 from tubekit.decoding import ExposureConfig, simulate_decoding
 from tubekit.formats import load_labels, load_tubes
 from tubekit.geometry import Box, corners, giou, iou
-from tubekit.metrics import evaluate, Prediction
-from tubekit.mining import CostWeights, GtTube, match_cost, mine_best_tube, temporal_cost
+from tubekit.metrics import evaluate
+from tubekit.mining import CostWeights, match_cost, mine_best_tube, temporal_cost
 from tubekit.scenes import SceneConfig, generate_scene, identity_switch_rate
 
 
@@ -233,7 +233,7 @@ def test_criterion_06_mining_planted_tube():
     for seed in range(100):
         rng = np.random.default_rng(600 + seed)
         track = _walk_boxes(rng, 20)
-        gt = GtTube(ts=6, te=13, boxes={t: track[t] for t in range(6, 14)})
+        gt = make_gt(6, track[6:14])
         planted = make_tube(0, track, 1.0)
         tubes = [planted]
         for slot in range(1, 15):
@@ -248,7 +248,7 @@ def test_criterion_06_mining_planted_tube():
     for seed in range(20):
         rng = np.random.default_rng(6600 + seed)
         track = _walk_boxes(rng, 20)
-        gt = GtTube(ts=6, te=13, boxes={t: track[t] for t in range(6, 14)})
+        gt = make_gt(6, track[6:14])
         smooth = make_tube(0, track, 1.0)
         outside = _walk_boxes(rng, 20, step=0.2, size=0.15)
         jittery = make_tube(1, [track[t] if 6 <= t <= 13 else outside[t]
@@ -271,7 +271,7 @@ def test_criterion_07_exposure_bias():
         cfg = ExposureConfig(sequence_length=length, per_step_error=eps,
                              trials=10_000, drift_step=0.05,
                              token_budget=budget, seed=700 + length)
-        track = [Box(0.4, 0.4, 0.6, 0.6)] * (length // budget)
+        track = [[0.4, 0.4, 0.6, 0.6]] * (length // budget)
         report = simulate_decoding(cfg, track)
         p = report.analytic_error_free
         se = (p * (1 - p) / 10_000) ** 0.5
@@ -293,12 +293,11 @@ def test_criterion_08_metric_self_consistency():
     samples = []
     for _ in range(40):
         n = int(rng.integers(6, 15))
-        gt = GtTube(ts=0, te=n - 1, boxes={t: box for t in range(n)})
+        gt = make_gt(0, [box] * n)
         x1 = rng.uniform(0.1, 0.5)
         shifted = Box(x1, 0.3, x1 + 0.3, 0.6)
         ts = int(rng.integers(0, n // 2))
-        pred = Prediction(ts=ts, te=n - 1,
-                          boxes={t: shifted for t in range(n)})
+        pred = make_prediction(ts, n - 1, 0, [shifted] * n)
         samples.append((pred, gt))
     report = evaluate(samples, thresholds=(0.3, 0.5, 0.7))
     assert abs(report.m_t_iou - np.mean([s.t_iou for s in report.samples])) <= 1e-12
@@ -307,8 +306,7 @@ def test_criterion_08_metric_self_consistency():
         frac = np.mean([1.0 if s.v_iou >= tau else 0.0 for s in report.samples])
         assert abs(rate - frac) <= 1e-12
 
-    perfect = [(Prediction(ts=0, te=9, boxes={t: box for t in range(10)}),
-                GtTube(ts=0, te=9, boxes={t: box for t in range(10)}))] * 3
+    perfect = [(make_prediction(0, 9, 0, [box] * 10), make_gt(0, [box] * 10))] * 3
     p_report = evaluate(perfect, thresholds=(0.3, 0.5, 1.0))
     assert p_report.m_t_iou == 1.0
     assert p_report.m_v_iou == 1.0

@@ -121,6 +121,33 @@ class TestMergeTubes:
         assert merged[0].span == (0, 12)
         assert merged[0].real_record_count == 9
 
+    @pytest.mark.parametrize("b_start, merges", [(7, True), (8, False)])
+    def test_gap_at_most_the_real_records(self, b_start, merges):
+        # 2 + 3 real records: a gap of 5 frames merges, one of 6 does not.
+        a = cand((0, 1), [1.0, 0.0])
+        b = cand((b_start, b_start + 2), [1.0, 0.0])
+        assert len(merge_tubes([a, b])) == (1 if merges else 2)
+        assert len(merge_tubes([b, a])) == (1 if merges else 2)
+
+    def test_interpolated_records_do_not_widen_the_bound(self):
+        # [0, 1] and [4, 5] merge over a gap of 2 into 4 real records and 2
+        # interpolated ones; the gap of 6 to [12, 12] is more than 4 + 1.
+        merged = merge_tubes([cand((0, 1), [1.0, 0.0]), cand((4, 5), [1.0, 0.0]),
+                              cand((12, 12), [1.0, 0.0])])
+        assert sorted(m.span for m in merged) == [(0, 5), (12, 12)]
+
+    def test_far_apart_fragments_stay_apart(self):
+        far = [cand((0, 0), [1.0, 0.0]), cand((10_000, 10_000), [1.0, 0.0])]
+        assert merge_tubes(far) == far
+
+    def test_two_frame_gaps_of_thirds_merge(self):
+        # Object 0 cut into thirds of a 24-frame clip with two-frame gaps.
+        pieces = [cand((0, 6), [1.0, 0.0]), cand((9, 14), [1.0, 0.02]),
+                  cand((17, 23), [1.0, 0.01])]
+        merged = merge_tubes(pieces)
+        assert [m.span for m in merged] == [(0, 23)]
+        assert merged[0].real_record_count == 20
+
     def test_merge_is_a_fixed_point(self):
         rng = np.random.default_rng(47)
         for _ in range(100):
@@ -193,7 +220,7 @@ class TestAssembleAnnotation:
         gt = assemble_annotation([a, b], (0, 14))
         assert gt is not None
         assert (gt.ts, gt.te) == (0, 14)
-        assert sorted(gt.boxes) == list(range(15))
+        assert gt.boxes.shape == (15, 4)
 
     def test_result_clipped_to_interval(self):
         # Tube [0, 9] covers 6 of the 10 interval frames, enough to keep,
@@ -215,7 +242,7 @@ class TestAssembleAnnotation:
         strong = cand((0, 9), [0.0, 1.0], score=0.9)
         gt_default = assemble_annotation([weak, strong], (0, 9))
         assert gt_default is not None
-        assert gt_default.boxes[0] == BOX_A
+        assert gt_default.boxes[0].tolist() == BOX_A.to_list()
         flipped = assemble_annotation([weak, strong], (0, 9),
                                       score_fn=lambda t: -t.mean_score())
         assert flipped is not None

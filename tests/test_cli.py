@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 import tubekit
-from conftest import make_tube
+from conftest import make_gt, make_tube
 from tubekit.cli import main
 from tubekit.formats import load_gt, load_predictions, load_tubes, save_candidates, save_gt, save_tubes
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.geometry import Box
-from tubekit.mining import GtTube
 
 B = Box(0.3, 0.3, 0.5, 0.5)
 OFF = Box(0.7, 0.7, 0.9, 0.9)
@@ -30,6 +29,15 @@ def simulate(tmp_path, name: str, *extra: str) -> str:
     assert main(["simulate", "--seed", "21", "--frames", "20", "--out", prefix,
                  *extra]) == 0
     return prefix
+
+
+def run_fresh(*argv: str, timeout: int = 60) -> subprocess.CompletedProcess:
+    """`python *argv` in a fresh process that imports this tubekit."""
+    src = str(Path(tubekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def spoil_embed(prefix: str, line: int, value: float) -> Path:
@@ -57,7 +65,7 @@ class TestExitCodes:
         bad = tmp_path / "bad.tubes.json"
         bad.write_text("{broken")
         gt = tmp_path / "ok.gt.json"
-        save_gt(str(gt), "vid", GtTube(ts=0, te=1, boxes={0: B, 1: B}))
+        save_gt(str(gt), "vid", make_gt(0, [B, B]))
         assert main(["mine", "--tubes", str(bad), "--gt", str(gt),
                      "--out", str(tmp_path / "r.json")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -118,13 +126,8 @@ class TestSimulate:
         # The border fold used to loop forever at these sizes.  At 1e308 a
         # step overflows to infinity, which has no folded position.
         prefix = str(tmp_path / "s")
-        src = str(Path(tubekit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        result = subprocess.run(
-            [sys.executable, "-m", "tubekit.cli", "simulate", "--seed", "3", "--frames", "12",
-             "--objects", "2", "--motion-step", step, "--out", prefix],
-            env=env, capture_output=True, text=True, timeout=60)
+        result = run_fresh("-m", "tubekit.cli", "simulate", "--seed", "3", "--frames", "12",
+                           "--objects", "2", "--motion-step", step, "--out", prefix)
         assert result.returncode == code, result.stderr
         if code == 0:
             assert load_gt(prefix + ".gt.json")[1].length >= 1
@@ -153,6 +156,70 @@ class TestGoldenBytes:
                      "--out", f"{prefix}.tubes.json"]) == 0
         assert {suffix: sha(Path(f"{prefix}.{suffix}")) for suffix in self.DIGESTS} == \
             self.DIGESTS
+
+    # The rest of the README walkthrough on the same clip, plus autolabel on
+    # GOLDEN_CANDIDATES: GT and prediction files, the mining, loss, metric
+    # and drift reports, and interpolated pseudo annotations.
+    WALKTHROUGH = {
+        "mine.json": "b5cd3b7e4aa77ece13a24ad4f817293af0daeec498c2dcc80d411297ba1fd801",
+        "losses.json": "f373ae65733b8b9bbef6c82331eb338d458eae008e182b615a558070e5e33292",
+        "gc.json": "353ad9e1407023d1d34aa418d4cc9ace295a296cd493d2d09eb5ab993544e731",
+        "pred.jsonl": "79739b8ab63d0931ef344f6efe74dc71b1223ff46396020098f872b50d35c8df",
+        "n.pred.jsonl": "53ceb58dd9cedc5f14b64f0f4db5e50c201a422285c4ed09ede26e2e3bb15e5c",
+        "eval.json": "6cffaa127f0f5bd4e4df6ed583921af617a4f960858781ed8488e788cddd5257",
+        "drift.csv": "c26d3fde690871ddbc6d5b0af4650e7ccf142ea47ca32f440201364a047b097b",
+        "exposure.json": "46571acd4f610fafac02f87862da5de4555b5a2f8f3748b57aa27a4a0148dccf",
+        "pseudo.gt.json": "b5b7a0bce7c46dbf8e00f852103140da4298b77d13c076e660dad70387a98f52",
+    }
+
+    def test_walkthrough_outputs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)   # reports echo their input paths
+        Path("cands.json").write_text(json.dumps(GOLDEN_CANDIDATES))
+        for argv in (
+                ["simulate", "--seed", "7", "--frames", "24", "--objects", "3",
+                 "--feature-dim", "8", "--labels", "--out", "g"],
+                ["associate", "--n-q", "3", "--embed", "g.detections.jsonl",
+                 "--out", "g.tubes.json"],
+                ["mine", "--tubes", "g.tubes.json", "--gt", "g.gt.json", "--out", "mine.json"],
+                ["losses", "--tubes", "g.tubes.json", "--out", "losses.json"],
+                ["grad-check", "--tubes", "g.tubes.json", "--slot", "0", "--out", "gc.json"],
+                ["select", "--tubes", "g.tubes.json", "--gt", "g.gt.json", "--out", "pred.jsonl"],
+                # A noisy one-object clip, so that the predicted boxes overlap the GT.
+                ["simulate", "--seed", "7", "--frames", "24", "--detection-noise", "0.02",
+                 "--video-id", "noisy", "--out", "n"],
+                ["associate", "--n-q", "2", "n.detections.jsonl", "--out", "n.tubes.json"],
+                ["select", "--tubes", "n.tubes.json", "--gt", "n.gt.json", "--out", "n.pred.jsonl"],
+                ["eval", "--pred", "preds.jsonl", "--gt", "gts.jsonl", "--drift", "drift.csv",
+                 "--out", "eval.json"],
+                ["exposure", "--length", "80", "--eps", "0.01", "--trials", "500",
+                 "--seed", "7", "--out", "exposure.json"],
+                ["autolabel", "--candidates", "cands.json", "--ts", "2", "--te", "21",
+                 "--out", "pseudo.gt.json"]):
+            if argv[0] == "eval":
+                for out, parts in (("preds.jsonl", ("pred.jsonl", "n.pred.jsonl")),
+                                   ("gts.jsonl", ("g.gt.json", "n.gt.json"))):
+                    Path(out).write_text("".join(Path(p).read_text() for p in parts))
+            assert main(argv) == 0, argv
+        assert {name: sha(Path(name)) for name in self.WALKTHROUGH} == self.WALKTHROUGH
+
+
+def _fragment(s: int, e: int, x0: float, score: float, appearance: list) -> dict:
+    """A candidate over frames s..e whose box slides right by 0.01 a frame."""
+    return {"category": "person", "span": [s, e], "appearance": appearance,
+            "records": [{"t": t, "box": [x0 + 0.01 * t, 0.2 + 0.005 * t, x0 + 0.3 + 0.01 * t, 0.6],
+                         "score": score} for t in range(s, e + 1)]}
+
+
+# Three fragments of one walker with two-frame gaps and jumps between them,
+# a look-alike that overlaps all three (a conflict, never merged) and a car
+# over the whole clip.
+GOLDEN_CANDIDATES = {"video_id": "golden", "candidates": [
+    _fragment(0, 6, 0.1, 0.9, [1.0, 0.1]),
+    _fragment(9, 14, 0.13, 0.85, [1.0, 0.12]),
+    _fragment(17, 23, 0.08, 0.8, [1.0, 0.08]),
+    _fragment(3, 20, 0.3, 0.3, [1.0, -0.3]),
+    {**_fragment(0, 23, 0.5, 0.6, [0.0, 1.0]), "category": "car"},
+]}
 
 
 class TestAssociate:
@@ -252,16 +319,21 @@ class TestAssociate:
         # In a fresh process, where numpy's overflow warning would reach
         # stderr: the refusal must be the one line there.
         path = spoil_embed(simulate(tmp_path, "s"), 3, 1e200)
-        src = str(Path(tubekit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        result = subprocess.run(
-            [sys.executable, "-m", "tubekit.cli", "associate", str(path),
-             "--out", str(tmp_path / "t.json")],
-            env=env, capture_output=True, text=True, timeout=60)
+        result = run_fresh("-m", "tubekit.cli", "associate", str(path),
+                           "--out", str(tmp_path / "t.json"))
         assert result.returncode == 2
         assert result.stderr == (f"error: {path}:3: detection feature must have "
                                  "a finite, positive norm\n")
+
+    def test_non_utf8_input_is_one_error_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'\xff\xfe{"a": 1}\n')
+        out = tmp_path / "x.json"
+        result = run_fresh("-m", "tubekit.cli", "associate", str(path), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {path}: cannot read file: not UTF-8 text")
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+        assert not out.exists()
 
     def test_cold_start_skips_scipy_optimize(self, tmp_path, capsys):
         prefix = simulate(tmp_path, "s")
@@ -275,11 +347,7 @@ class TestAssociate:
             f"assert tubekit.cli.main(['associate', {prefix + '.detections.jsonl'!r},"
             f" '--n-q', '2', '--out', {str(out)!r}]) == 0\n"
             "assert not scipy_loaded(), scipy_loaded()\n")
-        src = str(Path(tubekit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, timeout=120)
+        result = run_fresh("-c", code, timeout=120)
         assert result.returncode == 0, result.stderr
         _, tubes = load_tubes(str(out))
         assert len(tubes) == 2
@@ -301,7 +369,7 @@ def write_planted_tubes(tmp_path):
     tubes_path = tmp_path / "plant.tubes.json"
     gt_path = tmp_path / "plant.gt.json"
     save_tubes(str(tubes_path), "plant", tubes)
-    save_gt(str(gt_path), "plant", GtTube(ts=2, te=3, boxes={2: B, 3: B}))
+    save_gt(str(gt_path), "plant", make_gt(2, [B, B]))
     return tubes_path, gt_path
 
 
@@ -353,7 +421,7 @@ class TestMine:
     def test_video_id_mismatch_rejected(self, tmp_path, capsys):
         tubes_path, _ = write_planted_tubes(tmp_path)
         other_gt = tmp_path / "other.gt.json"
-        save_gt(str(other_gt), "other", GtTube(ts=0, te=1, boxes={0: B, 1: B}))
+        save_gt(str(other_gt), "other", make_gt(0, [B, B]))
         assert main(["mine", "--tubes", str(tubes_path), "--gt", str(other_gt),
                      "--out", str(tmp_path / "r.json")]) == 1
 
@@ -477,7 +545,7 @@ class TestSelectAndEval:
     def test_video_set_mismatch_rejected(self, tmp_path, capsys):
         prefix, preds = self._pipeline(tmp_path)
         other = tmp_path / "other.gt.json"
-        save_gt(str(other), "someone-else", GtTube(ts=0, te=1, boxes={0: B, 1: B}))
+        save_gt(str(other), "someone-else", make_gt(0, [B, B]))
         assert main(["eval", "--pred", str(preds), "--gt", str(other),
                      "--out", str(tmp_path / "e.json")]) == 1
 
@@ -537,7 +605,29 @@ class TestAutolabel:
         video_id, gt = load_gt(str(out))
         assert video_id == "vid"
         assert (gt.ts, gt.te) == (0, 14)
-        assert sorted(gt.boxes) == list(range(15))
+        assert gt.boxes.shape == (15, 4)
+
+    def test_far_apart_fragments_under_a_memory_cap(self, tmp_path):
+        # Bridging this gap used to build ten million interpolated records
+        # and die in a MemoryError traceback.  The gap is wider than the two
+        # real records, so the fragments stay apart and neither covers half
+        # of the interval.
+        path = tmp_path / "far.candidates.json"
+        path.write_text(json.dumps({"video_id": "far", "candidates": [
+            {"category": "dog", "span": [t, t], "appearance": [1.0, 0.0],
+             "records": [{"t": t, "box": [0.3, 0.3, 0.5, 0.5], "score": 0.9}]}
+            for t in (0, 10_000_000)]}))
+        out = tmp_path / "pseudo.gt.json"
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
+                "from tubekit.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        result = run_fresh("-c", code, "autolabel", "--candidates", str(path), "--ts", "0",
+                           "--te", "10000000", "--out", str(out), timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "nothing written" in result.stdout
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
 
     def test_insufficient_coverage_writes_nothing(self, tmp_path, capsys):
         path = self._candidates(tmp_path)

@@ -7,9 +7,8 @@ import pytest
 from tubekit.decoding import (DecodingReport, ExposureConfig, p_error_free,
                               simulate_decoding)
 from tubekit.errors import ValidationError
-from tubekit.geometry import Box
-
-TRACK = [Box(0.4, 0.4, 0.6, 0.6)] * 10
+BOX = [0.4, 0.4, 0.6, 0.6]
+TRACK = np.array([BOX] * 10)
 
 
 class TestPErrorFree:
@@ -95,7 +94,7 @@ class TestSimulateDecoding:
         for length, eps, budget in [(40, 0.01, 4), (100, 0.005, 4)]:
             cfg = ExposureConfig(sequence_length=length, per_step_error=eps,
                                  trials=trials, token_budget=budget, seed=11)
-            track = [Box(0.4, 0.4, 0.6, 0.6)] * (length // budget)
+            track = [BOX] * (length // budget)
             report = simulate_decoding(cfg, track)
             p = report.analytic_error_free
             se = math.sqrt(p * (1 - p) / trials)
@@ -106,7 +105,7 @@ class TestSimulateDecoding:
         # later fifths can never beat earlier ones by more than noise.
         cfg = ExposureConfig(sequence_length=200, per_step_error=0.02, trials=3000,
                              drift_step=0.05, token_budget=4, seed=7)
-        track = [Box(0.4, 0.4, 0.6, 0.6)] * 50
+        track = [BOX] * 50
         report = simulate_decoding(cfg, track)
         for a, b in zip(report.profile, report.profile[1:]):
             assert b <= a + 1e-9
@@ -118,6 +117,12 @@ class TestSimulateDecoding:
         a = simulate_decoding(cfg, TRACK)
         b = simulate_decoding(cfg, TRACK)
         assert a == b
+
+    def test_track_rows_checked(self):
+        cfg = ExposureConfig(sequence_length=40, per_step_error=0.01, trials=10,
+                             token_budget=4)
+        with pytest.raises(ValidationError, match="no area"):
+            simulate_decoding(cfg, [BOX] * 9 + [[0.5, 0.4, 0.5, 0.6]])
 
     def test_report_type(self):
         cfg = ExposureConfig(sequence_length=20, per_step_error=0.01, trials=50,

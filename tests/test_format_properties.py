@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_frame, make_tube
+from conftest import make_frame, make_gt, make_prediction, make_tube
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.errors import FormatError
 from tubekit.formats import (f9, load_candidates, load_detections, load_gt,
@@ -63,7 +63,7 @@ def detection_files(draw):
 def gt_tubes(draw) -> GtTube:
     ts = draw(st.integers(0, 5))
     te = ts + draw(st.integers(0, 3))
-    return GtTube(ts=ts, te=te, boxes={t: draw(boxes()) for t in range(ts, te + 1)})
+    return make_gt(ts, [draw(boxes()) for _ in range(ts, te + 1)])
 
 
 @st.composite
@@ -88,8 +88,8 @@ def predictions(draw) -> Prediction:
     k0 = draw(st.integers(0, 4))
     k1 = k0 + draw(st.integers(0, 3))
     ts = draw(st.integers(k0, k1))
-    return Prediction(ts=ts, te=draw(st.integers(ts, k1)),
-                      boxes={t: draw(boxes()) for t in range(k0, k1 + 1)})
+    return make_prediction(ts, draw(st.integers(ts, k1)), k0,
+                           [draw(boxes()) for _ in range(k0, k1 + 1)])
 
 
 @st.composite
@@ -141,8 +141,7 @@ def test_gt_round_trip(tmp_path, video_id, gt):
     save_gt(str(path), video_id, gt)
     loaded_id, loaded = load_gt(str(path))
     assert (loaded_id, loaded.ts, loaded.te) == (video_id, gt.ts, gt.te)
-    assert {t: b.to_list() for t, b in loaded.boxes.items()} == \
-        {t: f9_box(b) for t, b in gt.boxes.items()}
+    assert loaded.boxes.tolist() == [f9_box(Box(*b)) for b in gt.boxes.tolist()]
     again = tmp_path / "again.json"
     save_gt(str(again), loaded_id, loaded)
     assert again.read_bytes() == path.read_bytes()

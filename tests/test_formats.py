@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_frame, make_tube
+from conftest import make_frame, make_gt, make_prediction, make_tube
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.errors import FormatError, ValidationError
 from tubekit.formats import (_f9_rows, f9, load_candidates, load_detections, load_gt,
@@ -14,8 +14,6 @@ from tubekit.formats import (_f9_rows, f9, load_candidates, load_detections, loa
                              save_gt, save_labels, save_predictions,
                              save_report, save_tubes)
 from tubekit.geometry import Box
-from tubekit.metrics import Prediction
-from tubekit.mining import GtTube
 
 BOX = Box(0.25, 0.25, 0.5, 0.5)
 
@@ -181,10 +179,12 @@ class TestDetections:
 
 
 @pytest.mark.parametrize("load", [load_detections, load_predictions, load_gt_collection,
-                                  load_tubes])
-@pytest.mark.parametrize("name", ["absent.jsonl", "."])
+                                  load_tubes, load_gt, load_labels, load_candidates])
+@pytest.mark.parametrize("name", ["absent.jsonl", ".", "not-utf8.jsonl"])
 def test_unreadable_file_is_format_error(tmp_path, load, name):
     path = tmp_path / name
+    if name == "not-utf8.jsonl":   # a UTF-16 byte order mark, then a JSON object
+        path.write_bytes(b'\xff\xfe{"a": 1}\n')
     with pytest.raises(FormatError, match="cannot read file") as err:
         load(str(path))
     assert str(err.value).startswith(f"{path}: ")
@@ -200,7 +200,7 @@ class TestJsonlWriters:
             '{"t": 0, "detections": [{"box": [0.1, 0.2, 0.333333333, 0.5], "score": 0.5, '
             '"embed": [1.0, 2.0]}]}\n')
         pred = tmp_path / "p.jsonl"
-        save_predictions(str(pred), [("a", Prediction(ts=1, te=1, boxes={1: BOX}))])
+        save_predictions(str(pred), [("a", make_prediction(1, 1, 1, [BOX]))])
         assert pred.read_text() == (
             '{"video_id": "a", "ts": 1, "te": 1, "boxes": [{"t": 1, "box": [0.25, 0.25, 0.5, 0.5]}]}\n')
 
@@ -233,7 +233,7 @@ class TestJsonlWriters:
 
 class TestGt:
     def _gt(self):
-        return GtTube(ts=2, te=5, boxes={t: BOX for t in range(2, 6)})
+        return make_gt(2, [BOX] * 4)
 
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "clip.gt.json")
@@ -241,7 +241,7 @@ class TestGt:
         video_id, gt = load_gt(path)
         assert video_id == "vid"
         assert (gt.ts, gt.te) == (2, 5)
-        assert gt.boxes[3] == BOX
+        assert gt.boxes[3 - gt.ts].tolist() == BOX.to_list()
 
     def test_seconds_interval_converted(self, tmp_path):
         doc = {"video_id": "v", "ts_sec": 0.2, "te_sec": 0.5, "fps": 10.0,
@@ -272,6 +272,23 @@ class TestGt:
         with pytest.raises(FormatError, match="'fps' must be finite and positive") as err:
             load_predictions(str(pred))
         assert f"{pred}:1:" in str(err.value)
+
+    def test_frames_in_any_order(self, tmp_path):
+        path = tmp_path / "reversed.gt.json"
+        path.write_text(json.dumps({"video_id": "v", "ts": 1, "te": 2, "boxes": [
+            {"t": 2, "box": BOX.to_list()}, {"t": 1, "box": [0.1, 0.1, 0.2, 0.2]}]}))
+        _, gt = load_gt(str(path))
+        assert gt.boxes.tolist() == [[0.1, 0.1, 0.2, 0.2], BOX.to_list()]
+
+    def test_duplicate_frame_refused(self, tmp_path):
+        # A dict keyed by frame used to keep the last box in silence.
+        path = tmp_path / "twice.gt.json"
+        path.write_text(json.dumps({"video_id": "v", "ts": 1, "te": 2, "boxes": [
+            {"t": 1, "box": BOX.to_list()}, {"t": 2, "box": BOX.to_list()},
+            {"t": 1, "box": BOX.to_list()}]}))
+        with pytest.raises(FormatError, match="frame 1 has more than one box") as err:
+            load_gt(str(path))
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_collection_document_error_at_its_line(self, tmp_path):
         path = tmp_path / "pretty.gt.json"
@@ -399,17 +416,33 @@ class TestTubes:
 class TestPredictions:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "preds.jsonl")
-        items = [("a", Prediction(ts=0, te=2, boxes={t: BOX for t in range(3)})),
-                 ("b", Prediction(ts=1, te=1, boxes={1: BOX}))]
+        items = [("a", make_prediction(0, 2, 0, [BOX] * 3)),
+                 ("b", make_prediction(1, 1, 1, [BOX]))]
         save_predictions(path, items)
         loaded = load_predictions(path)
         assert [vid for vid, _ in loaded] == ["a", "b"]
-        assert loaded[0][1].boxes[2] == BOX
+        assert loaded[0][1].boxes[2 - loaded[0][1].t0].tolist() == BOX.to_list()
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("\n")
         with pytest.raises(FormatError, match="empty"):
+            load_predictions(str(path))
+
+    def test_duplicate_frame_refused(self, tmp_path):
+        path = tmp_path / "twice.jsonl"
+        line = {"video_id": "a", "ts": 0, "te": 0, "boxes": [{"t": 0, "box": BOX.to_list()}]}
+        twice = {**line, "video_id": "b", "boxes": line["boxes"] * 2}
+        path.write_text(json.dumps(line) + "\n" + json.dumps(twice) + "\n")
+        with pytest.raises(FormatError, match="frame 0 has more than one box") as err:
+            load_predictions(str(path))
+        assert err.value.line == 2 and str(err.value).startswith(f"{path}:2: ")
+
+    def test_hole_refused(self, tmp_path):
+        path = tmp_path / "hole.jsonl"
+        path.write_text(json.dumps({"video_id": "a", "ts": 0, "te": 0, "boxes": [
+            {"t": t, "box": BOX.to_list()} for t in (0, 3, 9)]}) + "\n")
+        with pytest.raises(FormatError, match=r"contiguous.*frames \[1, 2, 4, 5, 6\]"):
             load_predictions(str(path))
 
 
@@ -488,7 +521,7 @@ BOX3_F9 = [0.333333333, 0.25, 0.5, 0.666666667]
 
 def _doc_cases():
     """(name, write(path), load-and-rewrite(src, dst) or None, expected dict)."""
-    gt = GtTube(ts=1, te=2, boxes={1: BOX3, 2: BOX})
+    gt = make_gt(1, [BOX3, BOX])
 
     def write_gt(p):
         save_gt(p, "vid", gt)

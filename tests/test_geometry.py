@@ -1,4 +1,4 @@
-"""Box geometry: construction, conversions, IoU and generalized IoU."""
+"""Box geometry: construction, IoU and generalized IoU, and corner rows."""
 import re
 
 import numpy as np
@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubekit.errors import ValidationError
-from tubekit.geometry import (Box, CenterSizeBox, corner_rows, enclosing_area,
-                              giou, intersection_area, iou, to_center_size,
-                              to_corner, union_area)
+from tubekit.geometry import Box, corner_rows, giou, intersection_area, iou
 
 
 class TestBoxConstruction:
@@ -43,31 +41,6 @@ class TestBoxConstruction:
     def test_from_list_length(self):
         with pytest.raises(ValidationError):
             Box.from_list([0.1, 0.2, 0.3])
-
-
-class TestCenterSize:
-    def test_known_conversion(self):
-        cs = to_center_size(Box(0.4, 0.3, 0.6, 0.7))
-        assert cs.cx == pytest.approx(0.5, abs=1e-15)
-        assert cs.cy == pytest.approx(0.5, abs=1e-15)
-        assert cs.w == pytest.approx(0.2, abs=1e-15)
-        assert cs.h == pytest.approx(0.4, abs=1e-15)
-
-    def test_known_back_conversion(self):
-        b = to_corner(CenterSizeBox(0.5, 0.5, 0.2, 0.4))
-        assert b.to_list() == pytest.approx([0.4, 0.3, 0.6, 0.7], abs=1e-15)
-
-    def test_round_trip_thousand_boxes(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            x1, y1 = rng.uniform(0.0, 0.8, size=2)
-            b = Box(x1, y1, x1 + rng.uniform(0.05, 0.2), y1 + rng.uniform(0.05, 0.2))
-            back = to_corner(to_center_size(b))
-            assert np.allclose(back.to_list(), b.to_list(), rtol=0, atol=1e-12)
-
-    def test_rejects_nonpositive_extent(self):
-        with pytest.raises(ValidationError):
-            CenterSizeBox(0.5, 0.5, 0.0, 0.4)
 
 
 class TestIou:
@@ -155,7 +128,8 @@ class TestPairProperties:
         # Aligned boxes sharing full extent along one axis tile their hull.
         a = Box(0.1, 0.2, 0.4, 0.6)
         b = Box(0.3, 0.2, 0.7, 0.6)
-        assert enclosing_area(a, b) == pytest.approx(union_area(a, b), abs=1e-15)
+        enclosing = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
+        assert enclosing == pytest.approx(a.area + b.area - intersection_area(a, b), abs=1e-15)
         assert giou(a, b) == iou(a, b)
 
 

@@ -3,8 +3,8 @@
 `giou_pairs` and `iou_pairs` are compared with the scalar `geometry.giou`
 and `geometry.iou`.  Mining costs, the geometry loss, the loss gradients,
 v_iou and the drift profile are compared with the per-frame Python loops
-they replaced, copied below unchanged as oracles.  Every
-comparison is `==` on floats or on `tobytes()`, never approximate: the array
+they replaced, copied below as oracles; these read the GT and prediction
+rows one frame at a time as Boxes.  Every comparison is `==` on floats or on `tobytes()`, never approximate: the array
 code performs the same IEEE operations in the same order.
 """
 import re
@@ -38,14 +38,22 @@ def oracle_temporal_cost(boxes: list[Box]) -> float:
     return acc / (len(boxes) - 1)
 
 
+def gt_box(gt: GtTube, t: int) -> Box:
+    return Box(*gt.boxes[t - gt.ts].tolist())
+
+
+def pred_box(pred: Prediction, t: int) -> Box:
+    return Box(*pred.boxes[t - pred.t0].tolist())
+
+
 def oracle_match_cost(tube: Tube, gt: GtTube, w: CostWeights) -> tuple:
     by_t = {r.t: r for r in tube.records}
     c_cls = c_bbox = c_giou = 0.0
     for t in range(gt.ts, gt.te + 1):
         rec = by_t[t]
         c_cls += 1.0 - rec.score
-        c_bbox += oracle_center_size_l1(rec.box, gt.boxes[t])
-        c_giou += 1.0 - giou(rec.box, gt.boxes[t])
+        c_bbox += oracle_center_size_l1(rec.box, gt_box(gt, t))
+        c_giou += 1.0 - giou(rec.box, gt_box(gt, t))
     n = gt.length
     c_cls /= n
     c_bbox /= n
@@ -60,14 +68,14 @@ def oracle_v_iou(pred: Prediction, gt: GtTube) -> float:
     s_u = (pred.te - pred.ts + 1) + (gt.te - gt.ts + 1) - len(s_i)
     acc = 0.0
     for t in s_i:
-        acc += iou(pred.boxes[t], gt.boxes[t])
+        acc += iou(pred_box(pred, t), gt_box(gt, t))
     return acc / s_u
 
 
 def oracle_drift_profile(pred: Prediction, gt: GtTube) -> list[float]:
     profile = []
     for ps, pe in split_fifths(gt.ts, gt.te):
-        vals = [iou(pred.boxes[t], gt.boxes[t]) for t in range(ps, pe + 1)]
+        vals = [iou(pred_box(pred, t), gt_box(gt, t)) for t in range(ps, pe + 1)]
         profile.append(float(np.mean(vals)))
     return profile
 

@@ -2,13 +2,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_tube
+from conftest import make_gt, make_prediction, make_tube
 from tubekit.association import Tube
 from tubekit.errors import ValidationError
 from tubekit.geometry import Box
 from tubekit.metrics import (EvalReport, Prediction, drift_profile, evaluate,
                              select_tube, split_fifths, t_iou, v_iou)
-from tubekit.mining import GtTube
 
 B = Box(0.3, 0.3, 0.6, 0.6)
 OFF = Box(0.0, 0.0, 0.2, 0.2)  # disjoint from B
@@ -17,10 +16,6 @@ HALF = Box(0.3, 0.3, 0.45, 0.6)  # left half of B
 
 def tube(scores: list[float], slot: int = 0) -> Tube:
     return make_tube(slot, [B] * len(scores), scores)
-
-
-def pred(ts: int, te: int, boxes: dict[int, Box]) -> Prediction:
-    return Prediction(ts=ts, te=te, boxes=boxes)
 
 
 class TestSelectTube:
@@ -63,47 +58,60 @@ class TestTIou:
 
 class TestVIou:
     def test_perfect(self):
-        gt = GtTube(ts=0, te=4, boxes={t: B for t in range(5)})
-        p = pred(0, 4, {t: B for t in range(5)})
+        gt = make_gt(0, [B] * 5)
+        p = make_prediction(0, 4, 0, [B] * 5)
         assert v_iou(p, gt) == 1.0
 
     def test_disjoint_boxes(self):
-        gt = GtTube(ts=0, te=4, boxes={t: B for t in range(5)})
-        p = pred(0, 4, {t: OFF for t in range(5)})
+        gt = make_gt(0, [B] * 5)
+        p = make_prediction(0, 4, 0, [OFF] * 5)
         assert v_iou(p, gt) == 0.0
 
     def test_half_boxes(self):
-        gt = GtTube(ts=0, te=3, boxes={t: B for t in range(4)})
-        p = pred(0, 3, {t: HALF for t in range(4)})
+        gt = make_gt(0, [B] * 4)
+        p = make_prediction(0, 3, 0, [HALF] * 4)
         assert v_iou(p, gt) == pytest.approx(0.5, abs=1e-12)
 
     def test_interval_mismatch_dilutes(self):
         # Perfect boxes on half the frames: intersection 5, union 10.
-        gt = GtTube(ts=0, te=9, boxes={t: B for t in range(10)})
-        p = pred(0, 4, {t: B for t in range(5)})
+        gt = make_gt(0, [B] * 10)
+        p = make_prediction(0, 4, 0, [B] * 5)
         assert v_iou(p, gt) == pytest.approx(0.5, abs=1e-12)
 
     def test_partial_temporal_coverage(self):
         # Perfect boxes on 2 of 5 union frames.
-        gt = GtTube(ts=0, te=4, boxes={t: B for t in range(5)})
-        p = pred(2, 3, {2: B, 3: B})
+        gt = make_gt(0, [B] * 5)
+        p = make_prediction(2, 3, 2, [B, B])
         assert v_iou(p, gt) == pytest.approx(2.0 / 5.0, abs=1e-12)
+
+    @pytest.mark.parametrize("ts, t0", [(10, 8), (10, 10)])
+    def test_disjoint_intervals(self, ts, t0):
+        # No shared frame: nothing is read past either end of the boxes.
+        gt = make_gt(0, [B] * 4)
+        assert v_iou(make_prediction(ts, ts + 2, t0, [B] * 5), gt) == 0.0
+        assert v_iou(make_prediction(0, 2, 0, [B] * 3), make_gt(5, [B] * 4)) == 0.0
 
 
 class TestPrediction:
     def test_contiguous_boxes_required(self):
-        with pytest.raises(ValidationError):
-            Prediction(ts=0, te=2, boxes={0: B, 2: B})
+        with pytest.raises(ValidationError, match="contiguous"):
+            Prediction.from_tube(make_tube(0, [B, B], 1.0, t=[0, 2]), ts=0, te=2)
 
     def test_interval_must_be_covered(self):
         with pytest.raises(ValidationError):
-            Prediction(ts=0, te=5, boxes={t: B for t in range(3)})
+            make_prediction(0, 5, 0, [B] * 3)
+
+    def test_boxes_are_a_read_only_copy(self):
+        rows = np.array([[0.3, 0.3, 0.6, 0.6]] * 3)
+        p = Prediction(ts=4, te=5, t0=4, boxes=rows)
+        rows[0, 0] = 0.0
+        assert p.boxes[0, 0] == 0.3 and not p.boxes.flags.writeable
 
     def test_from_tube(self):
         t = tube([0.9, 0.8, 0.7])
         p = Prediction.from_tube(t, ts=1, te=2)
         assert (p.ts, p.te) == (1, 2)
-        assert sorted(p.boxes) == [0, 1, 2]
+        assert (p.t0, p.boxes.tolist()) == (0, t.boxes.tolist())
 
 
 class TestSplitFifths:
@@ -132,28 +140,28 @@ class TestSplitFifths:
 
 class TestDriftProfile:
     def test_perfect_is_all_ones(self):
-        gt = GtTube(ts=0, te=9, boxes={t: B for t in range(10)})
-        p = pred(0, 9, {t: B for t in range(10)})
+        gt = make_gt(0, [B] * 10)
+        p = make_prediction(0, 9, 0, [B] * 10)
         assert drift_profile(p, gt) == [1.0] * 5
 
     def test_decaying_tail(self):
         # Perfect for the first six frames, disjoint afterwards.
-        gt = GtTube(ts=0, te=9, boxes={t: B for t in range(10)})
-        boxes = {t: (B if t < 6 else OFF) for t in range(10)}
-        profile = drift_profile(pred(0, 9, boxes), gt)
+        gt = make_gt(0, [B] * 10)
+        boxes = [B if t < 6 else OFF for t in range(10)]
+        profile = drift_profile(make_prediction(0, 9, 0, boxes), gt)
         assert profile == [1.0, 1.0, 1.0, 0.0, 0.0]
         assert all(a >= b for a, b in zip(profile, profile[1:]))
 
     def test_requires_full_gt_coverage(self):
-        gt = GtTube(ts=0, te=9, boxes={t: B for t in range(10)})
+        gt = make_gt(0, [B] * 10)
         with pytest.raises(ValidationError):
-            drift_profile(pred(0, 4, {t: B for t in range(5)}), gt)
+            drift_profile(make_prediction(0, 4, 0, [B] * 5), gt)
 
 
 class TestEvaluate:
     def _sample(self, box: Box, n: int = 5):
-        gt = GtTube(ts=0, te=n - 1, boxes={t: B for t in range(n)})
-        return pred(0, n - 1, {t: box for t in range(n)}), gt
+        gt = make_gt(0, [B] * n)
+        return make_prediction(0, n - 1, 0, [box] * n), gt
 
     def test_perfect_predictions(self):
         report = evaluate([self._sample(B), self._sample(B)])

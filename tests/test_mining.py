@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
-from conftest import make_tube
+from conftest import make_gt, make_tube
 from tubekit.association import Tube
 from tubekit.errors import ValidationError
-from tubekit.geometry import Box
-from tubekit.mining import (CostBreakdown, CostWeights, GtTube, center_size_l1,
+from tubekit.geometry import Box, corners
+from tubekit.mining import (CostBreakdown, CostWeights, GtTube, _center_size_l1_pairs,
                             match_cost, mine_best_tube, temporal_cost)
 
 B = Box(0.2, 0.2, 0.4, 0.4)
@@ -20,28 +20,34 @@ def tube(records: list[tuple[int, Box, float]], slot: int = 0) -> Tube:
 
 class TestGtTube:
     def test_dense_interval_ok(self):
-        gt = GtTube(ts=3, te=5, boxes={3: B, 4: B, 5: B})
+        gt = make_gt(3, [B, B, B])
         assert gt.length == 3
 
     def test_missing_frame_rejected(self):
         with pytest.raises(ValidationError):
-            GtTube(ts=0, te=2, boxes={0: B, 2: B})
+            GtTube(ts=0, te=2, boxes=corners([B, B]))
 
     def test_extra_frame_rejected(self):
         with pytest.raises(ValidationError):
-            GtTube(ts=0, te=1, boxes={0: B, 1: B, 5: B})
+            GtTube(ts=0, te=1, boxes=corners([B, B, B]))
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValidationError):
-            GtTube(ts=4, te=2, boxes={})
+            GtTube(ts=4, te=2, boxes=np.empty((0, 4)))
+
+    def test_boxes_checked_and_read_only(self):
+        with pytest.raises(ValidationError, match="no area"):
+            GtTube(ts=0, te=0, boxes=[[0.5, 0.1, 0.5, 0.9]])
+        assert not make_gt(0, [B]).boxes.flags.writeable
 
 
 class TestCostTerms:
     def test_center_size_l1_shift(self):
-        assert center_size_l1(B, B_SHIFT) == pytest.approx(0.1, abs=1e-12)
+        assert _center_size_l1_pairs(corners([B]), corners([B_SHIFT]))[0] == pytest.approx(
+            0.1, abs=1e-12)
 
     def test_center_size_l1_zero(self):
-        assert center_size_l1(B, B) == 0.0
+        assert _center_size_l1_pairs(corners([B]), corners([B]))[0] == 0.0
 
     def test_temporal_cost_static_tube(self):
         assert temporal_cost(tube([(0, B, 1.0), (1, B, 1.0), (2, B, 1.0)])) == 0.0
@@ -78,7 +84,7 @@ class TestCostTerms:
 
 class TestMatchCost:
     def test_perfect_tube_costs_nothing(self):
-        gt = GtTube(ts=1, te=2, boxes={1: B, 2: B})
+        gt = make_gt(1, [B, B])
         bd = match_cost(tube([(0, B, 1.0), (1, B, 1.0), (2, B, 1.0)]), gt)
         assert bd.c_cls == 0.0
         assert bd.c_bbox == 0.0
@@ -89,7 +95,7 @@ class TestMatchCost:
     def test_hand_computed_breakdown(self):
         # GT frames 1..2 static at B.  The tube drifts to B_SHIFT at t=1 with
         # confidence 0.8 and is back on B elsewhere.
-        gt = GtTube(ts=1, te=2, boxes={1: B, 2: B})
+        gt = make_gt(1, [B, B])
         t = tube([(0, B, 0.9), (1, B_SHIFT, 0.8), (2, B, 0.6), (3, B, 1.0)])
         bd = match_cost(t, gt)
         assert bd.c_cls == pytest.approx((0.2 + 0.4) / 2, abs=1e-12)
@@ -111,7 +117,7 @@ class TestMatchCost:
 
     def test_weighted_sum_law(self):
         rng = np.random.default_rng(37)
-        gt = GtTube(ts=0, te=3, boxes={t: B for t in range(4)})
+        gt = make_gt(0, [B] * 4)
         for _ in range(25):
             recs = []
             for t in range(4):
@@ -133,7 +139,7 @@ class TestMatchCost:
             assert doubled.total == pytest.approx(2 * bd.total, rel=1e-12)
 
     def test_uncovered_gt_frames_rejected(self):
-        gt = GtTube(ts=0, te=3, boxes={t: B for t in range(4)})
+        gt = make_gt(0, [B] * 4)
         with pytest.raises(ValidationError):
             match_cost(tube([(0, B, 1.0), (1, B, 1.0)]), gt)
 
@@ -146,7 +152,7 @@ class TestMineBestTube:
     def _planted_clip(self, jitter_outside_only: bool):
         # Frames 0..5, GT over [2, 3].  Tube 0 sits on the GT box everywhere.
         # Tube 1 is identical inside the interval but jitters outside it.
-        gt = GtTube(ts=2, te=3, boxes={2: B, 3: B})
+        gt = make_gt(2, [B, B])
         off = Box(0.6, 0.6, 0.8, 0.8)
         smooth = tube([(t, B, 1.0) for t in range(6)], slot=0)
         jitter_recs = []
@@ -174,7 +180,7 @@ class TestMineBestTube:
         assert best2 == 0
 
     def test_empty_tube_list_rejected(self):
-        gt = GtTube(ts=0, te=0, boxes={0: B})
+        gt = make_gt(0, [B])
         with pytest.raises(ValidationError):
             mine_best_tube([], gt)
 

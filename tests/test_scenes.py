@@ -107,8 +107,7 @@ class TestGenerateScene:
 
     def test_gt_boxes_dense(self):
         scene = generate_scene(SceneConfig(seed=6, frames=32, objects=2))
-        for t in range(scene.gt.ts, scene.gt.te + 1):
-            assert t in scene.gt.boxes
+        assert scene.gt.boxes.shape == (scene.gt.te - scene.gt.ts + 1, 4)
 
     def test_confidence_ordering(self):
         # Object confidences sit in [0.7, 0.95] noiselessly; distractors
