@@ -279,33 +279,35 @@ def norms_finite_positive(vectors: np.ndarray) -> bool:
     return bool(np.all((0.0 < norms) & (norms < np.inf)))
 
 
+def cos_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cosine of each row of `a` with the same row of `b`, and both row norms,
+    for (N, D) stacks that pass norms_finite_positive.  On C-ordered rows each
+    value has the bits np.dot and np.linalg.norm give on that pair alone."""
+    na, nb = (np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) for x in (a, b))
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0] / (na * nb), na, nb
+
+
 def cosine_similarity(u, v) -> float:
-    """Cosine of the angle between two vectors; rejects zero-norm inputs."""
+    """Cosine of the angle between two vectors; refuses as norms_finite_positive."""
     ua = np.asarray(u, dtype=float)
     va = np.asarray(v, dtype=float)
     if ua.shape != va.shape or ua.ndim != 1:
         raise ValidationError(
             f"cosine_similarity needs two 1-D vectors of equal length, got {ua.shape} and {va.shape}"
         )
-    if not (np.all(np.isfinite(ua)) and np.all(np.isfinite(va))):
-        raise ValidationError("cosine_similarity: non-finite input")
-    nu = float(np.linalg.norm(ua))
-    nv = float(np.linalg.norm(va))
-    if nu == 0.0 or nv == 0.0:
-        raise ValidationError("cosine_similarity undefined for zero-norm vectors")
-    return float(np.dot(ua, va) / (nu * nv))
+    if not (norms_finite_positive(ua) and norms_finite_positive(va)):
+        raise ValidationError("cosine_similarity needs vectors whose norm is finite and positive")
+    return float(np.dot(ua, va) / (float(np.linalg.norm(ua)) * float(np.linalg.norm(va))))
 
 
 def cosine_similarity_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities between two stacks of row vectors."""
+    """Pairwise cosine similarities of two row stacks; refuses as norms_finite_positive."""
     a = np.asarray(rows, dtype=float)
     b = np.asarray(cols, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValidationError(
             f"expected (n, d) and (m, d) feature stacks, got {a.shape} and {b.shape}"
         )
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise ValidationError("feature stack contains a zero-norm vector")
-    return (a @ b.T) / np.outer(na, nb)
+    if not (norms_finite_positive(a) and norms_finite_positive(b)):
+        raise ValidationError("feature stack contains a row whose norm is zero or overflows")
+    return (a @ b.T) / np.outer(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import norms_finite_positive
+from .assignment import cosine_similarity, norms_finite_positive
 from .errors import ValidationError
 from .geometry import Box, corners
 from .mining import GtTube
@@ -51,7 +51,7 @@ class CandidateTube:
             raise ValidationError(
                 f"records must cover the span densely: span {self.span}, frames {ts[:5]}...")
         a = np.array(self.appearance, dtype=float)
-        if a.ndim != 1 or not np.all(np.isfinite(a)) or not norms_finite_positive(a):
+        if a.ndim != 1 or not norms_finite_positive(a):
             raise ValidationError("appearance must be a finite 1-D vector with a finite, positive norm")
         a.setflags(write=False)
         object.__setattr__(self, "appearance", a)
@@ -78,22 +78,17 @@ class AutolabelConfig:
                 f"coverage_threshold must lie in (0, 1], got {self.coverage_threshold}")
 
 
-def _cos(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-
 def _spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] <= b[1] and b[0] <= a[1]
 
 
-def _mergeable(a: CandidateTube, b: CandidateTube, cfg: AutolabelConfig) -> bool:
-    # Not overlapping, so the frames between them are the later start less
-    # the earlier end, less one.
+def _mergeable(a: CandidateTube, b: CandidateTube) -> bool:
+    # merge_tubes tests the appearance.  Not overlapping, so the frames
+    # between them are the later start less the earlier end, less one.
     return (a.category == b.category
             and not _spans_overlap(a.span, b.span)
             and (max(a.span[0], b.span[0]) - min(a.span[1], b.span[1]) - 1
-                 <= a.real_record_count + b.real_record_count)
-            and _cos(a.appearance, b.appearance) >= cfg.appearance_threshold)
+                 <= a.real_record_count + b.real_record_count))
 
 
 def _interpolate_gap(last: CandidateRecord, first: CandidateRecord) -> list[CandidateRecord]:
@@ -136,21 +131,18 @@ def merge_tubes(candidates: list[CandidateTube],
         cfg = AutolabelConfig()
     tubes = list(candidates)
     while True:
-        best_key = None
-        best_pair = None
+        keys = []
         for i in range(len(tubes)):
             for j in range(i + 1, len(tubes)):
-                if not _mergeable(tubes[i], tubes[j], cfg):
+                if not _mergeable(tubes[i], tubes[j]):
                     continue
-                sim = _cos(tubes[i].appearance, tubes[j].appearance)
-                starts = sorted((tubes[i].span[0], tubes[j].span[0]))
-                key = (-sim, starts[0], starts[1], i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pair = (i, j)
-        if best_pair is None:
+                sim = cosine_similarity(tubes[i].appearance, tubes[j].appearance)
+                if sim >= cfg.appearance_threshold:
+                    starts = sorted((tubes[i].span[0], tubes[j].span[0]))
+                    keys.append((-sim, starts[0], starts[1], i, j))
+        if not keys:
             return tubes
-        i, j = best_pair
+        *_, i, j = min(keys)
         merged = _merge_pair(tubes[i], tubes[j])
         tubes = tubes[:i] + [merged] + tubes[i + 1:j] + tubes[j + 1:]
 
@@ -170,7 +162,7 @@ def find_merge_conflicts(candidates: list[CandidateTube],
             a, b = candidates[i], candidates[j]
             if (a.category == b.category
                     and _spans_overlap(a.span, b.span)
-                    and _cos(a.appearance, b.appearance) >= cfg.appearance_threshold):
+                    and cosine_similarity(a.appearance, b.appearance) >= cfg.appearance_threshold):
                 out.append((i, j))
     return out
 

@@ -230,16 +230,15 @@ def _cmd_eval(args) -> int:
 # ------------------------------------------------------------------ exposure
 
 def _cmd_exposure(args) -> int:
-    if args.length % args.token_budget != 0:
-        raise ValidationError(
-            f"--length {args.length} is not a multiple of --token-budget "
-            f"{args.token_budget}")
-    frames = args.length // args.token_budget
     cfg = ExposureConfig(sequence_length=args.length,
                          per_step_error=args.eps, trials=args.trials,
                          drift_step=args.drift_step,
                          token_budget=args.token_budget, seed=args.seed)
-    track = [[0.4, 0.4, 0.6, 0.6]] * frames
+    if args.length % args.token_budget != 0:
+        raise ValidationError(
+            f"--length {args.length} is not a multiple of --token-budget "
+            f"{args.token_budget}")
+    track = [[0.4, 0.4, 0.6, 0.6]] * (args.length // args.token_budget)
     rep = simulate_decoding(cfg, track)
     report = _report_head("exposure", {
         "length": args.length, "eps": f9(args.eps), "trials": args.trials,

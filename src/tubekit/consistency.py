@@ -13,6 +13,12 @@ exactly identical boxes: that is the global minimum of the pair term
 (a symmetric kink), and its gradient contribution is defined as zero so a
 constant tube reports zero gradients everywhere.
 
+Both halves work on whole arrays.  A row-pair kernel, cos_pairs for the
+features and giou_pairs for the boxes, gives every pair term at once to the
+loss and to grad_check's probe; the feature gradient reuses cos_pairs.  Pair
+t-1 adds to row t before pair t does, as in a per-pair loop, so the array
+code keeps the loop's bits.
+
 grad_check differences each coordinate's two pair terms only, and skips a
 box coordinate whose step h reaches a kink: the same coordinate of a
 neighbouring box, or a pair's zero intersection width or height.
@@ -25,8 +31,8 @@ import numpy as np
 
 from .association import Tube
 from .errors import NonSmoothError, ValidationError
-from .assignment import norms_finite_positive
-from .geometry import corner_rows, giou_pairs
+from .assignment import cos_pairs, norms_finite_positive
+from .geometry import corner_rows, giou_pairs, sum_in_order
 from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
 from .mining import corner_temporal_cost
 
@@ -34,13 +40,13 @@ from .mining import corner_temporal_cost
 @dataclass(frozen=True)
 class MinedTube:
     """Dense tube handed to the losses: (T, D) feature rows and (T, 4)
-    corner boxes, both read-only."""
+    corner boxes, both read-only, the features C-ordered."""
 
     features: np.ndarray
     boxes: np.ndarray
 
     def __post_init__(self):
-        f = np.array(self.features, dtype=float)
+        f = np.array(self.features, dtype=float, order="C")
         if f.ndim != 2 or f.shape[0] < 2:
             raise ValidationError(f"features must be (T >= 2, D), got {f.shape}")
         boxes = corner_rows(self.boxes)
@@ -105,7 +111,8 @@ _REL_GUARD = 1e-3
 
 
 def feature_loss(tube: MinedTube) -> float:
-    return _feature_loss_raw(tube.features)
+    f = tube.features
+    return sum_in_order(1.0 - cos_pairs(f[:-1], f[1:])[0]) / (f.shape[0] - 1)
 
 
 def geom_loss(tube: MinedTube) -> float:
@@ -118,14 +125,6 @@ def combined_loss(tube: MinedTube, weights: LossWeights | None = None) -> float:
     if weights is None:
         weights = LossWeights()
     return weights.w_temp * geom_loss(tube) + weights.w_feat * feature_loss(tube)
-
-
-def _feature_loss_raw(f: np.ndarray) -> float:
-    acc = 0.0
-    for t in range(f.shape[0] - 1):
-        u, v = f[t], f[t + 1]
-        acc += 1.0 - float(np.dot(u, v)) / (float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
-    return acc / (f.shape[0] - 1)
 
 
 def _check_smooth(a: np.ndarray, b: np.ndarray, iw: np.ndarray, ih: np.ndarray,
@@ -189,17 +188,6 @@ def _giou_pair_grads(a: np.ndarray, b: np.ndarray, iw: np.ndarray,
     return dg_a, dg_b
 
 
-def _cos_pair_grads(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d cos(u, v) / du and / dv.  Each gradient is orthogonal to its own
-    vector: grad_u = v/(|u||v|) - cos * u/|u|^2, and u . grad_u = 0."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    cos = float(np.dot(u, v)) / (nu * nv)
-    gu = v / (nu * nv) - cos * u / (nu * nu)
-    gv = u / (nu * nv) - cos * v / (nv * nv)
-    return gu, gv
-
-
 def _pair_extents(boxes: np.ndarray):
     """First and second corners of each consecutive pair, with the pair's
     intersection width and height."""
@@ -219,29 +207,23 @@ def loss_gradients(tube: MinedTube) -> Gradients:
     n = f.shape[0]
     scale = 1.0 / (n - 1)
 
+    # d cos(u, v) / du = v/(|u||v|) - cos u/|u|^2, orthogonal to u.
+    u, v = f[:-1], f[1:]
+    cos, nu, nv = (c[:, None] for c in cos_pairs(u, v))
     d_features = np.zeros_like(f)
-    for t in range(n - 1):
-        gu, gv = _cos_pair_grads(f[t], f[t + 1])
-        d_features[t] -= scale * gu
-        d_features[t + 1] -= scale * gv
+    d_features[1:] -= scale * (u / (nu * nv) - cos * v / (nv * nv))
+    d_features[:-1] -= scale * (v / (nu * nv) - cos * u / (nu * nu))
 
     a, b, iw, ih = _pair_extents(tube.boxes)
     identical = (a == b).all(axis=1)
     _check_smooth(a, b, iw, ih, identical)
     dg_a, dg_b = _giou_pair_grads(a, b, iw, ih)
-    # Identical pairs contribute nothing.  Pair t-1 reaches box t before
-    # pair t does, the order in which a per-pair loop would subtract them.
+    # Identical pairs contribute nothing.
     keep = ~identical[:, None]
     d_boxes = np.zeros((n, 4), dtype=float)
     d_boxes[1:] -= np.where(keep, scale * dg_b, 0.0)
     d_boxes[:-1] -= np.where(keep, scale * dg_a, 0.0)
     return Gradients(d_features=d_features, d_boxes=d_boxes)
-
-
-def _pair_cos_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1 - cos of each row of `a` with the same row of `b`."""
-    return 1.0 - (np.einsum("ij,ij->i", a, b)
-                  / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)))
 
 
 def _local_differences(x: np.ndarray, pair_cost, h: float) -> np.ndarray:
@@ -280,7 +262,7 @@ def grad_check(tube: MinedTube, h: float = 1e-6) -> GradCheckReport:
 
     ana = np.concatenate([grads.d_features.ravel(), grads.d_boxes[~kinked]])
     num = np.concatenate([
-        _local_differences(tube.features, _pair_cos_cost, h).ravel(),
+        _local_differences(tube.features, lambda a, b: 1.0 - cos_pairs(a, b)[0], h).ravel(),
         _local_differences(boxes, lambda a, b: 1.0 - giou_pairs(a, b), h)[~kinked]])
     rel = np.abs(ana - num) / np.maximum(np.maximum(np.abs(ana), np.abs(num)), _REL_GUARD)
     return GradCheckReport(

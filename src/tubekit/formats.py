@@ -109,6 +109,13 @@ def _list_field(obj: dict, key: str, path: str, line: int | None = None) -> list
     return value
 
 
+def _str_field(obj: dict, key: str, path: str, line: int | None = None) -> str:
+    # str() would take null as "None" and 3 as "3".
+    if type(value := _require(obj, key, path, line)) is not str:
+        raise FormatError(f"'{key}' must be a string, got {value!r}", path=path, line=line)
+    return value
+
+
 def _as_int(value, what: str, path: str, line: int | None = None) -> int:
     # Not isinstance: bool is an int subclass, and int() would take true as 1
     # and truncate 8.7 to 8 in silence.
@@ -254,7 +261,7 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
     except StopIteration:
         raise FormatError("empty detections file", path=path) from None
     meta = {
-        "video_id": str(_require(header, "video_id", path, lineno)),
+        "video_id": _str_field(header, "video_id", path, lineno),
         "fps": _fps_field(header, path, lineno),
         "frame_count": _int_field(header, "frame_count", path, lineno),
         "feature_dim": _int_field(header, "feature_dim", path, lineno),
@@ -336,7 +343,7 @@ def _gt_misfit(ts: int, te: int, t0: int, n: int) -> str:
 
 
 def _gt_from_obj(obj: dict, path: str, line: int | None = None) -> tuple[str, GtTube]:
-    video_id = str(_require(obj, "video_id", path, line))
+    video_id = _str_field(obj, "video_id", path, line)
     ts, te = _interval_from(obj, path, line)
     t0, rows = _frame_boxes(obj, path, line)
     try:
@@ -371,8 +378,20 @@ def load_gt_collection(path: str) -> list[tuple[str, GtTube]]:
     if not isinstance(head, dict):
         return [_gt_from_obj(_parse_json_doc(text, path), path)]
     rest = _iter_jsonl(path, lines[first + 1:], start=first + 2)
-    return [_gt_from_obj(head, path, first + 1),
-            *(_gt_from_obj(o, path, lineno) for lineno, o in rest)]
+    return _one_per_video(path, ((lineno, _gt_from_obj(o, path, lineno))
+                                 for lineno, o in chain([(first + 1, head)], rest)))
+
+
+def _one_per_video(path: str, numbered) -> list:
+    """The (video_id, item) of each (line, (video_id, item)), in order; a
+    video_id that an earlier line holds is refused at its second line."""
+    lines: dict[str, int] = {}
+    out = []
+    for lineno, item in numbered:
+        if (first := lines.setdefault(item[0], lineno)) != lineno:
+            raise FormatError(f"video_id '{item[0]}' is also on line {first}", path=path, line=lineno)
+        out.append(item)
+    return out
 
 
 # ---------------------------------------------------------------- tube files
@@ -402,7 +421,7 @@ def save_tubes(path: str, video_id: str, tubes: list[Tube],
 
 def load_tubes(path: str) -> tuple[str, list[Tube]]:
     obj = _load_json_doc(path)
-    video_id = str(_require(obj, "video_id", path))
+    video_id = _str_field(obj, "video_id", path)
     n_q = _int_field(obj, "n_q", path)
     tubes = [_tube_from(entry, path) for entry in _list_field(obj, "tubes", path)]
     if len(tubes) != n_q:
@@ -498,16 +517,19 @@ def save_predictions(path: str, items: list[tuple[str, Prediction]]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _prediction_from(obj: dict, path: str, line: int) -> tuple[str, Prediction]:
+    video_id = _str_field(obj, "video_id", path, line)
+    ts, te = _interval_from(obj, path, line)
+    t0, rows = _frame_boxes(obj, path, line)
+    try:
+        return video_id, Prediction(ts=ts, te=te, t0=t0, boxes=rows)
+    except ValidationError as e:
+        raise FormatError(str(e), path=path, line=line) from e
+
+
 def load_predictions(path: str) -> list[tuple[str, Prediction]]:
-    out = []
-    for lineno, obj in _iter_jsonl(path):
-        video_id = str(_require(obj, "video_id", path, lineno))
-        ts, te = _interval_from(obj, path, lineno)
-        t0, rows = _frame_boxes(obj, path, lineno)
-        try:
-            out.append((video_id, Prediction(ts=ts, te=te, t0=t0, boxes=rows)))
-        except ValidationError as e:
-            raise FormatError(str(e), path=path, line=lineno) from e
+    out = _one_per_video(path, ((lineno, _prediction_from(obj, path, lineno))
+                                for lineno, obj in _iter_jsonl(path)))
     if not out:
         raise FormatError("empty predictions file", path=path)
     return out
@@ -523,7 +545,7 @@ def save_labels(path: str, video_id: str, identities: list[list[int]]) -> None:
 
 def load_labels(path: str) -> tuple[str, list[list[int]]]:
     obj = _load_json_doc(path)
-    video_id = str(_require(obj, "video_id", path))
+    video_id = _str_field(obj, "video_id", path)
     identities = []
     for item in _list_field(obj, "frames", path):
         t = _int_field(item, "t", path)
@@ -557,7 +579,7 @@ def save_candidates(path: str, video_id: str, candidates: list[CandidateTube]) -
 
 def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
     obj = _load_json_doc(path)
-    video_id = str(_require(obj, "video_id", path))
+    video_id = _str_field(obj, "video_id", path)
     out = []
     for c in _list_field(obj, "candidates", path):
         span = _require(c, "span", path)
@@ -565,17 +587,18 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
             raise FormatError(f"span must be a 2-element array, got {span!r}", path=path)
         records = []
         for r in _list_field(c, "records", path):
+            t = _int_field(r, "t", path)
+            if type(flag := r.get("interpolated", False)) is not bool:   # bool("false") is True
+                raise FormatError(f"'interpolated' must be true or false, got {flag!r}", path=path)
             records.append(CandidateRecord(
-                t=_int_field(r, "t", path),
-                box=_box_from(_require(r, "box", path), path),
-                score=_float_field(r, "score", path),
-                interpolated=bool(r.get("interpolated", False))))
+                t=t, box=_box_from(_require(r, "box", path), path),
+                score=_float_field(r, "score", path), interpolated=flag))
         appearance = _number_rows([_require(c, "appearance", path)])
         if appearance is None:
             raise FormatError("'appearance' must be an array of numbers", path=path)
         try:
             out.append(CandidateTube(
-                category=str(_require(c, "category", path)),
+                category=_str_field(c, "category", path),
                 span=(_as_int(span[0], "span", path), _as_int(span[1], "span", path)),
                 records=records,
                 appearance=appearance[0]))

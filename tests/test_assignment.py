@@ -1,5 +1,6 @@
 """Assignment solver against a brute-force oracle and the scipy-based
-solver it replaced, its dual certificate, plus cosine similarity."""
+solver it replaced, its dual certificate, plus cosine similarity: the
+row-pair kernel cos_pairs against the scalar cosine_similarity, bit for bit."""
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from tubekit.assignment import (_TIE_RTOL, _hungarian, _padded, _pairs_total,
                                 _tie_gaps, _validated_cost, assignment_total,
-                                cosine_similarity, cosine_similarity_matrix,
+                                cos_pairs, cosine_similarity, cosine_similarity_matrix,
                                 solve_assignment)
 from tubekit.errors import ValidationError
 
@@ -408,3 +409,27 @@ class TestCosineSimilarity:
     def test_matrix_rejects_zero_row(self):
         with pytest.raises(ValidationError):
             cosine_similarity_matrix(np.zeros((2, 3)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("big", [[1e200, 1e200], [np.inf, 1.0], [np.nan, 1.0]],
+                             ids=["overflow", "inf", "nan"])
+    def test_norm_not_finite_rejected(self, big):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            cosine_similarity(big, [1.0, 0.0])
+        with pytest.raises(ValidationError, match="finite and positive"):
+            cosine_similarity([1.0, 0.0], big)
+        with pytest.raises(ValidationError, match="zero or overflows"):
+            cosine_similarity_matrix(np.array([[1.0, 0.0], big]), np.ones((1, 2)))
+        with pytest.raises(ValidationError, match="zero or overflows"):
+            cosine_similarity_matrix(np.ones((1, 2)), np.array([big]))
+
+    def test_cos_pairs_equal_scalar_bitwise(self):
+        rng = np.random.default_rng(2021)
+        for d in range(1, 258):
+            f = rng.normal(size=(int(rng.integers(2, 7)), d)) * 10.0 ** rng.integers(-5, 6)
+            g = rng.normal(size=(f.shape[0] - 1, d))
+            for a, b in ((f[:-1], f[1:]), (f[1:], g)):
+                cos, na, nb = cos_pairs(a, b)
+                want = [cosine_similarity(u, v) for u, v in zip(a, b)]
+                assert cos.tobytes() == np.array(want).tobytes()
+                assert na.tobytes() == np.array([np.linalg.norm(u) for u in a]).tobytes()
+                assert nb.tobytes() == np.array([np.linalg.norm(v) for v in b]).tobytes()

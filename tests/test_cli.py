@@ -542,6 +542,17 @@ class TestSelectAndEval:
         (_, pred), = load_predictions(str(preds))
         assert (pred.ts, pred.te) == (0, 19)
 
+    def test_repeated_video_id_rejected(self, tmp_path, capsys):
+        prefix, preds = self._pipeline(tmp_path)
+        line = json.loads(preds.read_text())
+        shifted = {**line, "ts": line["ts"] + 3}
+        preds.write_text(json.dumps(shifted) + "\n" + json.dumps(line) + "\n")
+        out = tmp_path / "e.json"
+        assert main(["eval", "--pred", str(preds), "--gt", f"{prefix}.gt.json",
+                     "--out", str(out)]) == 2
+        assert f"{preds}:2: video_id 'sim-21' is also on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_video_set_mismatch_rejected(self, tmp_path, capsys):
         prefix, preds = self._pipeline(tmp_path)
         other = tmp_path / "other.gt.json"
@@ -574,6 +585,11 @@ class TestExposure:
                          "--trials", "300", "--seed", "9",
                          "--out", str(tmp_path / f"{name}.json")]) == 0
         assert sha(tmp_path / "a.json") == sha(tmp_path / "b.json")
+
+    def test_zero_token_budget_rejected(self, tmp_path, capsys):
+        assert main(["exposure", "--length", "40", "--eps", "0.01", "--token-budget", "0",
+                     "--seed", "1", "--out", str(tmp_path / "e.json")]) == 1
+        assert capsys.readouterr().err == "error: token_budget must be at least 1, got 0\n"
 
     def test_length_budget_mismatch_rejected(self, tmp_path, capsys):
         assert main(["exposure", "--length", "42", "--eps", "0.01",

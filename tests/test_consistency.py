@@ -4,6 +4,8 @@ The gradient oracle here is central finite differencing of the public loss
 functions, rebuilt through the public constructors for every probe, so it
 shares no code with the analytic path.  grad_check's local probe is checked
 against central differences of the whole loss, one coordinate at a time.
+The feature loss and its gradient must equal, bit for bit, the per-pair
+loops below, which the array code replaced.
 """
 import time
 
@@ -11,9 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import make_smooth_tube, make_tube
+from tubekit.assignment import cos_pairs
 from tubekit.consistency import (GradCheckReport, Gradients, LossWeights,
-                                 MinedTube, _feature_loss_raw,
-                                 _local_differences, _pair_cos_cost,
+                                 MinedTube, _local_differences,
                                  combined_loss, feature_loss, geom_loss,
                                  grad_check, loss_gradients)
 from tubekit.errors import NonSmoothError, ValidationError
@@ -22,6 +24,27 @@ from tubekit.mining import corner_temporal_cost, temporal_cost
 
 A = Box(0.2, 0.2, 0.5, 0.5)
 B = Box(0.3, 0.25, 0.62, 0.57)  # strict overlap with A, no tied coordinate
+
+
+def oracle_feature_loss(f: np.ndarray) -> float:
+    acc = 0.0
+    for t in range(f.shape[0] - 1):
+        u, v = f[t], f[t + 1]
+        acc += 1.0 - float(np.dot(u, v)) / (float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
+    return acc / (f.shape[0] - 1)
+
+
+def oracle_feature_gradients(f: np.ndarray) -> np.ndarray:
+    scale = 1.0 / (f.shape[0] - 1)
+    d_features = np.zeros_like(f)
+    for t in range(f.shape[0] - 1):
+        u, v = f[t], f[t + 1]
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
+        cos = float(np.dot(u, v)) / (nu * nv)
+        d_features[t] -= scale * (v / (nu * nv) - cos * u / (nu * nu))
+        d_features[t + 1] -= scale * (u / (nu * nv) - cos * v / (nv * nv))
+    return d_features
 
 
 def fd_feature_gradients(tube: MinedTube, h: float = 1e-6) -> np.ndarray:
@@ -59,7 +82,7 @@ def whole_loss_differences(tube: MinedTube, h: float = 1e-6) -> tuple[np.ndarray
     f = np.array(tube.features, dtype=float)
     boxes = np.array(tube.boxes, dtype=float)
     out = []
-    for x, loss in ((f, _feature_loss_raw), (boxes, corner_temporal_cost)):
+    for x, loss in ((f, oracle_feature_loss), (boxes, corner_temporal_cost)):
         num = np.empty_like(x)
         for t in range(x.shape[0]):
             for k in range(x.shape[1]):
@@ -173,6 +196,32 @@ class TestLossValues:
             LossWeights(w_feat=-0.1)
 
 
+class TestFeatureLoops:
+    """feature_loss, combined_loss and the feature gradient equal the
+    per-pair loops bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_array_code_equals_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        mt = make_smooth_tube(seed, length=int(rng.integers(2, 130)),
+                              dim=int(rng.integers(1, 100)))
+        mt = MinedTube(features=mt.features * 10.0 ** int(rng.integers(-5, 5)), boxes=mt.boxes)
+        f = np.array(mt.features)
+        loss = oracle_feature_loss(f)
+        assert np.float64(feature_loss(mt)).tobytes() == np.float64(loss).tobytes()
+        w = LossWeights(w_temp=0.7, w_feat=1.3)
+        want = w.w_temp * geom_loss(mt) + w.w_feat * loss
+        assert np.float64(combined_loss(mt, w)).tobytes() == np.float64(want).tobytes()
+        assert loss_gradients(mt).d_features.tobytes() == oracle_feature_gradients(f).tobytes()
+
+    def test_layout_does_not_change_bits(self):
+        mt = make_smooth_tube(3, length=40, dim=37)
+        fortran = MinedTube(features=np.asfortranarray(mt.features), boxes=mt.boxes)
+        assert feature_loss(fortran) == feature_loss(mt)
+        assert (loss_gradients(fortran).d_features.tobytes()
+                == loss_gradients(mt).d_features.tobytes())
+
+
 class TestGradients:
     def test_matches_finite_differences(self):
         for seed in range(10):
@@ -253,7 +302,8 @@ class TestGradients:
         for seed in range(20):
             mt = make_smooth_tube(seed, length=int(2 + seed % 6), dim=6)
             num_f, num_b = whole_loss_differences(mt)
-            local_f = _local_differences(mt.features, _pair_cos_cost, 1e-6)
+            local_f = _local_differences(mt.features,
+                                         lambda a, b: 1.0 - cos_pairs(a, b)[0], 1e-6)
             local_b = _local_differences(mt.boxes,
                                          lambda a, b: 1.0 - giou_pairs(a, b), 1e-6)
             assert np.max(np.abs(local_f - num_f)) < 1e-8

@@ -334,6 +334,15 @@ class TestGt:
             load_gt_collection(str(path))
         assert err.value.line == 5
 
+    def test_collection_repeated_video_id_refused(self, tmp_path):
+        path = tmp_path / "twice.gt.jsonl"
+        line = {"video_id": "a", "ts": 0, "te": 0, "boxes": [{"t": 0, "box": BOX.to_list()}]}
+        path.write_text("\n".join(json.dumps(x) for x in (line, {**line, "video_id": "b"}, line))
+                        + "\n")
+        with pytest.raises(FormatError, match="video_id 'a' is also on line 1") as err:
+            load_gt_collection(str(path))
+        assert err.value.line == 3 and str(err.value).startswith(f"{path}:3: ")
+
     def test_sparse_boxes_rejected(self, tmp_path):
         doc = {"video_id": "v", "ts": 0, "te": 3,
                "boxes": [{"t": 0, "box": BOX.to_list()}]}
@@ -438,6 +447,15 @@ class TestPredictions:
             load_predictions(str(path))
         assert err.value.line == 2 and str(err.value).startswith(f"{path}:2: ")
 
+    def test_repeated_video_id_refused(self, tmp_path):
+        path = tmp_path / "twice.jsonl"
+        line = {"video_id": "a", "ts": 0, "te": 3,
+                "boxes": [{"t": t, "box": BOX.to_list()} for t in range(4)]}
+        path.write_text(json.dumps({**line, "ts": 3}) + "\n" + json.dumps(line) + "\n")
+        with pytest.raises(FormatError, match="video_id 'a' is also on line 1") as err:
+            load_predictions(str(path))
+        assert err.value.line == 2 and str(err.value).startswith(f"{path}:2: ")
+
     def test_hole_refused(self, tmp_path):
         path = tmp_path / "hole.jsonl"
         path.write_text(json.dumps({"video_id": "a", "ts": 0, "te": 0, "boxes": [
@@ -479,6 +497,17 @@ class TestCandidates:
         assert loaded[0].span == (0, 2)
         assert loaded[0].records[1].interpolated is True
         assert loaded[0].real_record_count == 2
+
+    @pytest.mark.parametrize("flag", ["false", 0, None], ids=["string", "number", "null"])
+    def test_interpolated_must_be_boolean(self, tmp_path, flag):
+        doc = {"video_id": "v", "candidates": [{
+            "category": "dog", "span": [0, 1], "appearance": [1.0],
+            "records": [{"t": 0, "box": BOX.to_list(), "score": 0.9, "interpolated": flag},
+                        {"t": 1, "box": BOX.to_list(), "score": 0.9}]}]}
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="'interpolated' must be true or false"):
+            load_candidates(str(path))
 
     def test_bad_span_rejected(self, tmp_path):
         doc = {"video_id": "v", "candidates": [
@@ -726,6 +755,44 @@ class TestIntegerFields:
         with pytest.raises(FormatError, match="'frame_count' must be an integer") as err:
             load_detections(str(path))
         assert f"{path}:1:" in str(err.value)
+
+
+def _string_field_cases():
+    """(loader, key, JSON line builder) for each string field of each loader."""
+    boxes = [{"t": 0, "box": BOX.to_list()}]
+    cand = {"span": [0, 0], "records": [{"t": 0, "box": BOX.to_list(), "score": 0.5}],
+            "appearance": [1.0]}
+    return [
+        (load_detections, "video_id",
+         lambda bad: {"video_id": bad, "fps": 5.0, "frame_count": 0, "feature_dim": 2}),
+        (load_gt, "video_id", lambda bad: {"video_id": bad, "ts": 0, "te": 0, "boxes": boxes}),
+        (load_gt_collection, "video_id",
+         lambda bad: {"video_id": bad, "ts": 0, "te": 0, "boxes": boxes}),
+        (load_predictions, "video_id",
+         lambda bad: {"video_id": bad, "ts": 0, "te": 0, "boxes": boxes}),
+        (load_tubes, "video_id", lambda bad: {"video_id": bad, "n_q": 0, "tubes": []}),
+        (load_labels, "video_id", lambda bad: {"video_id": bad, "frames": []}),
+        (load_candidates, "video_id", lambda bad: {"video_id": bad, "candidates": []}),
+        (load_candidates, "category",
+         lambda bad: {"video_id": "v", "candidates": [{**cand, "category": bad}]}),
+    ]
+
+
+class TestStringFields:
+    """video_id and category take JSON strings only; str() would take null
+    as "None" and 3 as "3"."""
+
+    @pytest.mark.parametrize("load, key, doc", _string_field_cases(),
+                             ids=[f"{c[0].__name__}-{c[1]}" for c in _string_field_cases()])
+    @pytest.mark.parametrize("bad", [None, 3, ["v"]], ids=["null", "number", "array"])
+    def test_non_string_refused(self, tmp_path, load, key, doc, bad):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc("v")) + "\n")
+        load(str(path))
+        path.write_text(json.dumps(doc(bad)) + "\n")
+        with pytest.raises(FormatError, match=f"'{key}' must be a string") as err:
+            load(str(path))
+        assert str(err.value).startswith(f"{path}:")
 
 
 NOT_NUMBERS = [pytest.param("high", id="string"), pytest.param("0.5", id="numeric-string"),
