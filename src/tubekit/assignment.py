@@ -267,16 +267,24 @@ def assignment_total(cost, pairs: list[tuple[int, int]]) -> float:
     return _pairs_total(c, pairs)
 
 
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a 2-D stack, or of a vector, without
+    numpy's overflow warning: the caller's refusal is the one report."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(np.atleast_2d(vectors), axis=1)
+
+
+def _finite_positive(norms: np.ndarray) -> bool:
+    return bool(np.all((0.0 < norms) & (norms < np.inf)))
+
+
 def norms_finite_positive(vectors: np.ndarray) -> bool:
     """Whether a vector, or every row of a 2-D stack, has a finite, positive
     norm, so only finite elements.  A norm that overflows counts as not
-    finite, without numpy's overflow warning: the caller's refusal is the
-    one report.  The norm squares before its root, so a nonzero vector whose
+    finite.  The norm squares before its root, so a nonzero vector whose
     squared norm underflows, such as [1e-200, 1e-200], counts as zero and is
     refused: each cosine in tubekit divides by this norm."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(np.atleast_2d(vectors), axis=1)
-    return bool(np.all((0.0 < norms) & (norms < np.inf)))
+    return _finite_positive(_row_norms(vectors))
 
 
 def cos_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,6 +316,7 @@ def cosine_similarity_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"expected (n, d) and (m, d) feature stacks, got {a.shape} and {b.shape}"
         )
-    if not (norms_finite_positive(a) and norms_finite_positive(b)):
+    na, nb = _row_norms(a), _row_norms(b)
+    if not (_finite_positive(na) and _finite_positive(nb)):
         raise ValidationError("feature stack contains a row whose norm is zero or overflows")
-    return (a @ b.T) / np.outer(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+    return (a @ b.T) / np.outer(na, nb)

@@ -2,8 +2,11 @@
 
 Floats are written with 9 significant digits everywhere, so identical inputs
 produce byte-identical files.  A JSON document is written compact, on one
-line, and a JSONL line with json.dumps' default separators, both by CPython's
-C encoder; non-finite numbers are refused on both write and read.  A number
+line, and a JSONL line with json.dumps' default separators.  The writers
+build the text of their float arrays in one numpy pass (_f9_text), byte for
+byte what CPython's C encoder writes for the f9-rounded values; strings and
+scalar fields go through that encoder itself.  Non-finite numbers are
+refused on write, leaving no file, and on read.  A number
 field, box coordinate or vector element must be a JSON number: strings and
 booleans are refused.  JSONL diagnostics carry 1-based line numbers.
 Intervals may be given in seconds (ts_sec / te_sec) instead of frames when
@@ -34,66 +37,134 @@ def f9(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
-def _f9s(values) -> list[float]:
-    """f9 over a whole vector: one .tolist(), then plain Python floats."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return [float(f"{v:.9g}") for v in values]
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])   # 1e0 .. 1e22, all exact
+
+# Number text is built in one uint8 slot per element, then every NUL byte is
+# dropped.  Columns: 0 "[" before a row's first element; 1 the sign; 2-6 the
+# "0.000" of a value below 1; 7-23 the nine digits at the odd columns, the
+# point after digit j at column 8 + 2j; 24-25 the separator, or "]" and
+# "\n" after a row's last element.
+_SLOT = 26
+_n = np.arange(10_000, dtype=np.uint16)
+_DIGITS4 = ((_n[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0"))
+            .astype(np.uint8).view("<u4").ravel())          # n's four ASCII digits
+_ZEROS4 = ((_n % 10 == 0).astype(np.uint8) + (_n % 100 == 0) + (_n % 1000 == 0)
+           + (_n == 0))                                      # n's trailing zeros of four
+# Row j masks the digit words (NUL NUL NUL d0, d1-d4, d5-d8) to their first j digits.
+_FIRST = np.where(np.arange(12) < np.arange(3, 13)[:, None], 255, 0).astype(np.uint8).view("<u4")
+# For the point after digit e, e = -4 .. 7: columns 2-6, then 8, 10, .. 22.
+_e = np.arange(-4, 8)[:, None]
+_PLACES = np.hstack([
+    np.where((_e < 0) & (np.arange(5) < 1 - _e), np.where(np.arange(5) == 1, ord("."), ord("0")), 0),
+    np.where(np.arange(8) == _e, ord("."), 0)]).astype(np.uint8)
+del _n, _e
 
 
-_POW10 = np.array([float(10 ** i) for i in range(23)])   # all exact doubles
+def _f9_text(a: np.ndarray, sep: str) -> list[str]:
+    """The JSON text the C encoder writes for f9 of each row of a finite
+    array: of a 2-D array, one JSON array per row, its elements joined by
+    `sep`; of a 1-D array, one number per element.
 
-
-def _f9_rows(arrays: list) -> list[list]:
-    """[a.tolist() for a in arrays] with every element f9-rounded, in one
-    numpy pass over all the arrays' elements.
-
-    With m = 8 - floor(log10|x|), the nine significant digits of x are
-    k = rint(|x|·10^m), and k / 10^m is the double nearest to them, which is
-    what float() of the printed digits gives: k and 10^m (m <= 22) are exact
-    doubles and IEEE division rounds correctly.  That holds only where the
-    rounded product |x|·10^m picks the same k as the exact one, so an element
-    goes through f9 instead when it is zero or not finite, when |x| lies
-    outside about [1e-14, 1e9), or when the product is within 1e-6 of a
-    rounding tie.
+    The encoder writes a float as float.__repr__, the shortest text that
+    reads back as the same double.  With m = 8 - floor(log10|x|), the nine
+    significant digits of x are k = rint(|x|·10^m).  Any other decimal of
+    nine digits or fewer lies at least 1e-9·|x| from k·10^-m, and doubles
+    are 2.2e-16·|x| apart, so the text of f9(x) is k's digits without their
+    trailing zeros, with the point after digit e = 8 - m: "ddd.ddd",
+    "ddd.0" or "0.000ddd", the positional form repr keeps for
+    1e-4 <= |x| < 1e16.  k is exact only where the rounded product |x|·10^m
+    picks the same k as the exact one, so an element is written by
+    repr(f9(|x|)) instead when it is zero, when |x| lies outside
+    [1e-4, 1e8), or when the product is within 1e-6 of a rounding tie.
+    The sign comes from the sign bit, so -0.0 is "-0.0".
     """
-    if not arrays:
-        return []
-    x = np.concatenate([a.ravel() for a in arrays]).astype(float)
-    mag = np.abs(x)
+    x = np.asarray(a, dtype=float)
+    n = len(x)
+    if not x.size:
+        return ["[]" if x.ndim == 2 else ""] * n
+    mag = np.abs(x.ravel())
     with np.errstate(divide="ignore", invalid="ignore"):
         m = 8.0 - np.floor(np.log10(mag))
-        exact = (m >= 0.0) & (m <= 22.0)
-        scale = _POW10[np.where(exact, m, 0.0).astype(np.intp)]
+        fast = (m >= 1.0) & (m <= 12.0)
+        scale = _POW10[np.where(fast, m, 0.0).astype(np.intp)]
         p = mag * scale
         k = np.rint(p)
-        exact &= (p >= 1e8) & (p <= 1e9 - 1.0) & (np.abs(np.abs(p - k) - 0.5) > 1e-6)
-    rounded = np.copysign(k / scale, x)
-    if not exact.all():
-        rounded[~exact] = [f9(v) for v in x[~exact].tolist()]
-    out, start = [], 0
-    for a in arrays:
-        out.append(rounded[start:start + a.size].reshape(a.shape).tolist())
-        start += a.size
-    return out
+        fast &= (p >= 1e8) & (p <= 1e9 - 1.0) & (np.abs(np.abs(p - k) - 0.5) > 1e-6)
+    k = np.where(fast, k, 1e8).astype(np.intp)
+    e = np.where(fast, 8.0 - m, 0.0).astype(np.intp)
+
+    buf = np.zeros((n, x.size // n, _SLOT), np.uint8)
+    end = b"\n"
+    if x.ndim == 2:
+        buf[:, 0, 0] = ord("[")
+        buf[:, :-1, 24:24 + len(sep)] = np.frombuffer(sep.encode(), np.uint8)
+        end = b"]\n"
+    buf[:, -1, 24:24 + len(end)] = np.frombuffer(end, np.uint8)
+    slots = buf.reshape(-1, _SLOT)
+    slots[:, 1] = np.signbit(x.ravel()) * np.uint8(ord("-"))
+    high, low = np.divmod(k, 10_000)
+    first, mid = np.divmod(high, 10_000)
+    words = np.empty((len(k), 3), np.uint32)
+    words[:, 0] = (first + ord("0")) << 24
+    words[:, 1] = _DIGITS4[mid]
+    words[:, 2] = _DIGITS4[low]
+    # Keep the digits up to the last nonzero one, and at least one after the point.
+    keep = np.maximum(9 - _ZEROS4[low] - (low == 0) * _ZEROS4[mid], e + 2)
+    words[:, 1:] &= _FIRST[keep, 1:]
+    slots[:, 7:24:2] = words.view(np.uint8)[:, 3:]
+    places = _PLACES[e + 4]
+    slots[:, 2:7] = places[:, :5]
+    slots[:, 8:23:2] = places[:, 5:]
+    if not fast.all():
+        slow = np.flatnonzero(~fast)
+        text = "".join(repr(f9(v)).ljust(22, "\0") for v in mag[slow].tolist())
+        slots[slow, 2:24] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 22)
+    rows = buf.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    rows.pop()   # after the last "\n"
+    return rows
 
 
-# Both refuse NaN and infinities.  JSONL lines keep json.dumps' default
-# separators, so their bytes are what they were before the check.
+# Strings and scalar fields go through the C encoder, so their escaping is
+# its own; both encoders refuse NaN and infinities.  JSONL lines keep
+# json.dumps' default separators.
 _LINE = json.JSONEncoder(allow_nan=False)
 _DOC = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+def _non_finite(path: str, what) -> ValidationError:
+    return ValidationError(f"{path}: refusing to write a non-finite number ({what})")
 
 
 def _encode(path: str, obj, encoder: json.JSONEncoder = _LINE) -> str:
     try:
         return encoder.encode(obj)
     except ValueError as e:
-        raise ValidationError(f"{path}: refusing to write a non-finite number ({e})") from e
+        raise _non_finite(path, e) from e
+
+
+def _check_finite(path: str, arrays) -> None:
+    """Refuse arrays holding NaN or infinity before anything is written."""
+    for a in arrays:
+        flat = np.ravel(a)
+        if not np.isfinite(flat).all():
+            raise _non_finite(path, f"got {float(flat[~np.isfinite(flat)][0])}")
+
+
+def _write(path: str, chunks) -> None:
+    """Write the text chunks one after another; if making one fails, the
+    file is removed, so a refused write leaves no partial file."""
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _write_doc(path: str, doc: dict) -> None:
     """Write `doc` as one compact JSON line."""
-    Path(path).write_text(_encode(path, doc, _DOC) + "\n")
+    _write(path, [_encode(path, doc, _DOC) + "\n"])
 
 
 def _require(obj: dict, key: str, path: str, line: int | None = None):
@@ -238,20 +309,26 @@ def save_detections(path: str, video_id: str, fps: float,
                     frames: list[FrameDetections]) -> None:
     if not frames:
         raise ValidationError("refusing to write an empty detections file")
-    header = {"video_id": video_id, "fps": f9(fps),
-              "frame_count": len(frames),
-              "feature_dim": frames[0].features.shape[1]}
-    lines = [_encode(path, header)]
-    boxes = iter(_f9_rows([fr.boxes for fr in frames]))
-    scores = iter(_f9_rows([fr.scores for fr in frames]))
-    embeds = iter(_f9_rows([fr.features for fr in frames]))
+    dim = frames[0].features.shape[1]
     for fr in frames:
-        lines.append(_encode(path, {
-            "t": fr.t,
-            "detections": [{"box": box, "score": score, "embed": embed}
-                           for box, score, embed in zip(next(boxes), next(scores), next(embeds))],
-        }))
-    Path(path).write_text("\n".join(lines) + "\n")
+        if fr.features.shape[1] != dim:
+            raise ValidationError(f"frame {fr.t}: features have {fr.features.shape[1]} "
+                                  f"columns, frame {frames[0].t} has {dim}")
+    fps = np.array([fps], dtype=float)
+    columns = [np.concatenate([getattr(fr, name) for fr in frames])
+               for name in ("boxes", "scores", "features")]
+    _check_finite(path, [fps, *columns])
+    rows = zip(*(_f9_text(c, ", ") for c in columns))
+
+    def lines():
+        yield (f'{{"video_id": {_encode(path, video_id)}, "fps": {_f9_text(fps, ", ")[0]}, '
+               f'"frame_count": {len(frames)}, "feature_dim": {dim}}}\n')
+        for fr in frames:
+            dets = ", ".join(f'{{"box": {box}, "score": {score}, "embed": {embed}}}'
+                             for box, score, embed in islice(rows, len(fr.scores)))
+            yield f'{{"t": {_encode(path, fr.t)}, "detections": [{dets}]}}\n'
+
+    _write(path, lines())
 
 
 def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
@@ -293,10 +370,6 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
 
 # ------------------------------------------------------------------ gt files
 
-def _frame_box_list(t0: int, rows: list) -> list[dict]:
-    return [{"t": t, "box": box} for t, box in enumerate(rows, t0)]
-
-
 def _frame_boxes(obj: dict, path: str, line: int | None = None) -> tuple[int, np.ndarray]:
     """The 'boxes' of a GT or prediction, [{"t": ..., "box": [...]}, ...] in
     any frame order, as (t0, rows): row i is the box of frame t0 + i.  A
@@ -321,14 +394,18 @@ def _frame_boxes(obj: dict, path: str, line: int | None = None) -> tuple[int, np
     return t0, rows
 
 
+def _frame_boxes_text(t0: int, boxes: np.ndarray, sep: str) -> str:
+    """The "boxes" array of a GT (sep ",") or a prediction (sep ", "): box i
+    is the box of frame t0 + i."""
+    colon = ":" if sep == "," else ": "
+    return "[" + sep.join(f'{{"t"{colon}{t}{sep}"box"{colon}{box}}}'
+                          for t, box in enumerate(_f9_text(boxes, sep), t0)) + "]"
+
+
 def save_gt(path: str, video_id: str, gt: GtTube) -> None:
-    doc = {
-        "video_id": video_id,
-        "ts": gt.ts,
-        "te": gt.te,
-        "boxes": _frame_box_list(gt.ts, _f9_rows([gt.boxes])[0]),
-    }
-    _write_doc(path, doc)
+    _check_finite(path, [gt.boxes])
+    _write(path, [f'{{"video_id":{_encode(path, video_id)},"ts":{_encode(path, gt.ts)},'
+                  f'"te":{_encode(path, gt.te)},"boxes":{_frame_boxes_text(gt.ts, gt.boxes, ",")}}}\n'])
 
 
 def _gt_misfit(ts: int, te: int, t0: int, n: int) -> str:
@@ -398,25 +475,32 @@ def _one_per_video(path: str, numbered) -> list:
 
 def save_tubes(path: str, video_id: str, tubes: list[Tube],
                include_embeds: bool = False) -> None:
+    """Write the tube file one tube at a time."""
     if include_embeds:
         for tube in tubes:
             if tube.features is None and len(tube.t):
                 raise ValidationError(
                     f"tube {tube.slot_id} has no feature at frame {tube.t[0]}")
-        embeds = iter(_f9_rows([tube.features for tube in tubes if len(tube.t)]))
-    boxes = iter(_f9_rows([tube.boxes for tube in tubes]))
-    scores = iter(_f9_rows([tube.scores for tube in tubes]))
-    out = []
-    for tube in tubes:
-        records = [{"t": t, "box": box, "score": score, "det": None if det < 0 else det}
-                   for t, box, score, det in zip(tube.t.tolist(), next(boxes),
-                                                 next(scores), tube.det.tolist())]
-        if include_embeds and records:
-            for rec, embed in zip(records, next(embeds)):
-                rec["embed"] = embed
-        out.append({"slot_id": tube.slot_id, "records": records})
-    doc = {"video_id": video_id, "n_q": len(tubes), "tubes": out}
-    _write_doc(path, doc)
+    _check_finite(path, chain.from_iterable(
+        (tube.boxes, tube.scores) + ((tube.features,) if include_embeds and len(tube.t) else ())
+        for tube in tubes))
+
+    def tube_text(tube: Tube) -> str:
+        embeds = ([f',"embed":{e}' for e in _f9_text(tube.features, ",")]
+                  if include_embeds and len(tube.t) else [""] * len(tube.t))
+        text = ",".join(f'{{"t":{t},"box":{box},"score":{score},"det":{det}{embed}}}'
+                        for t, box, score, det, embed in zip(
+                            tube.t.tolist(), _f9_text(tube.boxes, ","), _f9_text(tube.scores, ","),
+                            ["null" if det < 0 else det for det in tube.det.tolist()], embeds))
+        return f'{{"slot_id":{_encode(path, tube.slot_id)},"records":[{text}]}}'
+
+    def chunks():
+        yield f'{{"video_id":{_encode(path, video_id)},"n_q":{len(tubes)},"tubes":['
+        for i, tube in enumerate(tubes):
+            yield ("," if i else "") + tube_text(tube)
+        yield "]}\n"
+
+    _write(path, chunks())
 
 
 def load_tubes(path: str) -> tuple[str, list[Tube]]:
@@ -510,11 +594,11 @@ def _tube_features(slot_id: int, records: list[dict], path: str):
 # -------------------------------------------------------------- predictions
 
 def save_predictions(path: str, items: list[tuple[str, Prediction]]) -> None:
-    boxes = _f9_rows([pred.boxes for _, pred in items])
-    lines = [_encode(path, {"video_id": video_id, "ts": pred.ts, "te": pred.te,
-                            "boxes": _frame_box_list(pred.t0, rows)})
-             for (video_id, pred), rows in zip(items, boxes)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _check_finite(path, [pred.boxes for _, pred in items])
+    _write(path, [f'{{"video_id": {_encode(path, video_id)}, "ts": {_encode(path, pred.ts)}, '
+                  f'"te": {_encode(path, pred.te)}, '
+                  f'"boxes": {_frame_boxes_text(pred.t0, pred.boxes, ", ")}}}\n'
+                  for video_id, pred in items] or ["\n"])
 
 
 def _prediction_from(obj: dict, path: str, line: int) -> tuple[str, Prediction]:
@@ -558,23 +642,22 @@ def load_labels(path: str) -> tuple[str, list[list[int]]]:
 # ---------------------------------------------------------------- candidates
 
 def save_candidates(path: str, video_id: str, candidates: list[CandidateTube]) -> None:
-    def _record(r: CandidateRecord) -> dict:
-        rec = {"t": r.t, "box": _f9s(r.box.to_list()),
-               "score": f9(r.score)}
-        if r.interpolated:
-            rec["interpolated"] = True
-        return rec
+    columns = [(np.array([r.box.to_list() for r in c.records]),
+                np.array([r.score for r in c.records], dtype=float), c.appearance[None, :])
+               for c in candidates]
+    _check_finite(path, chain.from_iterable(columns))
 
-    doc = {
-        "video_id": video_id,
-        "candidates": [{
-            "category": c.category,
-            "span": [c.span[0], c.span[1]],
-            "records": [_record(r) for r in c.records],
-            "appearance": _f9s(c.appearance),
-        } for c in candidates],
-    }
-    _write_doc(path, doc)
+    def candidate_text(c: CandidateTube, boxes, scores, appearance) -> str:
+        records = ",".join(
+            f'{{"t":{_encode(path, r.t)},"box":{box},"score":{score}'
+            + (',"interpolated":true}' if r.interpolated else "}")
+            for r, box, score in zip(c.records, _f9_text(boxes, ","), _f9_text(scores, ",")))
+        return (f'{{"category":{_encode(path, c.category)},'
+                f'"span":{_encode(path, [c.span[0], c.span[1]], _DOC)},'
+                f'"records":[{records}],"appearance":{_f9_text(appearance, ",")[0]}}}')
+
+    text = ",".join(candidate_text(c, *cols) for c, cols in zip(candidates, columns))
+    _write(path, [f'{{"video_id":{_encode(path, video_id)},"candidates":[{text}]}}\n'])
 
 
 def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:

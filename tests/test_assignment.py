@@ -410,6 +410,21 @@ class TestCosineSimilarity:
         with pytest.raises(ValidationError):
             cosine_similarity_matrix(np.zeros((2, 3)), np.ones((2, 3)))
 
+    def test_matrix_equals_two_pass_formula_bitwise(self):
+        """Each norm is taken once, for the refusal and the division alike;
+        the bits are those of the formula that took them twice."""
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            d = int(rng.integers(1, 130))
+            a = rng.normal(size=(int(rng.integers(1, 20)), d)) * 10.0 ** rng.integers(-8, 8)
+            b = rng.normal(size=(int(rng.integers(1, 20)), d)) * 10.0 ** rng.integers(-8, 8)
+            want = (a @ b.T) / np.outer(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+            assert cosine_similarity_matrix(a, b).tobytes() == want.tobytes()
+
+    def test_matrix_rejects_underflowing_row(self):
+        with pytest.raises(ValidationError, match="zero or overflows"):
+            cosine_similarity_matrix(np.ones((1, 2)), np.array([[1.0, 0.0], [1e-200, 1e-200]]))
+
     @pytest.mark.parametrize("big", [[1e200, 1e200], [np.inf, 1.0], [np.nan, 1.0]],
                              ids=["overflow", "inf", "nan"])
     def test_norm_not_finite_rejected(self, big):

@@ -8,8 +8,8 @@ import pytest
 from conftest import make_frame, make_gt, make_prediction, make_tube
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.errors import FormatError, ValidationError
-from tubekit.formats import (_f9_rows, f9, load_candidates, load_detections, load_gt,
-                             load_gt_collection, load_labels, load_predictions,
+from tubekit.formats import (_DOC, _LINE, _f9_text, f9, load_candidates, load_detections,
+                             load_gt, load_gt_collection, load_labels, load_predictions,
                              load_tubes, save_candidates, save_detections,
                              save_gt, save_labels, save_predictions,
                              save_report, save_tubes)
@@ -46,24 +46,19 @@ class TestF9:
 
 
 class TestF9Rows:
-    """The one-pass rounding must give exactly what scalar f9 gives."""
+    """Each row's text from the one-pass kernel must be what the C encoder
+    writes for scalar f9 of its elements, with either separator."""
 
-    EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-310, 1e-300,
-             1.7976931348623157e308, 1e-14, 9.99999999e-15, 3e-15, 1e-5,
-             9.9999999951e-6, 0.1, 1 / 3, 2 / 3, 0.5, 2.675, 4.35, 1.0000000005,
-             1.0000000015, 9.9999999995, 99999999.5, 1e8, 123456788.5,
-             123456789.5, 999999999.4, 999999999.5, 1e9, 123456789012.0, 1e22,
-             6.02214076e23]
+    EDGES = [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1.7976931348623157e308, 1e-14,
+             9.99999999e-15, 3e-15, 1e-5, 9.9999999951e-6, 1e-4, 9.99999999e-5, 0.1, 1 / 3,
+             2 / 3, 0.5, 2.675, 4.35, 1.0000000005, 1.0000000015, 9.9999999995, 99999999.5,
+             99999999.95, 1e8, 123456788.5, 123456789.5, 999999999.4, 999999999.5, 1e9,
+             123456789012.0, 9999999990000000.0, 1e16, 1e22, 6.02214076e23]
+    ENCODERS = [(",", _DOC), (", ", _LINE)]
 
     @staticmethod
-    def _same(got, want):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert type(g) is float
-            if math.isnan(w):
-                assert math.isnan(g)
-            else:
-                assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (g, w)
+    def _want(rows, encoder) -> list[str]:
+        return [encoder.encode([f9(v) for v in row]) for row in np.asarray(rows).tolist()]
 
     def test_matches_scalar_f9(self):
         rng = np.random.default_rng(61)
@@ -74,30 +69,32 @@ class TestF9Rows:
                                  np.array(self.EDGES), -np.array(self.EDGES)])
         rounded = [f9(v) for v in values[:2000]]
         values = np.concatenate([values, rounded])         # already-rounded input
-        vectors = np.array_split(values, 997)              # ragged lengths
-        got = _f9_rows(vectors)
-        assert [len(v) for v in got] == [len(v) for v in vectors]
-        for g, v in zip(got, vectors):
-            self._same(g, [f9(x) for x in v])
+        for sep, encoder in self.ENCODERS:
+            assert _f9_text(values, sep) == [encoder.encode(f9(v)) for v in values.tolist()]
+            rows = values[:len(values) // 7 * 7].reshape(-1, 7)
+            assert _f9_text(rows, sep) == self._want(rows, encoder)
+            for v in np.array_split(values, 997):          # ragged lengths
+                assert _f9_text(v[None, :], sep) == self._want([v], encoder)
 
     def test_float32_and_int_input(self):
-        vectors = [np.array([0.1, 1 / 3, 7.5], dtype=np.float32), np.array([3, -7, 0])]
-        got = _f9_rows(vectors)
-        for g, v in zip(got, vectors):
-            self._same(g, [f9(x) for x in v])
+        for v in (np.array([0.1, 1 / 3, 7.5, -0.0], dtype=np.float32), np.array([3, -7, 0])):
+            for sep, encoder in self.ENCODERS:
+                assert _f9_text(v, sep) == [encoder.encode(f9(x)) for x in v]
+                assert _f9_text(v[None, :], sep) == [encoder.encode([f9(x) for x in v])]
 
     def test_empty(self):
-        assert _f9_rows([]) == []
+        for sep, _ in self.ENCODERS:
+            assert _f9_text(np.empty(0), sep) == []
+            assert _f9_text(np.empty((0, 4)), sep) == []
+            assert _f9_text(np.empty((3, 0)), sep) == ["[]"] * 3
 
     def test_two_dimensional_input_keeps_rows(self):
         rng = np.random.default_rng(62)
         arrays = [rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-12, 8, size=(n, 4))
-                  for n in (3, 0, 5)] + [np.array([[-0.0, math.inf, 1 / 3, 2.675]])]
-        got = _f9_rows(arrays)
-        assert [len(g) for g in got] == [len(a) for a in arrays]
-        for g, a in zip(got, arrays):
-            for grow, arow in zip(g, a):
-                self._same(grow, [f9(x) for x in arow])
+                  for n in (3, 0, 5)] + [np.array([[-0.0, 1e16, 1 / 3, 2.675]])]
+        for a in arrays:
+            for sep, encoder in self.ENCODERS:
+                assert _f9_text(a, sep) == self._want(a, encoder)
 
 
 class TestDetections:
@@ -229,6 +226,59 @@ class TestJsonlWriters:
         with pytest.raises(FormatError, match="'fps' must be finite and positive") as err:
             load_detections(str(path))
         assert err.value.line == 1 and f"{path}:1:" in str(err.value)
+
+
+class TestRefusedWrites:
+    """A write that is refused leaves no file behind."""
+
+    @staticmethod
+    def _tubes(bad=None):
+        tubes = [make_tube(i, [BOX] * 3, 0.5, features=np.ones((3, 2))) for i in range(3)]
+        if bad is not None:
+            object.__setattr__(tubes[-1], *bad)   # past Tube's own checks
+        return tubes
+
+    @pytest.mark.parametrize("bad", [
+        ("features", np.array([[1.0, 2.0], [1.0, math.nan], [1.0, 2.0]])),
+        ("features", np.array([[1.0, 2.0], [1.0, 2.0], [-math.inf, 2.0]])),
+        ("boxes", np.array([BOX.to_list(), [0.1, math.nan, 0.5, 0.5], BOX.to_list()])),
+        ("scores", np.array([0.5, math.inf, 0.5])),
+    ], ids=["nan-feature", "inf-feature", "nan-box", "inf-score"])
+    def test_tubes_non_finite(self, tmp_path, bad):
+        path = tmp_path / "t.tubes.json"
+        with pytest.raises(ValidationError, match="non-finite") as err:
+            save_tubes(str(path), "v", self._tubes(bad), include_embeds=True)
+        assert str(err.value).startswith(f"{path}: ")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_detection_embed_non_finite(self, tmp_path, value):
+        frames = make_frames()
+        features = frames[-1].features.copy()
+        features[1, 2] = value
+        object.__setattr__(frames[-1], "features", features)   # past FrameDetections' checks
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(ValidationError, match="non-finite") as err:
+            save_detections(str(path), "v", 25.0, frames)
+        assert str(err.value).startswith(f"{path}: ")
+        assert not path.exists()
+
+    def test_detections_of_two_widths_refused(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(ValidationError, match="frame 1: features have 3 columns"):
+            save_detections(str(path), "v", 25.0, make_frames(1, dim=4) + [
+                make_frame(1, [(BOX, 0.5, np.ones(3))])])
+        assert not path.exists()
+
+    def test_failure_after_first_tube_removes_file(self, tmp_path):
+        """The tube file is written a tube at a time; a tube that fails to
+        encode after others were written takes the partial file with it."""
+        path = tmp_path / "t.tubes.json"
+        tubes = self._tubes()
+        object.__setattr__(tubes[-1], "slot_id", math.nan)
+        with pytest.raises(ValidationError, match="non-finite"):
+            save_tubes(str(path), "v", tubes, include_embeds=True)
+        assert not path.exists()
 
 
 class TestGt:
@@ -497,6 +547,25 @@ class TestCandidates:
         assert loaded[0].span == (0, 2)
         assert loaded[0].records[1].interpolated is True
         assert loaded[0].real_record_count == 2
+
+    def test_rewrite_bytes(self, tmp_path):
+        src = tmp_path / "in.json"
+        src.write_text(
+            '{"video_id": "clip-\u00e9", "candidates": [{"category": "dog", "span": [3, 4], '
+            '"records": [{"t": 3, "box": [0.1, 0.2, 0.30000000001, 0.4], "score": 0.123456789123}, '
+            '{"t": 4, "box": [0.1, 0.2, 0.3, 0.4], "score": 0.5, "interpolated": true}], '
+            '"appearance": [1, -0.0, 2.5e-7]}, {"category": "cat \\"x\\"", "span": [0, 0], '
+            '"records": [{"t": 0, "box": [0, 0, 1, 1], "score": 1}], '
+            '"appearance": [0.333333333333, 123456789012]}]}\n')
+        out = tmp_path / "out.json"
+        save_candidates(str(out), *load_candidates(str(src)))
+        assert out.read_text() == (
+            '{"video_id":"clip-\\u00e9","candidates":[{"category":"dog","span":[3,4],'
+            '"records":[{"t":3,"box":[0.1,0.2,0.3,0.4],"score":0.123456789},'
+            '{"t":4,"box":[0.1,0.2,0.3,0.4],"score":0.5,"interpolated":true}],'
+            '"appearance":[1.0,-0.0,2.5e-07]},{"category":"cat \\"x\\"","span":[0,0],'
+            '"records":[{"t":0,"box":[0.0,0.0,1.0,1.0],"score":1.0}],'
+            '"appearance":[0.333333333,123456789000.0]}]}\n')
 
     @pytest.mark.parametrize("flag", ["false", 0, None], ids=["string", "number", "null"])
     def test_interpolated_must_be_boolean(self, tmp_path, flag):
