@@ -92,10 +92,11 @@ class Tube:
     """One slot's track over T frames, as read-only per-frame columns.
 
     t (T,) frame indices, strictly increasing; boxes (T, 4) corners, each
-    row a box by Box's rule; scores (T,); det (T,) the source detection
-    index within its frame, -1 for a gap fill (the previous box and feature
-    at score 0); features (T, D), or None for a tube loaded from a file
-    written without embeddings.
+    row a box by Box's rule; scores (T,), finite; det (T,) the source
+    detection index within its frame, -1 for a gap fill (the previous box
+    and feature at score 0); features (T, D), finite, or None for a tube
+    loaded from a file written without embeddings.  A refusal names the
+    slot, and the frame when one frame is at fault.
     """
 
     slot_id: int
@@ -106,7 +107,12 @@ class Tube:
     features: np.ndarray | None = None
 
     def __post_init__(self):
-        cols = {"t": np.array(self.t, dtype=np.int64), "boxes": corner_rows(self.boxes),
+        where = f"tube {self.slot_id}"
+        try:
+            boxes = corner_rows(self.boxes)
+        except ValidationError as e:
+            raise ValidationError(f"{where}: {e}") from None
+        cols = {"t": np.array(self.t, dtype=np.int64), "boxes": boxes,
                 "scores": np.array(self.scores, dtype=float),
                 "det": np.array(self.det, dtype=np.int64)}
         if self.features is not None:
@@ -114,13 +120,17 @@ class Tube:
         t, shapes = cols["t"], {k: c.shape for k, c in cols.items()}
         if any(len(shape) != (2 if k in ("boxes", "features") else 1) or shape[0] != len(t)
                for k, shape in shapes.items()):
-            raise ValidationError(f"tube columns must hold one row per frame, got {shapes}")
+            raise ValidationError(f"{where}: columns must hold one row per frame, got {shapes}")
         if np.any(t[1:] <= t[:-1]):
             i = int(np.argmax(t[1:] <= t[:-1]))
-            raise ValidationError(f"records must be strictly increasing in t, "
+            raise ValidationError(f"{where}: records must be strictly increasing in t, "
                                   f"got t={t[i + 1]} after t={t[i]}")
         if np.any(cols["det"] < -1):
-            raise ValidationError("det must be a detection index, or -1 for a gap")
+            raise ValidationError(f"{where}: det must be a detection index, or -1 for a gap")
+        for name, key in (("scores", "score"), ("features", "embed")):   # and a record's key
+            if name in cols and not (finite := np.isfinite(cols[name])).all():
+                i = int(np.argmin(finite.reshape(len(t), -1).all(axis=1)))
+                raise ValidationError(f"{where} frame {t[i]}: {key} must be finite")
         for name, c in cols.items():
             c.setflags(write=False)
             object.__setattr__(self, name, c)

@@ -50,6 +50,10 @@ class CandidateTube:
         if len(ts) != e - s + 1 or ts != list(range(s, e + 1)):
             raise ValidationError(
                 f"records must cover the span densely: span {self.span}, frames {ts[:5]}...")
+        scores = [r.score for r in self.records]
+        if not (finite := np.isfinite(scores)).all():
+            i = int(np.argmin(finite))
+            raise ValidationError(f"frame {ts[i]}: record score must be finite, got {scores[i]}")
         a = np.array(self.appearance, dtype=float)
         if a.ndim != 1 or not norms_finite_positive(a):
             raise ValidationError("appearance must be a finite 1-D vector with a finite, positive norm")

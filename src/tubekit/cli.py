@@ -89,8 +89,16 @@ def _cmd_associate(args) -> int:
 
 # ---------------------------------------------------------------------- mine
 
+def _tubes_of(path: str):
+    """The tube file at `path`; one that holds no tube is refused."""
+    video_id, tubes = load_tubes(path)
+    if not tubes:
+        raise FormatError("the tube file holds no tubes", path=path)
+    return video_id, tubes
+
+
 def _cmd_mine(args) -> int:
-    video_id, tubes = load_tubes(args.tubes)
+    video_id, tubes = _tubes_of(args.tubes)
     gt_vid, gt = load_gt(args.gt)
     if gt_vid != video_id:
         raise ValidationError(f"tube file is for '{video_id}' but GT is for '{gt_vid}'")
@@ -117,12 +125,11 @@ def _cmd_mine(args) -> int:
 # -------------------------------------------------------------------- losses
 
 def _mined_tubes(args):
-    video_id, tubes = load_tubes(args.tubes)
+    video_id, tubes = _tubes_of(args.tubes)
     if args.slot is not None:
-        matches = [t for t in tubes if t.slot_id == args.slot]
-        if not matches:
+        tubes = [t for t in tubes if t.slot_id == args.slot]
+        if not tubes:
             raise ValidationError(f"no tube with slot_id {args.slot} in {args.tubes}")
-        tubes = matches
     return video_id, tubes
 
 
@@ -170,19 +177,22 @@ def _cmd_grad_check(args) -> int:
 # -------------------------------------------------------------------- select
 
 def _cmd_select(args) -> int:
-    video_id, tubes = load_tubes(args.tubes)
+    given = [flag for flag in ("ts", "te", "gt") if getattr(args, flag) is not None]
+    if given not in ([], ["ts", "te"], ["gt"]):
+        raise ValidationError(f"select takes --ts with --te, or --gt, or neither; "
+                              f"got --{' --'.join(given)}")
+    video_id, tubes = _tubes_of(args.tubes)
     best = select_tube(tubes)
     tube = tubes[best]
-    ts_all = tube.timestamps()
-    if args.gt:
+    if args.gt is not None:
         gt_vid, gt = load_gt(args.gt)
         if gt_vid != video_id:
             raise ValidationError(f"tube file is for '{video_id}' but GT is for '{gt_vid}'")
         ts, te = gt.ts, gt.te
-    elif args.ts is not None and args.te is not None:
+    elif given:
         ts, te = args.ts, args.te
     else:
-        ts, te = ts_all[0], ts_all[-1]
+        ts, te = int(tube.t[0]), int(tube.t[-1])
     pred = Prediction.from_tube(tube, ts=ts, te=te)
     save_predictions(args.out, [(video_id, pred)])
     print(f"{video_id}: tube {best}, interval [{ts}, {te}] -> {args.out}")

@@ -53,10 +53,8 @@ class MinedTube:
         if boxes.shape[0] != f.shape[0]:
             raise ValidationError(
                 f"{boxes.shape[0]} boxes for {f.shape[0]} feature rows")
-        if not np.all(np.isfinite(f)):
-            raise ValidationError("features contain non-finite values")
         if not norms_finite_positive(f):
-            raise ValidationError("features contain a row whose norm is zero or overflows")
+            raise ValidationError("features contain a row whose norm is zero or overflows, or NaN")
         f.setflags(write=False)
         boxes.setflags(write=False)
         object.__setattr__(self, "features", f)

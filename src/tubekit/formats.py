@@ -6,11 +6,13 @@ line, and a JSONL line with json.dumps' default separators.  The writers
 build the text of their float arrays in one numpy pass (_f9_text), byte for
 byte what CPython's C encoder writes for the f9-rounded values; strings and
 scalar fields go through that encoder itself.  Non-finite numbers are
-refused on write, leaving no file, and on read.  A number
-field, box coordinate or vector element must be a JSON number: strings and
-booleans are refused.  JSONL diagnostics carry 1-based line numbers.
-Intervals may be given in seconds (ts_sec / te_sec) instead of frames when
-the document carries an fps; they are converted once at load time.
+refused on write, leaving no file.  On read, this module checks JSON types
+and the file's layout (frame order, counts, repeats) with one decoder for
+every record array (_column): a number is a JSON number, never a string or
+a boolean.  The holders it fills (FrameDetections, Tube, GtTube,
+Prediction, CandidateTube) check the domain rules, finiteness included;
+their refusals become FormatErrors at path[:LINE], lines 1-based.
+Intervals in seconds (ts_sec / te_sec) need the document's fps.
 """
 from __future__ import annotations
 
@@ -187,45 +189,85 @@ def _str_field(obj: dict, key: str, path: str, line: int | None = None) -> str:
     return value
 
 
-def _as_int(value, what: str, path: str, line: int | None = None) -> int:
-    # Not isinstance: bool is an int subclass, and int() would take true as 1
-    # and truncate 8.7 to 8 in silence.
-    if type(value) is int:
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise FormatError(f"'{what}' must be an integer, got {value!r}", path=path, line=line)
-
-
-def _int_field(obj: dict, key: str, path: str, line: int | None = None) -> int:
-    value = _require(obj, key, path, line)
-    return value if type(value) is int else _as_int(value, key, path, line)
-
-
-def _float_field(obj: dict, key: str, path: str, line: int | None = None) -> float:
-    # A JSON number only: float() would take the string "0.5", and true as 1.
-    value = _require(obj, key, path, line)
-    if type(value) is float:
-        return value
-    if type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise FormatError(f"'{key}' must be a number, got {value!r}", path=path, line=line)
-
-
+_REQUIRED = object()
 _NUMBER = frozenset((float, int))   # JSON numbers: type(true) is bool, not int
+_KINDS = {int: (frozenset((int,)), np.int64, "an integer"), float: (_NUMBER, float, "a number")}
+_BAD_BOX = "bad box: every box must be an array of 4 numbers"
 
 
-def _box_from(arr, path: str, line: int | None = None) -> Box:
-    # Box.from_list's float() would take "0.5" and true.
-    if type(arr) is not list or not _NUMBER.issuperset(map(type, arr)):
-        raise FormatError(f"bad box {arr!r}: coordinates must be numbers", path=path, line=line)
+def _values(records: list, key: str, path: str, line: int | None = None,
+            default=_REQUIRED, where: str = "") -> list:
+    """The `key` of each record of a JSON record array, or `default` where a
+    record lacks it; a record that is not an object, or a missing key
+    without a default, is refused."""
     try:
-        return Box.from_list(arr)
-    except (ValidationError, OverflowError) as e:
-        raise FormatError(f"bad box {arr!r}: {e}", path=path, line=line) from e
+        if default is _REQUIRED:
+            return [r[key] for r in records]
+        return [r.get(key, default) for r in records]
+    except KeyError:
+        raise FormatError(f"{where}missing required key '{key}'", path=path, line=line) from None
+    except (TypeError, AttributeError):   # a record that is not an object
+        raise FormatError(f"{where}every record must be an object", path=path, line=line) from None
+
+
+def _numbers(values: list, key: str, kind: type, path: str, line: int | None = None,
+             where: str = "") -> np.ndarray:
+    """int64 from JSON integers (kind int), or floats from JSON numbers (kind
+    float).  Not int() or float(): those would take true as 1, "0.5" as 0.5
+    and 8.7 as 8; an integral float such as 1.0 is an integer."""
+    types, dtype, noun = _KINDS[kind]
+    if not types.issuperset(map(type, values)):
+        if kind is int:
+            values = [int(v) if type(v) is float and v.is_integer() else v for v in values]
+        if (v := next((v for v in values if type(v) not in types), _REQUIRED)) is not _REQUIRED:
+            raise FormatError(f"{where}'{key}' must be {noun}, got {v!r}", path=path, line=line)
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:   # an integer beyond 64 bits, or beyond the float range
+        v = max((v for v in values if type(v) is int), key=abs)
+        raise FormatError(f"{where}'{key}' must be {noun} that fits in 64 bits, got {v!r}",
+                          path=path, line=line) from None
+
+
+def _field(obj: dict, key: str, kind: type, path: str, line: int | None = None):
+    """One integer or number field of an object, as a Python int or float."""
+    if type(value := _require(obj, key, path, line)) is kind:
+        return value
+    return _numbers([value], key, kind, path, line)[0].item()
+
+
+def _column(records: list, key: str, kind: type, path: str, line: int | None = None, *,
+            default=_REQUIRED, width: int | None = None, bad: str = "",
+            where: str = "") -> np.ndarray:
+    """The `key` of every record of a JSON record array as one column of
+    `kind`: int or float, as _numbers reads them, where with default=None a
+    null or missing value reads as -1 (a tube's gap det); list, (N, W)
+    floats from arrays of W numbers, W = width or any one width, else
+    refused with the message `bad`.  Every message starts with `where`."""
+    values = _values(records, key, path, line, default, where)
+    if kind is not list:
+        return _numbers([-1 if v is None else v for v in values] if default is None else values,
+                        key, kind, path, line, where)
+    if not values:
+        return np.empty((0, width or 0))
+    if all(type(r) is list for r in values) \
+            and _NUMBER.issuperset(map(type, chain.from_iterable(values))):
+        try:
+            rows = np.array(values, dtype=float)
+        except (ValueError, OverflowError):   # ragged, or an integer beyond the float range
+            pass
+        else:
+            if width in (None, rows.shape[1]):
+                return rows
+    raise FormatError(where + bad, path=path, line=line)
+
+
+def _held(path: str, line: int | None, holder, *args):
+    """holder(*args), its ValidationError raised as a FormatError at path[:line]."""
+    try:
+        return holder(*args)
+    except ValidationError as e:
+        raise FormatError(str(e), path=path, line=line) from e
 
 
 @contextmanager
@@ -279,7 +321,7 @@ def _iter_jsonl(path: str, lines=None, start: int = 1):
 
 
 def _fps_field(obj: dict, path: str, line: int | None = None) -> float:
-    fps = _float_field(obj, "fps", path, line)
+    fps = _field(obj, "fps", float, path, line)
     if not (math.isfinite(fps) and fps > 0.0):
         raise FormatError(f"'fps' must be finite and positive, got {fps!r}", path=path, line=line)
     return fps
@@ -287,14 +329,11 @@ def _fps_field(obj: dict, path: str, line: int | None = None) -> float:
 
 def _interval_from(obj: dict, path: str, line: int | None = None) -> tuple[int, int]:
     if "ts" in obj and "te" in obj:
-        return _int_field(obj, "ts", path, line), _int_field(obj, "te", path, line)
+        return _field(obj, "ts", int, path, line), _field(obj, "te", int, path, line)
     if "ts_sec" in obj and "te_sec" in obj:
-        if "fps" not in obj:
-            raise FormatError("second-denominated interval needs an fps key",
-                              path=path, line=line)
         fps = _fps_field(obj, path, line)
-        ts = _float_field(obj, "ts_sec", path, line) * fps
-        te = _float_field(obj, "te_sec", path, line) * fps
+        ts = _field(obj, "ts_sec", float, path, line) * fps
+        te = _field(obj, "te_sec", float, path, line) * fps
         if not (math.isfinite(ts) and math.isfinite(te)):
             raise FormatError(f"interval in frames must be finite, got [{ts!r}, {te!r}]",
                               path=path, line=line)
@@ -340,27 +379,22 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
     meta = {
         "video_id": _str_field(header, "video_id", path, lineno),
         "fps": _fps_field(header, path, lineno),
-        "frame_count": _int_field(header, "frame_count", path, lineno),
-        "feature_dim": _int_field(header, "feature_dim", path, lineno),
+        "frame_count": _field(header, "frame_count", int, path, lineno),
+        "feature_dim": _field(header, "feature_dim", int, path, lineno),
     }
+    dim = meta["feature_dim"]
+    bad_embed = f"'embed' must be an array of numbers of length feature_dim ({dim})"
     frames: list[FrameDetections] = []
     for lineno, obj in it:
-        t = _int_field(obj, "t", path, lineno)
+        t = _field(obj, "t", int, path, lineno)
         if t != len(frames):
             raise FormatError(f"expected frame t={len(frames)}, got t={t}",
                               path=path, line=lineno)
         dets = _list_field(obj, "detections", path, lineno)
-        boxes = _box_rows([_require(d, "box", path, lineno) for d in dets], path, lineno)
-        embeds = _number_rows([_require(d, "embed", path, lineno) for d in dets],
-                              meta["feature_dim"])
-        if embeds is None and dets:   # no dets: FrameDetections refuses the empty frame
-            raise FormatError(f"'embed' must be an array of numbers of length feature_dim "
-                              f"({meta['feature_dim']})", path=path, line=lineno)
-        scores = [_float_field(d, "score", path, lineno) for d in dets]
-        try:
-            frames.append(FrameDetections(t, boxes, scores, embeds))
-        except ValidationError as e:
-            raise FormatError(str(e), path=path, line=lineno) from e
+        boxes = _column(dets, "box", list, path, lineno, width=4, bad=_BAD_BOX)
+        embeds = _column(dets, "embed", list, path, lineno, width=dim, bad=bad_embed)
+        scores = _column(dets, "score", float, path, lineno)
+        frames.append(_held(path, lineno, FrameDetections, t, boxes, scores, embeds))
     if len(frames) != meta["frame_count"]:
         raise FormatError(
             f"header promises {meta['frame_count']} frames, file has {len(frames)}",
@@ -370,28 +404,27 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
 
 # ------------------------------------------------------------------ gt files
 
-def _frame_boxes(obj: dict, path: str, line: int | None = None) -> tuple[int, np.ndarray]:
-    """The 'boxes' of a GT or prediction, [{"t": ..., "box": [...]}, ...] in
-    any frame order, as (t0, rows): row i is the box of frame t0 + i.  A
-    frame listed twice, or a frame missing between the first and the last,
-    is refused.  No boxes give (0, an empty (0, 4) array)."""
+def _interval_boxes(obj: dict, path: str, line: int | None = None) -> tuple:
+    """What a GT and a prediction share: (video_id, ts, te, t0, rows), their
+    'boxes' [{"t": ..., "box": [...]}, ...] in any frame order as rows, row i
+    the box of frame t0 + i.  A frame listed twice, or a frame missing
+    between the first and the last, is refused.  No boxes give t0 = 0 and
+    an empty (0, 4) array."""
+    video_id = _str_field(obj, "video_id", path, line)
+    ts, te = _interval_from(obj, path, line)
     items = _list_field(obj, "boxes", path, line)
-    t = [_int_field(item, "t", path, line) for item in items]
-    rows = _box_rows([_require(item, "box", path, line) for item in items], path, line)
-    if not t:
-        return 0, rows
-    t0 = min(t)
-    if t != list(range(t0, t0 + len(t))):
+    t = _column(items, "t", int, path, line).tolist()
+    rows = _column(items, "box", list, path, line, width=4, bad=_BAD_BOX)
+    if t and t != list(range(t[0], t[0] + len(t))):   # not already one frame after another
         order = sorted(range(len(t)), key=t.__getitem__)
         t, rows = [t[i] for i in order], rows[order]
-        twice = [a for a, b in zip(t, t[1:]) if a == b]
-        if twice:
+        if twice := [a for a, b in zip(t, t[1:]) if a == b]:
             raise FormatError(f"frame {twice[0]} has more than one box", path=path, line=line)
-        missing = list(islice(chain.from_iterable(range(a + 1, b) for a, b in zip(t, t[1:])), 5))
-        if missing:
+        if missing := list(islice(chain.from_iterable(range(a + 1, b)
+                                                      for a, b in zip(t, t[1:])), 5)):
             raise FormatError(f"boxes must cover a contiguous frame range; missing boxes at "
                               f"frames {missing}", path=path, line=line)
-    return t0, rows
+    return video_id, ts, te, (t[0] if t else 0), rows
 
 
 def _frame_boxes_text(t0: int, boxes: np.ndarray, sep: str) -> str:
@@ -420,15 +453,10 @@ def _gt_misfit(ts: int, te: int, t0: int, n: int) -> str:
 
 
 def _gt_from_obj(obj: dict, path: str, line: int | None = None) -> tuple[str, GtTube]:
-    video_id = _str_field(obj, "video_id", path, line)
-    ts, te = _interval_from(obj, path, line)
-    t0, rows = _frame_boxes(obj, path, line)
-    try:
-        if ts <= te and (t0, len(rows)) != (ts, te - ts + 1):
-            raise ValidationError(_gt_misfit(ts, te, t0, len(rows)))
-        return video_id, GtTube(ts=ts, te=te, boxes=rows)
-    except ValidationError as e:
-        raise FormatError(str(e), path=path, line=line) from e
+    video_id, ts, te, t0, rows = _interval_boxes(obj, path, line)
+    if ts <= te and (t0, len(rows)) != (ts, te - ts + 1):
+        raise FormatError(_gt_misfit(ts, te, t0, len(rows)), path=path, line=line)
+    return video_id, _held(path, line, GtTube, ts, te, rows)
 
 
 def load_gt(path: str) -> tuple[str, GtTube]:
@@ -506,89 +534,35 @@ def save_tubes(path: str, video_id: str, tubes: list[Tube],
 def load_tubes(path: str) -> tuple[str, list[Tube]]:
     obj = _load_json_doc(path)
     video_id = _str_field(obj, "video_id", path)
-    n_q = _int_field(obj, "n_q", path)
+    n_q = _field(obj, "n_q", int, path)
     tubes = [_tube_from(entry, path) for entry in _list_field(obj, "tubes", path)]
     if len(tubes) != n_q:
         raise FormatError(f"header promises n_q={n_q} tubes, file has {len(tubes)}",
                           path=path)
+    slots = [tube.slot_id for tube in tubes]
+    if twice := [s for i, s in enumerate(slots) if s in slots[:i]]:
+        raise FormatError(f"slot_id {twice[0]} is held by more than one tube", path=path)
     return video_id, tubes
 
 
 def _tube_from(entry: dict, path: str) -> Tube:
-    """Decode one tube a field at a time: each field of its records is
-    checked value by value, then stacked into the tube's column."""
-    slot_id = _int_field(entry, "slot_id", path)
+    slot_id = _field(entry, "slot_id", int, path)
     raw = _require(entry, "records", path)
     if type(raw) is not list:
         raise FormatError(f"tube {slot_id}: records must be an array", path=path)
-    features = _tube_features(slot_id, raw, path)
-    t = [_int_field(r, "t", path) for r in raw]
-    scores = [_float_field(r, "score", path) for r in raw]
-    if not all(map(math.isfinite, scores)):
-        i = next(i for i, score in enumerate(scores) if not math.isfinite(score))
-        raise FormatError(f"tube {slot_id} frame {t[i]}: score must be finite, "
-                          f"got {scores[i]!r}", path=path)
-    boxes = _box_rows([_require(r, "box", path) for r in raw], path)
-    det = [_det_field(r.get("det"), path) for r in raw]
-    try:
-        return Tube(slot_id, t, boxes, scores, det, features)
-    except (ValidationError, OverflowError) as e:   # OverflowError: t beyond 64 bits
-        raise FormatError(f"tube {slot_id}: {e}", path=path) from e
-
-
-def _det_field(value, path: str) -> int:
-    """A record's det: a detection index, or null for a gap, which is -1."""
-    if value is None:
-        return -1
-    if (det := _as_int(value, "det", path)) < 0:
-        raise FormatError(f"'det' must be null or a nonnegative integer, got {value!r}", path=path)
-    return det
-
-
-def _number_rows(rows: list, width: int | None = None) -> np.ndarray | None:
-    """(N, W) floats from N >= 1 JSON arrays of W JSON numbers each, W = width
-    when given; None when the rows are not that.  Not float(), which would
-    take "0.5" and true."""
-    if not (all(type(r) is list for r in rows)
-            and _NUMBER.issuperset(map(type, chain.from_iterable(rows)))):
-        return None
-    try:
-        a = np.array(rows, dtype=float)
-    except (ValueError, OverflowError):   # ragged, or an integer beyond the float range
-        return None
-    return a if a.ndim == 2 and width in (None, a.shape[1]) else None
-
-
-def _box_rows(boxes: list, path: str, line: int | None = None) -> np.ndarray:
-    """(N, 4) floats from JSON box arrays of four JSON numbers each; past
-    the first bad box, _box_from's message names it."""
-    rows = _number_rows(boxes, 4)
-    if rows is None:
-        rows = np.array([_box_from(arr, path, line).to_list() for arr in boxes]).reshape(-1, 4)
-    return rows
-
-
-def _tube_features(slot_id: int, records: list[dict], path: str):
-    """The tube's embeddings as one (T, D) array, or None when it has none."""
-    try:
-        embeds = [r.get("embed") for r in records]
-    except AttributeError:
-        raise FormatError(f"tube {slot_id}: every record must be an object", path=path) from None
-    missing = embeds.count(None)
-    if missing == len(embeds):
-        return None
-    if missing:
-        t = records[embeds.index(None)].get("t")
-        raise FormatError(f"tube {slot_id} frame {t}: embed missing, "
+    where = f"tube {slot_id}: "
+    t = _column(raw, "t", int, path, where=where)
+    embeds = _values(raw, "embed", path, default=None)   # none at all: written without them
+    if None in embeds and embeds.count(None) < len(embeds):
+        raise FormatError(f"tube {slot_id} frame {t[embeds.index(None)]}: embed missing, "
                           "but other records of the tube have one", path=path)
-    features = _number_rows(embeds)
-    if features is None:
-        raise FormatError(f"tube {slot_id}: every embed must be an array of numbers, "
-                          "all of one length", path=path)
-    if not np.isfinite(features).all():
-        t = records[int(np.argmin(np.isfinite(features).all(axis=1)))].get("t")
-        raise FormatError(f"tube {slot_id} frame {t}: embed must be finite", path=path)
-    return features
+    features = None if None in embeds or not embeds else _column(
+        raw, "embed", list, path, where=where,
+        bad="every embed must be an array of numbers, all of one length")
+    return _held(path, None, Tube, slot_id, t,
+                 _column(raw, "box", list, path, width=4, bad=_BAD_BOX, where=where),
+                 _column(raw, "score", float, path, where=where),
+                 _column(raw, "det", int, path, default=None, where=where), features)
 
 
 # -------------------------------------------------------------- predictions
@@ -602,13 +576,8 @@ def save_predictions(path: str, items: list[tuple[str, Prediction]]) -> None:
 
 
 def _prediction_from(obj: dict, path: str, line: int) -> tuple[str, Prediction]:
-    video_id = _str_field(obj, "video_id", path, line)
-    ts, te = _interval_from(obj, path, line)
-    t0, rows = _frame_boxes(obj, path, line)
-    try:
-        return video_id, Prediction(ts=ts, te=te, t0=t0, boxes=rows)
-    except ValidationError as e:
-        raise FormatError(str(e), path=path, line=line) from e
+    video_id, ts, te, t0, rows = _interval_boxes(obj, path, line)
+    return video_id, _held(path, line, Prediction, ts, te, t0, rows)
 
 
 def load_predictions(path: str) -> list[tuple[str, Prediction]]:
@@ -630,13 +599,16 @@ def save_labels(path: str, video_id: str, identities: list[list[int]]) -> None:
 def load_labels(path: str) -> tuple[str, list[list[int]]]:
     obj = _load_json_doc(path)
     video_id = _str_field(obj, "video_id", path)
-    identities = []
-    for item in _list_field(obj, "frames", path):
-        t = _int_field(item, "t", path)
-        if t != len(identities):
-            raise FormatError(f"expected frame t={len(identities)}, got t={t}", path=path)
-        identities.append([_as_int(x, "ids", path) for x in _list_field(item, "ids", path)])
-    return video_id, identities
+    frames = _list_field(obj, "frames", path)
+    t = _column(frames, "t", int, path).tolist()
+    if t != list(range(len(t))):
+        i = next(i for i, ti in enumerate(t) if ti != i)
+        raise FormatError(f"expected frame t={i}, got t={t[i]}", path=path)
+    ids = _values(frames, "ids", path)
+    if any(type(row) is not list for row in ids):
+        raise FormatError("'ids' must be an array", path=path)
+    flat = iter(_numbers(list(chain.from_iterable(ids)), "ids", int, path).tolist())
+    return video_id, [list(islice(flat, len(row))) for row in ids]
 
 
 # ---------------------------------------------------------------- candidates
@@ -668,25 +640,19 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
         span = _require(c, "span", path)
         if not (isinstance(span, list) and len(span) == 2):
             raise FormatError(f"span must be a 2-element array, got {span!r}", path=path)
-        records = []
-        for r in _list_field(c, "records", path):
-            t = _int_field(r, "t", path)
-            if type(flag := r.get("interpolated", False)) is not bool:   # bool("false") is True
-                raise FormatError(f"'interpolated' must be true or false, got {flag!r}", path=path)
-            records.append(CandidateRecord(
-                t=t, box=_box_from(_require(r, "box", path), path),
-                score=_float_field(r, "score", path), interpolated=flag))
-        appearance = _number_rows([_require(c, "appearance", path)])
-        if appearance is None:
-            raise FormatError("'appearance' must be an array of numbers", path=path)
-        try:
-            out.append(CandidateTube(
-                category=_str_field(c, "category", path),
-                span=(_as_int(span[0], "span", path), _as_int(span[1], "span", path)),
-                records=records,
-                appearance=appearance[0]))
-        except ValidationError as e:
-            raise FormatError(str(e), path=path) from e
+        raw = _list_field(c, "records", path)
+        flags = _values(raw, "interpolated", path, default=False)
+        if bad := [flag for flag in flags if type(flag) is not bool]:   # bool("false") is True
+            raise FormatError(f"'interpolated' must be true or false, got {bad[0]!r}", path=path)
+        columns = (_column(raw, "t", int, path).tolist(),
+                   _column(raw, "box", list, path, width=4, bad=_BAD_BOX).tolist(),
+                   _column(raw, "score", float, path).tolist(), flags)
+        appearance = _column([c], "appearance", list, path,
+                             bad="'appearance' must be an array of numbers")[0]
+        records = [CandidateRecord(t, _held(path, None, Box, *box), score, flag)
+                   for t, box, score, flag in zip(*columns)]
+        out.append(_held(path, None, CandidateTube, _str_field(c, "category", path),
+                         tuple(_numbers(span, "span", int, path).tolist()), records, appearance))
     return video_id, out
 
 

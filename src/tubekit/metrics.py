@@ -69,11 +69,7 @@ def select_tube(tubes: list[Tube]) -> int:
     spans = {t.t.tobytes() for t in tubes}
     if len(spans) != 1:
         raise ValidationError("tubes disagree on their frame span")
-    best = 0
-    for i, tube in enumerate(tubes):
-        if tube.mean_score() > tubes[best].mean_score():
-            best = i
-    return best
+    return int(np.argmax([tube.mean_score() for tube in tubes]))   # the first of equals
 
 
 def _interval_len(s: int, e: int) -> int:

@@ -139,8 +139,4 @@ def mine_best_tube(tubes: list[Tube], gt: GtTube,
     if not tubes:
         raise ValidationError("mine_best_tube needs at least one tube")
     breakdowns = [match_cost(tube, gt, weights) for tube in tubes]
-    best = 0
-    for i, b in enumerate(breakdowns):
-        if b.total < breakdowns[best].total:
-            best = i
-    return best, breakdowns
+    return int(np.argmin([b.total for b in breakdowns])), breakdowns   # the first of equals

@@ -134,6 +134,18 @@ class TestTube:
         with pytest.raises(ValidationError, match=match):
             Tube(**{**self.COLUMNS, column: value})
 
+    @pytest.mark.parametrize("column, value, match", [
+        ("scores", [0.5, float("nan"), 0.0], "tube 0 frame 1: score must be finite"),
+        ("scores", [0.5, 0.5, -float("inf")], "tube 0 frame 2: score must be finite"),
+        ("features", [[1.0, 0.0], [1.0, float("nan")], [0.0, 1.0]],
+         "tube 0 frame 1: embed must be finite"),
+        ("features", [[float("inf"), 0.0], [1.0, 0.0], [0.0, 1.0]],
+         "tube 0 frame 0: embed must be finite"),
+    ])
+    def test_non_finite_columns_refused(self, column, value, match):
+        with pytest.raises(ValidationError, match=match):
+            Tube(**{**self.COLUMNS, column: value})
+
 
 class TestTopByConfidence:
     def test_sorted_by_score(self):

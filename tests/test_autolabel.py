@@ -38,6 +38,14 @@ class TestCandidateTube:
         with pytest.raises(ValidationError, match="finite, positive norm"):
             cand((0, 2), [1e200, 1e200])
 
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_rejected(self, score):
+        with pytest.raises(ValidationError, match="frame 2: record score must be finite"):
+            CandidateTube(category="dog", span=(1, 2),
+                          records=[CandidateRecord(t=1, box=BOX_A, score=0.5),
+                                   CandidateRecord(t=2, box=BOX_A, score=score)],
+                          appearance=np.array([1.0, 0.0]))
+
     def test_real_record_count_ignores_interpolation(self):
         records = [CandidateRecord(t=0, box=BOX_A, score=0.5),
                    CandidateRecord(t=1, box=BOX_A, score=0.5, interpolated=True),

@@ -437,6 +437,41 @@ class TestMine:
                 cfg["lambda_giou"], cfg["lambda_temp"]) == (1.0, 5.0, 3.0, 0.0)
 
 
+class TestTubeFileShape:
+    """Every subcommand that reads a tube file refuses one that holds no
+    tube, or that holds one slot_id twice (exit 2, naming the file)."""
+
+    @staticmethod
+    def _run(argv, tubes, gt, out):
+        extra = {"mine": ["--gt", str(gt)], "losses": ["--slot", "0"]}.get(argv, [])
+        return main([argv, "--tubes", str(tubes), *extra, "--out", str(out)])
+
+    @pytest.mark.parametrize("argv", ["mine", "losses", "grad-check", "select"])
+    def test_no_tubes(self, tmp_path, capsys, argv):
+        # grad-check used to write its report, then die on max() of nothing.
+        tubes = tmp_path / "none.tubes.json"
+        tubes.write_text(json.dumps({"video_id": "v", "n_q": 0, "tubes": []}))
+        gt = tmp_path / "v.gt.json"
+        save_gt(str(gt), "v", make_gt(0, [B]))
+        out = tmp_path / "r.json"
+        assert self._run(argv, tubes, gt, out) == 2
+        assert capsys.readouterr().err == f"error: {tubes}: the tube file holds no tubes\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", ["mine", "losses", "select"])
+    def test_repeated_slot_id(self, tmp_path, capsys, argv):
+        # mine used to report two slot_id 0 rows, and --slot 0 took both tubes.
+        tubes, gt = write_planted_tubes(tmp_path)
+        doc = json.loads(tubes.read_text())
+        doc["tubes"][1]["slot_id"] = 0
+        tubes.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert self._run(argv, tubes, gt, out) == 2
+        assert capsys.readouterr().err == (f"error: {tubes}: slot_id 0 is held by more "
+                                           "than one tube\n")
+        assert not out.exists()
+
+
 class TestLossesAndGradCheck:
     def _tubes_with_embeds(self, tmp_path):
         prefix = simulate(tmp_path, "s", "--motion-step", "0.02")
@@ -542,6 +577,20 @@ class TestSelectAndEval:
         (_, pred), = load_predictions(str(preds))
         assert (pred.ts, pred.te) == (0, 19)
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--ts", "5"], "--ts"), (["--te", "9"], "--te"),
+        (["--gt", "GT", "--ts", "4", "--te", "9"], "--ts --te --gt"),
+        (["--gt", "GT", "--te", "9"], "--te --gt")])
+    def test_select_half_interval_refused(self, tmp_path, capsys, flags, named):
+        # Each of these used to fall back to another interval in silence.
+        tubes, gt = write_planted_tubes(tmp_path)
+        out = tmp_path / "p.jsonl"
+        assert main(["select", "--tubes", str(tubes), *[str(gt) if f == "GT" else f for f in flags],
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: select takes --ts with --te, or --gt, or "
+                                           f"neither; got {named}\n")
+        assert not out.exists()
+
     def test_repeated_video_id_rejected(self, tmp_path, capsys):
         prefix, preds = self._pipeline(tmp_path)
         line = json.loads(preds.read_text())
@@ -643,6 +692,23 @@ class TestAutolabel:
         assert result.returncode == 0, result.stderr
         assert "nothing written" in result.stdout
         assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["as-written", "reversed"])
+    def test_non_finite_score_is_format_error(self, tmp_path, capsys, value, order):
+        # Such a file used to load, and the two candidate orders wrote
+        # different pseudo GT.
+        path = self._candidates(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["candidates"][1]["records"][2]["score"] = value
+        doc["candidates"] = doc["candidates"][::order]
+        path.write_text(json.dumps(doc))   # a bare NaN or Infinity, as json.dumps allows
+        out = tmp_path / "pseudo.gt.json"
+        assert main(["autolabel", "--candidates", str(path),
+                     "--ts", "0", "--te", "14", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: frame 12: record score must be "
+                                           f"finite, got {value}\n")
         assert not out.exists()
 
     def test_insufficient_coverage_writes_nothing(self, tmp_path, capsys):

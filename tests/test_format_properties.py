@@ -3,11 +3,14 @@
 Round trips: a saved file loads back with every float equal to its f9
 rounding, and saving what was loaded gives the same bytes.  Fuzzing: a
 valid file, structurally mutated (values replaced, keys and elements dropped
-or added, text cut or spliced), either loads or raises FormatError naming
-the file; a JSONL loader names the line too, except for the whole-file
-conditions listed in WHOLE_FILE.
+or added, a number made NaN or infinite, text cut or spliced), either loads
+with every number it returns finite, or raises FormatError naming the file;
+a JSONL loader names the line too, except for the whole-file conditions
+listed in WHOLE_FILE.
 """
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -194,8 +197,10 @@ def test_huge_interval_refused_without_walking_it(tmp_path, load, text, match):
         load(str(path))
 
 
+NON_FINITE_VALUES = [math.nan, math.inf, -math.inf]   # json.dumps writes NaN and Infinity
+NON_FINITE = st.sampled_from(NON_FINITE_VALUES)
 json_scalars = (st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
-                | st.floats() | st.text(max_size=3))
+                | st.floats() | NON_FINITE | st.text(max_size=3))
 json_values = st.recursive(
     json_scalars,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
@@ -212,20 +217,39 @@ def _nodes(node, at=()):
         yield from _nodes(child, at + (key,))
 
 
+def _tree(text: str, jsonl: bool):
+    """The JSON tree of a file: a list of the objects of a JSONL file."""
+    return [json.loads(line) for line in text.splitlines()] if jsonl else json.loads(text)
+
+
+def _numbers(tree) -> list:
+    """The path of every number of a JSON tree."""
+    return [at for at, node in _nodes(tree) if type(node) in (int, float)]
+
+
+def _set(tree, at, value):
+    """The tree with the node at path `at` replaced by value."""
+    if not at:
+        return value
+    parent = tree
+    for key in at[:-1]:
+        parent = parent[key]
+    parent[at[-1]] = value
+    return tree
+
+
 def _mutate(data, tree):
-    """One structural edit at a drawn node: replace it, or drop or add a
-    key or element of it."""
+    """One structural edit at a drawn node: replace it, drop or add a key
+    or element of it, or make a number of the tree NaN or infinite."""
     nodes = list(_nodes(tree))
+    op = data.draw(st.sampled_from(["replace", "drop", "add", "non-finite"]), label="op")
+    if op == "non-finite" and (numbers := _numbers(tree)):
+        at = numbers[data.draw(st.integers(0, len(numbers) - 1), label="number")]
+        return _set(tree, at, data.draw(NON_FINITE))
     at, node = nodes[data.draw(st.integers(0, len(nodes) - 1), label="node")]
-    op = data.draw(st.sampled_from(["replace", "drop", "add"]), label="op")
     if op == "replace" or not isinstance(node, (dict, list)) or (op == "drop" and not node):
-        if not at:
-            return data.draw(json_values)
-        parent = tree
-        for key in at[:-1]:
-            parent = parent[key]
-        parent[at[-1]] = data.draw(json_values)
-    elif op == "drop":
+        return _set(tree, at, data.draw(json_values))
+    if op == "drop":
         keys = list(node) if isinstance(node, dict) else range(len(node))
         del node[data.draw(st.sampled_from(list(keys)))]
     elif isinstance(node, dict):
@@ -244,7 +268,8 @@ def _fuzz_text(data, tree, jsonl: bool) -> str:
         text = json.dumps(tree, indent=data.draw(st.sampled_from([None, 2])))
     if data.draw(st.booleans(), label="splice text"):
         cut = data.draw(st.integers(0, len(text)))
-        text = text[:cut] + data.draw(st.sampled_from(["", "\n", "{", "]", ",", '"', "x"])) \
+        text = text[:cut] + data.draw(st.sampled_from(["", "\n", "{", "]", ",", '"', "x", "NaN",
+                                                       "Infinity", "-Infinity"])) \
             + text[cut + data.draw(st.integers(0, 3)):]
     return text
 
@@ -264,15 +289,28 @@ def _jsonl_form(text: str) -> bool:
         return False
 
 
+def _finite(loaded) -> bool:
+    """Whether every number in what a loader returned is finite."""
+    if isinstance(loaded, np.ndarray):
+        return bool(np.isfinite(loaded).all())
+    if isinstance(loaded, float):
+        return math.isfinite(loaded)
+    if dataclasses.is_dataclass(loaded):
+        return all(_finite(getattr(loaded, f.name)) for f in dataclasses.fields(loaded))
+    if isinstance(loaded, (list, tuple, dict)):
+        return all(map(_finite, loaded.values() if isinstance(loaded, dict) else loaded))
+    return True
+
+
 def _load_fuzzed(data, tmp_path, text, load, jsonl, numbered=None):
     """Fuzz the valid file `text` and load it.  numbered(text) says whether
     errors must carry a line; by default, when the file is JSONL."""
-    tree = [json.loads(line) for line in text.splitlines()] if jsonl else json.loads(text)
+    tree = _tree(text, jsonl)
     path = tmp_path / "fuzzed"
     path.write_text(_fuzz_text(data, tree, jsonl))
     numbered = jsonl if numbered is None else numbered(path.read_text())
     try:
-        load(str(path))
+        assert _finite(load(str(path)))
     except FormatError as e:
         assert e.path == str(path)
         if numbered and e.line is None:
@@ -341,3 +379,42 @@ def test_fuzzed_labels(tmp_path, data, video_id, ids):
 def test_fuzzed_candidates(tmp_path, data, video_id, cands):
     _load_fuzzed(data, tmp_path, _saved(tmp_path, save_candidates, video_id, cands),
                  load_candidates, jsonl=False)
+
+
+# A valid file of each kind: (strategy of the writer's arguments, writer, JSONL).
+VALID_FILES = {
+    load_detections: (detection_files(), save_detections, True),
+    load_predictions: (st.lists(st.tuples(video_ids, predictions()), min_size=1,
+                                max_size=3).map(lambda items: (items,)), save_predictions, True),
+    load_gt: (st.tuples(video_ids, gt_tubes()), save_gt, False),
+    load_gt_collection: (st.tuples(video_ids, gt_tubes()), save_gt, True),
+    load_tubes: (tube_files(), save_tubes, False),
+    load_labels: (st.tuples(video_ids, st.lists(st.lists(st.integers(-3, 9), max_size=3),
+                                                max_size=4)), save_labels, False),
+    load_candidates: (st.tuples(video_ids, st.lists(candidates(), min_size=1, max_size=3)),
+                      save_candidates, False),
+}
+
+
+@settings(PROPERTY, max_examples=20)
+@pytest.mark.parametrize("load", list(VALID_FILES), ids=[f.__name__ for f in VALID_FILES])
+@given(data=st.data())
+def test_each_number_made_non_finite(tmp_path, load, data):
+    """A valid file with any one of its numbers made NaN or infinite is
+    refused, or loads with only finite numbers: every number of the file is
+    tried, so the property does not hang on which one a draw picks.  A NaN
+    candidate score once loaded."""
+    strategy, save, jsonl = VALID_FILES[load]
+    text = _saved(tmp_path, save, *data.draw(strategy))
+    path = tmp_path / "spoilt"
+    for at in _numbers(_tree(text, jsonl)):
+        for value in NON_FINITE_VALUES:
+            tree = _set(_tree(text, jsonl), at, value)
+            path.write_text("".join(json.dumps(obj) + "\n" for obj in tree) if jsonl
+                            else json.dumps(tree))
+            try:
+                loaded = load(str(path))
+            except FormatError as e:
+                assert e.path == str(path)
+            else:
+                assert _finite(loaded), (at, value)

@@ -607,7 +607,8 @@ class TestReports:
         assert not path.exists()
 
     def test_non_finite_tube_score_refused(self, tmp_path):
-        tubes = [make_tube(0, [BOX], float("nan"))]
+        tubes = [make_tube(0, [BOX], 0.5)]
+        object.__setattr__(tubes[0], "scores", np.array([float("nan")]))   # past Tube's own checks
         with pytest.raises(ValidationError, match="non-finite"):
             save_tubes(str(tmp_path / "t.json"), "vid", tubes)
 
@@ -1033,6 +1034,62 @@ class TestNumberArrays:
         path.write_text(json.dumps({"video_id": "v", "candidates": [cand]}))
         with pytest.raises(FormatError, match=match):
             load_candidates(str(path))
+
+
+def _record_arrays():
+    """(name, loader, a valid record, the file text with that record first
+    in its array, the line of a JSONL error or None, the message context)
+    for the four record arrays: a detection line's detections, a GT's or a
+    prediction's boxes, a tube's records and a candidate's records."""
+    box = BOX.to_list()
+    header = json.dumps({"video_id": "v", "fps": 5.0, "frame_count": 1, "feature_dim": 2})
+
+    def boxes_doc(rec):
+        return json.dumps({"video_id": "v", "ts": 0, "te": 0, "boxes": [rec]}) + "\n"
+
+    return [
+        ("detections", load_detections, {"box": box, "score": 0.5, "embed": [1.0, 0.0]},
+         lambda rec: header + "\n" + json.dumps({"t": 0, "detections": [rec]}) + "\n", 2, ""),
+        ("gt", load_gt, {"t": 0, "box": box}, boxes_doc, None, ""),
+        ("predictions", load_predictions, {"t": 0, "box": box}, boxes_doc, 1, ""),
+        ("tubes", load_tubes, {"t": 0, "box": box, "score": 0.5, "det": 0},
+         lambda rec: json.dumps({"video_id": "v", "n_q": 1,
+                                 "tubes": [{"slot_id": 0, "records": [rec]}]}), None, "tube 0: "),
+        ("candidates", load_candidates, {"t": 0, "box": box, "score": 0.5},
+         lambda rec: json.dumps({"video_id": "v", "candidates": [{
+             "category": "c", "span": [0, 0], "records": [rec], "appearance": [1.0]}]}), None, ""),
+    ]
+
+
+BAD_BOX = "bad box: every box must be an array of 4 numbers"
+RECORD_FAULTS = [
+    ("non-object", lambda rec: [0, 1], "every record must be an object"),
+    ("missing-key", lambda rec: {k: v for k, v in rec.items() if k != "box"},
+     "missing required key 'box'"),
+    ("non-number", lambda rec: {**rec, "box": [0.25, 0.25, "0.5", 0.5]}, BAD_BOX),
+    ("bool", lambda rec: {**rec, "box": [0.25, 0.25, True, 0.5]}, BAD_BOX),
+    ("ragged", lambda rec: {**rec, "box": [0.25, 0.25, 0.5]}, BAD_BOX),
+]
+
+
+class TestRecordArrayRefusals:
+    """One decoder reads every record array, so a fault gives the same
+    message in each; a tube's messages start by naming the tube."""
+
+    @pytest.mark.parametrize("fault, spoil, message", RECORD_FAULTS,
+                             ids=[f[0] for f in RECORD_FAULTS])
+    @pytest.mark.parametrize("name, load, rec, text, line, context", _record_arrays(),
+                             ids=[a[0] for a in _record_arrays()])
+    def test_refused_alike(self, tmp_path, name, load, rec, text, line, context,
+                           fault, spoil, message):
+        path = tmp_path / name
+        path.write_text(text(rec))
+        load(str(path))   # the unspoilt file loads
+        path.write_text(text(spoil(rec)))
+        with pytest.raises(FormatError) as err:
+            load(str(path))
+        assert str(err.value) == f"{path if line is None else f'{path}:{line}'}: {context}{message}"
+        assert (err.value.path, err.value.line) == (str(path), line)
 
 
 class TestLabelIds:

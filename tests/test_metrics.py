@@ -35,6 +35,13 @@ class TestSelectTube:
         with pytest.raises(ValidationError):
             select_tube([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_score_refused_before_selection(self, bad):
+        # A tube scored [nan, 0.9, 0.9] used to be accepted, and against a
+        # tube scored 0.5 select_tube picked index 0 in either order.
+        with pytest.raises(ValidationError, match="tube 0 frame 0: score must be finite"):
+            tube([bad, 0.9, 0.9])
+
 
 class TestTIou:
     def test_identical(self):
