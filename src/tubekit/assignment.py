@@ -267,56 +267,38 @@ def assignment_total(cost, pairs: list[tuple[int, int]]) -> float:
     return _pairs_total(c, pairs)
 
 
-def _row_norms(vectors: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of a 2-D stack, or of a vector, without
-    numpy's overflow warning: the caller's refusal is the one report."""
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(np.atleast_2d(vectors), axis=1)
-
-
-def _finite_positive(norms: np.ndarray) -> bool:
-    return bool(np.all((0.0 < norms) & (norms < np.inf)))
-
-
-def norms_finite_positive(vectors: np.ndarray) -> bool:
-    """Whether a vector, or every row of a 2-D stack, has a finite, positive
-    norm, so only finite elements.  A norm that overflows counts as not
-    finite.  The norm squares before its root, so a nonzero vector whose
+def checked_norms(vectors, refusal: str) -> np.ndarray:
+    """np.linalg.norm of each row of a 2-D stack, a vector counting as one
+    row, refused with ValidationError(refusal) unless every norm is finite
+    and positive, so every element finite.  A norm that overflows counts as
+    not finite, without numpy's overflow warning: the refusal is the one
+    report.  The norm squares before its root, so a nonzero vector whose
     squared norm underflows, such as [1e-200, 1e-200], counts as zero and is
     refused: each cosine in tubekit divides by this norm."""
-    return _finite_positive(_row_norms(vectors))
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(np.atleast_2d(vectors), axis=1)
+    if not np.all((0.0 < norms) & (norms < np.inf)):
+        raise ValidationError(refusal)
+    return norms
 
 
 def cos_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cosine of each row of `a` with the same row of `b`, and both row norms,
-    for (N, D) stacks that pass norms_finite_positive.  On C-ordered rows each
-    value has the bits np.dot and np.linalg.norm give on that pair alone."""
+    for (N, D) stacks that pass checked_norms.  On C-ordered rows each value
+    has the bits np.dot and np.linalg.norm give on that pair alone."""
     na, nb = (np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) for x in (a, b))
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0] / (na * nb), na, nb
 
 
 def cosine_similarity(u, v) -> float:
-    """Cosine of the angle between two vectors; refuses as norms_finite_positive."""
+    """Cosine of the angle between two vectors, whose norms must pass
+    checked_norms: cos_pairs of the one pair."""
     ua = np.asarray(u, dtype=float)
     va = np.asarray(v, dtype=float)
     if ua.shape != va.shape or ua.ndim != 1:
         raise ValidationError(
             f"cosine_similarity needs two 1-D vectors of equal length, got {ua.shape} and {va.shape}"
         )
-    if not (norms_finite_positive(ua) and norms_finite_positive(va)):
-        raise ValidationError("cosine_similarity needs vectors whose norm is finite and positive")
-    return float(np.dot(ua, va) / (float(np.linalg.norm(ua)) * float(np.linalg.norm(va))))
-
-
-def cosine_similarity_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities of two row stacks; refuses as norms_finite_positive."""
-    a = np.asarray(rows, dtype=float)
-    b = np.asarray(cols, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValidationError(
-            f"expected (n, d) and (m, d) feature stacks, got {a.shape} and {b.shape}"
-        )
-    na, nb = _row_norms(a), _row_norms(b)
-    if not (_finite_positive(na) and _finite_positive(nb)):
-        raise ValidationError("feature stack contains a row whose norm is zero or overflows")
-    return (a @ b.T) / np.outer(na, nb)
+    checked_norms(np.stack([ua, va]),
+                  "cosine_similarity needs vectors whose norm is finite and positive")
+    return float(cos_pairs(ua[None], va[None])[0][0])

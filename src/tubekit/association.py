@@ -1,8 +1,9 @@
 """Memory-based association of per-frame detections into tubes.
 
 A frame's detections are read-only columns (FrameDetections): boxes,
-scores and features, one row per detection, validated once per frame.  One
-reference memory vector per tube slot.  Each frame, the top detections by
+scores, features and the features' row norms, one row per detection,
+validated once per frame.  One reference memory vector per tube slot, held
+with its norm (TubeMemory).  Each frame, the top detections by
 confidence are matched to slots by cosine similarity (Hungarian), and matched
 slots blend the matched feature into their memory with a constant EMA
 factor.  A Tube holds its slot's track as per-frame columns: frame index,
@@ -13,11 +14,11 @@ frame.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import cosine_similarity_matrix, norms_finite_positive, solve_assignment
+from .assignment import checked_norms, solve_assignment
 from .errors import ValidationError
 from .geometry import Box, corner_rows
 
@@ -37,13 +38,14 @@ class FrameDetections:
 
     boxes (N, 4) corners, each row a box by Box's rule; scores (N,) in
     [0, 1]; features (N, D), every row with a finite, positive norm (see
-    norms_finite_positive), and so finite.
+    checked_norms), and so finite; norms (N,) those row norms.
     """
 
     t: int
     boxes: np.ndarray
     scores: np.ndarray
     features: np.ndarray
+    norms: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         scores = np.array(self.scores, dtype=float)
@@ -62,9 +64,9 @@ class FrameDetections:
         if not in_range.all():
             raise ValidationError(f"detection score must lie in [0, 1], "
                                   f"got {scores[np.argmin(in_range)]}")
-        if not norms_finite_positive(features):
-            raise ValidationError("detection feature must have a finite, positive norm")
-        for name, c in (("boxes", boxes), ("scores", scores), ("features", features)):
+        norms = checked_norms(features, "detection feature must have a finite, positive norm")
+        for name, c in (("boxes", boxes), ("scores", scores), ("features", features),
+                        ("norms", norms)):
             c.setflags(write=False)
             object.__setattr__(self, name, c)
 
@@ -92,7 +94,7 @@ class Tube:
     """One slot's track over T frames, as read-only per-frame columns.
 
     t (T,) frame indices, strictly increasing; boxes (T, 4) corners, each
-    row a box by Box's rule; scores (T,), finite; det (T,) the source
+    row a box by Box's rule; scores (T,) in [0, 1]; det (T,) the source
     detection index within its frame, -1 for a gap fill (the previous box
     and feature at score 0); features (T, D), finite, or None for a tube
     loaded from a file written without embeddings.  A refusal names the
@@ -131,6 +133,10 @@ class Tube:
             if name in cols and not (finite := np.isfinite(cols[name])).all():
                 i = int(np.argmin(finite.reshape(len(t), -1).all(axis=1)))
                 raise ValidationError(f"{where} frame {t[i]}: {key} must be finite")
+        if not (in_range := (0.0 <= cols["scores"]) & (cols["scores"] <= 1.0)).all():
+            i = int(np.argmin(in_range))
+            raise ValidationError(f"{where} frame {t[i]}: score must lie in [0, 1], "
+                                  f"got {cols['scores'][i]}")
         for name, c in cols.items():
             c.setflags(write=False)
             object.__setattr__(self, name, c)
@@ -155,19 +161,21 @@ class Tube:
 
 @dataclass(frozen=True)
 class TubeMemory:
-    """Per-slot reference features, shape (n_q, feature_dim)."""
+    """Per-slot reference features, shape (n_q, feature_dim), and their row
+    norms, shape (n_q,), both read-only."""
 
     vectors: np.ndarray
+    norms: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         v = np.array(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValidationError(f"memory must be a non-empty (n_q, d) array, got {v.shape}")
-        if not norms_finite_positive(v):
-            raise ValidationError("memory contains a slot vector that is not finite, "
-                                  "or whose norm is zero or overflows")
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
+        norms = checked_norms(v, "memory contains a slot vector that is not finite, "
+                                 "or whose norm is zero or overflows")
+        for name, c in (("vectors", v), ("norms", norms)):
+            c.setflags(write=False)
+            object.__setattr__(self, name, c)
 
     @property
     def n_q(self) -> int:
@@ -214,9 +222,14 @@ def associate_step(memory: TubeMemory, frame: FrameDetections,
     detection's feature in with factor alpha; unmatched slots keep theirs.
     A frame whose feature dim is not the memory's is refused.
     """
+    if frame.features.shape[1] != memory.vectors.shape[1]:
+        raise ValidationError(f"frame {frame.t}: features have {frame.features.shape[1]} "
+                              f"columns, the memory has {memory.vectors.shape[1]}")
     chosen = top_by_confidence(frame, cfg.n_q)
     feats = frame.features[chosen]
-    pairs = solve_assignment(-cosine_similarity_matrix(memory.vectors, feats))
+    # Cosines from the norms both holders took when they were made.
+    pairs = solve_assignment(-(memory.vectors @ feats.T)
+                             / np.outer(memory.norms, frame.norms[chosen]))
     slots, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
     det = np.full(memory.n_q, -1)
     det[slots] = chosen[cols]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import cosine_similarity, norms_finite_positive
+from .assignment import checked_norms, cosine_similarity
 from .errors import ValidationError
 from .geometry import Box, corners
 from .mining import GtTube
@@ -55,8 +55,10 @@ class CandidateTube:
             i = int(np.argmin(finite))
             raise ValidationError(f"frame {ts[i]}: record score must be finite, got {scores[i]}")
         a = np.array(self.appearance, dtype=float)
-        if a.ndim != 1 or not norms_finite_positive(a):
-            raise ValidationError("appearance must be a finite 1-D vector with a finite, positive norm")
+        refusal = "appearance must be a finite 1-D vector with a finite, positive norm"
+        if a.ndim != 1:
+            raise ValidationError(refusal)
+        checked_norms(a, refusal)
         a.setflags(write=False)
         object.__setattr__(self, "appearance", a)
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .association import Tube
 from .errors import NonSmoothError, ValidationError
-from .assignment import cos_pairs, norms_finite_positive
+from .assignment import checked_norms, cos_pairs
 from .geometry import corner_rows, giou_pairs, sum_in_order
 from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
 from .mining import corner_temporal_cost
@@ -53,8 +53,7 @@ class MinedTube:
         if boxes.shape[0] != f.shape[0]:
             raise ValidationError(
                 f"{boxes.shape[0]} boxes for {f.shape[0]} feature rows")
-        if not norms_finite_positive(f):
-            raise ValidationError("features contain a row whose norm is zero or overflows, or NaN")
+        checked_norms(f, "features contain a row whose norm is zero or overflows, or NaN")
         f.setflags(write=False)
         boxes.setflags(write=False)
         object.__setattr__(self, "features", f)

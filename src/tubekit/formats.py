@@ -6,10 +6,13 @@ line, and a JSONL line with json.dumps' default separators.  The writers
 build the text of their float arrays in one numpy pass (_f9_text), byte for
 byte what CPython's C encoder writes for the f9-rounded values; strings and
 scalar fields go through that encoder itself.  Non-finite numbers are
-refused on write, leaving no file.  On read, this module checks JSON types
-and the file's layout (frame order, counts, repeats) with one decoder for
-every record array (_column): a number is a JSON number, never a string or
-a boolean.  The holders it fills (FrameDetections, Tube, GtTube,
+refused on write, leaving no file, and so is whatever a reader would
+refuse: a writer passes its ids, frame order and repeats through the rule
+that the reader applies (_string, _frame_at, _positive_fps, _video_once,
+_slots_once), and label ids through the reader's own decoder.  On read,
+this module checks JSON types and the file's layout (frame order, counts,
+repeats) with one decoder for every record array (_column): a number is a
+JSON number, never a string or a boolean.  The holders it fills (FrameDetections, Tube, GtTube,
 Prediction, CandidateTube) check the domain rules, finiteness included;
 their refusals become FormatErrors at path[:LINE], lines 1-based.
 Intervals in seconds (ts_sec / te_sec) need the document's fps.
@@ -182,11 +185,41 @@ def _list_field(obj: dict, key: str, path: str, line: int | None = None) -> list
     return value
 
 
-def _str_field(obj: dict, key: str, path: str, line: int | None = None) -> str:
-    # str() would take null as "None" and 3 as "3".
-    if type(value := _require(obj, key, path, line)) is not str:
-        raise FormatError(f"'{key}' must be a string, got {value!r}", path=path, line=line)
+def _string(value, key: str) -> str:
+    """value, refused unless it is a string: str() would take null as "None"
+    and 3 as "3"."""
+    if not isinstance(value, str):
+        raise ValidationError(f"'{key}' must be a string, got {value!r}")
     return value
+
+
+def _str_field(obj: dict, key: str, path: str, line: int | None = None) -> str:
+    return _held(path, line, _string, _require(obj, key, path, line), key)
+
+
+def _frame_at(i: int, t) -> None:
+    """The i-th frame of a detections or labels file must be frame t=i."""
+    if t != i:
+        raise ValidationError(f"expected frame t={i}, got t={t}")
+
+
+def _positive_fps(fps: float) -> float:
+    if not (math.isfinite(fps) and fps > 0.0):
+        raise ValidationError(f"'fps' must be finite and positive, got {fps!r}")
+    return fps
+
+
+def _video_once(lines: dict, video_id: str, line: int) -> None:
+    """Record video_id as held by `line`; one that an earlier line holds is
+    refused."""
+    if (first := lines.setdefault(video_id, line)) != line:
+        raise ValidationError(f"video_id '{video_id}' is also on line {first}")
+
+
+def _slots_once(tubes: list[Tube]) -> None:
+    slots = [tube.slot_id for tube in tubes]
+    if twice := [s for i, s in enumerate(slots) if s in slots[:i]]:
+        raise ValidationError(f"slot_id {twice[0]} is held by more than one tube")
 
 
 _REQUIRED = object()
@@ -321,10 +354,7 @@ def _iter_jsonl(path: str, lines=None, start: int = 1):
 
 
 def _fps_field(obj: dict, path: str, line: int | None = None) -> float:
-    fps = _field(obj, "fps", float, path, line)
-    if not (math.isfinite(fps) and fps > 0.0):
-        raise FormatError(f"'fps' must be finite and positive, got {fps!r}", path=path, line=line)
-    return fps
+    return _held(path, line, _positive_fps, _field(obj, "fps", float, path, line))
 
 
 def _interval_from(obj: dict, path: str, line: int | None = None) -> tuple[int, int]:
@@ -348,8 +378,10 @@ def save_detections(path: str, video_id: str, fps: float,
                     frames: list[FrameDetections]) -> None:
     if not frames:
         raise ValidationError("refusing to write an empty detections file")
+    _string(video_id, "video_id")
     dim = frames[0].features.shape[1]
-    for fr in frames:
+    for i, fr in enumerate(frames):
+        _frame_at(i, fr.t)
         if fr.features.shape[1] != dim:
             raise ValidationError(f"frame {fr.t}: features have {fr.features.shape[1]} "
                                   f"columns, frame {frames[0].t} has {dim}")
@@ -357,15 +389,16 @@ def save_detections(path: str, video_id: str, fps: float,
     columns = [np.concatenate([getattr(fr, name) for fr in frames])
                for name in ("boxes", "scores", "features")]
     _check_finite(path, [fps, *columns])
+    _positive_fps(float(fps[0]))
     rows = zip(*(_f9_text(c, ", ") for c in columns))
 
     def lines():
         yield (f'{{"video_id": {_encode(path, video_id)}, "fps": {_f9_text(fps, ", ")[0]}, '
                f'"frame_count": {len(frames)}, "feature_dim": {dim}}}\n')
-        for fr in frames:
+        for t, fr in enumerate(frames):
             dets = ", ".join(f'{{"box": {box}, "score": {score}, "embed": {embed}}}'
                              for box, score, embed in islice(rows, len(fr.scores)))
-            yield f'{{"t": {_encode(path, fr.t)}, "detections": [{dets}]}}\n'
+            yield f'{{"t": {t}, "detections": [{dets}]}}\n'
 
     _write(path, lines())
 
@@ -387,9 +420,7 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
     frames: list[FrameDetections] = []
     for lineno, obj in it:
         t = _field(obj, "t", int, path, lineno)
-        if t != len(frames):
-            raise FormatError(f"expected frame t={len(frames)}, got t={t}",
-                              path=path, line=lineno)
+        _held(path, lineno, _frame_at, len(frames), t)
         dets = _list_field(obj, "detections", path, lineno)
         boxes = _column(dets, "box", list, path, lineno, width=4, bad=_BAD_BOX)
         embeds = _column(dets, "embed", list, path, lineno, width=dim, bad=bad_embed)
@@ -436,6 +467,7 @@ def _frame_boxes_text(t0: int, boxes: np.ndarray, sep: str) -> str:
 
 
 def save_gt(path: str, video_id: str, gt: GtTube) -> None:
+    _string(video_id, "video_id")
     _check_finite(path, [gt.boxes])
     _write(path, [f'{{"video_id":{_encode(path, video_id)},"ts":{_encode(path, gt.ts)},'
                   f'"te":{_encode(path, gt.te)},"boxes":{_frame_boxes_text(gt.ts, gt.boxes, ",")}}}\n'])
@@ -493,8 +525,7 @@ def _one_per_video(path: str, numbered) -> list:
     lines: dict[str, int] = {}
     out = []
     for lineno, item in numbered:
-        if (first := lines.setdefault(item[0], lineno)) != lineno:
-            raise FormatError(f"video_id '{item[0]}' is also on line {first}", path=path, line=lineno)
+        _held(path, lineno, _video_once, lines, item[0], lineno)
         out.append(item)
     return out
 
@@ -504,6 +535,8 @@ def _one_per_video(path: str, numbered) -> list:
 def save_tubes(path: str, video_id: str, tubes: list[Tube],
                include_embeds: bool = False) -> None:
     """Write the tube file one tube at a time."""
+    _string(video_id, "video_id")
+    _slots_once(tubes)
     if include_embeds:
         for tube in tubes:
             if tube.features is None and len(tube.t):
@@ -539,9 +572,7 @@ def load_tubes(path: str) -> tuple[str, list[Tube]]:
     if len(tubes) != n_q:
         raise FormatError(f"header promises n_q={n_q} tubes, file has {len(tubes)}",
                           path=path)
-    slots = [tube.slot_id for tube in tubes]
-    if twice := [s for i, s in enumerate(slots) if s in slots[:i]]:
-        raise FormatError(f"slot_id {twice[0]} is held by more than one tube", path=path)
+    _held(path, None, _slots_once, tubes)
     return video_id, tubes
 
 
@@ -568,11 +599,16 @@ def _tube_from(entry: dict, path: str) -> Tube:
 # -------------------------------------------------------------- predictions
 
 def save_predictions(path: str, items: list[tuple[str, Prediction]]) -> None:
+    if not items:
+        raise ValidationError("refusing to write an empty predictions file")
+    lines: dict[str, int] = {}
+    for line, (video_id, _) in enumerate(items, 1):
+        _video_once(lines, _string(video_id, "video_id"), line)
     _check_finite(path, [pred.boxes for _, pred in items])
     _write(path, [f'{{"video_id": {_encode(path, video_id)}, "ts": {_encode(path, pred.ts)}, '
                   f'"te": {_encode(path, pred.te)}, '
                   f'"boxes": {_frame_boxes_text(pred.t0, pred.boxes, ", ")}}}\n'
-                  for video_id, pred in items] or ["\n"])
+                  for video_id, pred in items])
 
 
 def _prediction_from(obj: dict, path: str, line: int) -> tuple[str, Prediction]:
@@ -591,19 +627,23 @@ def load_predictions(path: str) -> list[tuple[str, Prediction]]:
 # -------------------------------------------------------------- label files
 
 def save_labels(path: str, video_id: str, identities: list[list[int]]) -> None:
-    doc = {"video_id": video_id,
-           "frames": [{"t": t, "ids": ids} for t, ids in enumerate(identities)]}
-    _write_doc(path, doc)
+    """Ids go through load_labels' decoder: an integral float is written as
+    an integer, and any other id that it would refuse is refused."""
+    try:
+        ids = iter(_numbers(list(chain.from_iterable(identities)), "ids", int, None).tolist())
+    except FormatError as e:
+        raise ValidationError(str(e)) from None
+    _write_doc(path, {"video_id": _string(video_id, "video_id"),
+                      "frames": [{"t": t, "ids": list(islice(ids, len(row)))}
+                                 for t, row in enumerate(identities)]})
 
 
 def load_labels(path: str) -> tuple[str, list[list[int]]]:
     obj = _load_json_doc(path)
     video_id = _str_field(obj, "video_id", path)
     frames = _list_field(obj, "frames", path)
-    t = _column(frames, "t", int, path).tolist()
-    if t != list(range(len(t))):
-        i = next(i for i, ti in enumerate(t) if ti != i)
-        raise FormatError(f"expected frame t={i}, got t={t[i]}", path=path)
+    for i, t in enumerate(_column(frames, "t", int, path).tolist()):
+        _held(path, None, _frame_at, i, t)
     ids = _values(frames, "ids", path)
     if any(type(row) is not list for row in ids):
         raise FormatError("'ids' must be an array", path=path)
@@ -614,6 +654,9 @@ def load_labels(path: str) -> tuple[str, list[list[int]]]:
 # ---------------------------------------------------------------- candidates
 
 def save_candidates(path: str, video_id: str, candidates: list[CandidateTube]) -> None:
+    _string(video_id, "video_id")
+    for c in candidates:
+        _string(c.category, "category")
     columns = [(np.array([r.box.to_list() for r in c.records]),
                 np.array([r.score for r in c.records], dtype=float), c.appearance[None, :])
                for c in candidates]

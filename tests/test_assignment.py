@@ -1,6 +1,7 @@
 """Assignment solver against a brute-force oracle and the scipy-based
 solver it replaced, its dual certificate, plus cosine similarity: the
-row-pair kernel cos_pairs against the scalar cosine_similarity, bit for bit."""
+norm rule checked_norms, and the row-pair kernel cos_pairs, which the scalar
+cosine_similarity returns, against np.dot and np.linalg.norm bit for bit."""
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from tubekit.assignment import (_TIE_RTOL, _hungarian, _padded, _pairs_total,
                                 _tie_gaps, _validated_cost, assignment_total,
-                                cos_pairs, cosine_similarity, cosine_similarity_matrix,
+                                checked_norms, cos_pairs, cosine_similarity,
                                 solve_assignment)
 from tubekit.errors import ValidationError
 
@@ -375,7 +376,8 @@ class TestAgainstReference:
             det = rng.normal(size=(n_det, 8))
             memory = det[np.arange(n_slots) % n_det]
             feats = det[rng.permutation(n_det)] + 0.05 * rng.normal(size=(n_det, 8))
-            self._agree(-cosine_similarity_matrix(memory, feats))
+            self._agree(-(memory @ feats.T) / np.outer(np.linalg.norm(memory, axis=1),
+                                                       np.linalg.norm(feats, axis=1)))
 
 
 class TestCosineSimilarity:
@@ -396,35 +398,6 @@ class TestCosineSimilarity:
         with pytest.raises(ValidationError):
             cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
 
-    def test_matrix_agrees_with_scalar(self):
-        rng = np.random.default_rng(31)
-        a = rng.normal(size=(4, 6))
-        b = rng.normal(size=(3, 6))
-        m = cosine_similarity_matrix(a, b)
-        assert m.shape == (4, 3)
-        for i in range(4):
-            for j in range(3):
-                assert m[i, j] == pytest.approx(cosine_similarity(a[i], b[j]), abs=1e-12)
-
-    def test_matrix_rejects_zero_row(self):
-        with pytest.raises(ValidationError):
-            cosine_similarity_matrix(np.zeros((2, 3)), np.ones((2, 3)))
-
-    def test_matrix_equals_two_pass_formula_bitwise(self):
-        """Each norm is taken once, for the refusal and the division alike;
-        the bits are those of the formula that took them twice."""
-        rng = np.random.default_rng(2024)
-        for _ in range(300):
-            d = int(rng.integers(1, 130))
-            a = rng.normal(size=(int(rng.integers(1, 20)), d)) * 10.0 ** rng.integers(-8, 8)
-            b = rng.normal(size=(int(rng.integers(1, 20)), d)) * 10.0 ** rng.integers(-8, 8)
-            want = (a @ b.T) / np.outer(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
-            assert cosine_similarity_matrix(a, b).tobytes() == want.tobytes()
-
-    def test_matrix_rejects_underflowing_row(self):
-        with pytest.raises(ValidationError, match="zero or overflows"):
-            cosine_similarity_matrix(np.ones((1, 2)), np.array([[1.0, 0.0], [1e-200, 1e-200]]))
-
     @pytest.mark.parametrize("big", [[1e200, 1e200], [np.inf, 1.0], [np.nan, 1.0]],
                              ids=["overflow", "inf", "nan"])
     def test_norm_not_finite_rejected(self, big):
@@ -432,10 +405,6 @@ class TestCosineSimilarity:
             cosine_similarity(big, [1.0, 0.0])
         with pytest.raises(ValidationError, match="finite and positive"):
             cosine_similarity([1.0, 0.0], big)
-        with pytest.raises(ValidationError, match="zero or overflows"):
-            cosine_similarity_matrix(np.array([[1.0, 0.0], big]), np.ones((1, 2)))
-        with pytest.raises(ValidationError, match="zero or overflows"):
-            cosine_similarity_matrix(np.ones((1, 2)), np.array([big]))
 
     def test_cos_pairs_equal_scalar_bitwise(self):
         rng = np.random.default_rng(2021)
@@ -444,7 +413,22 @@ class TestCosineSimilarity:
             g = rng.normal(size=(f.shape[0] - 1, d))
             for a, b in ((f[:-1], f[1:]), (f[1:], g)):
                 cos, na, nb = cos_pairs(a, b)
-                want = [cosine_similarity(u, v) for u, v in zip(a, b)]
+                want = [np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
+                        for u, v in zip(a, b)]
                 assert cos.tobytes() == np.array(want).tobytes()
+                assert [cosine_similarity(u, v) for u, v in zip(a, b)] == cos.tolist()
                 assert na.tobytes() == np.array([np.linalg.norm(u) for u in a]).tobytes()
                 assert nb.tobytes() == np.array([np.linalg.norm(v) for v in b]).tobytes()
+
+
+class TestCheckedNorms:
+    def test_a_vector_is_one_row(self):
+        assert checked_norms(np.array([3.0, 4.0]), "refused").tolist() == [5.0]
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0], [1e-200, 1e-200], [1e200, 1e200],
+                                     [np.inf, 1.0], [np.nan, 1.0]],
+                             ids=["zero", "underflow", "overflow", "inf", "nan"])
+    def test_refused_with_the_callers_message(self, row):
+        # No overflow warning either: warnings are errors in this suite.
+        with pytest.raises(ValidationError, match="^the caller's words$"):
+            checked_norms(np.array([[1.0, 0.0], row]), "the caller's words")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_frame
+from tubekit.assignment import solve_assignment
 from tubekit.association import (AssociationConfig, FrameDetections, Tube, TubeMemory,
                                  init_memory, run_association, associate_step,
                                  top_by_confidence)
@@ -37,14 +38,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match="finite, positive norm"):
             make_frame(0, [det(0.5, [1.0, 0.0]), det(0.5, [0.0, 0.0])])
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_detection_feature_norm_overflow(self):
         with pytest.raises(ValidationError, match="finite, positive norm"):
             make_frame(0, [det(0.5, [1e200, 1e200])])
 
     def test_detection_underflowing_norm_refused(self):
         # The squared norm underflows to 0, so the vector is refused as if
-        # its norm were zero: the documented rule of norms_finite_positive.
+        # its norm were zero: the documented rule of checked_norms.
         with pytest.raises(ValidationError, match="finite, positive norm"):
             make_frame(0, [det(0.5, [1e-200, 1e-200])])
 
@@ -67,10 +67,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             TubeMemory(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_memory_rejects_overflowing_row(self):
         with pytest.raises(ValidationError, match="overflows"):
             TubeMemory(np.array([[1.0, 0.0], [1e200, 1e200]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_row_refused(self, bad):
+        with pytest.raises(ValidationError, match="finite, positive norm"):
+            make_frame(0, [det(0.5, [1.0, 0.0]), det(0.5, [bad, 1.0])])
+        with pytest.raises(ValidationError, match="not finite"):
+            TubeMemory(np.array([[1.0, 0.0], [bad, 1.0]]))
 
     def test_memory_is_read_only_copy(self):
         src = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -145,6 +151,81 @@ class TestTube:
     def test_non_finite_columns_refused(self, column, value, match):
         with pytest.raises(ValidationError, match=match):
             Tube(**{**self.COLUMNS, column: value})
+
+    @pytest.mark.parametrize("scores, match", [
+        ([0.5, 5.0, 0.0], r"tube 0 frame 1: score must lie in \[0, 1\], got 5.0$"),
+        ([0.5, 0.5, -0.25], r"tube 0 frame 2: score must lie in \[0, 1\], got -0.25$"),
+    ])
+    def test_score_outside_unit_interval_refused(self, scores, match):
+        # A tube's score is its detection's, or 0 for a gap; match_cost and
+        # select_tube would favour one scored above 1.
+        with pytest.raises(ValidationError, match=match):
+            Tube(**{**self.COLUMNS, "scores": scores})
+
+    def test_scores_at_the_bounds_accepted(self):
+        tube = Tube(**{**self.COLUMNS, "scores": [1.0, -0.0, 0.0]})
+        assert tube.scores.tolist() == [1.0, -0.0, 0.0]
+
+
+def _random_stack(rng) -> np.ndarray:
+    d = int(rng.integers(1, 130))
+    return rng.normal(size=(int(rng.integers(1, 20)), d)) * 10.0 ** rng.integers(-8, 8)
+
+
+class TestHeldNorms:
+    """FrameDetections and TubeMemory keep the row norms that their check
+    took, and association divides by them."""
+
+    def test_norms_are_linalg_norms_of_every_subset(self):
+        # A row's norm has the same bits over the whole stack as over any
+        # subset of its rows, so the held norms serve every chosen pool.
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            f = _random_stack(rng)
+            frame = FrameDetections(0, np.tile([0.1, 0.1, 0.5, 0.5], (len(f), 1)),
+                                    rng.uniform(size=len(f)), f)
+            memory = TubeMemory(f)
+            want = np.linalg.norm(f, axis=1).tobytes()
+            assert frame.norms.tobytes() == want and memory.norms.tobytes() == want
+            chosen = top_by_confidence(frame, int(rng.integers(1, len(f) + 1)))
+            assert (frame.norms[chosen].tobytes()
+                    == np.linalg.norm(frame.features[chosen], axis=1).tobytes())
+
+    def test_norms_are_read_only_and_not_an_argument(self):
+        frame = make_frame(0, [det(0.5, [3.0, 4.0])])
+        memory = TubeMemory([[0.0, 2.0]])
+        assert frame.norms.tolist() == [5.0] and memory.norms.tolist() == [2.0]
+        for norms in (frame.norms, memory.norms):
+            with pytest.raises(ValueError):
+                norms[0] = 1.0
+        assert replace(frame, t=1).norms.tolist() == [5.0]
+        with pytest.raises(TypeError):
+            TubeMemory([[0.0, 2.0]], norms=[2.0])
+
+    def test_step_equals_two_pass_formula_bitwise(self):
+        """The step divides by the held norms; its memory and matches have
+        the bits of the formula that took every norm anew."""
+        rng = np.random.default_rng(2025)
+        for _ in range(200):
+            n_q, n, d = (int(rng.integers(1, k)) for k in (8, 12, 130))
+            cfg = AssociationConfig(n_q=n_q, alpha=float(rng.uniform()))
+            memory = TubeMemory(rng.normal(size=(n_q, d)) * 10.0 ** rng.integers(-8, 8))
+            feats = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 8)
+            frame = FrameDetections(1, np.tile([0.1, 0.1, 0.5, 0.5], (n, 1)),
+                                    rng.uniform(size=n), feats)
+            chosen = np.argsort(-frame.scores, kind="stable")[:n_q]
+            pool = frame.features[chosen]
+            m = memory.vectors
+            cos = (m @ pool.T) / np.outer(np.linalg.norm(m, axis=1),
+                                          np.linalg.norm(pool, axis=1))
+            slots, cols = np.array(solve_assignment(-cos), dtype=int).reshape(-1, 2).T
+            want_det = np.full(n_q, -1)
+            want_det[slots] = chosen[cols]
+            want = m.copy()
+            want[slots] = (1.0 - cfg.alpha) * want[slots] + cfg.alpha * pool[cols]
+            got, det_ = associate_step(memory, frame, cfg)
+            assert got.vectors.tobytes() == want.tobytes()
+            assert det_.tolist() == want_det.tolist()
 
 
 class TestTopByConfidence:

@@ -33,7 +33,6 @@ class TestCandidateTube:
         with pytest.raises(ValidationError):
             cand((0, 2), [0.0, 0.0])
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_appearance_rejected(self):
         with pytest.raises(ValidationError, match="finite, positive norm"):
             cand((0, 2), [1e200, 1e200])

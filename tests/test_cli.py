@@ -293,7 +293,6 @@ class TestAssociate:
         assert f"{path}:2: 'embed' must be an array of numbers" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_embed_is_format_error(self, tmp_path, capsys):
         # Finite elements whose norm overflows are refused like a zero norm,
         # at the line that holds them.
@@ -306,7 +305,7 @@ class TestAssociate:
 
     def test_underflowing_embed_is_format_error(self, tmp_path, capsys):
         # A nonzero embed whose squared norm underflows to 0 is refused as a
-        # zero norm (the rule of norms_finite_positive), on one error line.
+        # zero norm (the rule of checked_norms), on one error line.
         path = spoil_embed(simulate(tmp_path, "s"), 3, 1e-200)
         out = tmp_path / "t.json"
         capsys.readouterr()
@@ -471,6 +470,20 @@ class TestTubeFileShape:
                                            "than one tube\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", ["mine", "losses", "select"])
+    def test_score_above_one(self, tmp_path, capsys, argv):
+        # Such a tube used to load, and select (mean score) and mine
+        # (1 - score) favoured it.
+        tubes, gt = write_planted_tubes(tmp_path)
+        doc = json.loads(tubes.read_text())
+        doc["tubes"][1]["records"][2]["score"] = 5.0
+        tubes.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert self._run(argv, tubes, gt, out) == 2
+        assert capsys.readouterr().err == (f"error: {tubes}: tube 1 frame 2: score must "
+                                           "lie in [0, 1], got 5.0\n")
+        assert not out.exists()
+
 
 class TestLossesAndGradCheck:
     def _tubes_with_embeds(self, tmp_path):
@@ -500,7 +513,6 @@ class TestLossesAndGradCheck:
         assert main(["losses", "--tubes", str(plain),
                      "--out", str(tmp_path / "r.json")]) == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_embeds_refused(self, tmp_path, capsys):
         # Two adjacent embeds whose norms overflow: refused as features,
         # not left to turn the loss into NaN at the writer.

@@ -117,7 +117,6 @@ class TestMinedTube:
         with pytest.raises(ValidationError):
             MinedTube(features=f, boxes=corners([A, B]))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_norm_row_rejected(self):
         f = np.ones((2, 4))
         f[1] = 1e200

@@ -1,7 +1,10 @@
 """Property tests for the file formats.
 
 Round trips: a saved file loads back with every float equal to its f9
-rounding, and saving what was loaded gives the same bytes.  Fuzzing: a
+rounding, and saving what was loaded gives the same bytes.  Closure: on
+holders drawn with edge values and ids that the readers refuse, a writer
+either refuses, leaving no file, or writes a file that its reader loads and
+that saves again to the same bytes.  Fuzzing: a
 valid file, structurally mutated (values replaced, keys and elements dropped
 or added, a number made NaN or infinite, text cut or spliced), either loads
 with every number it returns finite, or raises FormatError naming the file;
@@ -18,8 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_frame, make_gt, make_prediction, make_tube
+from tubekit.association import FrameDetections, Tube
 from tubekit.autolabel import CandidateRecord, CandidateTube
-from tubekit.errors import FormatError
+from tubekit.errors import FormatError, ValidationError
 from tubekit.formats import (f9, load_candidates, load_detections, load_gt,
                              load_gt_collection, load_labels, load_predictions,
                              load_tubes, save_candidates, save_detections,
@@ -171,6 +175,127 @@ def test_tubes_round_trip(tmp_path, doc):
                 assert lr.feature is None
     again = tmp_path / "again.json"
     save_tubes(str(again), loaded_id, loaded, include_embeds=embeds)
+    assert again.read_bytes() == path.read_bytes()
+
+
+# -------------------------------------------------------------------- closure
+
+# Ids as the writers may be handed them: strings, repeated ones, and values
+# that no reader takes as a string.
+any_ids = st.sampled_from(["v", "w"]) | video_ids | st.sampled_from([3, None, ["v"]])
+edge_scores = st.sampled_from([0.0, -0.0, 1.0]) | scores
+# Frame indices up to 2^62, far from 0 but within int64 with room for a tube.
+frame_index = st.integers(0, 4) | st.integers(2 ** 62 - 8, 2 ** 62)
+
+
+@st.composite
+def edge_boxes(draw) -> list[float]:
+    x1, y1 = (draw(st.sampled_from([-0.0, 0.0]) | st.floats(0.0, 0.98)) for _ in "xy")
+    return [x1, y1, draw(st.floats(x1 + 0.01, 1.0)), draw(st.floats(y1 + 0.01, 1.0))]
+
+
+def edge_vectors(dim: int):
+    """Rows of a finite, positive norm, -0.0 among their elements."""
+    return st.tuples(elements, st.lists(elements | st.just(-0.0), min_size=dim - 1,
+                                        max_size=dim - 1)).map(lambda v: np.array([v[0], *v[1]]))
+
+
+@st.composite
+def closure_detections(draw):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    ts = draw(st.just(range(n)) | st.permutations(range(n))
+              | st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    frames = [FrameDetections(t, *map(np.array, zip(*[
+        (draw(edge_boxes()), draw(edge_scores), draw(edge_vectors(dim)))
+        for _ in range(draw(st.integers(1, 2)))]))) for t in ts]
+    fps = draw(st.floats(1e-3, 1e3) | st.just(25.0) | st.sampled_from([0.0, -0.0, -1.0]))
+    return draw(any_ids), fps, frames
+
+
+@st.composite
+def closure_tubes(draw):
+    dim = draw(st.integers(1, 3))
+    tubes = []
+    for _ in range(draw(st.integers(0, 3))):
+        ts = sorted(draw(st.sets(frame_index, max_size=3)))
+        n = len(ts)
+        features = (np.array([draw(edge_vectors(dim)) for _ in ts]).reshape(n, dim)
+                    if draw(st.booleans()) else None)
+        tubes.append(Tube(draw(st.integers(0, 2)), ts,
+                          np.array([draw(edge_boxes()) for _ in ts]).reshape(n, 4),
+                          [draw(edge_scores) for _ in ts],
+                          [draw(st.integers(-1, 9) | st.just(2 ** 62)) for _ in ts], features))
+    return draw(any_ids), tubes, draw(st.booleans())
+
+
+@st.composite
+def closure_gt(draw) -> GtTube:
+    ts = draw(frame_index)
+    te = ts + draw(st.integers(0, 2))
+    return GtTube(ts, te, np.array([draw(edge_boxes()) for _ in range(ts, te + 1)]))
+
+
+@st.composite
+def closure_predictions(draw) -> Prediction:
+    k0 = draw(frame_index)
+    k1 = k0 + draw(st.integers(0, 2))
+    ts = draw(st.integers(k0, k1))
+    return Prediction(ts, draw(st.integers(ts, k1)), k0,
+                      np.array([draw(edge_boxes()) for _ in range(k0, k1 + 1)]))
+
+
+@st.composite
+def closure_candidates(draw) -> CandidateTube:
+    s = draw(frame_index)
+    e = s + draw(st.integers(0, 2))
+    return CandidateTube(
+        category=draw(any_ids), span=(s, e),
+        records=[CandidateRecord(t=t, box=Box(*draw(edge_boxes())), score=draw(edge_scores),
+                                 interpolated=draw(st.booleans())) for t in range(s, e + 1)],
+        appearance=draw(edge_vectors(draw(st.integers(1, 3)))))
+
+
+label_ids = st.lists(st.lists(
+    st.integers(-3, 9) | st.sampled_from([2 ** 63 - 1, -2 ** 63, 2 ** 63, 1.0, -0.0, 1.5, True,
+                                          np.int64(3)]), max_size=3), max_size=4)
+
+# Each writer/reader pair: (strategy of the writer's arguments, writer,
+# the writer's arguments from the reader's result and the first arguments).
+CLOSURE = {
+    load_detections: (closure_detections(), save_detections,
+                      lambda out, args: (out[0]["video_id"], out[0]["fps"], out[1])),
+    load_gt: (st.tuples(any_ids, closure_gt()), save_gt, lambda out, args: out),
+    load_gt_collection: (st.tuples(any_ids, closure_gt()), save_gt, lambda out, args: out[0]),
+    load_tubes: (closure_tubes(), save_tubes, lambda out, args: (*out, args[-1])),
+    load_predictions: (st.lists(st.tuples(any_ids, closure_predictions()), max_size=3)
+                       .map(lambda items: (items,)), save_predictions,
+                       lambda out, args: (out,)),
+    load_labels: (st.tuples(any_ids, label_ids), save_labels, lambda out, args: out),
+    load_candidates: (st.tuples(any_ids, st.lists(closure_candidates(), max_size=2)),
+                      save_candidates, lambda out, args: out),
+}
+
+
+@settings(PROPERTY, max_examples=100)
+@pytest.mark.parametrize("load", list(CLOSURE), ids=[f.__name__ for f in CLOSURE])
+@given(data=st.data())
+def test_writers_close_over_their_readers(tmp_path, load, data):
+    """Whatever a writer accepts, its reader loads and a re-save gives the
+    same bytes; whatever it refuses raises ValidationError and leaves no
+    file.  A repeated slot_id, a repeated or non-string video_id, frames out
+    of order and fractional label ids were all once written and then
+    refused on load."""
+    strategy, save, again_args = CLOSURE[load]
+    args = data.draw(strategy)
+    path, again = tmp_path / "written", tmp_path / "again"
+    path.unlink(missing_ok=True)
+    try:
+        save(str(path), *args)
+    except ValidationError:
+        assert not path.exists()
+        return
+    save(str(again), *again_args(load(str(path)), args))
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -334,7 +459,7 @@ def test_fuzzed_detections(tmp_path, data, doc):
 
 @FUZZ
 @given(data=st.data(), items=st.lists(st.tuples(video_ids, predictions()), min_size=1,
-                                      max_size=3))
+                                      max_size=3, unique_by=lambda item: item[0]))
 def test_fuzzed_predictions(tmp_path, data, items):
     _load_fuzzed(data, tmp_path, _saved(tmp_path, save_predictions, items),
                  load_predictions, jsonl=True)
@@ -384,8 +509,9 @@ def test_fuzzed_candidates(tmp_path, data, video_id, cands):
 # A valid file of each kind: (strategy of the writer's arguments, writer, JSONL).
 VALID_FILES = {
     load_detections: (detection_files(), save_detections, True),
-    load_predictions: (st.lists(st.tuples(video_ids, predictions()), min_size=1,
-                                max_size=3).map(lambda items: (items,)), save_predictions, True),
+    load_predictions: (st.lists(st.tuples(video_ids, predictions()), min_size=1, max_size=3,
+                                unique_by=lambda item: item[0]).map(lambda items: (items,)),
+                       save_predictions, True),
     load_gt: (st.tuples(video_ids, gt_tubes()), save_gt, False),
     load_gt_collection: (st.tuples(video_ids, gt_tubes()), save_gt, True),
     load_tubes: (tube_files(), save_tubes, False),

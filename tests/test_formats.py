@@ -1,6 +1,8 @@
 """File round trips, byte stability, and malformed-input diagnostics."""
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,6 +281,91 @@ class TestRefusedWrites:
         with pytest.raises(ValidationError, match="non-finite"):
             save_tubes(str(path), "v", tubes, include_embeds=True)
         assert not path.exists()
+
+
+def _candidate(category="dog") -> CandidateTube:
+    return CandidateTube(category=category, span=(4, 4),
+                         records=[CandidateRecord(t=4, box=BOX, score=0.5)],
+                         appearance=np.array([1.0]))
+
+
+# Each writer with valid arguments around the video_id: write(path, video_id).
+WRITERS = {
+    "detections": lambda p, vid: save_detections(p, vid, 25.0, make_frames()),
+    "gt": lambda p, vid: save_gt(p, vid, make_gt(0, [BOX])),
+    "tubes": lambda p, vid: save_tubes(p, vid, [make_tube(0, [BOX], 0.5)]),
+    "predictions": lambda p, vid: save_predictions(p, [(vid, make_prediction(0, 0, 0, [BOX]))]),
+    "labels": lambda p, vid: save_labels(p, vid, [[0]]),
+    "candidates": lambda p, vid: save_candidates(p, vid, [_candidate()]),
+}
+
+
+class TestWritersRefuseWhatReadersRefuse:
+    """A writer refuses, with the reader's words and leaving no file, what
+    its reader would refuse to load."""
+
+    @staticmethod
+    def _refused(path, match, write, *args):
+        with pytest.raises(ValidationError, match=match):
+            write(str(path), *args)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", list(WRITERS))
+    @pytest.mark.parametrize("bad", [3, None, ["v"]], ids=["number", "null", "array"])
+    def test_non_string_video_id(self, tmp_path, name, bad):
+        WRITERS[name](str(tmp_path / "ok"), "v")
+        self._refused(tmp_path / "f", rf"^'video_id' must be a string, got {re.escape(repr(bad))}$",
+                      WRITERS[name], bad)
+
+    def test_non_string_category(self, tmp_path):
+        self._refused(tmp_path / "c.json", r"^'category' must be a string, got 3$",
+                      save_candidates, "v", [_candidate(), _candidate(3)])
+
+    def test_repeated_slot_id(self, tmp_path):
+        tubes = [make_tube(0, [BOX], 0.5), make_tube(1, [BOX], 0.5), make_tube(0, [BOX], 0.5)]
+        self._refused(tmp_path / "t.json", r"^slot_id 0 is held by more than one tube$",
+                      save_tubes, "v", tubes)
+
+    @pytest.mark.parametrize("ts, match", [
+        ([3, 4], r"^expected frame t=0, got t=3$"),
+        ([0, 2], r"^expected frame t=1, got t=2$"),
+        ([0, 0], r"^expected frame t=1, got t=0$"),
+    ])
+    def test_detection_frames_not_in_order(self, tmp_path, ts, match):
+        frames = [replace(fr, t=t) for fr, t in zip(make_frames(2), ts)]
+        self._refused(tmp_path / "d.jsonl", match, save_detections, "v", 25.0, frames)
+
+    @pytest.mark.parametrize("fps", [0.0, -0.0, -25.0])
+    def test_detections_fps_not_positive(self, tmp_path, fps):
+        self._refused(tmp_path / "d.jsonl", rf"^'fps' must be finite and positive, got {fps!r}$",
+                      save_detections, "v", fps, make_frames())
+
+    def test_predictions_repeated_video_id(self, tmp_path):
+        pred = make_prediction(0, 0, 0, [BOX])
+        self._refused(tmp_path / "p.jsonl", r"^video_id 'v' is also on line 1$",
+                      save_predictions, [("v", pred), ("w", pred), ("v", pred)])
+
+    def test_predictions_empty(self, tmp_path):
+        # It used to write "\n", which load_predictions refuses as empty.
+        self._refused(tmp_path / "p.jsonl", r"^refusing to write an empty predictions file$",
+                      save_predictions, [])
+
+    @pytest.mark.parametrize("ids, match", [
+        ([[0], [1.5]], r"^'ids' must be an integer, got 1.5$"),
+        ([[True]], r"^'ids' must be an integer, got True$"),
+        ([["1"]], r"^'ids' must be an integer, got '1'$"),
+        ([[np.int64(3)]], r"^'ids' must be an integer, got np.int64\(3\)$"),
+        ([[2 ** 63]], r"^'ids' must be an integer that fits in 64 bits, got 9223372036854775808$"),
+    ], ids=["fraction", "bool", "string", "numpy", "beyond-64-bits"])
+    def test_label_ids(self, tmp_path, ids, match):
+        # np.int64 used to raise a bare TypeError from the JSON encoder.
+        self._refused(tmp_path / "l.json", match, save_labels, "v", ids)
+
+    def test_integral_float_label_id_written_as_integer(self, tmp_path):
+        path = tmp_path / "l.json"
+        save_labels(str(path), "v", [[1.0, -2], []])
+        assert path.read_text() == ('{"video_id":"v","frames":[{"t":0,"ids":[1,-2]},'
+                                    '{"t":1,"ids":[]}]}\n')
 
 
 class TestGt:
@@ -1132,6 +1219,13 @@ class TestTubeDecode:
         path = self._write(tmp_path, [self._rec(t) for t in ts])
         with pytest.raises(FormatError, match="tube 3: records must be strictly increasing in t"):
             load_tubes(path)
+
+    def test_score_outside_unit_interval_refused(self, tmp_path):
+        # Such a file used to load.
+        path = self._write(tmp_path, [self._rec(0), self._rec(4, score=5.0)])
+        with pytest.raises(FormatError) as err:
+            load_tubes(path)
+        assert str(err.value) == f"{path}: tube 3 frame 4: score must lie in [0, 1], got 5.0"
 
     def test_features_are_rows_of_one_float_array(self, tmp_path):
         path = self._write(tmp_path, [self._rec(0, embed=[1, 2]), self._rec(1, embed=[3.5, 4])])
