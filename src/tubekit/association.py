@@ -20,7 +20,7 @@ import numpy as np
 
 from .assignment import checked_norms, solve_assignment
 from .errors import ValidationError
-from .geometry import Box, corner_rows
+from .geometry import Box, corner_rows, integer, integers
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,10 @@ class Detection:
 class FrameDetections:
     """One frame's N >= 1 detections, as read-only columns.
 
-    boxes (N, 4) corners, each row a box by Box's rule; scores (N,) in
-    [0, 1]; features (N, D), every row with a finite, positive norm (see
-    checked_norms), and so finite; norms (N,) those row norms.
+    t the frame index, an int by the rule of `integers`; boxes (N, 4)
+    corners, each row a box by Box's rule; scores (N,) in [0, 1]; features
+    (N, D), every row with a finite, positive norm (see checked_norms), and
+    so finite; norms (N,) those row norms.
     """
 
     t: int
@@ -48,6 +49,7 @@ class FrameDetections:
     norms: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "t", integer(self.t, "t"))
         scores = np.array(self.scores, dtype=float)
         if not scores.size:
             raise ValidationError(f"frame {self.t} has no detections")
@@ -97,8 +99,9 @@ class Tube:
     row a box by Box's rule; scores (T,) in [0, 1]; det (T,) the source
     detection index within its frame, -1 for a gap fill (the previous box
     and feature at score 0); features (T, D), finite, or None for a tube
-    loaded from a file written without embeddings.  A refusal names the
-    slot, and the frame when one frame is at fault.
+    loaded from a file written without embeddings.  slot_id, t and det are
+    integers by the rule of `integers`.  A refusal names the slot, and the
+    frame when one frame is at fault.
     """
 
     slot_id: int
@@ -109,14 +112,15 @@ class Tube:
     features: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "slot_id", integer(self.slot_id, "slot_id"))
         where = f"tube {self.slot_id}"
         try:
             boxes = corner_rows(self.boxes)
         except ValidationError as e:
             raise ValidationError(f"{where}: {e}") from None
-        cols = {"t": np.array(self.t, dtype=np.int64), "boxes": boxes,
+        cols = {"t": integers(self.t, "t", f"{where}: "), "boxes": boxes,
                 "scores": np.array(self.scores, dtype=float),
-                "det": np.array(self.det, dtype=np.int64)}
+                "det": integers(self.det, "det", f"{where}: ")}
         if self.features is not None:
             cols["features"] = np.array(self.features, dtype=float)
         t, shapes = cols["t"], {k: c.shape for k, c in cols.items()}

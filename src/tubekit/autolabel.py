@@ -23,26 +23,35 @@ import numpy as np
 
 from .assignment import checked_norms, cosine_similarity
 from .errors import ValidationError
-from .geometry import Box, corners
+from .geometry import Box, corners, integer, integers
 from .mining import GtTube
 
 
 @dataclass(frozen=True)
 class CandidateRecord:
+    """One frame of a fragment; t an int by the rule of `integers`."""
+
     t: int
     box: Box
     score: float
     interpolated: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "t", integer(self.t, "t"))
+
 
 @dataclass(frozen=True)
 class CandidateTube:
+    """A fragment: records on every frame of span, a pair of ints by the
+    rule of `integers`, each record's score in [0, 1]."""
+
     category: str
     span: tuple[int, int]
     records: list[CandidateRecord] = field(default_factory=list)
     appearance: np.ndarray = None
 
     def __post_init__(self):
+        object.__setattr__(self, "span", tuple(integers(self.span, "span").tolist()))
         s, e = self.span
         if s > e:
             raise ValidationError(f"empty span {self.span}")
@@ -50,10 +59,14 @@ class CandidateTube:
         if len(ts) != e - s + 1 or ts != list(range(s, e + 1)):
             raise ValidationError(
                 f"records must cover the span densely: span {self.span}, frames {ts[:5]}...")
-        scores = [r.score for r in self.records]
+        scores = np.array([r.score for r in self.records])
         if not (finite := np.isfinite(scores)).all():
             i = int(np.argmin(finite))
             raise ValidationError(f"frame {ts[i]}: record score must be finite, got {scores[i]}")
+        if not (in_range := (0.0 <= scores) & (scores <= 1.0)).all():
+            i = int(np.argmin(in_range))
+            raise ValidationError(f"frame {ts[i]}: record score must lie in [0, 1], "
+                                  f"got {scores[i]}")
         a = np.array(self.appearance, dtype=float)
         refusal = "appearance must be a finite 1-D vector with a finite, positive norm"
         if a.ndim != 1:

@@ -12,10 +12,14 @@ that the reader applies (_string, _frame_at, _positive_fps, _video_once,
 _slots_once), and label ids through the reader's own decoder.  On read,
 this module checks JSON types and the file's layout (frame order, counts,
 repeats) with one decoder for every record array (_column): a number is a
-JSON number, never a string or a boolean.  The holders it fills (FrameDetections, Tube, GtTube,
-Prediction, CandidateTube) check the domain rules, finiteness included;
-their refusals become FormatErrors at path[:LINE], lines 1-based.
-Intervals in seconds (ts_sec / te_sec) need the document's fps.
+JSON number, never a string or a boolean, and an integer passes the rule
+of geometry.integers.  The holders it fills (FrameDetections, Tube,
+GtTube, Prediction, CandidateTube) check the domain rules, finiteness and
+that integer rule included.  Every rule is a function of its value alone
+and raises ValidationError; each loader names the place once, with _at
+around a document's or a JSONL line's decode, which turns a refusal into
+a FormatError at path[:LINE], lines 1-based.  Intervals in seconds
+(ts_sec / te_sec) need the document's fps.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ import numpy as np
 from .association import FrameDetections, Tube
 from .autolabel import CandidateRecord, CandidateTube
 from .errors import FormatError, ValidationError
-from .geometry import Box
+from .geometry import Box, integers
 from .metrics import Prediction
 from .mining import GtTube
 
@@ -172,16 +176,16 @@ def _write_doc(path: str, doc: dict) -> None:
     _write(path, [_encode(path, doc, _DOC) + "\n"])
 
 
-def _require(obj: dict, key: str, path: str, line: int | None = None):
+def _require(obj: dict, key: str):
     try:
         return obj[key]
     except (KeyError, TypeError):   # TypeError: obj is not an object
-        raise FormatError(f"missing required key '{key}'", path=path, line=line) from None
+        raise ValidationError(f"missing required key '{key}'") from None
 
 
-def _list_field(obj: dict, key: str, path: str, line: int | None = None) -> list:
-    if type(value := _require(obj, key, path, line)) is not list:
-        raise FormatError(f"'{key}' must be an array", path=path, line=line)
+def _list_field(obj: dict, key: str) -> list:
+    if type(value := _require(obj, key)) is not list:
+        raise ValidationError(f"'{key}' must be an array")
     return value
 
 
@@ -193,8 +197,8 @@ def _string(value, key: str) -> str:
     return value
 
 
-def _str_field(obj: dict, key: str, path: str, line: int | None = None) -> str:
-    return _held(path, line, _string, _require(obj, key, path, line), key)
+def _str_field(obj: dict, key: str) -> str:
+    return _string(_require(obj, key), key)
 
 
 def _frame_at(i: int, t) -> None:
@@ -224,12 +228,10 @@ def _slots_once(tubes: list[Tube]) -> None:
 
 _REQUIRED = object()
 _NUMBER = frozenset((float, int))   # JSON numbers: type(true) is bool, not int
-_KINDS = {int: (frozenset((int,)), np.int64, "an integer"), float: (_NUMBER, float, "a number")}
 _BAD_BOX = "bad box: every box must be an array of 4 numbers"
 
 
-def _values(records: list, key: str, path: str, line: int | None = None,
-            default=_REQUIRED, where: str = "") -> list:
+def _values(records: list, key: str, default=_REQUIRED, where: str = "") -> list:
     """The `key` of each record of a JSON record array, or `default` where a
     record lacks it; a record that is not an object, or a missing key
     without a default, is refused."""
@@ -238,49 +240,44 @@ def _values(records: list, key: str, path: str, line: int | None = None,
             return [r[key] for r in records]
         return [r.get(key, default) for r in records]
     except KeyError:
-        raise FormatError(f"{where}missing required key '{key}'", path=path, line=line) from None
+        raise ValidationError(f"{where}missing required key '{key}'") from None
     except (TypeError, AttributeError):   # a record that is not an object
-        raise FormatError(f"{where}every record must be an object", path=path, line=line) from None
+        raise ValidationError(f"{where}every record must be an object") from None
 
 
-def _numbers(values: list, key: str, kind: type, path: str, line: int | None = None,
-             where: str = "") -> np.ndarray:
-    """int64 from JSON integers (kind int), or floats from JSON numbers (kind
-    float).  Not int() or float(): those would take true as 1, "0.5" as 0.5
-    and 8.7 as 8; an integral float such as 1.0 is an integer."""
-    types, dtype, noun = _KINDS[kind]
-    if not types.issuperset(map(type, values)):
-        if kind is int:
-            values = [int(v) if type(v) is float and v.is_integer() else v for v in values]
-        if (v := next((v for v in values if type(v) not in types), _REQUIRED)) is not _REQUIRED:
-            raise FormatError(f"{where}'{key}' must be {noun}, got {v!r}", path=path, line=line)
+def _numbers(values: list, key: str, kind: type, where: str = "") -> np.ndarray:
+    """int64 by the rule of every frame index and id (kind int, see
+    geometry.integers), or floats from JSON numbers (kind float).  Not
+    float(): it would take true as 1.0 and "0.5" as 0.5."""
+    if kind is int:
+        return integers(values, key, where)
+    if not _NUMBER.issuperset(map(type, values)):
+        v = next(v for v in values if type(v) not in _NUMBER)
+        raise ValidationError(f"{where}'{key}' must be a number, got {v!r}")
     try:
-        return np.array(values, dtype=dtype)
-    except OverflowError:   # an integer beyond 64 bits, or beyond the float range
+        return np.array(values, dtype=float)
+    except OverflowError:   # an integer beyond the float range
         v = max((v for v in values if type(v) is int), key=abs)
-        raise FormatError(f"{where}'{key}' must be {noun} that fits in 64 bits, got {v!r}",
-                          path=path, line=line) from None
+        raise ValidationError(f"{where}'{key}' must be a number that fits in 64 bits, "
+                              f"got {v!r}") from None
 
 
-def _field(obj: dict, key: str, kind: type, path: str, line: int | None = None):
+def _field(obj: dict, key: str, kind: type):
     """One integer or number field of an object, as a Python int or float."""
-    if type(value := _require(obj, key, path, line)) is kind:
-        return value
-    return _numbers([value], key, kind, path, line)[0].item()
+    return _numbers([_require(obj, key)], key, kind)[0].item()
 
 
-def _column(records: list, key: str, kind: type, path: str, line: int | None = None, *,
-            default=_REQUIRED, width: int | None = None, bad: str = "",
-            where: str = "") -> np.ndarray:
+def _column(records: list, key: str, kind: type, *, default=_REQUIRED,
+            width: int | None = None, bad: str = "", where: str = "") -> np.ndarray:
     """The `key` of every record of a JSON record array as one column of
     `kind`: int or float, as _numbers reads them, where with default=None a
     null or missing value reads as -1 (a tube's gap det); list, (N, W)
     floats from arrays of W numbers, W = width or any one width, else
     refused with the message `bad`.  Every message starts with `where`."""
-    values = _values(records, key, path, line, default, where)
+    values = _values(records, key, default, where)
     if kind is not list:
         return _numbers([-1 if v is None else v for v in values] if default is None else values,
-                        key, kind, path, line, where)
+                        key, kind, where)
     if not values:
         return np.empty((0, width or 0))
     if all(type(r) is list for r in values) \
@@ -292,13 +289,15 @@ def _column(records: list, key: str, kind: type, path: str, line: int | None = N
         else:
             if width in (None, rows.shape[1]):
                 return rows
-    raise FormatError(where + bad, path=path, line=line)
+    raise ValidationError(where + bad)
 
 
-def _held(path: str, line: int | None, holder, *args):
-    """holder(*args), its ValidationError raised as a FormatError at path[:line]."""
+@contextmanager
+def _at(path: str, line: int | None = None):
+    """A refusal raised inside, by a decoder, a layout check or a holder,
+    as a FormatError at path[:line]."""
     try:
-        return holder(*args)
+        yield
     except ValidationError as e:
         raise FormatError(str(e), path=path, line=line) from e
 
@@ -353,23 +352,17 @@ def _iter_jsonl(path: str, lines=None, start: int = 1):
         yield lineno, obj
 
 
-def _fps_field(obj: dict, path: str, line: int | None = None) -> float:
-    return _held(path, line, _positive_fps, _field(obj, "fps", float, path, line))
-
-
-def _interval_from(obj: dict, path: str, line: int | None = None) -> tuple[int, int]:
+def _interval_from(obj: dict) -> tuple[int, int]:
     if "ts" in obj and "te" in obj:
-        return _field(obj, "ts", int, path, line), _field(obj, "te", int, path, line)
+        return _field(obj, "ts", int), _field(obj, "te", int)
     if "ts_sec" in obj and "te_sec" in obj:
-        fps = _fps_field(obj, path, line)
-        ts = _field(obj, "ts_sec", float, path, line) * fps
-        te = _field(obj, "te_sec", float, path, line) * fps
+        fps = _positive_fps(_field(obj, "fps", float))
+        ts = _field(obj, "ts_sec", float) * fps
+        te = _field(obj, "te_sec", float) * fps
         if not (math.isfinite(ts) and math.isfinite(te)):
-            raise FormatError(f"interval in frames must be finite, got [{ts!r}, {te!r}]",
-                              path=path, line=line)
+            raise ValidationError(f"interval in frames must be finite, got [{ts!r}, {te!r}]")
         return int(round(ts)), int(round(te))
-    raise FormatError("interval needs ts/te (frames) or ts_sec/te_sec plus fps",
-                      path=path, line=line)
+    raise ValidationError("interval needs ts/te (frames) or ts_sec/te_sec plus fps")
 
 
 # ---------------------------------------------------------------- detections
@@ -409,23 +402,24 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
         lineno, header = next(it)
     except StopIteration:
         raise FormatError("empty detections file", path=path) from None
-    meta = {
-        "video_id": _str_field(header, "video_id", path, lineno),
-        "fps": _fps_field(header, path, lineno),
-        "frame_count": _field(header, "frame_count", int, path, lineno),
-        "feature_dim": _field(header, "feature_dim", int, path, lineno),
-    }
+    with _at(path, lineno):
+        meta = {
+            "video_id": _str_field(header, "video_id"),
+            "fps": _positive_fps(_field(header, "fps", float)),
+            "frame_count": _field(header, "frame_count", int),
+            "feature_dim": _field(header, "feature_dim", int),
+        }
     dim = meta["feature_dim"]
     bad_embed = f"'embed' must be an array of numbers of length feature_dim ({dim})"
     frames: list[FrameDetections] = []
     for lineno, obj in it:
-        t = _field(obj, "t", int, path, lineno)
-        _held(path, lineno, _frame_at, len(frames), t)
-        dets = _list_field(obj, "detections", path, lineno)
-        boxes = _column(dets, "box", list, path, lineno, width=4, bad=_BAD_BOX)
-        embeds = _column(dets, "embed", list, path, lineno, width=dim, bad=bad_embed)
-        scores = _column(dets, "score", float, path, lineno)
-        frames.append(_held(path, lineno, FrameDetections, t, boxes, scores, embeds))
+        with _at(path, lineno):
+            t = _field(obj, "t", int)
+            _frame_at(len(frames), t)
+            dets = _list_field(obj, "detections")
+            boxes = _column(dets, "box", list, width=4, bad=_BAD_BOX)
+            embeds = _column(dets, "embed", list, width=dim, bad=bad_embed)
+            frames.append(FrameDetections(t, boxes, _column(dets, "score", float), embeds))
     if len(frames) != meta["frame_count"]:
         raise FormatError(
             f"header promises {meta['frame_count']} frames, file has {len(frames)}",
@@ -435,26 +429,26 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
 
 # ------------------------------------------------------------------ gt files
 
-def _interval_boxes(obj: dict, path: str, line: int | None = None) -> tuple:
+def _interval_boxes(obj: dict) -> tuple:
     """What a GT and a prediction share: (video_id, ts, te, t0, rows), their
     'boxes' [{"t": ..., "box": [...]}, ...] in any frame order as rows, row i
     the box of frame t0 + i.  A frame listed twice, or a frame missing
     between the first and the last, is refused.  No boxes give t0 = 0 and
     an empty (0, 4) array."""
-    video_id = _str_field(obj, "video_id", path, line)
-    ts, te = _interval_from(obj, path, line)
-    items = _list_field(obj, "boxes", path, line)
-    t = _column(items, "t", int, path, line).tolist()
-    rows = _column(items, "box", list, path, line, width=4, bad=_BAD_BOX)
+    video_id = _str_field(obj, "video_id")
+    ts, te = _interval_from(obj)
+    items = _list_field(obj, "boxes")
+    t = _column(items, "t", int).tolist()
+    rows = _column(items, "box", list, width=4, bad=_BAD_BOX)
     if t and t != list(range(t[0], t[0] + len(t))):   # not already one frame after another
         order = sorted(range(len(t)), key=t.__getitem__)
         t, rows = [t[i] for i in order], rows[order]
         if twice := [a for a, b in zip(t, t[1:]) if a == b]:
-            raise FormatError(f"frame {twice[0]} has more than one box", path=path, line=line)
+            raise ValidationError(f"frame {twice[0]} has more than one box")
         if missing := list(islice(chain.from_iterable(range(a + 1, b)
                                                       for a, b in zip(t, t[1:])), 5)):
-            raise FormatError(f"boxes must cover a contiguous frame range; missing boxes at "
-                              f"frames {missing}", path=path, line=line)
+            raise ValidationError(f"boxes must cover a contiguous frame range; missing boxes at "
+                                  f"frames {missing}")
     return video_id, ts, te, (t[0] if t else 0), rows
 
 
@@ -484,15 +478,17 @@ def _gt_misfit(ts: int, te: int, t0: int, n: int) -> str:
     return f"GT has boxes outside its interval at frames {[t for t in have if not ts <= t <= te][:5]}"
 
 
-def _gt_from_obj(obj: dict, path: str, line: int | None = None) -> tuple[str, GtTube]:
-    video_id, ts, te, t0, rows = _interval_boxes(obj, path, line)
+def _gt_from_obj(obj: dict) -> tuple[str, GtTube]:
+    video_id, ts, te, t0, rows = _interval_boxes(obj)
     if ts <= te and (t0, len(rows)) != (ts, te - ts + 1):
-        raise FormatError(_gt_misfit(ts, te, t0, len(rows)), path=path, line=line)
-    return video_id, _held(path, line, GtTube, ts, te, rows)
+        raise ValidationError(_gt_misfit(ts, te, t0, len(rows)))
+    return video_id, GtTube(ts, te, rows)
 
 
 def load_gt(path: str) -> tuple[str, GtTube]:
-    return _gt_from_obj(_load_json_doc(path), path)
+    obj = _load_json_doc(path)
+    with _at(path):
+        return _gt_from_obj(obj)
 
 
 def load_gt_collection(path: str) -> list[tuple[str, GtTube]]:
@@ -513,20 +509,23 @@ def load_gt_collection(path: str) -> list[tuple[str, GtTube]]:
     except json.JSONDecodeError:
         head = None
     if not isinstance(head, dict):
-        return [_gt_from_obj(_parse_json_doc(text, path), path)]
+        obj = _parse_json_doc(text, path)
+        with _at(path):
+            return [_gt_from_obj(obj)]
     rest = _iter_jsonl(path, lines[first + 1:], start=first + 2)
-    return _one_per_video(path, ((lineno, _gt_from_obj(o, path, lineno))
-                                 for lineno, o in chain([(first + 1, head)], rest)))
+    return _one_per_video(path, chain([(first + 1, head)], rest), _gt_from_obj)
 
 
-def _one_per_video(path: str, numbered) -> list:
-    """The (video_id, item) of each (line, (video_id, item)), in order; a
-    video_id that an earlier line holds is refused at its second line."""
+def _one_per_video(path: str, numbered, decode) -> list:
+    """decode(obj), a (video_id, item), of each (line, obj), in order, a
+    refusal at its line; a video_id that an earlier line holds is refused
+    at its second line."""
     lines: dict[str, int] = {}
     out = []
-    for lineno, item in numbered:
-        _held(path, lineno, _video_once, lines, item[0], lineno)
-        out.append(item)
+    for lineno, obj in numbered:
+        with _at(path, lineno):
+            out.append(decode(obj))
+            _video_once(lines, out[-1][0], lineno)
     return out
 
 
@@ -566,34 +565,33 @@ def save_tubes(path: str, video_id: str, tubes: list[Tube],
 
 def load_tubes(path: str) -> tuple[str, list[Tube]]:
     obj = _load_json_doc(path)
-    video_id = _str_field(obj, "video_id", path)
-    n_q = _field(obj, "n_q", int, path)
-    tubes = [_tube_from(entry, path) for entry in _list_field(obj, "tubes", path)]
-    if len(tubes) != n_q:
-        raise FormatError(f"header promises n_q={n_q} tubes, file has {len(tubes)}",
-                          path=path)
-    _held(path, None, _slots_once, tubes)
+    with _at(path):
+        video_id = _str_field(obj, "video_id")
+        n_q = _field(obj, "n_q", int)
+        tubes = [_tube_from(entry) for entry in _list_field(obj, "tubes")]
+        if len(tubes) != n_q:
+            raise ValidationError(f"header promises n_q={n_q} tubes, file has {len(tubes)}")
+        _slots_once(tubes)
     return video_id, tubes
 
 
-def _tube_from(entry: dict, path: str) -> Tube:
-    slot_id = _field(entry, "slot_id", int, path)
-    raw = _require(entry, "records", path)
+def _tube_from(entry: dict) -> Tube:
+    slot_id = _field(entry, "slot_id", int)
+    raw = _require(entry, "records")
     if type(raw) is not list:
-        raise FormatError(f"tube {slot_id}: records must be an array", path=path)
+        raise ValidationError(f"tube {slot_id}: records must be an array")
     where = f"tube {slot_id}: "
-    t = _column(raw, "t", int, path, where=where)
-    embeds = _values(raw, "embed", path, default=None)   # none at all: written without them
+    t = _column(raw, "t", int, where=where)
+    embeds = _values(raw, "embed", default=None)   # none at all: written without them
     if None in embeds and embeds.count(None) < len(embeds):
-        raise FormatError(f"tube {slot_id} frame {t[embeds.index(None)]}: embed missing, "
-                          "but other records of the tube have one", path=path)
+        raise ValidationError(f"tube {slot_id} frame {t[embeds.index(None)]}: embed missing, "
+                              "but other records of the tube have one")
     features = None if None in embeds or not embeds else _column(
-        raw, "embed", list, path, where=where,
+        raw, "embed", list, where=where,
         bad="every embed must be an array of numbers, all of one length")
-    return _held(path, None, Tube, slot_id, t,
-                 _column(raw, "box", list, path, width=4, bad=_BAD_BOX, where=where),
-                 _column(raw, "score", float, path, where=where),
-                 _column(raw, "det", int, path, default=None, where=where), features)
+    return Tube(slot_id, t, _column(raw, "box", list, width=4, bad=_BAD_BOX, where=where),
+                _column(raw, "score", float, where=where),
+                _column(raw, "det", int, default=None, where=where), features)
 
 
 # -------------------------------------------------------------- predictions
@@ -611,14 +609,13 @@ def save_predictions(path: str, items: list[tuple[str, Prediction]]) -> None:
                   for video_id, pred in items])
 
 
-def _prediction_from(obj: dict, path: str, line: int) -> tuple[str, Prediction]:
-    video_id, ts, te, t0, rows = _interval_boxes(obj, path, line)
-    return video_id, _held(path, line, Prediction, ts, te, t0, rows)
+def _prediction_from(obj: dict) -> tuple[str, Prediction]:
+    video_id, ts, te, t0, rows = _interval_boxes(obj)
+    return video_id, Prediction(ts, te, t0, rows)
 
 
 def load_predictions(path: str) -> list[tuple[str, Prediction]]:
-    out = _one_per_video(path, ((lineno, _prediction_from(obj, path, lineno))
-                                for lineno, obj in _iter_jsonl(path)))
+    out = _one_per_video(path, _iter_jsonl(path), _prediction_from)
     if not out:
         raise FormatError("empty predictions file", path=path)
     return out
@@ -629,10 +626,7 @@ def load_predictions(path: str) -> list[tuple[str, Prediction]]:
 def save_labels(path: str, video_id: str, identities: list[list[int]]) -> None:
     """Ids go through load_labels' decoder: an integral float is written as
     an integer, and any other id that it would refuse is refused."""
-    try:
-        ids = iter(_numbers(list(chain.from_iterable(identities)), "ids", int, None).tolist())
-    except FormatError as e:
-        raise ValidationError(str(e)) from None
+    ids = iter(_numbers(list(chain.from_iterable(identities)), "ids", int).tolist())
     _write_doc(path, {"video_id": _string(video_id, "video_id"),
                       "frames": [{"t": t, "ids": list(islice(ids, len(row)))}
                                  for t, row in enumerate(identities)]})
@@ -640,15 +634,16 @@ def save_labels(path: str, video_id: str, identities: list[list[int]]) -> None:
 
 def load_labels(path: str) -> tuple[str, list[list[int]]]:
     obj = _load_json_doc(path)
-    video_id = _str_field(obj, "video_id", path)
-    frames = _list_field(obj, "frames", path)
-    for i, t in enumerate(_column(frames, "t", int, path).tolist()):
-        _held(path, None, _frame_at, i, t)
-    ids = _values(frames, "ids", path)
-    if any(type(row) is not list for row in ids):
-        raise FormatError("'ids' must be an array", path=path)
-    flat = iter(_numbers(list(chain.from_iterable(ids)), "ids", int, path).tolist())
-    return video_id, [list(islice(flat, len(row))) for row in ids]
+    with _at(path):
+        video_id = _str_field(obj, "video_id")
+        frames = _list_field(obj, "frames")
+        for i, t in enumerate(_column(frames, "t", int).tolist()):
+            _frame_at(i, t)
+        ids = _values(frames, "ids")
+        if any(type(row) is not list for row in ids):
+            raise ValidationError("'ids' must be an array")
+        flat = iter(_numbers(list(chain.from_iterable(ids)), "ids", int).tolist())
+        return video_id, [list(islice(flat, len(row))) for row in ids]
 
 
 # ---------------------------------------------------------------- candidates
@@ -677,25 +672,25 @@ def save_candidates(path: str, video_id: str, candidates: list[CandidateTube]) -
 
 def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
     obj = _load_json_doc(path)
-    video_id = _str_field(obj, "video_id", path)
-    out = []
-    for c in _list_field(obj, "candidates", path):
-        span = _require(c, "span", path)
-        if not (isinstance(span, list) and len(span) == 2):
-            raise FormatError(f"span must be a 2-element array, got {span!r}", path=path)
-        raw = _list_field(c, "records", path)
-        flags = _values(raw, "interpolated", path, default=False)
-        if bad := [flag for flag in flags if type(flag) is not bool]:   # bool("false") is True
-            raise FormatError(f"'interpolated' must be true or false, got {bad[0]!r}", path=path)
-        columns = (_column(raw, "t", int, path).tolist(),
-                   _column(raw, "box", list, path, width=4, bad=_BAD_BOX).tolist(),
-                   _column(raw, "score", float, path).tolist(), flags)
-        appearance = _column([c], "appearance", list, path,
-                             bad="'appearance' must be an array of numbers")[0]
-        records = [CandidateRecord(t, _held(path, None, Box, *box), score, flag)
-                   for t, box, score, flag in zip(*columns)]
-        out.append(_held(path, None, CandidateTube, _str_field(c, "category", path),
-                         tuple(_numbers(span, "span", int, path).tolist()), records, appearance))
+    with _at(path):
+        video_id = _str_field(obj, "video_id")
+        out = []
+        for c in _list_field(obj, "candidates"):
+            span = _require(c, "span")
+            if not (isinstance(span, list) and len(span) == 2):
+                raise ValidationError(f"span must be a 2-element array, got {span!r}")
+            raw = _list_field(c, "records")
+            flags = _values(raw, "interpolated", default=False)
+            if bad := [flag for flag in flags if type(flag) is not bool]:   # bool("false") is True
+                raise ValidationError(f"'interpolated' must be true or false, got {bad[0]!r}")
+            columns = (_column(raw, "t", int).tolist(),
+                       _column(raw, "box", list, width=4, bad=_BAD_BOX).tolist(),
+                       _column(raw, "score", float).tolist(), flags)
+            appearance = _column([c], "appearance", list,
+                                 bad="'appearance' must be an array of numbers")[0]
+            records = [CandidateRecord(t, Box(*box), score, flag)
+                       for t, box, score, flag in zip(*columns)]
+            out.append(CandidateTube(_str_field(c, "category"), span, records, appearance))
     return video_id, out
 
 

@@ -10,7 +10,8 @@ corner arrays, the layout of the boxes of a tube, a GT and a prediction:
 `giou_pairs` are the scalar IoU and GIoU row by row, bit for bit, for the
 per-frame loops of mining, the consistency losses and the metrics;
 `sum_in_order` adds per-frame terms in the order a plain accumulation loop
-would.
+would.  `integers` is the rule of every frame index and id, the holders'
+and the readers' alike.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .errors import ValidationError
 
 # Floor on box extent after clamping; anything thinner is treated as empty.
 _MIN_EXTENT = 0.0
+_INT = frozenset((int,))   # type(True) is bool, not int
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,42 @@ def corner_rows(rows) -> np.ndarray:
     if refused.any():
         Box(*raw[np.argmax(refused)].tolist())   # raises with Box's message
     return c
+
+
+def integers(values, key: str, where: str = "") -> np.ndarray:
+    """A new int64 array of `values`, an array or any other sequence.
+
+    Integers pass, numpy's included, and so do integral floats such as
+    1.0; a bool never does, nor does anything else: int() would take True
+    as 1, 8.7 as 8 and "3" as 3.  Every value must fit in 64 bits.  A
+    refusal is a ValidationError naming `key`, after `where`.
+    """
+    if isinstance(values, np.ndarray):
+        if values.ndim and values.dtype.kind in "iu" and np.can_cast(values.dtype, np.int64):
+            return values.astype(np.int64)
+        values = values.tolist()
+    try:
+        values = list(values)
+    except TypeError:   # a scalar
+        raise ValidationError(f"{where}'{key}' must be an array of integers, "
+                              f"got {values!r}") from None
+    if not _INT.issuperset(map(type, values)):
+        values = [int(v) if isinstance(v, np.integer)
+                  or (isinstance(v, (float, np.floating)) and v.is_integer()) else v
+                  for v in values]
+        if bad := [v for v in values if type(v) is not int]:
+            raise ValidationError(f"{where}'{key}' must be an integer, got {bad[0]!r}")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        v = max(values, key=abs)
+        raise ValidationError(f"{where}'{key}' must be an integer that fits in 64 bits, "
+                              f"got {v!r}") from None
+
+
+def integer(value, key: str) -> int:
+    """One value by the rule of `integers`, as a Python int."""
+    return integers([value], key)[0].item()
 
 
 def _inter_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,17 +20,17 @@ import numpy as np
 
 from .association import Tube
 from .errors import ValidationError
-from .geometry import corner_rows, iou_pairs, sum_in_order
+from .geometry import corner_rows, integer, iou_pairs, sum_in_order
 from .geometry import iou  # noqa: F401  (kept: perfbench counts iou calls through this name)
 from .mining import GtTube
 
 
 @dataclass(frozen=True)
 class Prediction:
-    """Predicted interval [ts, te] plus boxes contiguous from frame t0:
-    boxes is a read-only (K, 4) corner array whose row i is the box of
-    frame t0 + i, each row by Box's rule, and [ts, te] lies within
-    [t0, t0 + K - 1]."""
+    """Predicted interval [ts, te] plus boxes contiguous from frame t0,
+    every frame an int by the rule of `integers`: boxes is a read-only
+    (K, 4) corner array whose row i is the box of frame t0 + i, each row
+    by Box's rule, and [ts, te] lies within [t0, t0 + K - 1]."""
 
     ts: int
     te: int
@@ -38,12 +38,14 @@ class Prediction:
     boxes: np.ndarray
 
     def __post_init__(self):
+        for key in ("ts", "te", "t0"):
+            object.__setattr__(self, key, integer(getattr(self, key), key))
         if self.ts > self.te:
             raise ValidationError(f"empty predicted interval [{self.ts}, {self.te}]")
         boxes = corner_rows(self.boxes)
         if not boxes.shape[0]:
             raise ValidationError("prediction has no boxes")
-        last = self.t0 + boxes.shape[0] - 1
+        last = integer(self.t0 + boxes.shape[0] - 1, "t")   # a box's frame, as files hold it
         if self.ts < self.t0 or self.te > last:
             raise ValidationError(
                 f"predicted interval [{self.ts}, {self.te}] extends past the "

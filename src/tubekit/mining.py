@@ -21,21 +21,24 @@ import numpy as np
 
 from .association import Tube
 from .errors import ValidationError
-from .geometry import corner_rows, giou_pairs, sum_in_order
+from .geometry import corner_rows, giou_pairs, integer, sum_in_order
 from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
 
 
 @dataclass(frozen=True)
 class GtTube:
-    """Dense per-frame annotation over an inclusive frame interval [ts, te]:
-    boxes is a read-only (L, 4) corner array, L = te - ts + 1, whose row i
-    is the box of frame ts + i, each row by Box's rule."""
+    """Dense per-frame annotation over an inclusive frame interval [ts, te],
+    ints by the rule of `integers`: boxes is a read-only (L, 4) corner
+    array, L = te - ts + 1, whose row i is the box of frame ts + i, each
+    row by Box's rule."""
 
     ts: int
     te: int
     boxes: np.ndarray
 
     def __post_init__(self):
+        for key in ("ts", "te"):
+            object.__setattr__(self, key, integer(getattr(self, key), key))
         if self.ts > self.te:
             raise ValidationError(f"empty GT interval [{self.ts}, {self.te}]")
         boxes = corner_rows(self.boxes)

@@ -45,6 +45,16 @@ class TestCandidateTube:
                                    CandidateRecord(t=2, box=BOX_A, score=score)],
                           appearance=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("score", [5.0, -0.5, 1.0000001])
+    def test_score_outside_unit_interval_rejected(self, score):
+        # Such a fragment was held, and assemble_annotation ranked by it.
+        with pytest.raises(ValidationError, match=rf"^frame 2: record score must lie in "
+                                                  rf"\[0, 1\], got {score}$"):
+            CandidateTube(category="dog", span=(1, 2),
+                          records=[CandidateRecord(t=1, box=BOX_A, score=0.5),
+                                   CandidateRecord(t=2, box=BOX_A, score=score)],
+                          appearance=np.array([1.0, 0.0]))
+
     def test_real_record_count_ignores_interpolation(self):
         records = [CandidateRecord(t=0, box=BOX_A, score=0.5),
                    CandidateRecord(t=1, box=BOX_A, score=0.5, interpolated=True),

@@ -723,6 +723,19 @@ class TestAutolabel:
                                            f"finite, got {value}\n")
         assert not out.exists()
 
+    def test_score_outside_unit_interval_is_format_error(self, tmp_path, capsys):
+        # Such a file used to load, and its fragment won by its mean score.
+        path = self._candidates(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["candidates"][1]["records"][2]["score"] = 5.0
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "pseudo.gt.json"
+        assert main(["autolabel", "--candidates", str(path),
+                     "--ts", "0", "--te", "14", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: frame 12: record score must "
+                                           f"lie in [0, 1], got 5.0\n")
+        assert not out.exists()
+
     def test_insufficient_coverage_writes_nothing(self, tmp_path, capsys):
         path = self._candidates(tmp_path)
         out = tmp_path / "pseudo.gt.json"

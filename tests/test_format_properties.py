@@ -186,6 +186,15 @@ any_ids = st.sampled_from(["v", "w"]) | video_ids | st.sampled_from([3, None, ["
 edge_scores = st.sampled_from([0.0, -0.0, 1.0]) | scores
 # Frame indices up to 2^62, far from 0 but within int64 with room for a tube.
 frame_index = st.integers(0, 4) | st.integers(2 ** 62 - 8, 2 ** 62)
+ODD_INTS = [True, False, 0.5, -1.5, 2 ** 63 - 1, -2 ** 63, 2 ** 63, -2 ** 63 - 1, 2.0 ** 63]
+
+
+def edge_int(value: int):
+    """value as a holder may be handed it: a Python or numpy integer or an
+    integral float, or one time in eight a bool, a fraction or a value at
+    or beyond +-2^63 in its place."""
+    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(
+        ODD_INTS if k == 0 else [value, np.int64(value), float(value)]))
 
 
 @st.composite
@@ -206,7 +215,7 @@ def closure_detections(draw):
     n = draw(st.integers(1, 3))
     ts = draw(st.just(range(n)) | st.permutations(range(n))
               | st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    frames = [FrameDetections(t, *map(np.array, zip(*[
+    frames = [FrameDetections(draw(edge_int(t)), *map(np.array, zip(*[
         (draw(edge_boxes()), draw(edge_scores), draw(edge_vectors(dim)))
         for _ in range(draw(st.integers(1, 2)))]))) for t in ts]
     fps = draw(st.floats(1e-3, 1e3) | st.just(25.0) | st.sampled_from([0.0, -0.0, -1.0]))
@@ -222,10 +231,12 @@ def closure_tubes(draw):
         n = len(ts)
         features = (np.array([draw(edge_vectors(dim)) for _ in ts]).reshape(n, dim)
                     if draw(st.booleans()) else None)
-        tubes.append(Tube(draw(st.integers(0, 2)), ts,
+        tubes.append(Tube(draw(st.integers(0, 2).flatmap(edge_int)),
+                          [draw(edge_int(t)) for t in ts],
                           np.array([draw(edge_boxes()) for _ in ts]).reshape(n, 4),
                           [draw(edge_scores) for _ in ts],
-                          [draw(st.integers(-1, 9) | st.just(2 ** 62)) for _ in ts], features))
+                          [draw((st.integers(-1, 9) | st.just(2 ** 62)).flatmap(edge_int))
+                           for _ in ts], features))
     return draw(any_ids), tubes, draw(st.booleans())
 
 
@@ -233,7 +244,8 @@ def closure_tubes(draw):
 def closure_gt(draw) -> GtTube:
     ts = draw(frame_index)
     te = ts + draw(st.integers(0, 2))
-    return GtTube(ts, te, np.array([draw(edge_boxes()) for _ in range(ts, te + 1)]))
+    return GtTube(draw(edge_int(ts)), draw(edge_int(te)),
+                  np.array([draw(edge_boxes()) for _ in range(ts, te + 1)]))
 
 
 @st.composite
@@ -241,7 +253,8 @@ def closure_predictions(draw) -> Prediction:
     k0 = draw(frame_index)
     k1 = k0 + draw(st.integers(0, 2))
     ts = draw(st.integers(k0, k1))
-    return Prediction(ts, draw(st.integers(ts, k1)), k0,
+    te = draw(st.integers(ts, k1))
+    return Prediction(draw(edge_int(ts)), draw(edge_int(te)), draw(edge_int(k0)),
                       np.array([draw(edge_boxes()) for _ in range(k0, k1 + 1)]))
 
 
@@ -250,8 +263,9 @@ def closure_candidates(draw) -> CandidateTube:
     s = draw(frame_index)
     e = s + draw(st.integers(0, 2))
     return CandidateTube(
-        category=draw(any_ids), span=(s, e),
-        records=[CandidateRecord(t=t, box=Box(*draw(edge_boxes())), score=draw(edge_scores),
+        category=draw(any_ids), span=(draw(edge_int(s)), draw(edge_int(e))),
+        records=[CandidateRecord(t=draw(edge_int(t)), box=Box(*draw(edge_boxes())),
+                                 score=draw(edge_scores),
                                  interpolated=draw(st.booleans())) for t in range(s, e + 1)],
         appearance=draw(edge_vectors(draw(st.integers(1, 3)))))
 
@@ -281,16 +295,17 @@ CLOSURE = {
 @pytest.mark.parametrize("load", list(CLOSURE), ids=[f.__name__ for f in CLOSURE])
 @given(data=st.data())
 def test_writers_close_over_their_readers(tmp_path, load, data):
-    """Whatever a writer accepts, its reader loads and a re-save gives the
-    same bytes; whatever it refuses raises ValidationError and leaves no
-    file.  A repeated slot_id, a repeated or non-string video_id, frames out
-    of order and fractional label ids were all once written and then
-    refused on load."""
+    """Whatever the holders hold and a writer accepts, its reader loads and
+    a re-save gives the same bytes; whatever they refuse raises
+    ValidationError and leaves no file.  A repeated slot_id, a repeated or
+    non-string video_id, frames out of order, fractional label ids, and
+    bool, fractional or 65-bit frame indices and ids were all once written
+    and then refused on load; a numpy integer one was a bare TypeError."""
     strategy, save, again_args = CLOSURE[load]
-    args = data.draw(strategy)
     path, again = tmp_path / "written", tmp_path / "again"
     path.unlink(missing_ok=True)
     try:
+        args = data.draw(strategy)
         save(str(path), *args)
     except ValidationError:
         assert not path.exists()

@@ -1,4 +1,5 @@
-"""Box geometry: construction, IoU and generalized IoU, and corner rows."""
+"""Box geometry: construction, IoU and generalized IoU, corner rows, and
+the integer rule of frame indices and ids."""
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubekit.errors import ValidationError
-from tubekit.geometry import Box, corner_rows, giou, intersection_area, iou
+from tubekit.geometry import Box, corner_rows, giou, integer, integers, intersection_area, iou
 
 
 class TestBoxConstruction:
@@ -182,3 +183,56 @@ def test_corner_rows_shape():
     assert corner_rows(np.empty((0, 4))).shape == (0, 4)
     with pytest.raises(ValidationError, match="box rows must be an"):
         corner_rows([0.1, 0.1, 0.5, 0.5])
+
+
+class TestIntegers:
+    @pytest.mark.parametrize("values", [
+        [3, -2], [3.0, -2.0], [np.int64(3), np.int8(-2)], [np.float32(3.0), -2],
+        np.array([3, -2], dtype=np.int32), np.array([3.0, -2.0]), (3, -2)],
+        ids=["int", "integral-float", "numpy-int", "numpy-float", "int32-array", "float-array",
+             "tuple"])
+    def test_integers_pass(self, values):
+        out = integers(values, "t")
+        assert out.dtype == np.int64 and out.tolist() == [3, -2]
+
+    @pytest.mark.parametrize("value", [np.int64(7), np.uint32(7), 7.0, 7])
+    def test_one_integer_is_a_python_int(self, value):
+        assert type(integer(value, "ts")) is int and integer(value, "ts") == 7
+
+    def test_array_is_copied(self):
+        a = np.array([1, 2])
+        out = integers(a, "t")
+        out[0] = 9
+        assert a.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("value, shown", [
+        (True, "True"), (np.True_, "np.True_"), (0.5, "0.5"), (float("nan"), "nan"),
+        (float("inf"), "inf"), ("3", "'3'"), (None, "None"), ([3], "[3]")])
+    def test_non_integers_refused(self, value, shown):
+        with pytest.raises(ValidationError, match=rf"^tube 1: 't' must be an integer, "
+                                                  rf"got {re.escape(shown)}$"):
+            integers([0, value], "t", "tube 1: ")
+
+    @pytest.mark.parametrize("value", [2 ** 63, -2 ** 63 - 1, 2 ** 70, 1e19])
+    def test_beyond_64_bits_refused(self, value):
+        with pytest.raises(ValidationError, match=rf"^'ts' must be an integer that fits in 64 "
+                                                  rf"bits, got {int(value)}$"):
+            integer(value, "ts")
+        with pytest.raises(ValidationError, match="fits in 64 bits"):
+            integers(np.array([value], dtype=object), "ts")
+
+    @pytest.mark.parametrize("values", [5, np.array(5), np.array(5.0)])
+    def test_scalar_is_not_an_array(self, values):
+        with pytest.raises(ValidationError, match=r"^'t' must be an array of integers, got 5"):
+            integers(values, "t")
+
+    def test_int64_range_passes(self):
+        assert integers([2 ** 63 - 1, -2 ** 63], "t").tolist() == [2 ** 63 - 1, -2 ** 63]
+
+    def test_uint64_beyond_int64_refused(self):
+        with pytest.raises(ValidationError, match="fits in 64 bits, got 18446744073709551615$"):
+            integers(np.array([2 ** 64 - 1], dtype=np.uint64), "det")
+
+    def test_bool_array_refused(self):
+        with pytest.raises(ValidationError, match="must be an integer, got True$"):
+            integers(np.array([True]), "det")
