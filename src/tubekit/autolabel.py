@@ -51,7 +51,9 @@ class CandidateTube:
     appearance: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "span", tuple(integers(self.span, "span").tolist()))
+        if len(span := integers(self.span, "span")) != 2:
+            raise ValidationError(f"span must be a 2-element array, got {self.span!r}")
+        object.__setattr__(self, "span", tuple(span.tolist()))
         s, e = self.span
         if s > e:
             raise ValidationError(f"empty span {self.span}")

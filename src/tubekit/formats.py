@@ -267,17 +267,15 @@ def _field(obj: dict, key: str, kind: type):
     return _numbers([_require(obj, key)], key, kind)[0].item()
 
 
-def _column(records: list, key: str, kind: type, *, default=_REQUIRED,
-            width: int | None = None, bad: str = "", where: str = "") -> np.ndarray:
+def _column(records: list, key: str, kind: type, *, width: int | None = None,
+            bad: str = "", where: str = "") -> np.ndarray:
     """The `key` of every record of a JSON record array as one column of
-    `kind`: int or float, as _numbers reads them, where with default=None a
-    null or missing value reads as -1 (a tube's gap det); list, (N, W)
-    floats from arrays of W numbers, W = width or any one width, else
-    refused with the message `bad`.  Every message starts with `where`."""
-    values = _values(records, key, default, where)
+    `kind`: int or float, as _numbers reads them; list, (N, W) floats from
+    arrays of W numbers, W = width or any one width, else refused with the
+    message `bad`.  Every message starts with `where`."""
+    values = _values(records, key, where=where)
     if kind is not list:
-        return _numbers([-1 if v is None else v for v in values] if default is None else values,
-                        key, kind, where)
+        return _numbers(values, key, kind, where)
     if not values:
         return np.empty((0, width or 0))
     if all(type(r) is list for r in values) \
@@ -581,17 +579,18 @@ def _tube_from(entry: dict) -> Tube:
     if type(raw) is not list:
         raise ValidationError(f"tube {slot_id}: records must be an array")
     where = f"tube {slot_id}: "
-    t = _column(raw, "t", int, where=where)
+    t = _values(raw, "t", where=where)   # raw: Tube applies the integer rule to t and det
     embeds = _values(raw, "embed", default=None)   # none at all: written without them
     if None in embeds and embeds.count(None) < len(embeds):
-        raise ValidationError(f"tube {slot_id} frame {t[embeds.index(None)]}: embed missing, "
+        frame = integers(t, "t", where)[embeds.index(None)]   # a bad t is refused first
+        raise ValidationError(f"tube {slot_id} frame {frame}: embed missing, "
                               "but other records of the tube have one")
     features = None if None in embeds or not embeds else _column(
         raw, "embed", list, where=where,
         bad="every embed must be an array of numbers, all of one length")
     return Tube(slot_id, t, _column(raw, "box", list, width=4, bad=_BAD_BOX, where=where),
                 _column(raw, "score", float, where=where),
-                _column(raw, "det", int, default=None, where=where), features)
+                [-1 if d is None else d for d in _values(raw, "det", None, where)], features)
 
 
 # -------------------------------------------------------------- predictions
@@ -683,7 +682,7 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
             flags = _values(raw, "interpolated", default=False)
             if bad := [flag for flag in flags if type(flag) is not bool]:   # bool("false") is True
                 raise ValidationError(f"'interpolated' must be true or false, got {bad[0]!r}")
-            columns = (_column(raw, "t", int).tolist(),
+            columns = (_values(raw, "t"),   # raw: CandidateRecord applies the integer rule
                        _column(raw, "box", list, width=4, bad=_BAD_BOX).tolist(),
                        _column(raw, "score", float).tolist(), flags)
             appearance = _column([c], "appearance", list,

@@ -1,4 +1,6 @@
 """Pseudo-annotation assembly: merging, conflicts, coverage filtering."""
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,15 @@ class TestCandidateTube:
             CandidateTube(category="dog", span=(1, 2),
                           records=[CandidateRecord(t=1, box=BOX_A, score=0.5),
                                    CandidateRecord(t=2, box=BOX_A, score=score)],
+                          appearance=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("span", [(0, 0, 0), (0,), ()])
+    def test_span_not_a_pair_rejected(self, span):
+        # (0, 0, 0) was a bare ValueError from unpacking it.
+        message = f"span must be a 2-element array, got {span!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            CandidateTube(category="dog", span=span,
+                          records=[CandidateRecord(t=0, box=BOX_A, score=0.5)],
                           appearance=np.array([1.0, 0.0]))
 
     def test_real_record_count_ignores_interpolation(self):
