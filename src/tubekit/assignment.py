@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+from .geometry import numbers
 
 # Sub-solutions within tol = _TIE_RTOL * max(1, |best|) + 2 n^2 eps max|c|
 # (n pairs) of the optimal total are ties: summation-order noise, plus the
@@ -293,8 +294,7 @@ def cos_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 def cosine_similarity(u, v) -> float:
     """Cosine of the angle between two vectors, whose norms must pass
     checked_norms: cos_pairs of the one pair."""
-    ua = np.asarray(u, dtype=float)
-    va = np.asarray(v, dtype=float)
+    ua, va = numbers(u, "u"), numbers(v, "v")
     if ua.shape != va.shape or ua.ndim != 1:
         raise ValidationError(
             f"cosine_similarity needs two 1-D vectors of equal length, got {ua.shape} and {va.shape}"

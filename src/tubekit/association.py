@@ -20,7 +20,7 @@ import numpy as np
 
 from .assignment import checked_norms, solve_assignment
 from .errors import ValidationError
-from .geometry import Box, corner_rows, integer, integers
+from .geometry import Box, corner_rows, integer, integers, numbers
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,10 @@ class FrameDetections:
 
     def __post_init__(self):
         object.__setattr__(self, "t", integer(self.t, "t"))
-        scores = np.array(self.scores, dtype=float)
+        scores = numbers(self.scores, "score")
         if not scores.size:
             raise ValidationError(f"frame {self.t} has no detections")
-        try:
-            features = np.array(self.features, dtype=float)
-        except ValueError as e:   # ragged rows
-            raise ValidationError(f"frame {self.t}: features must be rows of one length") from e
+        features = numbers(self.features, "embed", f"frame {self.t}: ")
         boxes = corner_rows(self.boxes)
         if scores.shape != boxes.shape[:1] or features.ndim != 2 or len(features) != len(boxes):
             raise ValidationError(f"frame {self.t}: boxes, scores and features must hold one row "
@@ -119,10 +116,10 @@ class Tube:
         except ValidationError as e:
             raise ValidationError(f"{where}: {e}") from None
         cols = {"t": integers(self.t, "t", f"{where}: "), "boxes": boxes,
-                "scores": np.array(self.scores, dtype=float),
+                "scores": numbers(self.scores, "score", f"{where}: "),
                 "det": integers(self.det, "det", f"{where}: ")}
         if self.features is not None:
-            cols["features"] = np.array(self.features, dtype=float)
+            cols["features"] = numbers(self.features, "embed", f"{where}: ")
         t, shapes = cols["t"], {k: c.shape for k, c in cols.items()}
         if any(len(shape) != (2 if k in ("boxes", "features") else 1) or shape[0] != len(t)
                for k, shape in shapes.items()):
@@ -172,7 +169,7 @@ class TubeMemory:
     norms: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        v = np.array(self.vectors, dtype=float)
+        v = numbers(self.vectors, "vectors")
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValidationError(f"memory must be a non-empty (n_q, d) array, got {v.shape}")
         norms = checked_norms(v, "memory contains a slot vector that is not finite, "

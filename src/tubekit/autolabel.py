@@ -23,7 +23,7 @@ import numpy as np
 
 from .assignment import checked_norms, cosine_similarity
 from .errors import ValidationError
-from .geometry import Box, corners, integer, integers
+from .geometry import Box, corners, integer, integers, number, numbers
 from .mining import GtTube
 
 
@@ -38,6 +38,7 @@ class CandidateRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "t", integer(self.t, "t"))
+        object.__setattr__(self, "score", number(self.score, "score"))
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class CandidateTube:
             i = int(np.argmin(in_range))
             raise ValidationError(f"frame {ts[i]}: record score must lie in [0, 1], "
                                   f"got {scores[i]}")
-        a = np.array(self.appearance, dtype=float)
+        a = numbers(self.appearance, "appearance")
         refusal = "appearance must be a finite 1-D vector with a finite, positive norm"
         if a.ndim != 1:
             raise ValidationError(refusal)

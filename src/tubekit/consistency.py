@@ -32,7 +32,7 @@ import numpy as np
 from .association import Tube
 from .errors import NonSmoothError, ValidationError
 from .assignment import checked_norms, cos_pairs
-from .geometry import corner_rows, giou_pairs, sum_in_order
+from .geometry import corner_rows, giou_pairs, numbers, sum_in_order
 from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
 from .mining import corner_temporal_cost
 
@@ -46,7 +46,7 @@ class MinedTube:
     boxes: np.ndarray
 
     def __post_init__(self):
-        f = np.array(self.features, dtype=float, order="C")
+        f = np.ascontiguousarray(numbers(self.features, "features"))
         if f.ndim != 2 or f.shape[0] < 2:
             raise ValidationError(f"features must be (T >= 2, D), got {f.shape}")
         boxes = corner_rows(self.boxes)

@@ -9,23 +9,24 @@ scalar fields go through that encoder itself.  Non-finite numbers are
 refused on write, leaving no file, and so is whatever a reader would
 refuse: a writer passes its ids, frame order and repeats through the rule
 that the reader applies (_string, _frame_at, _positive_fps, _video_once,
-_slots_once), and label ids through the reader's own decoder.  On read,
-this module checks JSON types and the file's layout (frame order, counts,
-repeats) with one decoder for every record array (_column): a number is a
-JSON number, never a string or a boolean, and an integer passes the rule
-of geometry.integers.  The holders it fills (FrameDetections, Tube,
-GtTube, Prediction, CandidateTube) check the domain rules, finiteness and
-that integer rule included.  Every rule is a function of its value alone
-and raises ValidationError; each loader names the place once, with _at
-around a document's or a JSONL line's decode, which turns a refusal into
-a FormatError at path[:LINE], lines 1-based.  Intervals in seconds
-(ts_sec / te_sec) need the document's fps.
+_slots_once), and label ids through the reader's own rule.  On read,
+this module checks the layout only: JSON types, frame order, counts and
+repeats, and that each box, embed or appearance is an array of numbers
+of its width (_column); it keeps no number rule.  The holders it fills
+(FrameDetections, Tube, GtTube, Prediction, CandidateTube) check every
+value, by geometry.integers, geometry.numbers and the domain rules,
+finiteness included; score, t and det columns reach them raw.  Every
+rule is a function of its value alone and raises ValidationError; each
+loader names the place once, with _at around a document's or a JSONL
+line's decode, which turns a refusal into a FormatError at path[:LINE],
+lines 1-based.  Intervals in seconds (ts_sec / te_sec) need the
+document's fps.
 """
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain, islice
 from pathlib import Path
 
@@ -34,7 +35,7 @@ import numpy as np
 from .association import FrameDetections, Tube
 from .autolabel import CandidateRecord, CandidateTube
 from .errors import FormatError, ValidationError
-from .geometry import Box, integers
+from .geometry import Box, integer, integers, number, numbers
 from .metrics import Prediction
 from .mining import GtTube
 
@@ -227,7 +228,6 @@ def _slots_once(tubes: list[Tube]) -> None:
 
 
 _REQUIRED = object()
-_NUMBER = frozenset((float, int))   # JSON numbers: type(true) is bool, not int
 _BAD_BOX = "bad box: every box must be an array of 4 numbers"
 
 
@@ -245,48 +245,21 @@ def _values(records: list, key: str, default=_REQUIRED, where: str = "") -> list
         raise ValidationError(f"{where}every record must be an object") from None
 
 
-def _numbers(values: list, key: str, kind: type, where: str = "") -> np.ndarray:
-    """int64 by the rule of every frame index and id (kind int, see
-    geometry.integers), or floats from JSON numbers (kind float).  Not
-    float(): it would take true as 1.0 and "0.5" as 0.5."""
-    if kind is int:
-        return integers(values, key, where)
-    if not _NUMBER.issuperset(map(type, values)):
-        v = next(v for v in values if type(v) not in _NUMBER)
-        raise ValidationError(f"{where}'{key}' must be a number, got {v!r}")
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:   # an integer beyond the float range
-        v = max((v for v in values if type(v) is int), key=abs)
-        raise ValidationError(f"{where}'{key}' must be a number that fits in 64 bits, "
-                              f"got {v!r}") from None
+def _field(obj: dict, key: str, rule):   # rule: geometry.integer or geometry.number
+    return rule(_require(obj, key), key)
 
 
-def _field(obj: dict, key: str, kind: type):
-    """One integer or number field of an object, as a Python int or float."""
-    return _numbers([_require(obj, key)], key, kind)[0].item()
-
-
-def _column(records: list, key: str, kind: type, *, width: int | None = None,
-            bad: str = "", where: str = "") -> np.ndarray:
-    """The `key` of every record of a JSON record array as one column of
-    `kind`: int or float, as _numbers reads them; list, (N, W) floats from
-    arrays of W numbers, W = width or any one width, else refused with the
-    message `bad`.  Every message starts with `where`."""
+def _column(records: list, key: str, *, width: int | None = None, bad: str,
+            where: str = "") -> np.ndarray:
+    """The `key` of every record of a JSON record array, each an array of W
+    numbers (geometry.numbers), W = width or any one width, as one (N, W)
+    float column; else refused with `bad`, after `where`."""
     values = _values(records, key, where=where)
-    if kind is not list:
-        return _numbers(values, key, kind, where)
     if not values:
         return np.empty((0, width or 0))
-    if all(type(r) is list for r in values) \
-            and _NUMBER.issuperset(map(type, chain.from_iterable(values))):
-        try:
-            rows = np.array(values, dtype=float)
-        except (ValueError, OverflowError):   # ragged, or an integer beyond the float range
-            pass
-        else:
-            if width in (None, rows.shape[1]):
-                return rows
+    with suppress(ValidationError):
+        if (rows := numbers(values, key)).ndim == 2 and width in (None, rows.shape[1]):
+            return rows
     raise ValidationError(where + bad)
 
 
@@ -352,11 +325,11 @@ def _iter_jsonl(path: str, lines=None, start: int = 1):
 
 def _interval_from(obj: dict) -> tuple[int, int]:
     if "ts" in obj and "te" in obj:
-        return _field(obj, "ts", int), _field(obj, "te", int)
+        return _field(obj, "ts", integer), _field(obj, "te", integer)
     if "ts_sec" in obj and "te_sec" in obj:
-        fps = _positive_fps(_field(obj, "fps", float))
-        ts = _field(obj, "ts_sec", float) * fps
-        te = _field(obj, "te_sec", float) * fps
+        fps = _positive_fps(_field(obj, "fps", number))
+        ts = _field(obj, "ts_sec", number) * fps
+        te = _field(obj, "te_sec", number) * fps
         if not (math.isfinite(ts) and math.isfinite(te)):
             raise ValidationError(f"interval in frames must be finite, got [{ts!r}, {te!r}]")
         return int(round(ts)), int(round(te))
@@ -403,21 +376,21 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
     with _at(path, lineno):
         meta = {
             "video_id": _str_field(header, "video_id"),
-            "fps": _positive_fps(_field(header, "fps", float)),
-            "frame_count": _field(header, "frame_count", int),
-            "feature_dim": _field(header, "feature_dim", int),
+            "fps": _positive_fps(_field(header, "fps", number)),
+            "frame_count": _field(header, "frame_count", integer),
+            "feature_dim": _field(header, "feature_dim", integer),
         }
     dim = meta["feature_dim"]
     bad_embed = f"'embed' must be an array of numbers of length feature_dim ({dim})"
     frames: list[FrameDetections] = []
     for lineno, obj in it:
         with _at(path, lineno):
-            t = _field(obj, "t", int)
+            t = _field(obj, "t", integer)
             _frame_at(len(frames), t)
             dets = _list_field(obj, "detections")
-            boxes = _column(dets, "box", list, width=4, bad=_BAD_BOX)
-            embeds = _column(dets, "embed", list, width=dim, bad=bad_embed)
-            frames.append(FrameDetections(t, boxes, _column(dets, "score", float), embeds))
+            boxes = _column(dets, "box", width=4, bad=_BAD_BOX)
+            embeds = _column(dets, "embed", width=dim, bad=bad_embed)
+            frames.append(FrameDetections(t, boxes, _values(dets, "score"), embeds))
     if len(frames) != meta["frame_count"]:
         raise FormatError(
             f"header promises {meta['frame_count']} frames, file has {len(frames)}",
@@ -436,8 +409,8 @@ def _interval_boxes(obj: dict) -> tuple:
     video_id = _str_field(obj, "video_id")
     ts, te = _interval_from(obj)
     items = _list_field(obj, "boxes")
-    t = _column(items, "t", int).tolist()
-    rows = _column(items, "box", list, width=4, bad=_BAD_BOX)
+    t = integers(_values(items, "t"), "t").tolist()
+    rows = _column(items, "box", width=4, bad=_BAD_BOX)
     if t and t != list(range(t[0], t[0] + len(t))):   # not already one frame after another
         order = sorted(range(len(t)), key=t.__getitem__)
         t, rows = [t[i] for i in order], rows[order]
@@ -565,7 +538,7 @@ def load_tubes(path: str) -> tuple[str, list[Tube]]:
     obj = _load_json_doc(path)
     with _at(path):
         video_id = _str_field(obj, "video_id")
-        n_q = _field(obj, "n_q", int)
+        n_q = _field(obj, "n_q", integer)
         tubes = [_tube_from(entry) for entry in _list_field(obj, "tubes")]
         if len(tubes) != n_q:
             raise ValidationError(f"header promises n_q={n_q} tubes, file has {len(tubes)}")
@@ -574,22 +547,21 @@ def load_tubes(path: str) -> tuple[str, list[Tube]]:
 
 
 def _tube_from(entry: dict) -> Tube:
-    slot_id = _field(entry, "slot_id", int)
+    slot_id = _field(entry, "slot_id", integer)
     raw = _require(entry, "records")
     if type(raw) is not list:
         raise ValidationError(f"tube {slot_id}: records must be an array")
     where = f"tube {slot_id}: "
-    t = _values(raw, "t", where=where)   # raw: Tube applies the integer rule to t and det
+    t = _values(raw, "t", where=where)   # raw: Tube applies its rules to t, score and det
     embeds = _values(raw, "embed", default=None)   # none at all: written without them
     if None in embeds and embeds.count(None) < len(embeds):
         frame = integers(t, "t", where)[embeds.index(None)]   # a bad t is refused first
         raise ValidationError(f"tube {slot_id} frame {frame}: embed missing, "
                               "but other records of the tube have one")
     features = None if None in embeds or not embeds else _column(
-        raw, "embed", list, where=where,
-        bad="every embed must be an array of numbers, all of one length")
-    return Tube(slot_id, t, _column(raw, "box", list, width=4, bad=_BAD_BOX, where=where),
-                _column(raw, "score", float, where=where),
+        raw, "embed", where=where, bad="every embed must be an array of numbers, all of one length")
+    return Tube(slot_id, t, _column(raw, "box", width=4, bad=_BAD_BOX, where=where),
+                _values(raw, "score", where=where),
                 [-1 if d is None else d for d in _values(raw, "det", None, where)], features)
 
 
@@ -625,7 +597,7 @@ def load_predictions(path: str) -> list[tuple[str, Prediction]]:
 def save_labels(path: str, video_id: str, identities: list[list[int]]) -> None:
     """Ids go through load_labels' decoder: an integral float is written as
     an integer, and any other id that it would refuse is refused."""
-    ids = iter(_numbers(list(chain.from_iterable(identities)), "ids", int).tolist())
+    ids = iter(integers(list(chain.from_iterable(identities)), "ids").tolist())
     _write_doc(path, {"video_id": _string(video_id, "video_id"),
                       "frames": [{"t": t, "ids": list(islice(ids, len(row)))}
                                  for t, row in enumerate(identities)]})
@@ -636,12 +608,12 @@ def load_labels(path: str) -> tuple[str, list[list[int]]]:
     with _at(path):
         video_id = _str_field(obj, "video_id")
         frames = _list_field(obj, "frames")
-        for i, t in enumerate(_column(frames, "t", int).tolist()):
+        for i, t in enumerate(integers(_values(frames, "t"), "t").tolist()):
             _frame_at(i, t)
         ids = _values(frames, "ids")
         if any(type(row) is not list for row in ids):
             raise ValidationError("'ids' must be an array")
-        flat = iter(_numbers(list(chain.from_iterable(ids)), "ids", int).tolist())
+        flat = iter(integers(list(chain.from_iterable(ids)), "ids").tolist())
         return video_id, [list(islice(flat, len(row))) for row in ids]
 
 
@@ -682,10 +654,10 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
             flags = _values(raw, "interpolated", default=False)
             if bad := [flag for flag in flags if type(flag) is not bool]:   # bool("false") is True
                 raise ValidationError(f"'interpolated' must be true or false, got {bad[0]!r}")
-            columns = (_values(raw, "t"),   # raw: CandidateRecord applies the integer rule
-                       _column(raw, "box", list, width=4, bad=_BAD_BOX).tolist(),
-                       _column(raw, "score", float).tolist(), flags)
-            appearance = _column([c], "appearance", list,
+            columns = (_values(raw, "t"),   # raw: CandidateRecord applies its rules to t and score
+                       _column(raw, "box", width=4, bad=_BAD_BOX).tolist(),
+                       _values(raw, "score"), flags)
+            appearance = _column([c], "appearance",
                                  bad="'appearance' must be an array of numbers")[0]
             records = [CandidateRecord(t, Box(*box), score, flag)
                        for t, box, score, flag in zip(*columns)]

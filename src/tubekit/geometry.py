@@ -10,13 +10,15 @@ corner arrays, the layout of the boxes of a tube, a GT and a prediction:
 `giou_pairs` are the scalar IoU and GIoU row by row, bit for bit, for the
 per-frame loops of mining, the consistency losses and the metrics;
 `sum_in_order` adds per-frame terms in the order a plain accumulation loop
-would.  `integers` is the rule of every frame index and id, the holders'
-and the readers' alike.
+would.  `integers` is the rule of every frame index and id, `numbers` of
+every other number, the holders' and the readers' alike.
 """
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -24,7 +26,9 @@ from .errors import ValidationError
 
 # Floor on box extent after clamping; anything thinner is treated as empty.
 _MIN_EXTENT = 0.0
-_INT = frozenset((int,))   # type(True) is bool, not int
+_INT = frozenset((int,))             # type(True) is bool, not int
+_NUMBER = frozenset((int, float))
+_NESTED = frozenset((list, tuple, np.ndarray))
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,8 @@ class Box:
 
     def __post_init__(self):
         x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+        if not (type(x1) is type(y1) is type(x2) is type(y2) is float):
+            numbers((x1, y1, x2, y2), "box")   # refuses what is not a number
         isfinite = math.isfinite
         if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
             raise ValidationError(
@@ -64,12 +70,6 @@ class Box:
     def to_list(self) -> list[float]:
         """Serialize as the canonical 4-element array."""
         return [self.x1, self.y1, self.x2, self.y2]
-
-    @classmethod
-    def from_list(cls, arr) -> "Box":
-        if len(arr) != 4:
-            raise ValidationError(f"box array must have 4 elements, got {len(arr)}")
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3]))
 
 
 def intersection_area(a: Box, b: Box) -> float:
@@ -108,11 +108,11 @@ def corners(boxes) -> np.ndarray:
 def corner_rows(rows) -> np.ndarray:
     """A new (N, 4) corner array of `rows`, each row by Box's rule.
 
-    A row is refused, with Box's message, when a coordinate is not finite
-    or when it has no area once clamped.  Only coordinates outside [0, 1]
-    are clamped, so a -0.0 inside stays -0.0, as it does in a Box.
+    A row is refused, with Box's message, when a coordinate is not a number
+    or not finite, or the box has no area once clamped.  Only coordinates
+    outside [0, 1] are clamped, so a -0.0 inside stays -0.0, as in a Box.
     """
-    raw = np.asarray(rows, dtype=float)
+    raw = numbers(rows, "box")
     if raw.ndim != 2 or raw.shape[1] != 4:
         raise ValidationError(f"box rows must be an (N, 4) array, got shape {raw.shape}")
     c = np.where(raw < 0.0, 0.0, np.where(raw > 1.0, 1.0, raw))
@@ -123,40 +123,70 @@ def corner_rows(rows) -> np.ndarray:
     return c
 
 
-def integers(values, key: str, where: str = "") -> np.ndarray:
-    """A new int64 array of `values`, an array or any other sequence.
-
-    Integers pass, numpy's included, and so do integral floats such as
-    1.0; a bool never does, nor does anything else: int() would take True
-    as 1, 8.7 as 8 and "3" as 3.  Every value must fit in 64 bits.  A
-    refusal is a ValidationError naming `key`, after `where`.
-    """
+def _array(values, key: str, where: str, ints: bool) -> np.ndarray:
+    """The body of `integers` (ints) and `numbers`: an ndarray of a safe kind
+    is cast by its dtype alone, anything else scanned once, value by value;
+    a refusal is a ValidationError naming `key`, after `where`."""
+    dtype, kinds, word = (np.int64, "iu", "an integer") if ints else (float, "iuf", "a number")
     if isinstance(values, np.ndarray):
-        if values.ndim and values.dtype.kind in "iu" and np.can_cast(values.dtype, np.int64):
-            return values.astype(np.int64)
+        if values.ndim and values.dtype.kind in kinds and np.can_cast(values.dtype, dtype):
+            return values.astype(dtype)
         values = values.tolist()
+    if ints:
+        try:
+            flat = values = list(values)
+        except TypeError:   # a scalar
+            raise ValidationError(f"{where}'{key}' must be an array of integers, "
+                                  f"got {values!r}") from None
+    else:
+        flat = values if type(values) is list else [values]
+        with suppress(TypeError):   # a 0-d array is no row, and is refused below
+            while flat and type(flat[0]) in _NESTED and _NESTED.issuperset(map(type, flat)):
+                flat = list(chain.from_iterable(flat))   # rows of one depth: their elements
+    if not (_INT if ints else _NUMBER).issuperset(map(type, flat)):
+        if ints:   # a numpy integer or an integral float is an int
+            flat = values = [int(v) if isinstance(v, np.integer)
+                             or (isinstance(v, (float, np.floating)) and v.is_integer()) else v
+                             for v in values]
+        if bad := [v for v in flat if type(v) is not int and (
+                ints or type(v) is not float and not isinstance(v, (np.integer, np.floating)))]:
+            raise ValidationError(f"{where}'{key}' must be {word}, got {bad[0]!r}")
     try:
-        values = list(values)
-    except TypeError:   # a scalar
-        raise ValidationError(f"{where}'{key}' must be an array of integers, "
-                              f"got {values!r}") from None
-    if not _INT.issuperset(map(type, values)):
-        values = [int(v) if isinstance(v, np.integer)
-                  or (isinstance(v, (float, np.floating)) and v.is_integer()) else v
-                  for v in values]
-        if bad := [v for v in values if type(v) is not int]:
-            raise ValidationError(f"{where}'{key}' must be an integer, got {bad[0]!r}")
-    try:
-        return np.array(values, dtype=np.int64)
+        return np.array(values, dtype=dtype)
     except OverflowError:
-        v = max(values, key=abs)
-        raise ValidationError(f"{where}'{key}' must be an integer that fits in 64 bits, "
+        v = max((v for v in flat if type(v) is int), key=abs)
+        raise ValidationError(f"{where}'{key}' must be {word} that fits in 64 bits, "
                               f"got {v!r}") from None
+    except ValueError:   # rows of more than one length or depth
+        raise ValidationError(f"{where}'{key}' must be an array of rows of one length") from None
+
+
+def integers(values, key: str, where: str = "") -> np.ndarray:
+    """A new int64 array of `values`, an array or any other sequence of
+    integers, numpy's included, or integral floats such as 1.0, each
+    fitting in 64 bits.  A bool never passes, nor does anything else: int()
+    would take True as 1, 8.7 as 8 and "3" as 3."""
+    return _array(values, key, where, ints=True)
 
 
 def integer(value, key: str) -> int:
     """One value by the rule of `integers`, as a Python int."""
     return integers([value], key)[0].item()
+
+
+def numbers(values, key: str, where: str = "") -> np.ndarray:
+    """A new float64 array of `values`, a number or nested arrays of them
+    in rows of one length: ints and floats, numpy's included, an int within
+    the float range.  A bool never passes, nor does a string or None:
+    np.array(..., dtype=float) would take True as 1.0 and "0.5" as 0.5."""
+    return _array(values, key, where, ints=False)
+
+
+def number(value, key: str) -> float:
+    """One value by the rule of `numbers`, as a Python float."""
+    if (a := numbers(value, key)).ndim:
+        raise ValidationError(f"'{key}' must be a number, got {value!r}")
+    return a.item()
 
 
 def _inter_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

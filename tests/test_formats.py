@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from conftest import make_frame, make_gt, make_prediction, make_tube
-from tubekit.association import FrameDetections, Tube
+from tubekit.assignment import cosine_similarity
+from tubekit.association import FrameDetections, Tube, TubeMemory
 from tubekit.autolabel import CandidateRecord, CandidateTube
+from tubekit.consistency import MinedTube
 from tubekit.errors import FormatError, ValidationError
 from tubekit.formats import (_DOC, _LINE, _f9_text, f9, load_candidates, load_detections,
                              load_gt, load_gt_collection, load_labels, load_predictions,
                              load_tubes, save_candidates, save_detections,
                              save_gt, save_labels, save_predictions,
                              save_report, save_tubes)
-from tubekit.geometry import Box
+from tubekit.geometry import Box, corner_rows
 from tubekit.metrics import Prediction
 from tubekit.mining import GtTube
 
@@ -447,6 +449,83 @@ class TestHoldersApplyTheIntegerRule:
         write(str(tmp_path / "int"), int)
         write(str(tmp_path / "numpy"), np.int64)
         assert (tmp_path / "numpy").read_bytes() == (tmp_path / "int").read_bytes()
+
+
+CORNERS = [[0.1, 0.1, 1.0, 1.0]]
+# Each float column of a holder: (the holder with the column `c`, what it
+# holds of it, a valid column, the refusal's prefix).  Every valid column
+# stays valid cast to int64.
+FLOAT_FIELDS = {
+    "corner_rows": (corner_rows, lambda h: h, CORNERS, "'box'"),
+    "Box": (lambda c: Box(*c), Box.to_list, CORNERS[0], "'box'"),
+    "FrameDetections.boxes": (lambda c: FrameDetections(0, c, [0.5], [[1.0]]),
+                              lambda h: h.boxes, CORNERS, "'box'"),
+    "FrameDetections.scores": (lambda c: FrameDetections(0, ROW, c, [[1.0]]),
+                               lambda h: h.scores, [0.1], "'score'"),
+    "FrameDetections.features": (lambda c: FrameDetections(0, ROW, [0.5], c),
+                                 lambda h: h.features, [[0.1, 2.0]], "frame 0: 'embed'"),
+    "Tube.boxes": (lambda c: Tube(0, [0], c, [0.5], [0]), lambda h: h.boxes, CORNERS,
+                   "tube 0: 'box'"),
+    "Tube.scores": (lambda c: Tube(0, [0], ROW, c, [0]), lambda h: h.scores, [0.1],
+                    "tube 0: 'score'"),
+    "Tube.features": (lambda c: Tube(0, [0], ROW, [0.5], [0], c), lambda h: h.features,
+                      [[0.1, 2.0]], "tube 0: 'embed'"),
+    "GtTube.boxes": (lambda c: GtTube(0, 0, c), lambda h: h.boxes, CORNERS, "'box'"),
+    "Prediction.boxes": (lambda c: Prediction(0, 0, 0, c), lambda h: h.boxes, CORNERS,
+                         "'box'"),
+    "TubeMemory.vectors": (TubeMemory, lambda h: h.vectors, [[0.1, 2.0]], "'vectors'"),
+    "MinedTube.features": (lambda c: MinedTube(c, ROW.repeat(2, axis=0)),
+                           lambda h: h.features, [[0.1, 2.0], [1.5, 1.0]], "'features'"),
+    "MinedTube.boxes": (lambda c: MinedTube(np.eye(2), c), lambda h: h.boxes, CORNERS * 2,
+                        "'box'"),
+    "CandidateRecord.score": (lambda c: CandidateRecord(0, BOX, c), lambda h: h.score, 0.1,
+                              "'score'"),
+    "CandidateTube.appearance": (lambda c: CandidateTube("c", (0, 0), [CandidateRecord(
+        0, BOX, 0.5)], c), lambda h: h.appearance, [0.1, 2.0], "'appearance'"),
+    "cosine_similarity": (lambda c: cosine_similarity(c, [1.0, 1.0]), lambda h: h,
+                          [0.1, 2.0], "'u'"),
+}
+
+
+def _spoil_last(column, bad):
+    """The column with its last number replaced by `bad`."""
+    if not isinstance(column, list):
+        return bad
+    return [*column[:-1], _spoil_last(column[-1], bad)]
+
+
+def _float64_scalars(column):
+    """The column with each number an np.float64, in lists as it was."""
+    a = np.asarray(column, dtype=float)
+    return a[()] if a.ndim == 0 else [list(r) for r in a] if a.ndim == 2 else list(a)
+
+
+class TestHoldersApplyTheNumberRule:
+    """Every float column of a holder passes the readers' number rule
+    (geometry.numbers): np.array(..., dtype=float) took "0.5" and True."""
+
+    @pytest.mark.parametrize("field", list(FLOAT_FIELDS))
+    @pytest.mark.parametrize("value, refusal", [
+        ("0.5", "must be a number, got '0.5'"), (True, "must be a number, got True"),
+        (None, "must be a number, got None"),
+        (10 ** 400, f"must be a number that fits in 64 bits, got {10 ** 400}")],
+        ids=["numeric-string", "bool", "none", "beyond-float"])
+    def test_refused(self, field, value, refusal):
+        build, _, column, key = FLOAT_FIELDS[field]
+        with pytest.raises(ValidationError, match=rf"^{re.escape(f'{key} {refusal}')}$"):
+            build(_spoil_last(column, value))
+
+    @pytest.mark.parametrize("field", list(FLOAT_FIELDS))
+    @pytest.mark.parametrize("cast", [
+        lambda c: np.asarray(c, dtype=np.float32)[()],
+        lambda c: np.asarray(c).astype(np.int64)[()], _float64_scalars],
+        ids=["float32", "int64", "float64-scalars"])
+    def test_held_as_float_arrays_take_them(self, field, cast):
+        build, held, column, _ = FLOAT_FIELDS[field]
+        column = cast(column)
+        got = np.asarray(held(build(column)), dtype=float)
+        want = np.asarray(held(build(np.array(column, dtype=float))), dtype=float)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCandidateScores:
@@ -1145,7 +1224,7 @@ NOT_NUMBER_ELEMENTS = NOT_NUMBERS + [pytest.param(10 ** 400, id="huge-int")]
 
 class TestNumberArrays:
     """Box coordinates and vector elements take JSON numbers only, as float
-    fields do; Box.from_list's float() and np.asarray would take "0.5" and true."""
+    fields do; float() and np.asarray would take "0.5" and true."""
 
     @staticmethod
     def _spoil(values, bad):

@@ -1,5 +1,5 @@
-"""Box geometry: construction, IoU and generalized IoU, corner rows, and
-the integer rule of frame indices and ids."""
+"""Box geometry: construction, IoU and generalized IoU, corner rows, the
+integer rule of frame indices and ids, and the number rule of the rest."""
 import re
 
 import numpy as np
@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubekit.errors import ValidationError
-from tubekit.geometry import Box, corner_rows, giou, integer, integers, intersection_area, iou
+from tubekit.geometry import (Box, corner_rows, giou, integer, integers, intersection_area, iou,
+                              number, numbers)
 
 
 class TestBoxConstruction:
@@ -38,10 +39,6 @@ class TestBoxConstruction:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             Box(float("nan"), 0.1, 0.5, 0.9)
-
-    def test_from_list_length(self):
-        with pytest.raises(ValidationError):
-            Box.from_list([0.1, 0.2, 0.3])
 
 
 class TestIou:
@@ -236,3 +233,61 @@ class TestIntegers:
     def test_bool_array_refused(self):
         with pytest.raises(ValidationError, match="must be an integer, got True$"):
             integers(np.array([True]), "det")
+
+
+class TestNumbers:
+    @pytest.mark.parametrize("values", [
+        [0.5, 2], [np.float32(0.5), np.int8(2)], np.array([0.5, 2.0], dtype=np.float32),
+        np.array([0.5, 2.0]), np.array([[0.5], [2.0]]), (0.5, 2), [[0.5], [2]]],
+        ids=["python", "numpy-scalars", "float32-array", "float64-array", "2d-array",
+             "tuple", "nested"])
+    def test_numbers_pass(self, values):
+        out = numbers(values, "score")
+        assert out.dtype == np.float64 and out.ravel().tolist() == [0.5, 2.0]
+        assert out.shape == np.shape(values)
+
+    @pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5), np.array(0.5)])
+    def test_one_number_is_a_python_float(self, value):
+        assert type(number(value, "fps")) is float and number(value, "fps") == 0.5
+
+    def test_array_is_copied(self):
+        a = np.array([1.0, 2.0])
+        out = numbers(a, "score")
+        out[0] = 9.0
+        assert a.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("value, shown", [
+        (True, "True"), (np.True_, "np.True_"), ("0.5", "'0.5'"), (None, "None"),
+        (1j, "1j"), ({}, "{}")])
+    def test_non_numbers_refused(self, value, shown):
+        with pytest.raises(ValidationError, match=rf"^tube 1: 'score' must be a number, "
+                                                  rf"got {re.escape(shown)}$"):
+            numbers([[0.5, value]], "score", "tube 1: ")
+        with pytest.raises(ValidationError, match=rf"^'fps' must be a number, "
+                                                  rf"got {re.escape(shown)}$"):
+            number(value, "fps")
+
+    @pytest.mark.parametrize("values", [np.array([True]), np.array(["0.5"]),
+                                        np.array([1.0, "0.5"], dtype=object),
+                                        [np.array(0.5), np.array(0.7)]],
+                             ids=["bool", "str", "object", "0-d-arrays"])
+    def test_arrays_of_other_kinds_refused(self, values):
+        with pytest.raises(ValidationError, match="'score' must be a number, got "):
+            numbers(values, "score")
+
+    def test_beyond_the_float_range_refused(self):
+        with pytest.raises(ValidationError, match=rf"^'box' must be a number that fits in 64 "
+                                                  rf"bits, got {10 ** 400}$"):
+            corner_rows([[0, 0, 1, 10 ** 400]])
+        assert numbers([2 ** 70], "score").tolist() == [2.0 ** 70]
+
+    def test_rows_of_one_length(self):
+        with pytest.raises(ValidationError, match=r"^'embed' must be an array of rows of one "
+                                                  r"length$"):
+            numbers([[1.0, 2.0], [1.0]], "embed")
+        with pytest.raises(ValidationError, match=r"must be a number, got \[1.0\]$"):
+            numbers([[1.0], 2.0], "embed")
+
+    def test_an_array_is_not_one_number(self):
+        with pytest.raises(ValidationError, match=r"^'fps' must be a number, got \[0.5\]$"):
+            number([0.5], "fps")
