@@ -162,13 +162,11 @@ def _tie_gaps(rc: np.ndarray, sigma: list[int]) -> np.ndarray:
     return rc + dist[:, sigma].T
 
 
-def solve_assignment(cost, maximize: bool = False) -> list[tuple[int, int]]:
+def solve_assignment(cost) -> list[tuple[int, int]]:
     """Solve the rectangular assignment problem.
 
     Args:
         cost: 2-D array-like of finite costs, rows x cols.
-        maximize: if True, maximize total similarity instead (the matrix is
-            negated internally; tie-breaking still applies to the result).
 
     Returns:
         List of (row, col) pairs sorted by row, exactly min(rows, cols) of
@@ -176,8 +174,6 @@ def solve_assignment(cost, maximize: bool = False) -> list[tuple[int, int]]:
         lexicographically smallest pair list is returned.
     """
     c = _validated_cost(cost)
-    if maximize:
-        c = -c
     n_rows, n_cols = c.shape
     n_pairs = min(n_rows, n_cols)
     sub = _padded(c)

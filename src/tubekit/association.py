@@ -20,7 +20,7 @@ import numpy as np
 
 from .assignment import checked_norms, solve_assignment
 from .errors import ValidationError
-from .geometry import Box, corner_rows, integer, integers, numbers
+from .geometry import Box, corner_rows, hold_within, integer, integers, numbers
 
 
 @dataclass(frozen=True)
@@ -189,10 +189,8 @@ class AssociationConfig:
     alpha: float = 0.1
 
     def __post_init__(self):
-        if self.n_q < 1:
-            raise ValidationError(f"n_q must be at least 1, got {self.n_q}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
+        hold_within(self, int, "[1, inf)", "n_q")
+        hold_within(self, float, "[0, 1]", "alpha")
 
 
 def top_by_confidence(frame: FrameDetections, k: int) -> np.ndarray:
@@ -239,10 +237,9 @@ def associate_step(memory: TubeMemory, frame: FrameDetections,
     return TubeMemory(vectors), det
 
 
-def run_association(frames: list[FrameDetections], cfg: AssociationConfig | None = None) -> list[Tube]:
+def run_association(frames: list[FrameDetections],
+                    cfg: AssociationConfig = AssociationConfig()) -> list[Tube]:
     """Fold a whole clip into n_q tubes, one row per tube per frame."""
-    if cfg is None:
-        cfg = AssociationConfig()
     if not frames:
         raise ValidationError("cannot associate an empty clip")
     ts = [f.t for f in frames]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .assignment import checked_norms, cosine_similarity
 from .errors import ValidationError
-from .geometry import Box, corners, integer, integers, number, numbers
+from .geometry import Box, corners, hold_within, integer, integers, number, numbers
 from .mining import GtTube
 
 
@@ -92,12 +92,8 @@ class AutolabelConfig:
     coverage_threshold: float = 0.5
 
     def __post_init__(self):
-        if not (-1.0 <= self.appearance_threshold <= 1.0):
-            raise ValidationError(
-                f"appearance_threshold must lie in [-1, 1], got {self.appearance_threshold}")
-        if not (0.0 < self.coverage_threshold <= 1.0):
-            raise ValidationError(
-                f"coverage_threshold must lie in (0, 1], got {self.coverage_threshold}")
+        hold_within(self, float, "[-1, 1]", "appearance_threshold")
+        hold_within(self, float, "(0, 1]", "coverage_threshold")
 
 
 def _spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -140,7 +136,7 @@ def _merge_pair(a: CandidateTube, b: CandidateTube) -> CandidateTube:
 
 
 def merge_tubes(candidates: list[CandidateTube],
-                cfg: AutolabelConfig | None = None) -> list[CandidateTube]:
+                cfg: AutolabelConfig = AutolabelConfig()) -> list[CandidateTube]:
     """Merge until no pair qualifies (same category, non-overlapping spans
     with no more frames between them than real records in the two,
     appearance cosine at or above the threshold).
@@ -149,8 +145,6 @@ def merge_tubes(candidates: list[CandidateTube],
     earliest span starts first.  Each merge removes one tube, so the fixed
     point is reached after at most len(candidates) - 1 rounds.
     """
-    if cfg is None:
-        cfg = AutolabelConfig()
     tubes = list(candidates)
     while True:
         keys = []
@@ -170,14 +164,12 @@ def merge_tubes(candidates: list[CandidateTube],
 
 
 def find_merge_conflicts(candidates: list[CandidateTube],
-                         cfg: AutolabelConfig | None = None) -> list[tuple[int, int]]:
+                         cfg: AutolabelConfig = AutolabelConfig()) -> list[tuple[int, int]]:
     """Pairs that agree on category and appearance but overlap in time.
 
     These are reported rather than merged; two simultaneous track fragments
     cannot be the same object appearing twice.
     """
-    if cfg is None:
-        cfg = AutolabelConfig()
     out = []
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
@@ -190,11 +182,9 @@ def find_merge_conflicts(candidates: list[CandidateTube],
 
 
 def coverage_filter(tube: CandidateTube, interval: tuple[int, int],
-                    cfg: AutolabelConfig | None = None) -> bool:
+                    cfg: AutolabelConfig = AutolabelConfig()) -> bool:
     """Keep the tube iff it covers at least the threshold fraction of the
     interval, counting frames inclusively.  Exactly at the threshold keeps."""
-    if cfg is None:
-        cfg = AutolabelConfig()
     s, e = interval
     if s > e:
         raise ValidationError(f"empty interval {interval}")
@@ -203,15 +193,13 @@ def coverage_filter(tube: CandidateTube, interval: tuple[int, int],
 
 
 def assemble_annotation(candidates: list[CandidateTube], interval: tuple[int, int],
-                        cfg: AutolabelConfig | None = None,
+                        cfg: AutolabelConfig = AutolabelConfig(),
                         score_fn=None) -> GtTube | None:
     """Full pipeline: merge, rank with the scoring hook, coverage-filter.
 
     Returns the pseudo annotation over the part of the interval the winning
     tube covers, or None when no candidate survives.
     """
-    if cfg is None:
-        cfg = AutolabelConfig()
     if score_fn is None:
         score_fn = CandidateTube.mean_score
     if not candidates:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .formats import (SCHEMA_VERSION, f9, load_candidates, load_detections,
                       load_gt, load_gt_collection, load_tubes,
                       load_predictions, save_detections, save_gt, save_labels,
                       save_predictions, save_report, save_tubes)
+from .geometry import within
 from .metrics import Prediction, drift_profile, evaluate, select_tube
 from .mining import CostWeights, mine_best_tube
 from .scenes import SceneConfig, generate_scene
@@ -39,8 +39,7 @@ def _report_head(command: str, config: dict) -> dict:
 # ------------------------------------------------------------------ simulate
 
 def _cmd_simulate(args) -> int:
-    if not (math.isfinite(args.fps) and args.fps > 0.0):
-        raise ValidationError(f"--fps must be a positive finite number, got {args.fps}")
+    within(args.fps, "--fps", "(0, inf)")
     cfg = SceneConfig(seed=args.seed, frames=args.frames, objects=args.objects,
                       feature_dim=args.feature_dim,
                       appearance_drift=args.appearance_drift,

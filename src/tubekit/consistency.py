@@ -32,7 +32,7 @@ import numpy as np
 from .association import Tube
 from .errors import NonSmoothError, ValidationError
 from .assignment import checked_norms, cos_pairs
-from .geometry import corner_rows, giou_pairs, numbers, sum_in_order
+from .geometry import corner_rows, giou_pairs, hold_within, numbers, sum_in_order, within
 from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
 from .mining import corner_temporal_cost
 
@@ -78,10 +78,7 @@ class LossWeights:
     w_feat: float = 1.0
 
     def __post_init__(self):
-        for name in ("w_temp", "w_feat"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValidationError(f"{name} must be finite and nonnegative, got {v}")
+        hold_within(self, float, "[0, inf)", "w_temp", "w_feat")
 
 
 @dataclass(frozen=True)
@@ -117,10 +114,8 @@ def geom_loss(tube: MinedTube) -> float:
     return corner_temporal_cost(tube.boxes)
 
 
-def combined_loss(tube: MinedTube, weights: LossWeights | None = None) -> float:
+def combined_loss(tube: MinedTube, weights: LossWeights = LossWeights()) -> float:
     """w_temp * geometry loss + w_feat * feature loss."""
-    if weights is None:
-        weights = LossWeights()
     return weights.w_temp * geom_loss(tube) + weights.w_feat * feature_loss(tube)
 
 
@@ -247,10 +242,19 @@ def grad_check(tube: MinedTube, h: float = 1e-6) -> GradCheckReport:
     within h: the same coordinate of box t-1 or t+1 is within h of it, or
     either pair's intersection width or height is within h of 0.  Relative
     error floors its denominator at 1e-3, so components near zero are
-    compared absolutely at that scale.
+    compared absolutely at that scale.  A step that moves a feature row to a
+    norm that is not finite and positive is refused before any probe.
     """
-    if not (np.isfinite(h) and h > 0):
-        raise ValidationError(f"step must be positive and finite, got {h}")
+    h = within(h, "step", "(0, inf)")
+    # The probe moves one entry of a row by h either way.  The moved norm is
+    # largest with the row's largest |entry| moved away from 0, and smallest
+    # with it moved toward 0: those two rows stand for every row probed.
+    a = np.abs(tube.features)
+    for step in (h, -h):
+        moved = a.copy()
+        moved[np.arange(a.shape[0]), a.argmax(axis=1)] += step
+        checked_norms(moved, f"step {h} moves a feature row to a norm that is not finite "
+                             "and positive")
     grads = loss_gradients(tube)
     boxes = tube.boxes
     a, b, iw, ih = _pair_extents(boxes)

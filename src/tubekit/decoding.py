@@ -11,13 +11,12 @@ truth exactly no matter how many token errors occur.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import corner_rows
+from .geometry import corner_rows, hold_within, within
 from .metrics import split_fifths
 
 
@@ -26,10 +25,8 @@ def p_error_free(length: int, per_step_error: float) -> tuple[float, float]:
 
     The linearization undershoots by at most (L * eps)^2 / 2 while L * eps < 1.
     """
-    if length < 1:
-        raise ValidationError(f"length must be at least 1, got {length}")
-    if not (0.0 <= per_step_error < 1.0):
-        raise ValidationError(f"per-step error must lie in [0, 1), got {per_step_error}")
+    length = within(length, "length", "[1, inf)", int)
+    per_step_error = within(per_step_error, "per_step_error", "[0, 1)")
     exact = (1.0 - per_step_error) ** length
     linear = 1.0 - length * per_step_error
     return exact, linear
@@ -45,16 +42,10 @@ class ExposureConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sequence_length < 1:
-            raise ValidationError(f"sequence_length must be at least 1, got {self.sequence_length}")
-        if not (0.0 <= self.per_step_error < 1.0):
-            raise ValidationError(f"per_step_error must lie in [0, 1), got {self.per_step_error}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be at least 1, got {self.trials}")
-        if not (math.isfinite(self.drift_step) and self.drift_step >= 0):
-            raise ValidationError(f"drift_step must be finite and nonnegative, got {self.drift_step}")
-        if self.token_budget < 1:
-            raise ValidationError(f"token_budget must be at least 1, got {self.token_budget}")
+        hold_within(self, int, "[1, inf)", "sequence_length", "trials", "token_budget")
+        hold_within(self, int, "[0, inf)", "seed")
+        hold_within(self, float, "[0, 1)", "per_step_error")
+        hold_within(self, float, "[0, inf)", "drift_step")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ corner arrays, the layout of the boxes of a tube, a GT and a prediction:
 per-frame loops of mining, the consistency losses and the metrics;
 `sum_in_order` adds per-frame terms in the order a plain accumulation loop
 would.  `integers` is the rule of every frame index and id, `numbers` of
-every other number, the holders' and the readers' alike.
+every other number, the holders' and the readers' alike; `within` adds a
+range to `integer` or `number` for every config field and scalar argument.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Floor on box extent after clamping; anything thinner is treated as empty.
-_MIN_EXTENT = 0.0
 _INT = frozenset((int,))             # type(True) is bool, not int
 _NUMBER = frozenset((int, float))
 _NESTED = frozenset((list, tuple, np.ndarray))
@@ -58,7 +57,7 @@ class Box:
             object.__setattr__(self, "x2", min(max(x2, 0.0), 1.0))
         if not 0.0 <= y2 <= 1.0:
             object.__setattr__(self, "y2", min(max(y2, 0.0), 1.0))
-        if self.x2 - self.x1 <= _MIN_EXTENT or self.y2 - self.y1 <= _MIN_EXTENT:
+        if self.x2 - self.x1 <= 0.0 or self.y2 - self.y1 <= 0.0:
             raise ValidationError(
                 f"box has no area after clamping to the unit square: {(x1, y1, x2, y2)}"
             )
@@ -116,8 +115,8 @@ def corner_rows(rows) -> np.ndarray:
     if raw.ndim != 2 or raw.shape[1] != 4:
         raise ValidationError(f"box rows must be an (N, 4) array, got shape {raw.shape}")
     c = np.where(raw < 0.0, 0.0, np.where(raw > 1.0, 1.0, raw))
-    refused = (~np.isfinite(raw).all(axis=1) | (c[:, 2] - c[:, 0] <= _MIN_EXTENT)
-               | (c[:, 3] - c[:, 1] <= _MIN_EXTENT))
+    refused = (~np.isfinite(raw).all(axis=1) | (c[:, 2] - c[:, 0] <= 0.0)
+               | (c[:, 3] - c[:, 1] <= 0.0))
     if refused.any():
         Box(*raw[np.argmax(refused)].tolist())   # raises with Box's message
     return c
@@ -187,6 +186,30 @@ def number(value, key: str) -> float:
     if (a := numbers(value, key)).ndim:
         raise ValidationError(f"'{key}' must be a number, got {value!r}")
     return a.item()
+
+
+def within(value, key: str, bounds: str, kind: type = float):
+    """`value` by the rule of `integer` (kind int) or `number` (kind float),
+    as that Python int or float, refused with a ValidationError unless it
+    lies in `bounds`, an interval such as "[0, 1)" whose brackets say which
+    ends are closed.  An end open at inf keeps inf out, and NaN lies in no
+    interval.  A one-sided interval is "[n, inf)" for an int, and "(0, inf)"
+    or "[0, inf)" for a number."""
+    v = integer(value, key) if kind is int else number(value, key)
+    lo, hi = bounds[1:-1].split(", ")
+    if (v < float(hi) or bounds[-1] == "]" and v == float(hi)) and (
+            float(lo) < v or bounds[0] == "[" and v == float(lo)):
+        return v
+    must = (f"lie in {bounds}" if hi != "inf" else f"be at least {lo}" if kind is int else
+            f"be a {'positive' if bounds[0] == '(' else 'nonnegative'} finite number")
+    raise ValidationError(f"{key} must {must}, got {v}")
+
+
+def hold_within(holder, kind: type, bounds: str, *keys: str) -> None:
+    """Set each field `keys` of the frozen dataclass `holder` to its value by
+    `within`: the rule a config's __post_init__ applies to its fields."""
+    for key in keys:
+        object.__setattr__(holder, key, within(getattr(holder, key), key, bounds, kind))
 
 
 def _inter_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .association import Tube
 from .errors import ValidationError
-from .geometry import corner_rows, integer, iou_pairs, sum_in_order
+from .geometry import corner_rows, integer, iou_pairs, sum_in_order, within
 from .geometry import iou  # noqa: F401  (kept: perfbench counts iou calls through this name)
 from .mining import GtTube
 
@@ -153,9 +153,7 @@ def evaluate(samples: list[tuple[Prediction, GtTube]],
     """
     if not samples:
         raise ValidationError("evaluate needs at least one sample")
-    for tau in thresholds:
-        if not (0.0 <= tau <= 1.0):
-            raise ValidationError(f"threshold must lie in [0, 1], got {tau}")
+    thresholds = [within(tau, "threshold", "[0, 1]") for tau in thresholds]
     results = []
     for pred, gt in samples:
         results.append(SampleResult(
@@ -163,6 +161,6 @@ def evaluate(samples: list[tuple[Prediction, GtTube]],
             v_iou=v_iou(pred, gt)))
     m_t = float(np.mean([r.t_iou for r in results]))
     m_v = float(np.mean([r.v_iou for r in results]))
-    at = {float(tau): float(np.mean([1.0 if r.v_iou >= tau else 0.0 for r in results]))
+    at = {tau: float(np.mean([1.0 if r.v_iou >= tau else 0.0 for r in results]))
           for tau in thresholds}
     return EvalReport(samples=results, m_t_iou=m_t, m_v_iou=m_v, v_iou_at=at)

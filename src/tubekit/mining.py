@@ -14,14 +14,13 @@ wanders outside the interval pays for it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .association import Tube
 from .errors import ValidationError
-from .geometry import corner_rows, giou_pairs, integer, sum_in_order
+from .geometry import corner_rows, giou_pairs, hold_within, integer, sum_in_order
 from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
 
 
@@ -61,10 +60,7 @@ class CostWeights:
     w_temp: float = 2.0
 
     def __post_init__(self):
-        for name in ("w_cls", "w_bbox", "w_giou", "w_temp"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValidationError(f"{name} must be finite and nonnegative, got {v}")
+        hold_within(self, float, "[0, inf)", "w_cls", "w_bbox", "w_giou", "w_temp")
 
 
 @dataclass(frozen=True)
@@ -107,11 +103,9 @@ def temporal_cost(tube: Tube) -> float:
     return corner_temporal_cost(_tube_corners(tube))
 
 
-def match_cost(tube: Tube, gt: GtTube, weights: CostWeights | None = None) -> CostBreakdown:
+def match_cost(tube: Tube, gt: GtTube, weights: CostWeights = CostWeights()) -> CostBreakdown:
     """Cost of one tube against the annotation.  The tube must cover every
     frame of the GT interval (association guarantees full-clip coverage)."""
-    if weights is None:
-        weights = CostWeights()
     frames = np.arange(gt.ts, gt.te + 1)
     missing = frames[~np.isin(frames, tube.t)]
     if missing.size:
@@ -133,7 +127,7 @@ def match_cost(tube: Tube, gt: GtTube, weights: CostWeights | None = None) -> Co
 
 
 def mine_best_tube(tubes: list[Tube], gt: GtTube,
-                   weights: CostWeights | None = None) -> tuple[int, list[CostBreakdown]]:
+                   weights: CostWeights = CostWeights()) -> tuple[int, list[CostBreakdown]]:
     """Index of the cheapest tube plus every tube's breakdown.
 
     Ties go to the lowest index, so the result is deterministic for

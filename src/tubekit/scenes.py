@@ -20,6 +20,7 @@ import numpy as np
 
 from .association import FrameDetections, Tube
 from .errors import ValidationError
+from .geometry import hold_within
 from .mining import GtTube
 
 _MIN_EXTENT = 1e-3
@@ -38,17 +39,11 @@ class SceneConfig:
     distractor_rate: float = 0.0    # expected spurious detections per frame
 
     def __post_init__(self):
-        if self.frames < 2:
-            raise ValidationError(f"need at least 2 frames, got {self.frames}")
-        if self.objects < 1:
-            raise ValidationError(f"need at least 1 object, got {self.objects}")
-        if self.feature_dim < 2:
-            raise ValidationError(f"feature_dim must be at least 2, got {self.feature_dim}")
-        for name in ("appearance_drift", "motion_step", "detection_noise",
-                     "confidence_noise", "distractor_rate"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValidationError(f"{name} must be finite and nonnegative, got {v}")
+        hold_within(self, int, "[0, inf)", "seed")
+        hold_within(self, int, "[2, inf)", "frames", "feature_dim")
+        hold_within(self, int, "[1, inf)", "objects")
+        hold_within(self, float, "[0, inf)", "appearance_drift", "motion_step",
+                    "detection_noise", "confidence_noise", "distractor_rate")
 
 
 @dataclass(frozen=True)

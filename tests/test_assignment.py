@@ -101,11 +101,6 @@ class TestSolveAssignment:
             _, oracle_pairs = brute_force_optimum(cost)
             assert solve_assignment(cost) == oracle_pairs
 
-    def test_maximize_flag(self):
-        sim = np.array([[0.9, 0.1], [0.2, 0.8]])
-        assert solve_assignment(sim, maximize=True) == [(0, 0), (1, 1)]
-        assert solve_assignment(-sim) == [(0, 0), (1, 1)]
-
     def test_constant_shift_invariance(self):
         # Adding a constant to a full row or column never changes the optimum
         # of a square problem.
@@ -136,13 +131,11 @@ def _scipy_optimal_total(cost: np.ndarray) -> float:
     return _pairs_total(cost, list(zip(rows.tolist(), cols.tolist())))
 
 
-def _reference_solve_assignment(cost, maximize: bool = False) -> list[tuple[int, int]]:
+def _reference_solve_assignment(cost) -> list[tuple[int, int]]:
     """The solver before the dual certificate: one scipy re-solve per
     candidate column.  Kept as the reference the present solver must match
     pair for pair."""
     c = _validated_cost(cost)
-    if maximize:
-        c = -c
     n_rows, n_cols = c.shape
     n_pairs = min(n_rows, n_cols)
     best_total = _scipy_optimal_total(c)
@@ -276,9 +269,8 @@ class TestAgainstReference:
 
     @staticmethod
     def _agree(cost):
-        for maximize in (False, True):
-            assert solve_assignment(cost, maximize) == \
-                _reference_solve_assignment(cost, maximize), (cost, maximize)
+        for c in (cost, -cost):
+            assert solve_assignment(c) == _reference_solve_assignment(c), c
 
     def test_random(self):
         rng = np.random.default_rng(43)
@@ -339,17 +331,16 @@ class TestAgainstReference:
         """The total is optimal within the tie tolerance's rounding term, and
         the pair list is brute force's wherever no other assignment lies
         within that term of the optimum."""
-        for maximize in (False, True):
-            c = -cost if maximize else cost
-            pairs = solve_assignment(cost, maximize)
+        for c in (cost, -cost):
+            pairs = solve_assignment(c)
             best, best_pairs = brute_force_optimum(c)
             k = min(c.shape)
             term = (_TIE_RTOL * max(1.0, abs(best))
                     + 2.0 * k * k * np.finfo(float).eps * np.abs(c).max())
-            assert abs(assignment_total(c, pairs) - best) <= term, (cost, maximize)
+            assert abs(assignment_total(c, pairs) - best) <= term, c
             near = [p for total, p in all_assignments(c) if total - best <= term]
             if len(near) == 1:
-                assert pairs == best_pairs, (cost, maximize)
+                assert pairs == best_pairs, c
 
     @pytest.mark.parametrize("cost", CANCELLING)
     def test_cancelling_pinned(self, cost):

@@ -87,6 +87,15 @@ class TestExitCodes:
         monkeypatch.setenv("TUBEKIT_JOBS", "two")
         assert main(["associate", f"{prefix}.detections.jsonl", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("argv", [["simulate", "--seed", "-1", "--out", "s"],
+                                      ["exposure", "--length", "20", "--eps", "0.1",
+                                       "--seed", "-1", "--out", "e.json"]])
+    def test_negative_seed_is_one(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_version_string(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -537,6 +546,15 @@ class TestLossesAndGradCheck:
         check = report["checks"][0]
         assert check["slot_id"] == 0
         assert check["max_rel_error"] < 1e-4
+
+    def test_grad_check_step_that_overflows_refused(self, tmp_path, capsys):
+        tubes = self._tubes_with_embeds(tmp_path)
+        out = tmp_path / "gc.json"
+        assert main(["grad-check", "--tubes", str(tubes), "--step", "1e300",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: step 1e+300 moves a feature row to a norm that is not finite and positive\n")
+        assert not out.exists()
 
     def test_unknown_slot_rejected(self, tmp_path, capsys):
         tubes = self._tubes_with_embeds(tmp_path)

@@ -340,6 +340,53 @@ class TestGradients:
         with pytest.raises(ValidationError):
             grad_check(make_smooth_tube(4), h=0.0)
 
+    @pytest.mark.parametrize("features, h", [
+        (make_smooth_tube(4, length=2).features, 1e200),   # a moved row's norm overflows
+        (np.array([[1e-6, 0.0], [1e-6, 1e-6]]), 1e-6),     # a moved row is zero
+    ])
+    def test_grad_check_refuses_step_its_probe_cannot_take(self, features, h):
+        # Refused before any probe: no RuntimeWarning from the probe's cosine.
+        mt = MinedTube(features=features, boxes=corners([A, B]))
+        with pytest.raises(ValidationError, match="moves a feature row to a norm that is not"):
+            grad_check(mt, h)
+
+    def test_step_refusal_matches_every_probed_row(self):
+        # grad_check checks two moved rows per row; the oracle moves each
+        # entry by h either way, as the probe does.  A step that is not
+        # refused runs the whole probe without a warning.
+        def some_probed_row_fails(f, h):
+            for k in range(f.shape[1]):
+                for step in (h, -h):
+                    moved = f.copy()
+                    moved[:, k] += step
+                    with np.errstate(over="ignore"):
+                        norms = np.linalg.norm(moved, axis=1)
+                    if not np.all((0.0 < norms) & (norms < np.inf)):
+                        return True
+            return False
+
+        rng = np.random.default_rng(23)
+        boxes = make_smooth_tube(0, length=3).boxes
+        refusals = checked = 0
+        for _ in range(400):
+            f = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-165, 155)
+            f[rng.uniform(size=f.shape) < 0.6] = 0.0
+            f[:, 0] = np.where((f == 0.0).all(axis=1), 1e-3, f[:, 0])
+            h = (abs(rng.choice(f[f != 0.0])) if rng.uniform() < 0.3
+                 else 10.0 ** rng.uniform(-165, 200))
+            try:
+                mt = MinedTube(features=f, boxes=boxes)
+            except ValidationError:   # a norm that underflows already
+                continue
+            try:
+                grad_check(mt, h)
+                refused = False
+            except ValidationError:
+                refused = True
+            refusals, checked = refusals + refused, checked + 1
+            assert refused == some_probed_row_fails(f, h), (f, h)
+        assert 50 < refusals < checked - 50
+
     def test_gradients_type(self):
         grads = loss_gradients(make_smooth_tube(5, length=6, dim=3))
         assert isinstance(grads, Gradients)
