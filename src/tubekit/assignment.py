@@ -34,7 +34,7 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _validated_cost(cost) -> np.ndarray:
-    c = np.asarray(cost, dtype=float)
+    c = numbers(cost, "cost")
     if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
         raise ValidationError(f"cost matrix must be 2-D and non-empty, got shape {c.shape}")
     if not np.all(np.isfinite(c)):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .assignment import checked_norms, solve_assignment
 from .errors import ValidationError
-from .geometry import Box, corner_rows, hold_within, integer, integers, numbers
+from .geometry import Box, corner_rows, hold, hold_within, integer, integers, numbers, within
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class FrameDetections:
 
     def __post_init__(self):
         object.__setattr__(self, "t", integer(self.t, "t"))
-        scores = numbers(self.scores, "score")
+        scores = within(self.scores, "score", "[0, 1]", frames=self.t)
         if not scores.size:
             raise ValidationError(f"frame {self.t} has no detections")
         features = numbers(self.features, "embed", f"frame {self.t}: ")
@@ -59,15 +59,8 @@ class FrameDetections:
             raise ValidationError(f"frame {self.t}: boxes, scores and features must hold one row "
                                   f"per detection, got {boxes.shape}, {scores.shape} and "
                                   f"{features.shape}")
-        in_range = (0.0 <= scores) & (scores <= 1.0)
-        if not in_range.all():
-            raise ValidationError(f"detection score must lie in [0, 1], "
-                                  f"got {scores[np.argmin(in_range)]}")
-        norms = checked_norms(features, "detection feature must have a finite, positive norm")
-        for name, c in (("boxes", boxes), ("scores", scores), ("features", features),
-                        ("norms", norms)):
-            c.setflags(write=False)
-            object.__setattr__(self, name, c)
+        hold(self, boxes=boxes, scores=scores, features=features,
+             norms=checked_norms(features, "detection feature must have a finite, positive norm"))
 
     @property
     def detections(self) -> list[Detection]:
@@ -110,37 +103,22 @@ class Tube:
 
     def __post_init__(self):
         object.__setattr__(self, "slot_id", integer(self.slot_id, "slot_id"))
-        where = f"tube {self.slot_id}"
-        try:
-            boxes = corner_rows(self.boxes)
-        except ValidationError as e:
-            raise ValidationError(f"{where}: {e}") from None
-        cols = {"t": integers(self.t, "t", f"{where}: "), "boxes": boxes,
-                "scores": numbers(self.scores, "score", f"{where}: "),
-                "det": integers(self.det, "det", f"{where}: ")}
+        where = f"tube {self.slot_id}: "
+        t = integers(self.t, "t", where)
+        cols = {"t": t, "boxes": corner_rows(self.boxes, where),
+                "scores": within(self.scores, "score", "[0, 1]", float, t, where),
+                "det": within(self.det, "det", "[-1, inf)", int, t, where)}
         if self.features is not None:
-            cols["features"] = numbers(self.features, "embed", f"{where}: ")
-        t, shapes = cols["t"], {k: c.shape for k, c in cols.items()}
+            cols["features"] = within(self.features, "embed", "(-inf, inf)", float, t, where)
+        shapes = {k: c.shape for k, c in cols.items()}
         if any(len(shape) != (2 if k in ("boxes", "features") else 1) or shape[0] != len(t)
                for k, shape in shapes.items()):
-            raise ValidationError(f"{where}: columns must hold one row per frame, got {shapes}")
+            raise ValidationError(f"{where}columns must hold one row per frame, got {shapes}")
         if np.any(t[1:] <= t[:-1]):
             i = int(np.argmax(t[1:] <= t[:-1]))
-            raise ValidationError(f"{where}: records must be strictly increasing in t, "
+            raise ValidationError(f"{where}records must be strictly increasing in t, "
                                   f"got t={t[i + 1]} after t={t[i]}")
-        if np.any(cols["det"] < -1):
-            raise ValidationError(f"{where}: det must be a detection index, or -1 for a gap")
-        for name, key in (("scores", "score"), ("features", "embed")):   # and a record's key
-            if name in cols and not (finite := np.isfinite(cols[name])).all():
-                i = int(np.argmin(finite.reshape(len(t), -1).all(axis=1)))
-                raise ValidationError(f"{where} frame {t[i]}: {key} must be finite")
-        if not (in_range := (0.0 <= cols["scores"]) & (cols["scores"] <= 1.0)).all():
-            i = int(np.argmin(in_range))
-            raise ValidationError(f"{where} frame {t[i]}: score must lie in [0, 1], "
-                                  f"got {cols['scores'][i]}")
-        for name, c in cols.items():
-            c.setflags(write=False)
-            object.__setattr__(self, name, c)
+        hold(self, **cols)
 
     @property
     def records(self) -> list[TubeRecord]:
@@ -172,11 +150,8 @@ class TubeMemory:
         v = numbers(self.vectors, "vectors")
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValidationError(f"memory must be a non-empty (n_q, d) array, got {v.shape}")
-        norms = checked_norms(v, "memory contains a slot vector that is not finite, "
-                                 "or whose norm is zero or overflows")
-        for name, c in (("vectors", v), ("norms", norms)):
-            c.setflags(write=False)
-            object.__setattr__(self, name, c)
+        hold(self, vectors=v, norms=checked_norms(v, "memory contains a slot vector that is not "
+                                                     "finite, or whose norm is zero or overflows"))
 
     @property
     def n_q(self) -> int:

@@ -23,13 +23,14 @@ import numpy as np
 
 from .assignment import checked_norms, cosine_similarity
 from .errors import ValidationError
-from .geometry import Box, corners, hold_within, integer, integers, number, numbers
+from .geometry import (Box, corners, hold, hold_within, integer, integers, number, numbers,
+                       within)
 from .mining import GtTube
 
 
 @dataclass(frozen=True)
 class CandidateRecord:
-    """One frame of a fragment; t an int by the rule of `integers`."""
+    """One frame of a fragment; t an int by the rule of `integers`, score a number."""
 
     t: int
     box: Box
@@ -38,7 +39,7 @@ class CandidateRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "t", integer(self.t, "t"))
-        object.__setattr__(self, "score", number(self.score, "score"))
+        object.__setattr__(self, "score", number(self.score, "score", f"frame {self.t}: "))
 
 
 @dataclass(frozen=True)
@@ -62,21 +63,13 @@ class CandidateTube:
         if len(ts) != e - s + 1 or ts != list(range(s, e + 1)):
             raise ValidationError(
                 f"records must cover the span densely: span {self.span}, frames {ts[:5]}...")
-        scores = np.array([r.score for r in self.records])
-        if not (finite := np.isfinite(scores)).all():
-            i = int(np.argmin(finite))
-            raise ValidationError(f"frame {ts[i]}: record score must be finite, got {scores[i]}")
-        if not (in_range := (0.0 <= scores) & (scores <= 1.0)).all():
-            i = int(np.argmin(in_range))
-            raise ValidationError(f"frame {ts[i]}: record score must lie in [0, 1], "
-                                  f"got {scores[i]}")
+        within([r.score for r in self.records], "score", "[0, 1]", frames=ts)
         a = numbers(self.appearance, "appearance")
         refusal = "appearance must be a finite 1-D vector with a finite, positive norm"
         if a.ndim != 1:
             raise ValidationError(refusal)
         checked_norms(a, refusal)
-        a.setflags(write=False)
-        object.__setattr__(self, "appearance", a)
+        hold(self, appearance=a)
 
     @property
     def real_record_count(self) -> int:
@@ -185,7 +178,7 @@ def coverage_filter(tube: CandidateTube, interval: tuple[int, int],
                     cfg: AutolabelConfig = AutolabelConfig()) -> bool:
     """Keep the tube iff it covers at least the threshold fraction of the
     interval, counting frames inclusively.  Exactly at the threshold keeps."""
-    s, e = interval
+    s, e = (integer(v, "interval") for v in interval)
     if s > e:
         raise ValidationError(f"empty interval {interval}")
     covered = max(0, min(e, tube.span[1]) - max(s, tube.span[0]) + 1)
@@ -202,6 +195,7 @@ def assemble_annotation(candidates: list[CandidateTube], interval: tuple[int, in
     """
     if score_fn is None:
         score_fn = CandidateTube.mean_score
+    interval = tuple(integer(v, "interval") for v in interval)
     if not candidates:
         return None
     merged = merge_tubes(candidates, cfg)

@@ -247,6 +247,9 @@ def _cmd_exposure(args) -> int:
         raise ValidationError(
             f"--length {args.length} is not a multiple of --token-budget "
             f"{args.token_budget}")
+    if args.length < 5 * args.token_budget:   # the track needs 5 boxes to split into fifths
+        raise ValidationError(f"--length must be at least 5 x --token-budget "
+                              f"({5 * args.token_budget}), got {args.length}")
     track = [[0.4, 0.4, 0.6, 0.6]] * (args.length // args.token_budget)
     rep = simulate_decoding(cfg, track)
     report = _report_head("exposure", {

@@ -32,7 +32,7 @@ import numpy as np
 from .association import Tube
 from .errors import NonSmoothError, ValidationError
 from .assignment import checked_norms, cos_pairs
-from .geometry import corner_rows, giou_pairs, hold_within, numbers, sum_in_order, within
+from .geometry import corner_rows, giou_pairs, hold, hold_within, numbers, sum_in_order, within
 from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
 from .mining import corner_temporal_cost
 
@@ -54,10 +54,7 @@ class MinedTube:
             raise ValidationError(
                 f"{boxes.shape[0]} boxes for {f.shape[0]} feature rows")
         checked_norms(f, "features contain a row whose norm is zero or overflows, or NaN")
-        f.setflags(write=False)
-        boxes.setflags(write=False)
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "boxes", boxes)
+        hold(self, features=f, boxes=boxes)
 
     @property
     def length(self) -> int:

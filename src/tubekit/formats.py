@@ -8,14 +8,14 @@ byte what CPython's C encoder writes for the f9-rounded values; strings and
 scalar fields go through that encoder itself.  Non-finite numbers are
 refused on write, leaving no file, and so is whatever a reader would
 refuse: a writer passes its ids, frame order and repeats through the rule
-that the reader applies (_string, _frame_at, _positive_fps, _video_once,
-_slots_once), and label ids through the reader's own rule.  On read,
-this module checks the layout only: JSON types, frame order, counts and
-repeats, and that each box, embed or appearance is an array of numbers
-of its width (_column); it keeps no number rule.  The holders it fills
-(FrameDetections, Tube, GtTube, Prediction, CandidateTube) check every
-value, by geometry.integers, geometry.numbers and the domain rules,
-finiteness included; score, t and det columns reach them raw.  Every
+that the reader applies (_string, _frame_at, _video_once, _slots_once), and
+label ids through the reader's own rule.  On read, this module checks the
+layout only: JSON types, frame order, counts and repeats, and that each
+box, embed or appearance is an array of numbers of its width (_column); it
+keeps no number rule.  The holders it fills (FrameDetections, Tube, GtTube,
+Prediction, CandidateTube) check every value, by geometry.integers,
+geometry.numbers, geometry.within and the domain rules, finiteness
+included; score, t and det columns reach them raw.  Every
 rule is a function of its value alone and raises ValidationError; each
 loader names the place once, with _at around a document's or a JSONL
 line's decode, which turns a refusal into a FormatError at path[:LINE],
@@ -25,7 +25,6 @@ document's fps.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager, suppress
 from itertools import chain, islice
 from pathlib import Path
@@ -35,7 +34,7 @@ import numpy as np
 from .association import FrameDetections, Tube
 from .autolabel import CandidateRecord, CandidateTube
 from .errors import FormatError, ValidationError
-from .geometry import Box, integer, integers, number, numbers
+from .geometry import Box, integer, integers, number, numbers, within
 from .metrics import Prediction
 from .mining import GtTube
 
@@ -208,12 +207,6 @@ def _frame_at(i: int, t) -> None:
         raise ValidationError(f"expected frame t={i}, got t={t}")
 
 
-def _positive_fps(fps: float) -> float:
-    if not (math.isfinite(fps) and fps > 0.0):
-        raise ValidationError(f"'fps' must be finite and positive, got {fps!r}")
-    return fps
-
-
 def _video_once(lines: dict, video_id: str, line: int) -> None:
     """Record video_id as held by `line`; one that an earlier line holds is
     refused."""
@@ -327,12 +320,9 @@ def _interval_from(obj: dict) -> tuple[int, int]:
     if "ts" in obj and "te" in obj:
         return _field(obj, "ts", integer), _field(obj, "te", integer)
     if "ts_sec" in obj and "te_sec" in obj:
-        fps = _positive_fps(_field(obj, "fps", number))
-        ts = _field(obj, "ts_sec", number) * fps
-        te = _field(obj, "te_sec", number) * fps
-        if not (math.isfinite(ts) and math.isfinite(te)):
-            raise ValidationError(f"interval in frames must be finite, got [{ts!r}, {te!r}]")
-        return int(round(ts)), int(round(te))
+        fps = within(_require(obj, "fps"), "fps", "(0, inf)")
+        return tuple(round(within(_field(obj, key, number) * fps, f"{key} * fps", "(-inf, inf)"))
+                     for key in ("ts_sec", "te_sec"))
     raise ValidationError("interval needs ts/te (frames) or ts_sec/te_sec plus fps")
 
 
@@ -349,11 +339,11 @@ def save_detections(path: str, video_id: str, fps: float,
         if fr.features.shape[1] != dim:
             raise ValidationError(f"frame {fr.t}: features have {fr.features.shape[1]} "
                                   f"columns, frame {frames[0].t} has {dim}")
-    fps = np.array([fps], dtype=float)
+    fps = np.array([number(fps, "fps")])
     columns = [np.concatenate([getattr(fr, name) for fr in frames])
                for name in ("boxes", "scores", "features")]
     _check_finite(path, [fps, *columns])
-    _positive_fps(float(fps[0]))
+    within(fps[0], "fps", "(0, inf)")
     rows = zip(*(_f9_text(c, ", ") for c in columns))
 
     def lines():
@@ -376,7 +366,7 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
     with _at(path, lineno):
         meta = {
             "video_id": _str_field(header, "video_id"),
-            "fps": _positive_fps(_field(header, "fps", number)),
+            "fps": within(_require(header, "fps"), "fps", "(0, inf)"),
             "frame_count": _field(header, "frame_count", integer),
             "feature_dim": _field(header, "feature_dim", integer),
         }

@@ -12,14 +12,15 @@ per-frame loops of mining, the consistency losses and the metrics;
 `sum_in_order` adds per-frame terms in the order a plain accumulation loop
 would.  `integers` is the rule of every frame index and id, `numbers` of
 every other number, the holders' and the readers' alike; `within` adds a
-range to `integer` or `number` for every config field and scalar argument.
+range to them for every config field, scalar argument and bounded holder
+column, and `hold` keeps a holder's checked columns read-only.
 """
 from __future__ import annotations
 
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -104,21 +105,24 @@ def corners(boxes) -> np.ndarray:
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
 
 
-def corner_rows(rows) -> np.ndarray:
+def corner_rows(rows, where: str = "") -> np.ndarray:
     """A new (N, 4) corner array of `rows`, each row by Box's rule.
 
-    A row is refused, with Box's message, when a coordinate is not a number
-    or not finite, or the box has no area once clamped.  Only coordinates
-    outside [0, 1] are clamped, so a -0.0 inside stays -0.0, as in a Box.
+    A row is refused, with Box's message after `where`, when a coordinate is
+    not a number or not finite, or the box has no area once clamped.  Only
+    coordinates outside [0, 1] are clamped, so -0.0 inside stays, as in a Box.
     """
-    raw = numbers(rows, "box")
+    raw = numbers(rows, "box", where)
     if raw.ndim != 2 or raw.shape[1] != 4:
-        raise ValidationError(f"box rows must be an (N, 4) array, got shape {raw.shape}")
+        raise ValidationError(f"{where}box rows must be an (N, 4) array, got shape {raw.shape}")
     c = np.where(raw < 0.0, 0.0, np.where(raw > 1.0, 1.0, raw))
     refused = (~np.isfinite(raw).all(axis=1) | (c[:, 2] - c[:, 0] <= 0.0)
                | (c[:, 3] - c[:, 1] <= 0.0))
     if refused.any():
-        Box(*raw[np.argmax(refused)].tolist())   # raises with Box's message
+        try:
+            Box(*raw[np.argmax(refused)].tolist())
+        except ValidationError as e:
+            raise ValidationError(where + str(e)) from None
     return c
 
 
@@ -181,28 +185,57 @@ def numbers(values, key: str, where: str = "") -> np.ndarray:
     return _array(values, key, where, ints=False)
 
 
-def number(value, key: str) -> float:
+def number(value, key: str, where: str = "") -> float:
     """One value by the rule of `numbers`, as a Python float."""
-    if (a := numbers(value, key)).ndim:
-        raise ValidationError(f"'{key}' must be a number, got {value!r}")
+    if (a := numbers(value, key, where)).ndim:
+        raise ValidationError(f"{where}'{key}' must be a number, got {value!r}")
     return a.item()
 
 
-def within(value, key: str, bounds: str, kind: type = float):
+def _inside(v, bounds: str):
+    """Whether `v`, a number or an array, lies in `bounds`, element by element."""
+    lo, hi = (float(b) for b in bounds[1:-1].split(", "))
+    return (v >= lo if bounds[0] == "[" else v > lo) & (v <= hi if bounds[-1] == "]" else v < hi)
+
+
+def within(value, key: str, bounds: str, kind: type = float, frames=None, where: str = ""):
     """`value` by the rule of `integer` (kind int) or `number` (kind float),
     as that Python int or float, refused with a ValidationError unless it
     lies in `bounds`, an interval such as "[0, 1)" whose brackets say which
     ends are closed.  An end open at inf keeps inf out, and NaN lies in no
     interval.  A one-sided interval is "[n, inf)" for an int, and "(0, inf)"
-    or "[0, inf)" for a number."""
-    v = integer(value, key) if kind is int else number(value, key)
-    lo, hi = bounds[1:-1].split(", ")
-    if (v < float(hi) or bounds[-1] == "]" and v == float(hi)) and (
-            float(lo) < v or bounds[0] == "[" and v == float(lo)):
-        return v
-    must = (f"lie in {bounds}" if hi != "inf" else f"be at least {lo}" if kind is int else
-            f"be a {'positive' if bounds[0] == '(' else 'nonnegative'} finite number")
-    raise ValidationError(f"{key} must {must}, got {v}")
+    or "[0, inf)" for a number; "(-inf, inf)" is every finite number.
+
+    With `frames`, `value` is a column with one row per frame, returned as
+    the array of `integers` or `numbers`; a refusal names, after `where`
+    ("tube 3: "), frame frames[i] of the first row i at fault, or `frames`
+    itself, an int, for every row."""
+    if frames is None:
+        v = integer(value, key) if kind is int else number(value, key)
+        if _inside(v, bounds):
+            return v
+        lo, hi = bounds[1:-1].split(", ")
+        must = (f"lie in {bounds}" if hi != "inf" else f"be at least {lo}" if kind is int else
+                "be a finite number" if lo == "-inf" else
+                f"be a {'positive' if bounds[0] == '(' else 'nonnegative'} finite number")
+        raise ValidationError(f"{key} must {must}, got {v}")
+    try:
+        if _inside(a := _array(value, key, "", kind is int), bounds).all():
+            return a
+        refusal = ValidationError(f"{where}{key} must hold one row per frame")
+    except ValidationError as e:
+        refusal = ValidationError(where + str(e))
+    # The first row refused on its own, value by value, names its frame.
+    place = where[:-2] + " " if where else ""   # "tube 3: " becomes "tube 3 frame T: "
+    rows = value.tolist() if isinstance(value, np.ndarray) else value
+    for frame, row in zip(repeat(frames) if type(frames) is int else frames,
+                          rows if type(rows) in _NESTED else [rows]):
+        try:
+            for v in row if type(row) in _NESTED else [row]:
+                within(v, key, bounds, kind)
+        except ValidationError as e:
+            raise ValidationError(f"{place}frame {frame}: {e}") from None
+    raise refusal
 
 
 def hold_within(holder, kind: type, bounds: str, *keys: str) -> None:
@@ -210,6 +243,14 @@ def hold_within(holder, kind: type, bounds: str, *keys: str) -> None:
     `within`: the rule a config's __post_init__ applies to its fields."""
     for key in keys:
         object.__setattr__(holder, key, within(getattr(holder, key), key, bounds, kind))
+
+
+def hold(holder, **columns: np.ndarray) -> None:
+    """Set each field of the frozen dataclass `holder` named in `columns` to
+    its array, made read-only: how a holder keeps the columns it checked."""
+    for key, column in columns.items():
+        column.setflags(write=False)
+        object.__setattr__(holder, key, column)
 
 
 def _inter_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

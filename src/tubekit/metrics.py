@@ -20,7 +20,7 @@ import numpy as np
 
 from .association import Tube
 from .errors import ValidationError
-from .geometry import corner_rows, integer, iou_pairs, sum_in_order, within
+from .geometry import corner_rows, hold, integer, iou_pairs, sum_in_order, within
 from .geometry import iou  # noqa: F401  (kept: perfbench counts iou calls through this name)
 from .mining import GtTube
 
@@ -50,8 +50,7 @@ class Prediction:
             raise ValidationError(
                 f"predicted interval [{self.ts}, {self.te}] extends past the "
                 f"predicted boxes [{self.t0}, {last}]")
-        boxes.setflags(write=False)
-        object.__setattr__(self, "boxes", boxes)
+        hold(self, boxes=boxes)
 
     @classmethod
     def from_tube(cls, tube: Tube, ts: int, te: int) -> "Prediction":
@@ -80,7 +79,7 @@ def _interval_len(s: int, e: int) -> int:
 
 def t_iou(a: tuple[int, int], b: tuple[int, int]) -> float:
     """Temporal IoU of two inclusive frame intervals."""
-    (s1, e1), (s2, e2) = a, b
+    (s1, e1), (s2, e2) = ((integer(v, "interval") for v in pair) for pair in (a, b))
     if s1 > e1 or s2 > e2:
         raise ValidationError(f"empty interval in t_iou: {a}, {b}")
     inter = max(0, min(e1, e2) - max(s1, s2) + 1)
@@ -106,6 +105,7 @@ def _frame_ious(pred: Prediction, gt: GtTube, lo: int, n: int) -> np.ndarray:
 def split_fifths(s: int, e: int) -> list[tuple[int, int]]:
     """Five contiguous parts of [s, e]; the remainder goes to the earliest
     parts, so 12 frames split as 3, 3, 2, 2, 2."""
+    s, e = integer(s, "s"), integer(e, "e")
     n = _interval_len(s, e)
     if n < 5:
         raise ValidationError(f"interval [{s}, {e}] is too short to split into fifths")

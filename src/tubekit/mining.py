@@ -20,7 +20,7 @@ import numpy as np
 
 from .association import Tube
 from .errors import ValidationError
-from .geometry import corner_rows, giou_pairs, hold_within, integer, sum_in_order
+from .geometry import corner_rows, giou_pairs, hold, hold_within, integer, sum_in_order
 from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
 
 
@@ -44,8 +44,7 @@ class GtTube:
         if boxes.shape[0] != self.length:
             raise ValidationError(f"GT interval [{self.ts}, {self.te}] has {self.length} "
                                   f"frames but {boxes.shape[0]} boxes")
-        boxes.setflags(write=False)
-        object.__setattr__(self, "boxes", boxes)
+        hold(self, boxes=boxes)
 
     @property
     def length(self) -> int:

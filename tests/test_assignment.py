@@ -120,8 +120,16 @@ class TestSolveAssignment:
             solve_assignment([1.0, 2.0, 3.0])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^cost matrix contains non-finite entries$"):
             solve_assignment([[1.0, np.inf], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("cost, shown", [
+        ([["1", "2"], ["0.5", "3"]], "'1'"), ([[True, False]], "True"),
+        (np.array([[1.0, True]], dtype=object), "True")])
+    def test_rejects_what_is_not_a_number(self, cost, shown):
+        # np.asarray(cost, dtype=float) solved these, as 1.0 and 2.0 or 1.0 and 0.0.
+        with pytest.raises(ValidationError, match=rf"^'cost' must be a number, got {shown}$"):
+            solve_assignment(cost)
 
 
 def _scipy_optimal_total(cost: np.ndarray) -> float:

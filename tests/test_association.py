@@ -132,7 +132,7 @@ class TestTube:
     @pytest.mark.parametrize("column, value, match", [
         ("t", [0, 2, 2], "strictly increasing in t, got t=2 after t=2"),
         ("scores", [0.5, 0.5], "one row per frame"),
-        ("det", [0, -2, 1], "det must be a detection index"),
+        ("det", [0, -2, 1], r"^tube 0 frame 1: det must be at least -1, got -2$"),
         ("features", np.ones((2, 4)), "one row per frame"),
         ("boxes", [[0.1, 0.1, 0.1, 0.5]] * 3, "no area"),
     ])
@@ -141,12 +141,14 @@ class TestTube:
             Tube(**{**self.COLUMNS, column: value})
 
     @pytest.mark.parametrize("column, value, match", [
-        ("scores", [0.5, float("nan"), 0.0], "tube 0 frame 1: score must be finite"),
-        ("scores", [0.5, 0.5, -float("inf")], "tube 0 frame 2: score must be finite"),
+        ("scores", [0.5, float("nan"), 0.0], r"^tube 0 frame 1: score must lie in \[0, 1\], "
+                                             r"got nan$"),
+        ("scores", [0.5, 0.5, -float("inf")], r"^tube 0 frame 2: score must lie in \[0, 1\], "
+                                              r"got -inf$"),
         ("features", [[1.0, 0.0], [1.0, float("nan")], [0.0, 1.0]],
-         "tube 0 frame 1: embed must be finite"),
+         r"^tube 0 frame 1: embed must be a finite number, got nan$"),
         ("features", [[float("inf"), 0.0], [1.0, 0.0], [0.0, 1.0]],
-         "tube 0 frame 0: embed must be finite"),
+         r"^tube 0 frame 0: embed must be a finite number, got inf$"),
     ])
     def test_non_finite_columns_refused(self, column, value, match):
         with pytest.raises(ValidationError, match=match):

@@ -41,7 +41,8 @@ class TestCandidateTube:
 
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_score_rejected(self, score):
-        with pytest.raises(ValidationError, match="frame 2: record score must be finite"):
+        with pytest.raises(ValidationError, match=rf"^frame 2: score must lie in \[0, 1\], "
+                                                  rf"got {score}$"):
             CandidateTube(category="dog", span=(1, 2),
                           records=[CandidateRecord(t=1, box=BOX_A, score=0.5),
                                    CandidateRecord(t=2, box=BOX_A, score=score)],
@@ -50,7 +51,7 @@ class TestCandidateTube:
     @pytest.mark.parametrize("score", [5.0, -0.5, 1.0000001])
     def test_score_outside_unit_interval_rejected(self, score):
         # Such a fragment was held, and assemble_annotation ranked by it.
-        with pytest.raises(ValidationError, match=rf"^frame 2: record score must lie in "
+        with pytest.raises(ValidationError, match=rf"^frame 2: score must lie in "
                                                   rf"\[0, 1\], got {score}$"):
             CandidateTube(category="dog", span=(1, 2),
                           records=[CandidateRecord(t=1, box=BOX_A, score=0.5),

@@ -401,7 +401,8 @@ class TestMine:
         out = tmp_path / "mine.json"
         assert main(["mine", "--tubes", str(tubes_path), "--gt", str(gt_path),
                      "--out", str(out)]) == 2
-        assert "score must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {tubes_path}: tube 0 frame 0: score must "
+                                           "lie in [0, 1], got nan\n")
         assert not out.exists()
 
     def test_string_score_is_format_error(self, tmp_path, capsys):
@@ -670,6 +671,16 @@ class TestExposure:
                      "--seed", "1", "--out", str(tmp_path / "e.json")]) == 1
         assert capsys.readouterr().err == "error: token_budget must be at least 1, got 0\n"
 
+    def test_length_under_five_budgets_rejected(self, tmp_path, capsys):
+        # The track is --length / --token-budget boxes, and the profile needs
+        # five; the refusal named boxes the user never gave.
+        out = tmp_path / "e.json"
+        assert main(["exposure", "--length", "16", "--eps", "0.1", "--token-budget", "4",
+                     "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: --length must be at least 5 x "
+                                           "--token-budget (20), got 16\n")
+        assert not out.exists()
+
     def test_length_budget_mismatch_rejected(self, tmp_path, capsys):
         assert main(["exposure", "--length", "42", "--eps", "0.01",
                      "--trials", "100", "--seed", "1",
@@ -737,8 +748,8 @@ class TestAutolabel:
         out = tmp_path / "pseudo.gt.json"
         assert main(["autolabel", "--candidates", str(path),
                      "--ts", "0", "--te", "14", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (f"error: {path}: frame 12: record score must be "
-                                           f"finite, got {value}\n")
+        assert capsys.readouterr().err == (f"error: {path}: frame 12: score must lie in "
+                                           f"[0, 1], got {value}\n")
         assert not out.exists()
 
     def test_score_outside_unit_interval_is_format_error(self, tmp_path, capsys):
@@ -750,7 +761,7 @@ class TestAutolabel:
         out = tmp_path / "pseudo.gt.json"
         assert main(["autolabel", "--candidates", str(path),
                      "--ts", "0", "--te", "14", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (f"error: {path}: frame 12: record score must "
+        assert capsys.readouterr().err == (f"error: {path}: frame 12: score must "
                                            f"lie in [0, 1], got 5.0\n")
         assert not out.exists()
 

@@ -221,18 +221,18 @@ class TestJsonlWriters:
         path = tmp_path / "d.jsonl"
         save_detections(str(path), "v", 25.0, make_frames())
         path.write_text(path.read_text().replace('"fps": 25.0', f'"fps": {fps}', 1))
-        with pytest.raises(FormatError, match="'fps' must be finite") as err:
+        with pytest.raises(FormatError) as err:
             load_detections(str(path))
-        assert err.value.line == 1 and f"{path}:1:" in str(err.value)
+        assert str(err.value) == f"{path}:1: fps must be a positive finite number, got {float(fps)}"
 
     @pytest.mark.parametrize("fps", ["0", "0.0", "-3.0"])
     def test_non_positive_fps_rejected_on_load(self, tmp_path, fps):
         path = tmp_path / "d.jsonl"
         save_detections(str(path), "v", 25.0, make_frames())
         path.write_text(path.read_text().replace('"fps": 25.0', f'"fps": {fps}', 1))
-        with pytest.raises(FormatError, match="'fps' must be finite and positive") as err:
+        with pytest.raises(FormatError) as err:
             load_detections(str(path))
-        assert err.value.line == 1 and f"{path}:1:" in str(err.value)
+        assert str(err.value) == f"{path}:1: fps must be a positive finite number, got {float(fps)}"
 
 
 class TestRefusedWrites:
@@ -342,7 +342,7 @@ class TestWritersRefuseWhatReadersRefuse:
 
     @pytest.mark.parametrize("fps", [0.0, -0.0, -25.0])
     def test_detections_fps_not_positive(self, tmp_path, fps):
-        self._refused(tmp_path / "d.jsonl", rf"^'fps' must be finite and positive, got {fps!r}$",
+        self._refused(tmp_path / "d.jsonl", rf"^fps must be a positive finite number, got {fps!r}$",
                       save_detections, "v", fps, make_frames())
 
     def test_predictions_repeated_video_id(self, tmp_path):
@@ -385,7 +385,7 @@ INT_FIELDS = {
     "FrameDetections.t": (lambda v: FrameDetections(v, ROW, [0.5], [[1.0]]), "'t'"),
     "Tube.slot_id": (lambda v: Tube(v, [0], ROW, [0.5], [0]), "'slot_id'"),
     "Tube.t": (lambda v: Tube(0, [v], ROW, [0.5], [0]), "tube 0: 't'"),
-    "Tube.det": (lambda v: Tube(0, [0], ROW, [0.5], [v]), "tube 0: 'det'"),
+    "Tube.det": (lambda v: Tube(0, [0], ROW, [0.5], [v]), "tube 0 frame 0: 'det'"),
     "GtTube.ts": (lambda v: GtTube(v, 0, ROW), "'ts'"),
     "GtTube.te": (lambda v: GtTube(0, v, ROW), "'te'"),
     "Prediction.ts": (lambda v: Prediction(v, 0, 0, ROW), "'ts'"),
@@ -461,15 +461,15 @@ FLOAT_FIELDS = {
     "FrameDetections.boxes": (lambda c: FrameDetections(0, c, [0.5], [[1.0]]),
                               lambda h: h.boxes, CORNERS, "'box'"),
     "FrameDetections.scores": (lambda c: FrameDetections(0, ROW, c, [[1.0]]),
-                               lambda h: h.scores, [0.1], "'score'"),
+                               lambda h: h.scores, [0.1], "frame 0: 'score'"),
     "FrameDetections.features": (lambda c: FrameDetections(0, ROW, [0.5], c),
                                  lambda h: h.features, [[0.1, 2.0]], "frame 0: 'embed'"),
     "Tube.boxes": (lambda c: Tube(0, [0], c, [0.5], [0]), lambda h: h.boxes, CORNERS,
                    "tube 0: 'box'"),
     "Tube.scores": (lambda c: Tube(0, [0], ROW, c, [0]), lambda h: h.scores, [0.1],
-                    "tube 0: 'score'"),
+                    "tube 0 frame 0: 'score'"),
     "Tube.features": (lambda c: Tube(0, [0], ROW, [0.5], [0], c), lambda h: h.features,
-                      [[0.1, 2.0]], "tube 0: 'embed'"),
+                      [[0.1, 2.0]], "tube 0 frame 0: 'embed'"),
     "GtTube.boxes": (lambda c: GtTube(0, 0, c), lambda h: h.boxes, CORNERS, "'box'"),
     "Prediction.boxes": (lambda c: Prediction(0, 0, 0, c), lambda h: h.boxes, CORNERS,
                          "'box'"),
@@ -479,7 +479,7 @@ FLOAT_FIELDS = {
     "MinedTube.boxes": (lambda c: MinedTube(np.eye(2), c), lambda h: h.boxes, CORNERS * 2,
                         "'box'"),
     "CandidateRecord.score": (lambda c: CandidateRecord(0, BOX, c), lambda h: h.score, 0.1,
-                              "'score'"),
+                              "frame 0: 'score'"),
     "CandidateTube.appearance": (lambda c: CandidateTube("c", (0, 0), [CandidateRecord(
         0, BOX, 0.5)], c), lambda h: h.appearance, [0.1, 2.0], "'appearance'"),
     "cosine_similarity": (lambda c: cosine_similarity(c, [1.0, 1.0]), lambda h: h,
@@ -538,7 +538,7 @@ class TestCandidateScores:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError) as err:
             load_candidates(str(path))
-        assert str(err.value) == f"{path}: frame 4: record score must lie in [0, 1], got 5.0"
+        assert str(err.value) == f"{path}: frame 4: score must lie in [0, 1], got 5.0"
         assert (err.value.path, err.value.line) == (str(path), None)
 
 
@@ -576,13 +576,15 @@ class TestGt:
                "boxes": [{"t": 0, "box": BOX.to_list()}]}
         path = tmp_path / "fps.gt.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="'fps' must be finite and positive"):
+        refusal = f"fps must be a positive finite number, got {fps}"
+        with pytest.raises(FormatError) as err:
             load_gt(str(path))
+        assert str(err.value) == f"{path}: {refusal}"
         pred = tmp_path / "p.jsonl"
         pred.write_text(json.dumps(doc) + "\n")
-        with pytest.raises(FormatError, match="'fps' must be finite and positive") as err:
+        with pytest.raises(FormatError) as err:
             load_predictions(str(pred))
-        assert f"{pred}:1:" in str(err.value)
+        assert str(err.value) == f"{pred}:1: {refusal}"
 
     def test_frames_in_any_order(self, tmp_path):
         path = tmp_path / "reversed.gt.json"
@@ -989,24 +991,25 @@ class TestNonFiniteInput:
         rec.update(record)
         return {"video_id": "v", "n_q": 1, "tubes": [{"slot_id": 0, "records": [rec]}]}
 
-    @pytest.mark.parametrize("record, what", [
-        ({"score": float("nan")}, "score"),
-        ({"score": float("inf")}, "score"),
-        ({"embed": [1.0, float("nan")]}, "embed"),
-        ({"embed": [float("-inf"), 1.0]}, "embed"),
+    @pytest.mark.parametrize("record, refusal", [
+        ({"score": float("nan")}, "score must lie in [0, 1], got nan"),
+        ({"score": float("inf")}, "score must lie in [0, 1], got inf"),
+        ({"embed": [1.0, float("nan")]}, "embed must be a finite number, got nan"),
+        ({"embed": [float("-inf"), 1.0]}, "embed must be a finite number, got -inf"),
     ])
-    def test_tube_file_rejected(self, tmp_path, record, what):
+    def test_tube_file_rejected(self, tmp_path, record, refusal):
         path = tmp_path / "nan.tubes.json"
         path.write_text(json.dumps(self._tube_doc(**record)))  # bare NaN/Infinity
-        with pytest.raises(FormatError, match=f"{what} must be finite") as err:
+        with pytest.raises(FormatError) as err:
             load_tubes(str(path))
-        assert str(err.value).startswith(f"{path}: ")
+        assert str(err.value) == f"{path}: tube 0 frame 0: {refusal}"
 
     def test_overflowing_literal_rejected(self, tmp_path):
         path = tmp_path / "big.tubes.json"
         path.write_text(json.dumps(self._tube_doc(score=0.125)).replace("0.125", "1e999"))
-        with pytest.raises(FormatError, match="score must be finite"):
+        with pytest.raises(FormatError) as err:
             load_tubes(str(path))
+        assert str(err.value) == f"{path}: tube 0 frame 0: score must lie in [0, 1], got inf"
 
 
 class TestIntegerFields:
@@ -1182,8 +1185,9 @@ class TestNumberFields:
                "boxes": [{"t": 2, "box": BOX.to_list()}]}
         path = tmp_path / "big.gt.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="must be finite"):
+        with pytest.raises(FormatError) as err:
             load_gt(str(path))
+        assert str(err.value) == f"{path}: ts_sec * fps must be a finite number, got inf"
 
     @pytest.mark.parametrize("bad", NOT_NUMBERS)
     def test_candidate_score(self, tmp_path, bad):
@@ -1429,8 +1433,9 @@ class TestTubeDecode:
     def test_non_finite_embed_names_its_frame(self, tmp_path):
         path = self._write(tmp_path, [self._rec(t, embed=[1.0, 2.0]) for t in (4, 5)]
                            + [self._rec(6, embed=[1.0, 1e999])])
-        with pytest.raises(FormatError, match="tube 3 frame 6: embed must be finite"):
+        with pytest.raises(FormatError) as err:
             load_tubes(path)
+        assert str(err.value) == f"{path}: tube 3 frame 6: embed must be a finite number, got inf"
 
     @pytest.mark.parametrize("records", [[[0, 1]], ["r"], {"t": 0}], ids=["list", "str", "dict"])
     def test_records_must_be_objects_in_an_array(self, tmp_path, records):

@@ -39,7 +39,8 @@ class TestSelectTube:
     def test_non_finite_score_refused_before_selection(self, bad):
         # A tube scored [nan, 0.9, 0.9] used to be accepted, and against a
         # tube scored 0.5 select_tube picked index 0 in either order.
-        with pytest.raises(ValidationError, match="tube 0 frame 0: score must be finite"):
+        with pytest.raises(ValidationError, match=rf"^tube 0 frame 0: score must lie in "
+                                                  rf"\[0, 1\], got {bad}$"):
             tube([bad, 0.9, 0.9])
 
 

@@ -7,18 +7,22 @@ oracle.  Each field is tried with a string, a bool, NaN, a fractional value
 where an int is due, and the values just outside each end; the values just
 inside each end must pass and be held in normal form.
 """
+import json
 import math
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
 import tubekit
 from conftest import make_smooth_tube
-from tubekit import (AssociationConfig, AutolabelConfig, CostWeights,
-                     ExposureConfig, GtTube, LossWeights, Prediction,
-                     SceneConfig, ValidationError, evaluate, grad_check,
-                     p_error_free)
+from tubekit import (AssociationConfig, AutolabelConfig, Box, CandidateRecord,
+                     CandidateTube, CostWeights, ExposureConfig, FormatError,
+                     FrameDetections, GtTube, LossWeights, MinedTube, Prediction,
+                     SceneConfig, Tube, TubeMemory, ValidationError,
+                     assemble_annotation, coverage_filter, evaluate, grad_check,
+                     p_error_free, run_association, split_fifths, t_iou)
+from tubekit.formats import load_detections, save_detections
 from tubekit.geometry import within
 
 TUBE = make_smooth_tube(3)
@@ -122,3 +126,107 @@ def test_messages_are_built_from_the_interval(interval, value, message):
     with pytest.raises(ValidationError) as err:
         within(value, "x", interval, kind)
     assert str(err.value) == message
+
+
+# The column rule: a bounded holder column goes through `within` with the
+# frame of each row, so a refusal is the scalar rule's, after the place.
+ROWS = np.array([[0.1, 0.1, 0.5, 0.5]] * 2)
+BOX = Box(0.1, 0.1, 0.5, 0.5)
+
+
+def _detections_fps(v, path):
+    save_detections(str(path), "v", 25.0, [FrameDetections(0, ROWS[:1], [0.5], [[1.0]])])
+    path.write_text(path.read_text().replace('"fps": 25.0', f'"fps": {json.dumps(v)}', 1))
+    return load_detections(str(path))[0]["fps"]
+
+
+# name -> (holder with `v` as its column's last value, returning the value
+# held; kind; interval; key; the place a refusal names)
+COLUMNS = {
+    "FrameDetections.scores": (lambda v, _: FrameDetections(3, ROWS, [0.5, v], [[1.0]] * 2)
+                               .scores[-1], float, "[0, 1]", "score", "frame 3: "),
+    "Tube.scores": (lambda v, _: Tube(2, [4, 7], ROWS, [0.5, v], [0, 0]).scores[-1],
+                    float, "[0, 1]", "score", "tube 2 frame 7: "),
+    "Tube.det": (lambda v, _: Tube(2, [4, 7], ROWS, [0.5, 0.5], [0, v]).det[-1],
+                 int, "[-1, inf)", "det", "tube 2 frame 7: "),
+    "Tube.features": (lambda v, _: Tube(2, [4, 7], ROWS, [0.5, 0.5], [0, 0],
+                                        [[1.0, 2.0], [1.0, v]]).features[-1, -1],
+                      float, "(-inf, inf)", "embed", "tube 2 frame 7: "),
+    "CandidateTube.records.score": (
+        lambda v, _: CandidateTube("c", (4, 5), [CandidateRecord(4, BOX, 0.5),
+                                                 CandidateRecord(5, BOX, v)],
+                                   np.array([1.0])).records[-1].score,
+        float, "[0, 1]", "score", "frame 5: "),
+    "detections.fps": (_detections_fps, float, "(0, inf)", "fps", "{path}:1: "),
+}
+
+
+@pytest.mark.parametrize("column", list(COLUMNS))
+def test_column_rule(column, tmp_path):
+    build, kind, interval, key, place = COLUMNS[column]
+    path = tmp_path / "d.jsonl"
+    refused, accepted = edges(kind, interval, None)
+    for value in [*refused, math.nan, math.inf, -math.inf, "0.5", True]:
+        with pytest.raises(ValidationError) as scalar:
+            within(value, key, interval, kind)
+        with pytest.raises((ValidationError, FormatError)) as err:
+            build(value, path)
+        assert str(err.value) == place.format(path=path) + str(scalar.value)
+    for value in accepted:
+        held = build(value, path)
+        if kind is int:
+            assert held == value
+        else:
+            assert float(held).hex() == float(value).hex()
+
+
+def _holders() -> dict:
+    """One instance of each holder: a class in tubekit.__all__ that checks
+    what it holds (__post_init__) and holds an array."""
+    frame = FrameDetections(0, ROWS, [0.5, 0.7], [[1.0, 0.0], [0.0, 1.0]])
+    return {
+        "FrameDetections": frame,
+        "Tube": run_association([frame], AssociationConfig(n_q=2))[0],
+        "TubeMemory": TubeMemory([[1.0, 0.0]]),
+        "CandidateTube": CandidateTube("c", (0, 0), [CandidateRecord(0, BOX, 0.5)],
+                                       [1.0, 0.0]),
+        "GtTube": GtTube(0, 1, ROWS.tolist()),
+        "Prediction": Prediction(0, 1, 0, ROWS.tolist()),
+        "MinedTube": MinedTube([[1.0, 0.0], [0.0, 1.0]], ROWS.tolist()),
+    }
+
+
+def test_every_holder_keeps_its_arrays_read_only():
+    holders = _holders()
+    expected = {name for name in tubekit.__all__
+                if is_dataclass(cls := getattr(tubekit, name)) and "__post_init__" in vars(cls)
+                and any("ndarray" in str(f.type) for f in fields(cls))}
+    assert set(holders) == expected
+    for name, holder in holders.items():
+        arrays = [k for k, v in vars(holder).items() if isinstance(v, np.ndarray)]
+        assert arrays, name
+        for key in arrays:
+            assert not getattr(holder, key).flags.writeable, f"{name}.{key}"
+
+
+CANDIDATE = CandidateTube("c", (0, 9), [CandidateRecord(t, BOX, 0.5) for t in range(10)],
+                          np.array([1.0]))
+# Each interval argument, given the bounds (s, e).
+INTERVALS = {
+    "t_iou.a": lambda s, e: t_iou((s, e), (0, 9)),
+    "t_iou.b": lambda s, e: t_iou((0, 9), (s, e)),
+    "split_fifths": split_fifths,
+    "coverage_filter": lambda s, e: coverage_filter(CANDIDATE, (s, e)),
+    "assemble_annotation": lambda s, e: assemble_annotation([CANDIDATE], (s, e)),
+}
+
+
+@pytest.mark.parametrize("call", list(INTERVALS))
+def test_interval_bounds_follow_the_integer_rule(call):
+    # t_iou((0, 9.5), (0, 9)) was 0.952, split_fifths(0, 9.5) gave float
+    # parts and assemble_annotation died on a float slice index.
+    INTERVALS[call](0, 9.0)   # an integral float is an int
+    for value in [9.5, True, "3", 2 ** 63]:
+        for bounds in [(0, value), (value, 20)]:
+            with pytest.raises(ValidationError, match="^'(interval|s|e)' must be an integer"):
+                INTERVALS[call](*bounds)
