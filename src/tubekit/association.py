@@ -10,7 +10,8 @@ factor.  A Tube holds its slot's track as per-frame columns: frame index,
 box, score, source detection index and feature.  A slot that finds no match
 keeps its memory untouched and repeats its previous box and feature at
 score 0 with detection index -1, so a tube always spans every processed
-frame.
+frame.  Tube.from_columns cuts the columns of many tubes, laid end to end,
+into tubes, and checks them once.
 """
 from __future__ import annotations
 
@@ -103,22 +104,34 @@ class Tube:
 
     def __post_init__(self):
         object.__setattr__(self, "slot_id", integer(self.slot_id, "slot_id"))
-        where = f"tube {self.slot_id}: "
-        t = integers(self.t, "t", where)
-        cols = {"t": t, "boxes": corner_rows(self.boxes, where),
-                "scores": within(self.scores, "score", "[0, 1]", float, t, where),
-                "det": within(self.det, "det", "[-1, inf)", int, t, where)}
-        if self.features is not None:
-            cols["features"] = within(self.features, "embed", "(-inf, inf)", float, t, where)
-        shapes = {k: c.shape for k, c in cols.items()}
-        if any(len(shape) != (2 if k in ("boxes", "features") else 1) or shape[0] != len(t)
-               for k, shape in shapes.items()):
-            raise ValidationError(f"{where}columns must hold one row per frame, got {shapes}")
-        if np.any(t[1:] <= t[:-1]):
-            i = int(np.argmax(t[1:] <= t[:-1]))
-            raise ValidationError(f"{where}records must be strictly increasing in t, "
-                                  f"got t={t[i + 1]} after t={t[i]}")
-        hold(self, **cols)
+        hold(self, **_tube_columns(f"tube {self.slot_id}: ", self.t, self.boxes, self.scores,
+                                   self.det, self.features))
+
+    @classmethod
+    def from_columns(cls, slot_ids, sizes, t, boxes, scores, det,
+                     features=None) -> list[Tube]:
+        """The tubes whose columns are laid end to end in t, boxes, scores,
+        det and features: tube i holds the sizes[i] rows after those of the
+        tubes before it, and no features when it holds no rows.  The columns
+        are checked once, by Tube's rules; a refusal names the tube when
+        there is one."""
+        slot_ids = integers(slot_ids, "slot_id").tolist()
+        sizes = integers(sizes, "sizes")
+        ends = np.cumsum(sizes)
+        where = f"tube {slot_ids[0]}: " if len(slot_ids) == 1 else ""
+        columns = _tube_columns(where, t, boxes, scores, det, features, ends[:-1])
+        if len(sizes) != len(slot_ids) or np.any(sizes < 0) or sizes.sum() != len(columns["t"]):
+            raise ValidationError(f"sizes {sizes.tolist()} do not cut {len(columns['t'])} rows "
+                                  f"into {len(slot_ids)} tubes")
+        tubes = []
+        for slot_id, end, size in zip(slot_ids, ends.tolist(), sizes.tolist()):
+            part = {k: c[end - size:end] for k, c in columns.items() if size or k != "features"}
+            tube = object.__new__(cls)
+            object.__setattr__(tube, "slot_id", slot_id)
+            object.__setattr__(tube, "features", None)
+            hold(tube, **part)
+            tubes.append(tube)
+        return tubes
 
     @property
     def records(self) -> list[TubeRecord]:
@@ -136,6 +149,29 @@ class Tube:
         if not len(self.t):
             raise ValidationError(f"tube {self.slot_id} has no records")
         return float(np.mean(self.scores))
+
+
+def _tube_columns(where: str, t, boxes, scores, det, features, cuts=np.empty(0, int)) -> dict:
+    """Tube's rules for the columns of tubes laid end to end, a tube
+    starting at each row of `cuts`: the checked columns, by name, or a
+    refusal after `where`."""
+    t = integers(t, "t", where)
+    cols = {"t": t, "boxes": corner_rows(boxes, where),
+            "scores": within(scores, "score", "[0, 1]", float, t, where),
+            "det": within(det, "det", "[-1, inf)", int, t, where)}
+    if features is not None:
+        cols["features"] = within(features, "embed", "(-inf, inf)", float, t, where)
+    shapes = {k: c.shape for k, c in cols.items()}
+    if any(len(shape) != (2 if k in ("boxes", "features") else 1) or shape[0] != len(t)
+           for k, shape in shapes.items()):
+        raise ValidationError(f"{where}columns must hold one row per frame, got {shapes}")
+    starts = np.zeros(len(t), bool)
+    starts[cuts[cuts < len(t)]] = True
+    if np.any(disorder := (t[1:] <= t[:-1]) & ~starts[1:]):
+        i = int(np.argmax(disorder))
+        raise ValidationError(f"{where}records must be strictly increasing in t, "
+                              f"got t={t[i + 1]} after t={t[i]}")
+    return cols
 
 
 @dataclass(frozen=True)

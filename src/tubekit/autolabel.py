@@ -23,8 +23,7 @@ import numpy as np
 
 from .assignment import checked_norms, cosine_similarity
 from .errors import ValidationError
-from .geometry import (Box, corners, hold, hold_within, integer, integers, number, numbers,
-                       within)
+from .geometry import Box, corners, hold, hold_within, integer, number, numbers, pair, within
 from .mining import GtTube
 
 
@@ -45,7 +44,7 @@ class CandidateRecord:
 @dataclass(frozen=True)
 class CandidateTube:
     """A fragment: records on every frame of span, a pair of ints by the
-    rule of `integers`, each record's score in [0, 1]."""
+    rule of `pair`, each record's score in [0, 1]."""
 
     category: str
     span: tuple[int, int]
@@ -53,9 +52,7 @@ class CandidateTube:
     appearance: np.ndarray = None
 
     def __post_init__(self):
-        if len(span := integers(self.span, "span")) != 2:
-            raise ValidationError(f"span must be a 2-element array, got {self.span!r}")
-        object.__setattr__(self, "span", tuple(span.tolist()))
+        object.__setattr__(self, "span", pair(self.span, "span"))
         s, e = self.span
         if s > e:
             raise ValidationError(f"empty span {self.span}")
@@ -178,7 +175,7 @@ def coverage_filter(tube: CandidateTube, interval: tuple[int, int],
                     cfg: AutolabelConfig = AutolabelConfig()) -> bool:
     """Keep the tube iff it covers at least the threshold fraction of the
     interval, counting frames inclusively.  Exactly at the threshold keeps."""
-    s, e = (integer(v, "interval") for v in interval)
+    s, e = pair(interval, "interval")
     if s > e:
         raise ValidationError(f"empty interval {interval}")
     covered = max(0, min(e, tube.span[1]) - max(s, tube.span[0]) + 1)
@@ -195,7 +192,7 @@ def assemble_annotation(candidates: list[CandidateTube], interval: tuple[int, in
     """
     if score_fn is None:
         score_fn = CandidateTube.mean_score
-    interval = tuple(integer(v, "interval") for v in interval)
+    interval = pair(interval, "interval")
     if not candidates:
         return None
     merged = merge_tubes(candidates, cfg)

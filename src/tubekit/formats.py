@@ -21,6 +21,12 @@ loader names the place once, with _at around a document's or a JSONL
 line's decode, which turns a refusal into a FormatError at path[:LINE],
 lines 1-based.  Intervals in seconds (ts_sec / te_sec) need the
 document's fps.
+
+A tube file is decoded in one pass: the records of all its tubes make one
+_values or _column call per key, and Tube.from_columns checks the columns
+once and cuts them into tubes.  When that pass refuses, the same decoder
+runs on one tube at a time, in file order, so the first tube at fault is
+named, and tubes whose embeds differ in width or presence still load.
 """
 from __future__ import annotations
 
@@ -529,30 +535,42 @@ def load_tubes(path: str) -> tuple[str, list[Tube]]:
     with _at(path):
         video_id = _str_field(obj, "video_id")
         n_q = _field(obj, "n_q", integer)
-        tubes = [_tube_from(entry) for entry in _list_field(obj, "tubes")]
+        entries = _list_field(obj, "tubes")
+        try:
+            tubes = _tubes_from(entries)
+        except ValidationError:
+            # One tube at a time, in file order: the first tube at fault is
+            # named, and tubes whose embeds differ in width or presence load.
+            tubes = [tube for entry in entries for tube in _tubes_from([entry])]
         if len(tubes) != n_q:
             raise ValidationError(f"header promises n_q={n_q} tubes, file has {len(tubes)}")
         _slots_once(tubes)
     return video_id, tubes
 
 
-def _tube_from(entry: dict) -> Tube:
-    slot_id = _field(entry, "slot_id", integer)
-    raw = _require(entry, "records")
-    if type(raw) is not list:
-        raise ValidationError(f"tube {slot_id}: records must be an array")
-    where = f"tube {slot_id}: "
+def _tubes_from(entries: list) -> list[Tube]:
+    """The tubes of `entries`, their records decoded as one set of columns
+    and checked once (Tube.from_columns); a refusal names the tube when
+    there is one."""
+    slot_ids = integers([_require(entry, "slot_id") for entry in entries], "slot_id").tolist()
+    records = [_require(entry, "records") for entry in entries]
+    if bad := [slot_id for slot_id, raw in zip(slot_ids, records) if type(raw) is not list]:
+        raise ValidationError(f"tube {bad[0]}: records must be an array")
+    where = f"tube {slot_ids[0]}: " if len(entries) == 1 else ""
+    raw = list(chain.from_iterable(records))
     t = _values(raw, "t", where=where)   # raw: Tube applies its rules to t, score and det
     embeds = _values(raw, "embed", default=None)   # none at all: written without them
     if None in embeds and embeds.count(None) < len(embeds):
         frame = integers(t, "t", where)[embeds.index(None)]   # a bad t is refused first
-        raise ValidationError(f"tube {slot_id} frame {frame}: embed missing, "
+        raise ValidationError(f"{where[:-2]} frame {frame}: embed missing, "
                               "but other records of the tube have one")
     features = None if None in embeds or not embeds else _column(
         raw, "embed", where=where, bad="every embed must be an array of numbers, all of one length")
-    return Tube(slot_id, t, _column(raw, "box", width=4, bad=_BAD_BOX, where=where),
-                _values(raw, "score", where=where),
-                [-1 if d is None else d for d in _values(raw, "det", None, where)], features)
+    return Tube.from_columns(slot_ids, [len(r) for r in records], t,
+                             _column(raw, "box", width=4, bad=_BAD_BOX, where=where),
+                             _values(raw, "score", where=where),
+                             [-1 if d is None else d for d in _values(raw, "det", None, where)],
+                             features)
 
 
 # -------------------------------------------------------------- predictions
@@ -637,9 +655,7 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
         video_id = _str_field(obj, "video_id")
         out = []
         for c in _list_field(obj, "candidates"):
-            span = _require(c, "span")
-            if not (isinstance(span, list) and len(span) == 2):
-                raise ValidationError(f"span must be a 2-element array, got {span!r}")
+            span = _require(c, "span")   # CandidateTube applies its rule, `pair`
             raw = _list_field(c, "records")
             flags = _values(raw, "interpolated", default=False)
             if bad := [flag for flag in flags if type(flag) is not bool]:   # bool("false") is True

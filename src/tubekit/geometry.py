@@ -10,10 +10,11 @@ corner arrays, the layout of the boxes of a tube, a GT and a prediction:
 `giou_pairs` are the scalar IoU and GIoU row by row, bit for bit, for the
 per-frame loops of mining, the consistency losses and the metrics;
 `sum_in_order` adds per-frame terms in the order a plain accumulation loop
-would.  `integers` is the rule of every frame index and id, `numbers` of
-every other number, the holders' and the readers' alike; `within` adds a
-range to them for every config field, scalar argument and bounded holder
-column, and `hold` keeps a holder's checked columns read-only.
+would.  `integers` is the rule of every frame index and id, `pair` of an
+interval's or a span's two frames, `numbers` of every other number, the
+holders' and the readers' alike; `within` adds a range to them for every
+config field, scalar argument and bounded holder column, and `hold` keeps
+a holder's checked columns read-only.
 """
 from __future__ import annotations
 
@@ -128,8 +129,9 @@ def corner_rows(rows, where: str = "") -> np.ndarray:
 
 def _array(values, key: str, where: str, ints: bool) -> np.ndarray:
     """The body of `integers` (ints) and `numbers`: an ndarray of a safe kind
-    is cast by its dtype alone, anything else scanned once, value by value;
-    a refusal is a ValidationError naming `key`, after `where`."""
+    is cast by its dtype alone, anything else scanned once, value by value,
+    and converted from its elements in one flat list; a refusal is a
+    ValidationError naming `key`, after `where`."""
     dtype, kinds, word = (np.int64, "iu", "an integer") if ints else (float, "iuf", "a number")
     if isinstance(values, np.ndarray):
         if values.ndim and values.dtype.kind in kinds and np.can_cast(values.dtype, dtype):
@@ -137,31 +139,34 @@ def _array(values, key: str, where: str, ints: bool) -> np.ndarray:
         values = values.tolist()
     if ints:
         try:
-            flat = values = list(values)
+            flat = list(values)
         except TypeError:   # a scalar
             raise ValidationError(f"{where}'{key}' must be an array of integers, "
                                   f"got {values!r}") from None
+        shape = [len(flat)]
     else:
-        flat = values if type(values) is list else [values]
+        flat, shape = (values, [len(values)]) if type(values) is list else ([values], [])
         with suppress(TypeError):   # a 0-d array is no row, and is refused below
             while flat and type(flat[0]) in _NESTED and _NESTED.issuperset(map(type, flat)):
+                lengths = set(map(len, flat))   # None: rows of more than one length
+                shape.append(lengths.pop() if len(lengths) == 1 else None)
                 flat = list(chain.from_iterable(flat))   # rows of one depth: their elements
     if not (_INT if ints else _NUMBER).issuperset(map(type, flat)):
         if ints:   # a numpy integer or an integral float is an int
-            flat = values = [int(v) if isinstance(v, np.integer)
-                             or (isinstance(v, (float, np.floating)) and v.is_integer()) else v
-                             for v in values]
+            flat = [int(v) if isinstance(v, np.integer)
+                    or (isinstance(v, (float, np.floating)) and v.is_integer()) else v
+                    for v in flat]
         if bad := [v for v in flat if type(v) is not int and (
                 ints or type(v) is not float and not isinstance(v, (np.integer, np.floating)))]:
             raise ValidationError(f"{where}'{key}' must be {word}, got {bad[0]!r}")
+    if None in shape:
+        raise ValidationError(f"{where}'{key}' must be an array of rows of one length")
     try:
-        return np.array(values, dtype=dtype)
+        return np.array(flat, dtype=dtype).reshape(shape)
     except OverflowError:
         v = max((v for v in flat if type(v) is int), key=abs)
         raise ValidationError(f"{where}'{key}' must be {word} that fits in 64 bits, "
                               f"got {v!r}") from None
-    except ValueError:   # rows of more than one length or depth
-        raise ValidationError(f"{where}'{key}' must be an array of rows of one length") from None
 
 
 def integers(values, key: str, where: str = "") -> np.ndarray:
@@ -190,6 +195,14 @@ def number(value, key: str, where: str = "") -> float:
     if (a := numbers(value, key, where)).ndim:
         raise ValidationError(f"{where}'{key}' must be a number, got {value!r}")
     return a.item()
+
+
+def pair(value, key: str) -> tuple[int, int]:
+    """Two values by the rule of `integers`, as a tuple of Python ints: the
+    first and last frame of an interval or a span."""
+    if len(a := integers(value, key)) != 2:
+        raise ValidationError(f"{key} must be a 2-element array, got {value!r}")
+    return tuple(a.tolist())
 
 
 def _inside(v, bounds: str):
@@ -255,8 +268,8 @@ def hold(holder, **columns: np.ndarray) -> None:
 
 def _inter_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Intersection and union areas of each row pair, in the scalar order."""
-    ax1, ay1, ax2, ay2 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bx1, by1, bx2, by2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    ax1, ay1, ax2, ay2 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx1, by1, bx2, by2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
     ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
@@ -271,7 +284,8 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def giou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """giou of each row of `a` with the same row of `b`, both (N, 4) corners.
+    """giou of each row of `a` with the same row of `b`, both (N, 4) corners,
+    or any corner arrays (..., 4) that broadcast, such as (k, N, 4) with (N, 4).
 
     Performs the IEEE operations of the scalar `giou`, in the same order, so
     for rows that are valid boxes each element equals
@@ -279,8 +293,8 @@ def giou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is also the kernel of finite-difference probes.
     """
     inter, u = _inter_union(a, b)
-    c = ((np.maximum(a[:, 2], b[:, 2]) - np.minimum(a[:, 0], b[:, 0]))
-         * (np.maximum(a[:, 3], b[:, 3]) - np.minimum(a[:, 1], b[:, 1])))
+    c = ((np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0]))
+         * (np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])))
     return inter / u - (c - u) / c
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .association import Tube
 from .errors import ValidationError
-from .geometry import corner_rows, hold, integer, iou_pairs, sum_in_order, within
+from .geometry import corner_rows, hold, integer, iou_pairs, pair, sum_in_order, within
 from .geometry import iou  # noqa: F401  (kept: perfbench counts iou calls through this name)
 from .mining import GtTube
 
@@ -79,7 +79,7 @@ def _interval_len(s: int, e: int) -> int:
 
 def t_iou(a: tuple[int, int], b: tuple[int, int]) -> float:
     """Temporal IoU of two inclusive frame intervals."""
-    (s1, e1), (s2, e2) = ((integer(v, "interval") for v in pair) for pair in (a, b))
+    (s1, e1), (s2, e2) = (pair(x, "interval") for x in (a, b))
     if s1 > e1 or s2 > e2:
         raise ValidationError(f"empty interval in t_iou: {a}, {b}")
     inter = max(0, min(e1, e2) - max(s1, s2) + 1)

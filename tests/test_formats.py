@@ -1442,3 +1442,62 @@ class TestTubeDecode:
         with pytest.raises(FormatError, match="tube 3: (every record must be an object"
                                               "|records must be an array)"):
             load_tubes(self._write(tmp_path, records))
+
+    # A fault on record 1 of a tube, and the message it gives, after "tube S".
+    FAULTS = {
+        "score": ({"score": 2.0}, " frame 1: score must lie in [0, 1], got 2.0"),
+        "box": ({"box": [0.1, 0.2, 0.3]}, ": bad box: every box must be an array of 4 numbers"),
+        "det": ({"det": "x"}, " frame 1: 'det' must be an integer, got 'x'"),
+        "t": ({"t": 0}, ": records must be strictly increasing in t, got t=0 after t=0"),
+        "embed": ({"embed": None},
+                  " frame 1: embed missing, but other records of the tube have one"),
+    }
+
+    def _doc_file(self, tmp_path, tubes):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"video_id": "v", "n_q": len(tubes), "tubes": [
+            {"slot_id": slot, "records": records} for slot, records in tubes]}))
+        return str(path)
+
+    def _records(self, fault=None, dim=2):
+        """Three records with embeds of width dim (None: none), record 1
+        changed by fault."""
+        embed = {} if dim is None else {"embed": [0.5] * dim}
+        records = [{**self._rec(t), **embed} for t in range(3)]
+        records[1].update(fault or {})
+        return records
+
+    @pytest.mark.parametrize("first", list(FAULTS))
+    @pytest.mark.parametrize("second", list(FAULTS))
+    def test_faults_in_two_tubes_name_the_earlier(self, tmp_path, first, second):
+        # The clip's columns are decoded together; a refusal decodes the tubes
+        # again one at a time, so the first tube at fault in the file is
+        # named, with the message it gives on its own.
+        path = self._doc_file(tmp_path, [
+            (5, self._records()), (2, self._records(self.FAULTS[first][0])),
+            (7, self._records()), (1, self._records(self.FAULTS[second][0]))])
+        with pytest.raises(FormatError) as err:
+            load_tubes(path)
+        assert str(err.value) == f"{path}: tube 2{self.FAULTS[first][1]}"
+
+    def test_embeds_may_differ_between_tubes(self, tmp_path):
+        # Widths 2 and 3, a tube without embeds and one without records: each
+        # loads as it does alone in a file.
+        tubes = [(0, self._records(dim=2)), (1, self._records(dim=3)),
+                 (2, self._records(dim=None)), (3, []), (4, self._records(dim=2))]
+        _, loaded = load_tubes(self._doc_file(tmp_path, tubes))
+        assert [None if t.features is None else t.features.shape for t in loaded] == [
+            (3, 2), (3, 3), None, None, (3, 2)]
+        for (slot, records), tube in zip(tubes, loaded):
+            _, (alone,) = load_tubes(self._doc_file(tmp_path, [(slot, records)]))
+            assert self._columns(tube) == self._columns(alone)
+            assert not any(getattr(tube, k).flags.writeable for k in ("t", "boxes", "scores", "det"))
+
+    @staticmethod
+    def _columns(tube):
+        return [None if c is None else c.tolist() for c in
+                (tube.t, tube.boxes, tube.scores, tube.det, tube.features)]
+
+    def test_tube_without_records_has_no_features(self, tmp_path):
+        _, loaded = load_tubes(self._doc_file(tmp_path, [(0, self._records()), (1, [])]))
+        assert loaded[1].features is None and loaded[1].boxes.shape == (0, 4)

@@ -1,11 +1,15 @@
-"""Tube mining: cost terms against hand-computed values, winner selection."""
+"""Tube mining: cost terms against hand-computed values, winner selection,
+and the batched kernel against the per-tube loop it replaced."""
+import re
+
 import numpy as np
 import pytest
 
 from conftest import make_gt, make_tube
 from tubekit.association import Tube
+from tubekit.consistency import MinedTube, geom_loss
 from tubekit.errors import ValidationError
-from tubekit.geometry import Box, corners
+from tubekit.geometry import Box, corners, giou_pairs, sum_in_order
 from tubekit.mining import (CostBreakdown, CostWeights, GtTube, _center_size_l1_pairs,
                             match_cost, mine_best_tube, temporal_cost)
 
@@ -189,3 +193,107 @@ class TestMineBestTube:
         _, breakdowns = mine_best_tube([smooth, jittery], gt)
         assert len(breakdowns) == 2
         assert all(isinstance(b, CostBreakdown) for b in breakdowns)
+
+
+# ------------------------------------------------------ per-tube reference
+
+def reference_match_cost(tube: Tube, gt: GtTube, weights: CostWeights) -> CostBreakdown:
+    """The per-tube cost that the batched kernel replaced: one tube's four
+    terms, each summed left to right over that tube's own frames."""
+    frames = np.arange(gt.ts, gt.te + 1)
+    missing = frames[~np.isin(frames, tube.t)]
+    if missing.size:
+        raise ValidationError(
+            f"tube {tube.slot_id} does not cover GT frames {missing[:5].tolist()}")
+    if len(tube.t) < 2:
+        raise ValidationError(f"temporal cost needs at least 2 records, "
+                              f"tube {tube.slot_id} has {len(tube.t)}")
+    c = tube.boxes
+    on_gt = np.searchsorted(tube.t, frames)
+    a, b = c[on_gt], gt.boxes
+    l1 = (np.abs(0.5 * (a[:, 0] + a[:, 2]) - 0.5 * (b[:, 0] + b[:, 2]))
+          + np.abs(0.5 * (a[:, 1] + a[:, 3]) - 0.5 * (b[:, 1] + b[:, 3]))
+          + np.abs((a[:, 2] - a[:, 0]) - (b[:, 2] - b[:, 0]))
+          + np.abs((a[:, 3] - a[:, 1]) - (b[:, 3] - b[:, 1])))
+    n = gt.length
+    c_cls = sum_in_order(1.0 - tube.scores[on_gt]) / n
+    c_bbox = sum_in_order(l1) / n
+    c_giou = sum_in_order(1.0 - giou_pairs(a, b)) / n
+    c_temp = sum_in_order(1.0 - giou_pairs(c[:-1], c[1:])) / (c.shape[0] - 1)
+    total = (weights.w_cls * c_cls + weights.w_bbox * c_bbox
+             + weights.w_giou * c_giou + weights.w_temp * c_temp)
+    return CostBreakdown(c_cls, c_bbox, c_giou, c_temp, total)
+
+
+def hexes(b: CostBreakdown) -> tuple:
+    return tuple(v.hex() for v in (b.c_cls, b.c_bbox, b.c_giou, b.c_temp, b.total))
+
+
+def random_tube(rng, slot: int, t) -> Tube:
+    centers = np.clip(0.5 + np.cumsum(rng.normal(0, 0.03, (len(t), 2)), axis=0), 0.2, 0.8)
+    sizes = rng.uniform(0.05, 0.3, (len(t), 2))
+    return Tube(slot, t, np.hstack([centers - sizes / 2, centers + sizes / 2]),
+                rng.choice([0.0, 1.0, 0.37, 0.9], len(t)), np.zeros(len(t), int),
+                rng.normal(1.0, 0.2, (len(t), 3)))
+
+
+class TestBatchedKernel:
+    """mine_best_tube scores the k tubes in one kernel, and match_cost is its
+    k = 1 call: every cost the same bits as the per-tube reference."""
+
+    WEIGHTS = [CostWeights(), CostWeights(0.5, 0.0, 7.0, 1e-3)]
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    def test_tubes_of_different_lengths(self, seed, weights):
+        rng = np.random.default_rng(seed)
+        ts, te = 5, 5 + int(rng.integers(0, 6))
+        tubes = [random_tube(rng, slot, np.arange(ts - int(rng.integers(0, 6)),
+                                                  te + 1 + int(rng.integers(0, 9))))
+                 for slot in range(int(rng.integers(1, 7)))]
+        gt = random_tube(rng, 99, np.arange(ts, te + 1))
+        gt = GtTube(ts, te, gt.boxes)
+        want = [reference_match_cost(tube, gt, weights) for tube in tubes]
+        best, got = mine_best_tube(tubes, gt, weights)
+        assert [hexes(b) for b in got] == [hexes(b) for b in want]
+        assert [hexes(match_cost(tube, gt, weights)) for tube in tubes] == [hexes(b) for b in want]
+        assert best == int(np.argmin([b.total for b in want]))
+        # Criterion 4: the mined tube's temporal cost is its geometry loss.
+        assert got[best].c_temp == geom_loss(MinedTube.from_tube(tubes[best]))
+
+    def test_equal_totals_go_to_the_first(self):
+        rng = np.random.default_rng(3)
+        one = random_tube(rng, 0, np.arange(0, 6))
+        twin = Tube(2, one.t, one.boxes, one.scores, one.det)
+        tubes = [random_tube(rng, 1, np.arange(0, 9)), one, twin]
+        gt = GtTube(1, 4, one.boxes[1:5])
+        best, got = mine_best_tube(tubes, gt)
+        want = [reference_match_cost(tube, gt, CostWeights()) for tube in tubes]
+        assert hexes(got[1]) == hexes(got[2]) == hexes(want[1])
+        assert best == int(np.argmin([b.total for b in want]))
+
+    @pytest.mark.parametrize("t, gt_frames", [
+        ([0, 1, 3, 4], (1, 3)),    # a gap on a GT frame
+        ([2, 3, 4], (1, 3)),       # starts after ts
+        ([0, 1, 2], (1, 3)),       # ends before te
+        ([], (1, 3)),              # no records
+        ([7, 8, 9], (1, 3)),       # all after te
+        ([3], (3, 3)),             # one record, on the one GT frame
+        ([2], (3, 3)),             # one record, elsewhere
+    ])
+    def test_first_tube_at_fault_named_as_before(self, t, gt_frames):
+        rng = np.random.default_rng(1)
+        ts, te = gt_frames
+        gt = GtTube(ts, te, random_tube(rng, 9, np.arange(ts, te + 1)).boxes)
+        good = random_tube(rng, 0, np.arange(0, 10))
+        tubes = [good, random_tube(rng, 1, np.array(t, dtype=int)),
+                 random_tube(rng, 2, np.array([ts]))]   # at fault too, but later
+        with pytest.raises(ValidationError) as want:
+            for tube in tubes:
+                reference_match_cost(tube, gt, CostWeights())
+        with pytest.raises(ValidationError) as got:
+            mine_best_tube(tubes, gt)
+        assert str(got.value) == str(want.value)
+        assert "tube 1 " in str(got.value)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(want.value))}$"):
+            match_cost(tubes[1], gt)

@@ -9,6 +9,7 @@ inside each end must pass and be held in normal form.
 """
 import json
 import math
+import re
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -230,3 +231,26 @@ def test_interval_bounds_follow_the_integer_rule(call):
         for bounds in [(0, value), (value, 20)]:
             with pytest.raises(ValidationError, match="^'(interval|s|e)' must be an integer"):
                 INTERVALS[call](*bounds)
+
+
+# Each interval argument, given whole.
+PAIRS = {
+    "t_iou.a": lambda pair: t_iou(pair, (0, 9)),
+    "t_iou.b": lambda pair: t_iou((0, 9), pair),
+    "coverage_filter": lambda pair: coverage_filter(CANDIDATE, pair),
+    "assemble_annotation": lambda pair: assemble_annotation([CANDIDATE], pair),
+}
+
+
+@pytest.mark.parametrize("call", list(PAIRS))
+def test_interval_must_be_a_pair(call):
+    # (0, 1, 2) was "too many values to unpack", and 5 "'int' object is not
+    # iterable": a bare ValueError or TypeError.
+    PAIRS[call]([0, 9.0])   # any sequence of two ints
+    for value, message in [((0, 1, 2), "interval must be a 2-element array, got (0, 1, 2)"),
+                           ((4,), "interval must be a 2-element array, got (4,)"),
+                           (5, "'interval' must be an array of integers, got 5"),
+                           ("09", "'interval' must be an integer, got '0'"),
+                           (((0, 1), (2, 3)), "'interval' must be an integer, got (0, 1)")]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            PAIRS[call](value)
