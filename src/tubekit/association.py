@@ -1,17 +1,17 @@
 """Memory-based association of per-frame detections into tubes.
 
 A frame's detections are read-only columns (FrameDetections): boxes,
-scores, features and the features' row norms, one row per detection,
-validated once per frame.  One reference memory vector per tube slot, held
-with its norm (TubeMemory).  Each frame, the top detections by
-confidence are matched to slots by cosine similarity (Hungarian), and matched
-slots blend the matched feature into their memory with a constant EMA
-factor.  A Tube holds its slot's track as per-frame columns: frame index,
-box, score, source detection index and feature.  A slot that finds no match
-keeps its memory untouched and repeats its previous box and feature at
-score 0 with detection index -1, so a tube always spans every processed
-frame.  Tube.from_columns cuts the columns of many tubes, laid end to end,
-into tubes, and checks them once.
+scores, features and the features' row norms, one row per detection.  One
+reference memory vector per tube slot, held with its norm (TubeMemory).
+Each frame, the top detections by confidence are matched to slots by cosine
+similarity (Hungarian), and matched slots blend the matched feature into
+their memory with a constant EMA factor.  A Tube holds its slot's track as
+per-frame columns: frame index, box, score, source detection index and
+feature.  A slot that finds no match keeps its memory untouched and repeats
+its previous box and feature at score 0 with detection index -1, so a tube
+always spans every processed frame.  FrameDetections.from_columns and
+Tube.from_columns check the columns of many frames or tubes, laid end to
+end, once, by the rules a single holder applies, and cut them into holders.
 """
 from __future__ import annotations
 
@@ -51,17 +51,22 @@ class FrameDetections:
 
     def __post_init__(self):
         object.__setattr__(self, "t", integer(self.t, "t"))
-        scores = within(self.scores, "score", "[0, 1]", frames=self.t)
-        if not scores.size:
-            raise ValidationError(f"frame {self.t} has no detections")
-        features = numbers(self.features, "embed", f"frame {self.t}: ")
-        boxes = corner_rows(self.boxes)
-        if scores.shape != boxes.shape[:1] or features.ndim != 2 or len(features) != len(boxes):
-            raise ValidationError(f"frame {self.t}: boxes, scores and features must hold one row "
-                                  f"per detection, got {boxes.shape}, {scores.shape} and "
-                                  f"{features.shape}")
-        hold(self, boxes=boxes, scores=scores, features=features,
-             norms=checked_norms(features, "detection feature must have a finite, positive norm"))
+        hold(self, **_detection_columns(np.array([self.t]), None, self.boxes, self.scores,
+                                        self.features))
+
+    @classmethod
+    def from_columns(cls, t, sizes, boxes, scores, features) -> list[FrameDetections]:
+        """The frames whose detections are laid end to end in boxes, scores
+        and features: frame t[i] holds the sizes[i] rows after those of the
+        frames before it.  The columns are checked once, by FrameDetections'
+        rules, and the norms taken once; a refusal names the frame at fault."""
+        t = integers(t, "t")
+        sizes = integers(sizes, "sizes")
+        if len(sizes) != len(t) or np.any(sizes < 0) or sizes.sum() != len(scores):
+            raise ValidationError(f"sizes {sizes.tolist()} do not cut {len(scores)} rows "
+                                  f"into {len(t)} frames")
+        return _cut(cls, sizes, _detection_columns(t, sizes, boxes, scores, features),
+                    t=t.tolist())
 
     @property
     def detections(self) -> list[Detection]:
@@ -123,15 +128,7 @@ class Tube:
         if len(sizes) != len(slot_ids) or np.any(sizes < 0) or sizes.sum() != len(columns["t"]):
             raise ValidationError(f"sizes {sizes.tolist()} do not cut {len(columns['t'])} rows "
                                   f"into {len(slot_ids)} tubes")
-        tubes = []
-        for slot_id, end, size in zip(slot_ids, ends.tolist(), sizes.tolist()):
-            part = {k: c[end - size:end] for k, c in columns.items() if size or k != "features"}
-            tube = object.__new__(cls)
-            object.__setattr__(tube, "slot_id", slot_id)
-            object.__setattr__(tube, "features", None)
-            hold(tube, **part)
-            tubes.append(tube)
-        return tubes
+        return _cut(cls, sizes, columns, slot_id=slot_ids, features=[None] * len(slot_ids))
 
     @property
     def records(self) -> list[TubeRecord]:
@@ -149,6 +146,43 @@ class Tube:
         if not len(self.t):
             raise ValidationError(f"tube {self.slot_id} has no records")
         return float(np.mean(self.scores))
+
+
+def _detection_columns(t: np.ndarray, sizes, boxes, scores, features) -> dict:
+    """FrameDetections' rules for the detections of frames laid end to end,
+    frame t[i] holding sizes[i] rows, or, sizes None, the one frame t[0]
+    every row: the checked columns and the features' row norms, by name,
+    or a refusal naming the frame at fault."""
+    where = f"frame {t[0]}: " if len(t) == 1 else ""
+    scores = within(scores, "score", "[0, 1]", float,
+                    int(t[0]) if sizes is None else np.repeat(t, sizes))
+    sizes = [scores.size] if sizes is None else sizes.tolist()
+    if 0 in sizes:
+        raise ValidationError(f"frame {t[sizes.index(0)]} has no detections")
+    features = numbers(features, "embed", where)
+    boxes = corner_rows(boxes)
+    if scores.shape != boxes.shape[:1] or features.ndim != 2 or len(features) != len(boxes):
+        raise ValidationError(f"{where}boxes, scores and features must hold one row per "
+                              f"detection, got {boxes.shape}, {scores.shape} and {features.shape}")
+    return {"boxes": boxes, "scores": scores, "features": features, "norms": checked_norms(
+        features, "detection feature must have a finite, positive norm")}
+
+
+def _cut(cls, sizes: np.ndarray, columns: dict, **scalars) -> list:
+    """Holders of the frozen dataclass cls, cut from checked columns laid
+    end to end without checking them again: holder i holds scalars[key][i]
+    for each key, and the sizes[i] rows of each column after those of the
+    holders before it, as read-only slices (hold).  A holder without rows
+    keeps its scalar where a column has the same name."""
+    holders = []
+    for i, (end, size) in enumerate(zip(np.cumsum(sizes).tolist(), sizes.tolist())):
+        holder = object.__new__(cls)
+        for key, values in scalars.items():
+            object.__setattr__(holder, key, values[i])
+        hold(holder, **{k: c[end - size:end] for k, c in columns.items()
+                        if size or k not in scalars})
+        holders.append(holder)
+    return holders
 
 
 def _tube_columns(where: str, t, boxes, scores, det, features, cuts=np.empty(0, int)) -> dict:

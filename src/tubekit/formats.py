@@ -26,7 +26,12 @@ A tube file is decoded in one pass: the records of all its tubes make one
 _values or _column call per key, and Tube.from_columns checks the columns
 once and cuts them into tubes.  When that pass refuses, the same decoder
 runs on one tube at a time, in file order, so the first tube at fault is
-named, and tubes whose embeds differ in width or presence still load.
+named, and tubes whose embeds differ in width or presence still load.  A
+detections file is decoded line by line into each line's columns, and
+FrameDetections.from_columns checks the clip's columns once and cuts them
+into frames.  When anything refuses, the JSON of a later line included,
+the same decoder runs again from the top, checking each line's columns at
+its line, so the first line at fault is named.
 """
 from __future__ import annotations
 
@@ -364,6 +369,19 @@ def save_detections(path: str, video_id: str, fps: float,
 
 
 def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
+    try:
+        return _detections_from(path, clip=True)
+    except (FormatError, ValidationError):
+        # One line at a time, from the top: the first line at fault is
+        # named, even where a later line's JSON stopped the clip pass.
+        return _detections_from(path, clip=False)
+
+
+def _detections_from(path: str, clip: bool) -> tuple[dict, list[FrameDetections]]:
+    """The header and frames of a detections file, each line decoded to
+    its columns: with clip, FrameDetections.from_columns checks the clip's
+    columns once at the end; else FrameDetections checks each line's at
+    its line."""
     it = _iter_jsonl(path)
     try:
         lineno, header = next(it)
@@ -378,19 +396,29 @@ def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
         }
     dim = meta["feature_dim"]
     bad_embed = f"'embed' must be an array of numbers of length feature_dim ({dim})"
-    frames: list[FrameDetections] = []
+    count, lines, frames = 0, [], []
     for lineno, obj in it:
         with _at(path, lineno):
             t = _field(obj, "t", integer)
-            _frame_at(len(frames), t)
+            _frame_at(count, t)
             dets = _list_field(obj, "detections")
             boxes = _column(dets, "box", width=4, bad=_BAD_BOX)
             embeds = _column(dets, "embed", width=dim, bad=bad_embed)
-            frames.append(FrameDetections(t, boxes, _values(dets, "score"), embeds))
-    if len(frames) != meta["frame_count"]:
-        raise FormatError(
-            f"header promises {meta['frame_count']} frames, file has {len(frames)}",
-            path=path)
+            scores = _values(dets, "score")
+            if clip:
+                lines.append((t, len(dets), boxes, scores, embeds))
+            else:
+                frames.append(FrameDetections(t, boxes, scores, embeds))
+        count += 1
+    if count != meta["frame_count"]:
+        raise FormatError(f"header promises {meta['frame_count']} frames, file has {count}",
+                          path=path)
+    if lines:
+        t, sizes, boxes, scores, embeds = zip(*lines)
+        del lines
+        boxes, embeds = np.concatenate(boxes), np.concatenate(embeds)   # frees the lines' arrays
+        frames = FrameDetections.from_columns(t, sizes, boxes, list(chain.from_iterable(scores)),
+                                              embeds)
     return meta, frames
 
 

@@ -13,7 +13,9 @@ from tubekit.association import (AssociationConfig, FrameDetections, Tube, TubeM
                                  init_memory, run_association, associate_step,
                                  top_by_confidence)
 from tubekit.errors import ValidationError
+from tubekit.formats import load_detections, save_detections
 from tubekit.geometry import Box
+from tubekit.scenes import SceneConfig, generate_scene
 
 BOX = Box(0.4, 0.4, 0.6, 0.6)
 
@@ -114,6 +116,54 @@ class TestFrameDetections:
             FrameDetections(**{**columns, column: value})
 
 
+class TestFrameDetectionsFromColumns:
+    """from_columns checks the columns of frames laid end to end once, by
+    FrameDetections' rules, and cuts them into frames."""
+
+    T = [10, 11, 12]
+    SIZES = [2, 1, 3]
+
+    def _columns(self, **change):
+        n = sum(self.SIZES)
+        columns = dict(t=self.T, sizes=self.SIZES,
+                       boxes=[[0.1 * i, 0.2, 0.1 * i + 0.3, 0.5] for i in range(n)],
+                       scores=[0.1 * i for i in range(n)],
+                       features=[[1.0, float(i)] for i in range(n)])
+        return {**columns, **change}
+
+    def test_frames_equal_frames_made_alone(self):
+        columns = self._columns()
+        frames = FrameDetections.from_columns(**columns)
+        assert [f.t for f in frames] == self.T and all(type(f.t) is int for f in frames)
+        end = 0
+        for frame, size in zip(frames, self.SIZES):
+            rows = slice(end, end + size)
+            end += size
+            alone = FrameDetections(frame.t, columns["boxes"][rows], columns["scores"][rows],
+                                    columns["features"][rows])
+            for key in ("boxes", "scores", "features", "norms"):
+                assert getattr(frame, key).tobytes() == getattr(alone, key).tobytes()
+                assert not getattr(frame, key).flags.writeable
+
+    @pytest.mark.parametrize("change, match", [
+        (dict(sizes=[2, 1, 2]), r"^sizes \[2, 1, 2\] do not cut 6 rows into 3 frames$"),
+        (dict(sizes=[2, 4]), r"^sizes \[2, 4\] do not cut 6 rows into 3 frames$"),
+        (dict(sizes=[3, -1, 4]), r"^sizes \[3, -1, 4\] do not cut 6 rows into 3 frames$"),
+        (dict(sizes=[3, 0, 3]), r"^frame 11 has no detections$"),
+        (dict(scores=[0.5, 0.5, 0.5, 0.5, 2.0, 0.5]),
+         r"^frame 12: score must lie in \[0, 1\], got 2.0$"),
+        (dict(scores=[0.5, 0.5, "x", 0.5, 0.5, 0.5]),
+         r"^frame 11: 'score' must be a number, got 'x'$"),
+        (dict(features=[[1.0, 0.0]] * 5 + [[0.0, 0.0]]),
+         r"^detection feature must have a finite, positive norm$"),
+        (dict(features=[[1.0, 0.0]] * 5),
+         r"^boxes, scores and features must hold one row per detection"),
+    ])
+    def test_refusals_name_the_frame(self, change, match):
+        with pytest.raises(ValidationError, match=match):
+            FrameDetections.from_columns(**self._columns(**change))
+
+
 class TestTube:
     COLUMNS = dict(slot_id=0, t=[0, 1, 2], boxes=np.tile([0.1, 0.1, 0.5, 0.5], (3, 1)),
                    scores=[0.5, 0.5, 0.0], det=[0, 1, -1])
@@ -192,6 +242,37 @@ class TestHeldNorms:
             chosen = top_by_confidence(frame, int(rng.integers(1, len(f) + 1)))
             assert (frame.norms[chosen].tobytes()
                     == np.linalg.norm(frame.features[chosen], axis=1).tobytes())
+
+    @staticmethod
+    def _frames_alone(frames):
+        return [FrameDetections(f.t, f.boxes, f.scores, f.features) for f in frames]
+
+    @pytest.mark.parametrize("dim", [1, 3, 17, 64, 65, 128])
+    def test_clip_norms_are_frame_norms(self, dim):
+        # from_columns takes every norm over the clip's stack once, and
+        # association divides by them: each row's norm must have the bits
+        # it has over its own frame's stack.
+        rng = np.random.default_rng(dim)
+        sizes = rng.integers(1, 25, size=60)
+        n = int(sizes.sum())
+        features = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+        frames = FrameDetections.from_columns(range(60), sizes, np.tile(BOX.to_list(), (n, 1)),
+                                              rng.uniform(size=n).tolist(), features)
+        assert [len(f.norms) for f in frames] == sizes.tolist()
+        for frame, alone in zip(frames, self._frames_alone(frames)):
+            assert frame.norms.tobytes() == alone.norms.tobytes()
+
+    def test_clip_norms_are_frame_norms_on_the_benchmark_shape(self, tmp_path):
+        # 256 frames of 15 objects and about 3 distractors each, D = 64.
+        scene = generate_scene(SceneConfig(seed=1, frames=256, objects=15, feature_dim=64,
+                                           appearance_drift=0.5, detection_noise=0.005,
+                                           distractor_rate=3.0))
+        path = str(tmp_path / "dense.jsonl")
+        save_detections(path, "dense", 5.0, scene.frames)
+        _, frames = load_detections(path)
+        assert len({len(f.scores) for f in frames}) > 1
+        for frame, alone in zip(frames, self._frames_alone(frames)):
+            assert frame.norms.tobytes() == alone.norms.tobytes()
 
     def test_norms_are_read_only_and_not_an_argument(self):
         frame = make_frame(0, [det(0.5, [3.0, 4.0])])

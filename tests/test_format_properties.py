@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_frame, make_gt, make_prediction, make_tube
+from tubekit import formats as F
 from tubekit.association import FrameDetections, Tube
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.errors import FormatError, ValidationError
@@ -31,7 +32,7 @@ from tubekit.formats import (f9, load_candidates, load_detections, load_gt,
                              load_gt_collection, load_labels, load_predictions,
                              load_tubes, save_candidates, save_detections,
                              save_gt, save_labels, save_predictions, save_tubes)
-from tubekit.geometry import Box
+from tubekit.geometry import Box, integer, within
 from tubekit.metrics import Prediction
 from tubekit.mining import GtTube
 
@@ -587,6 +588,66 @@ def test_fuzzed_labels(tmp_path, data, video_id, ids):
 def test_fuzzed_candidates(tmp_path, data, video_id, cands):
     _load_fuzzed(data, tmp_path, _saved(tmp_path, save_candidates, video_id, cands),
                  load_candidates, jsonl=False)
+
+
+# ------------------------------------------------- per-line reference loader
+
+def reference_load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
+    """load_detections before the clip-wide check: each line decoded, and
+    its frame made by FrameDetections(...), on its own and in file order."""
+    it = F._iter_jsonl(path)
+    try:
+        lineno, header = next(it)
+    except StopIteration:
+        raise FormatError("empty detections file", path=path) from None
+    with F._at(path, lineno):
+        meta = {
+            "video_id": F._str_field(header, "video_id"),
+            "fps": within(F._require(header, "fps"), "fps", "(0, inf)"),
+            "frame_count": F._field(header, "frame_count", integer),
+            "feature_dim": F._field(header, "feature_dim", integer),
+        }
+    dim = meta["feature_dim"]
+    bad_embed = f"'embed' must be an array of numbers of length feature_dim ({dim})"
+    frames: list[FrameDetections] = []
+    for lineno, obj in it:
+        with F._at(path, lineno):
+            t = F._field(obj, "t", integer)
+            F._frame_at(len(frames), t)
+            dets = F._list_field(obj, "detections")
+            boxes = F._column(dets, "box", width=4, bad=F._BAD_BOX)
+            embeds = F._column(dets, "embed", width=dim, bad=bad_embed)
+            frames.append(FrameDetections(t, boxes, F._values(dets, "score"), embeds))
+    if len(frames) != meta["frame_count"]:
+        raise FormatError(
+            f"header promises {meta['frame_count']} frames, file has {len(frames)}",
+            path=path)
+    return meta, frames
+
+
+def _detections_outcome(load, path: str):
+    """What load gives for the file: the FormatError's text, or the meta
+    and, per frame, t and the bytes of every column, norms included."""
+    try:
+        meta, frames = load(path)
+    except FormatError as e:
+        return str(e)
+    return meta, [(type(f.t), f.t) + tuple((getattr(f, k).shape, getattr(f, k).tobytes())
+                                          for k in ("boxes", "scores", "features", "norms"))
+                  for f in frames]
+
+
+@FUZZ
+@given(data=st.data(), doc=detection_files())
+def test_detections_match_the_per_line_reference(tmp_path, data, doc):
+    """On valid and fuzzed files, the clip-wide loader gives the per-line
+    loader's frames bit for bit, or its refusal word for word."""
+    text = _saved(tmp_path, save_detections, *doc)
+    path = tmp_path / "drawn.jsonl"
+    path.write_text(_fuzz_text(data, _tree(text, True), True)
+                    if data.draw(st.booleans(), label="fuzz") else text)
+    assert (_detections_outcome(load_detections, str(path))
+            == _detections_outcome(reference_load_detections, str(path)))
 
 
 # A valid file of each kind: (strategy of the writer's arguments, writer, JSONL).

@@ -1501,3 +1501,123 @@ class TestTubeDecode:
     def test_tube_without_records_has_no_features(self, tmp_path):
         _, loaded = load_tubes(self._doc_file(tmp_path, [(0, self._records()), (1, [])]))
         assert loaded[1].features is None and loaded[1].boxes.shape == (0, 4)
+
+
+class TestDetectionsDecode:
+    """A detections file's lines are decoded to columns that are checked
+    once for the clip; a refusal decodes the file again from the top, one
+    line at a time, so the first line at fault is named, with the message
+    it gives on its own."""
+
+    FRAMES = 8   # on lines 2-9, frame t on line t + 2
+
+    @staticmethod
+    def _det(x1=0.1):
+        return {"box": [x1, 0.2, x1 + 0.3, 0.5], "score": 0.5, "embed": [0.6, -0.8]}
+
+    def _lines(self, frame_count=FRAMES):
+        return [{"video_id": "v", "fps": 25.0, "frame_count": frame_count, "feature_dim": 2}] + [
+            {"t": t, "detections": [self._det(), self._det(0.4), self._det(0.6)]}
+            for t in range(self.FRAMES)]
+
+    @staticmethod
+    def _file(tmp_path, lines):
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join((line if type(line) is str else json.dumps(line)) + "\n"
+                                for line in lines))
+        return str(path)
+
+    @staticmethod
+    def _set(key, value):
+        """A fault that sets `key` of the line's second detection."""
+        def fault(obj):
+            obj["detections"][1][key] = value
+        return fault
+
+    # A fault on one line, and the message it gives on frame t's line.
+    FAULTS = {
+        "t-order": (lambda obj: obj.update(t=obj["t"] + 1),
+                    lambda t: f"expected frame t={t}, got t={t + 1}"),
+        "t-string": (lambda obj: obj.update(t=str(obj["t"])),
+                     lambda t: f"'t' must be an integer, got '{t}'"),
+        "detections-object": (lambda obj: obj.update(detections={"box": [0.1, 0.2, 0.3, 0.4]}),
+                              lambda t: "'detections' must be an array"),
+        "detections-empty": (lambda obj: obj.update(detections=[]),
+                             lambda t: f"frame {t} has no detections"),
+        "box-short": (_set("box", [0.1, 0.2, 0.3]),
+                      lambda t: "bad box: every box must be an array of 4 numbers"),
+        "box-no-area": (_set("box", [0.5, 0.2, 0.5, 0.6]),
+                        lambda t: "box has no area after clamping to the unit square: "
+                                  "(0.5, 0.2, 0.5, 0.6)"),
+        "embed-width": (_set("embed", [1.0, 2.0, 3.0]),
+                        lambda t: "'embed' must be an array of numbers of length feature_dim (2)"),
+        "embed-string": (_set("embed", [1.0, "2"]),
+                         lambda t: "'embed' must be an array of numbers of length feature_dim (2)"),
+        "embed-zero-norm": (_set("embed", [0.0, 0.0]),
+                            lambda t: "detection feature must have a finite, positive norm"),
+        "embed-inf": (_set("embed", [1.0, math.inf]),
+                      lambda t: "detection feature must have a finite, positive norm"),
+        "score-2": (_set("score", 2.0), lambda t: f"frame {t}: score must lie in [0, 1], got 2.0"),
+        "score-missing": (lambda obj: obj["detections"][1].pop("score"),
+                          lambda t: "missing required key 'score'"),
+    }
+
+    @pytest.mark.parametrize("first", list(FAULTS))
+    @pytest.mark.parametrize("second", list(FAULTS))
+    def test_faults_on_two_lines_name_the_earlier(self, tmp_path, first, second):
+        lines = self._lines()
+        self.FAULTS[first][0](lines[3])    # frame 2
+        self.FAULTS[second][0](lines[6])   # frame 5
+        path = self._file(tmp_path, lines)
+        with pytest.raises(FormatError) as err:
+            load_detections(path)
+        assert str(err.value) == f"{path}:4: {self.FAULTS[first][1](2)}"
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_fault_before_invalid_json_is_named(self, tmp_path, fault):
+        # The clip pass stops at line 7's JSON, before it checks line 3's
+        # values; the line-by-line pass names line 3.
+        lines = self._lines()
+        self.FAULTS[fault][0](lines[2])    # frame 1, line 3
+        lines[6] = '{"t": 5, "detections": ['
+        path = self._file(tmp_path, lines)
+        with pytest.raises(FormatError) as err:
+            load_detections(path)
+        assert str(err.value) == f"{path}:3: {self.FAULTS[fault][1](1)}"
+
+    def test_invalid_json_alone_is_named(self, tmp_path):
+        lines = self._lines()
+        lines[6] = '{"t": 5, "detections": ['
+        path = self._file(tmp_path, lines)
+        with pytest.raises(FormatError, match=re.escape(f"{path}:7: invalid JSON")):
+            load_detections(path)
+
+    @pytest.mark.parametrize("fault", [None, "score-2"])
+    def test_frame_count_mismatch(self, tmp_path, fault):
+        # A fault on a line is named before the count, as the count is only
+        # known at the end of the file.
+        lines = self._lines(frame_count=self.FRAMES + 1)
+        if fault:
+            self.FAULTS[fault][0](lines[5])
+        path = self._file(tmp_path, lines)
+        with pytest.raises(FormatError) as err:
+            load_detections(path)
+        want = (f"{path}:6: frame 4: score must lie in [0, 1], got 2.0" if fault else
+                f"{path}: header promises {self.FRAMES + 1} frames, file has {self.FRAMES}")
+        assert str(err.value) == want
+
+    def test_frames_are_read_only_slices_of_the_clip(self, tmp_path):
+        lines = self._lines()
+        lines[4]["detections"].pop()
+        _, frames = load_detections(self._file(tmp_path, lines))
+        assert [len(f.scores) for f in frames] == [3, 3, 3, 2] + [3] * 4
+        assert [f.t for f in frames] == list(range(self.FRAMES)) and type(frames[0].t) is int
+        for frame in frames:
+            assert frame.boxes.shape == (len(frame.scores), 4)
+            assert frame.features.shape == (len(frame.scores), 2)
+            assert not any(getattr(frame, k).flags.writeable
+                           for k in ("boxes", "scores", "features", "norms"))
+            assert frame.norms.tolist() == [1.0] * len(frame.scores)
+            assert all(getattr(frame, k).base is getattr(frames[0], k).base is not None
+                       for k in ("boxes", "scores", "features", "norms"))
