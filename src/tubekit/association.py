@@ -50,9 +50,9 @@ class FrameDetections:
     norms: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "t", integer(self.t, "t"))
-        hold(self, **_detection_columns(np.array([self.t]), None, self.boxes, self.scores,
-                                        self.features))
+        t = integer(self.t, "t")
+        hold(self, t=t, **_detection_columns(np.array([t]), None, self.boxes, self.scores,
+                                             self.features))
 
     @classmethod
     def from_columns(cls, t, sizes, boxes, scores, features) -> list[FrameDetections]:
@@ -108,9 +108,9 @@ class Tube:
     features: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "slot_id", integer(self.slot_id, "slot_id"))
-        hold(self, **_tube_columns(f"tube {self.slot_id}: ", self.t, self.boxes, self.scores,
-                                   self.det, self.features))
+        slot_id = integer(self.slot_id, "slot_id")
+        hold(self, slot_id=slot_id, **_tube_columns(f"tube {slot_id}: ", self.t, self.boxes,
+                                                    self.scores, self.det, self.features))
 
     @classmethod
     def from_columns(cls, slot_ids, sizes, t, boxes, scores, det,
@@ -172,15 +172,13 @@ def _cut(cls, sizes: np.ndarray, columns: dict, **scalars) -> list:
     """Holders of the frozen dataclass cls, cut from checked columns laid
     end to end without checking them again: holder i holds scalars[key][i]
     for each key, and the sizes[i] rows of each column after those of the
-    holders before it, as read-only slices (hold).  A holder without rows
-    keeps its scalar where a column has the same name."""
+    holders before it, as read-only slices: one hold, a slice winning over
+    the scalar of its name, unless the holder has no rows."""
     holders = []
     for i, (end, size) in enumerate(zip(np.cumsum(sizes).tolist(), sizes.tolist())):
         holder = object.__new__(cls)
-        for key, values in scalars.items():
-            object.__setattr__(holder, key, values[i])
-        hold(holder, **{k: c[end - size:end] for k, c in columns.items()
-                        if size or k not in scalars})
+        hold(holder, **{k: values[i] for k, values in scalars.items()}
+             | {k: c[end - size:end] for k, c in columns.items() if size or k not in scalars})
         holders.append(holder)
     return holders
 

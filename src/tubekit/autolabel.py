@@ -37,8 +37,8 @@ class CandidateRecord:
     interpolated: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "t", integer(self.t, "t"))
-        object.__setattr__(self, "score", number(self.score, "score", f"frame {self.t}: "))
+        t = integer(self.t, "t")
+        hold(self, t=t, score=number(self.score, "score", f"frame {t}: "))
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class CandidateTube:
     appearance: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "span", pair(self.span, "span"))
+        hold(self, span=pair(self.span, "span"))
         s, e = self.span
         if s > e:
             raise ValidationError(f"empty span {self.span}")

@@ -10,7 +10,6 @@ file yields identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -24,8 +23,8 @@ from .decoding import ExposureConfig, simulate_decoding
 from .errors import FormatError, ValidationError
 from .formats import (SCHEMA_VERSION, f9, load_candidates, load_detections,
                       load_gt, load_gt_collection, load_tubes,
-                      load_predictions, save_detections, save_gt, save_labels,
-                      save_predictions, save_report, save_tubes)
+                      load_predictions, save_detections, save_drift, save_gt,
+                      save_labels, save_predictions, save_report, save_tubes)
 from .geometry import within
 from .metrics import Prediction, drift_profile, evaluate, select_tube
 from .mining import CostWeights, mine_best_tube
@@ -67,7 +66,10 @@ def _cmd_associate(args) -> int:
     if not args.out and not args.out_dir:
         raise ValidationError("one of --out or --out-dir is required")
     if args.out_dir:
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise FormatError(f"cannot write file: {e}", path=args.out_dir) from e
     sources: dict[str, str] = {}
     results = []
     for path in args.detections:
@@ -224,14 +226,11 @@ def _cmd_eval(args) -> int:
     report["m_v_iou"] = f9(report_data.m_v_iou)
     report["v_iou_at"] = {f"{tau:g}": f9(val)
                           for tau, val in sorted(report_data.v_iou_at.items())}
+    # Every profile is computed before anything is written, so a refusal leaves no file.
+    profiles = [drift_profile(preds[v], gts[v]) for v in order] if args.drift else None
     save_report(args.out, report)
     if args.drift:
-        with open(args.drift, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["part_1", "part_2", "part_3", "part_4", "part_5"])
-            for v in order:
-                profile = drift_profile(preds[v], gts[v])
-                writer.writerow([f9(x) for x in profile])
+        save_drift(args.drift, profiles)
     print(f"m_tIoU {report['m_t_iou']}  m_vIoU {report['m_v_iou']}  -> {args.out}")
     return 0
 

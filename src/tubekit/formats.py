@@ -171,15 +171,18 @@ def _check_finite(path: str, arrays) -> None:
 
 
 def _write(path: str, chunks) -> None:
-    """Write the text chunks one after another; if making one fails, the
-    file is removed, so a refused write leaves no partial file."""
-    fh = open(path, "w", encoding="utf-8")
+    """Write the text chunks one after another.  A refused write leaves no
+    partial file, and a path that cannot be opened or written is a FormatError."""
     try:
-        with fh:
-            fh.writelines(chunks)
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
+        fh = open(path, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.writelines(chunks)
+        except BaseException:
+            Path(path).unlink(missing_ok=True)
+            raise
+    except OSError as e:
+        raise FormatError(f"cannot write file: {e}", path=path) from e
 
 
 def _write_doc(path: str, doc: dict) -> None:
@@ -704,3 +707,10 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
 def save_report(path: str, doc: dict) -> None:
     """Reports are plain JSON documents; floats must already be f9-rounded."""
     _write_doc(path, doc)
+
+
+def save_drift(path: str, profiles: list[list[float]]) -> None:
+    """The drift profiles as CSV: a header, then one row of five f9-rounded
+    parts per profile, each line ending in CRLF, as the csv module writes."""
+    rows = [[f"part_{i}" for i in range(1, 6)]] + [[repr(f9(x)) for x in p] for p in profiles]
+    _write(path, [",".join(row) + "\r\n" for row in rows])

@@ -13,8 +13,8 @@ per-frame loops of mining, the consistency losses and the metrics;
 would.  `integers` is the rule of every frame index and id, `pair` of an
 interval's or a span's two frames, `numbers` of every other number, the
 holders' and the readers' alike; `within` adds a range to them for every
-config field, scalar argument and bounded holder column, and `hold` keeps
-a holder's checked columns read-only.
+config field, scalar argument and bounded holder column, and `hold` stores
+every value a holder checked, scalars and columns alike, an array read-only.
 """
 from __future__ import annotations
 
@@ -49,16 +49,10 @@ class Box:
         if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
             raise ValidationError(
                 f"box coordinates must be finite, got {(x1, y1, x2, y2)}")
-        # Clamp into [0, 1].  A coordinate already inside is kept as the very
-        # object given, as min(max(v, 0.0), 1.0) would return it.
-        if not 0.0 <= x1 <= 1.0:
-            object.__setattr__(self, "x1", min(max(x1, 0.0), 1.0))
-        if not 0.0 <= y1 <= 1.0:
-            object.__setattr__(self, "y1", min(max(y1, 0.0), 1.0))
-        if not 0.0 <= x2 <= 1.0:
-            object.__setattr__(self, "x2", min(max(x2, 0.0), 1.0))
-        if not 0.0 <= y2 <= 1.0:
-            object.__setattr__(self, "y2", min(max(y2, 0.0), 1.0))
+        # Clamp into [0, 1]; min(max(v, 0.0), 1.0) keeps an inside v as given, -0.0 too.
+        if not (0.0 <= x1 <= 1.0 and 0.0 <= y1 <= 1.0 and 0.0 <= x2 <= 1.0 and 0.0 <= y2 <= 1.0):
+            hold(self, **{k: min(max(v, 0.0), 1.0)
+                          for k, v in zip(("x1", "y1", "x2", "y2"), (x1, y1, x2, y2))})
         if self.x2 - self.x1 <= 0.0 or self.y2 - self.y1 <= 0.0:
             raise ValidationError(
                 f"box has no area after clamping to the unit square: {(x1, y1, x2, y2)}"
@@ -254,16 +248,16 @@ def within(value, key: str, bounds: str, kind: type = float, frames=None, where:
 def hold_within(holder, kind: type, bounds: str, *keys: str) -> None:
     """Set each field `keys` of the frozen dataclass `holder` to its value by
     `within`: the rule a config's __post_init__ applies to its fields."""
-    for key in keys:
-        object.__setattr__(holder, key, within(getattr(holder, key), key, bounds, kind))
+    hold(holder, **{key: within(getattr(holder, key), key, bounds, kind) for key in keys})
 
 
-def hold(holder, **columns: np.ndarray) -> None:
-    """Set each field of the frozen dataclass `holder` named in `columns` to
-    its array, made read-only: how a holder keeps the columns it checked."""
-    for key, column in columns.items():
-        column.setflags(write=False)
-        object.__setattr__(holder, key, column)
+def hold(holder, **values) -> None:
+    """Set each field of the frozen dataclass `holder` named in `values` to
+    its value, an ndarray made read-only first: how a holder keeps what it checked."""
+    for key, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(holder, key, value)
 
 
 def _inter_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

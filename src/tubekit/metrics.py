@@ -38,8 +38,7 @@ class Prediction:
     boxes: np.ndarray
 
     def __post_init__(self):
-        for key in ("ts", "te", "t0"):
-            object.__setattr__(self, key, integer(getattr(self, key), key))
+        hold(self, **{key: integer(getattr(self, key), key) for key in ("ts", "te", "t0")})
         if self.ts > self.te:
             raise ValidationError(f"empty predicted interval [{self.ts}, {self.te}]")
         boxes = corner_rows(self.boxes)

@@ -43,8 +43,7 @@ class GtTube:
     boxes: np.ndarray
 
     def __post_init__(self):
-        for key in ("ts", "te"):
-            object.__setattr__(self, key, integer(getattr(self, key), key))
+        hold(self, **{key: integer(getattr(self, key), key) for key in ("ts", "te")})
         if self.ts > self.te:
             raise ValidationError(f"empty GT interval [{self.ts}, {self.te}]")
         boxes = corner_rows(self.boxes)

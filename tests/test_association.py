@@ -204,6 +204,17 @@ class TestTube:
         with pytest.raises(ValidationError, match=match):
             Tube(**{**self.COLUMNS, column: value})
 
+    @pytest.mark.parametrize("sizes, match", [
+        ([2, 3], r"^sizes \[2, 3\] do not cut 5 rows into 3 tubes$"),
+        ([2, 2, 2], r"^sizes \[2, 2, 2\] do not cut 5 rows into 3 tubes$"),
+        ([3, -1, 3], r"^sizes \[3, -1, 3\] do not cut 5 rows into 3 tubes$"),
+    ])
+    def test_from_columns_refuses_sizes_that_do_not_cut(self, sizes, match):
+        with pytest.raises(ValidationError, match=match):
+            Tube.from_columns([0, 1, 2], sizes, t=range(5),
+                              boxes=np.tile([0.1, 0.1, 0.5, 0.5], (5, 1)),
+                              scores=[0.5] * 5, det=[0] * 5)
+
     @pytest.mark.parametrize("scores, match", [
         ([0.5, 5.0, 0.0], r"tube 0 frame 1: score must lie in \[0, 1\], got 5.0$"),
         ([0.5, 0.5, -0.25], r"tube 0 frame 2: score must lie in \[0, 1\], got -0.25$"),

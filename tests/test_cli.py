@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import tubekit
-from conftest import make_gt, make_tube
+from conftest import make_gt, make_prediction, make_tube
 from tubekit.cli import main
-from tubekit.formats import load_gt, load_predictions, load_tubes, save_candidates, save_gt, save_tubes
+from tubekit.formats import (load_gt, load_predictions, load_tubes, save_candidates, save_gt,
+                             save_predictions, save_tubes)
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.geometry import Box
 
@@ -95,6 +96,32 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, path", [
+        (["mine", "--tubes", "v.tubes.json", "--gt", "v.gt.json", "--out", "missing/m.json"],
+         "missing/m.json"),
+        (["select", "--tubes", "v.tubes.json", "--out", "a-dir"], "a-dir"),
+        (["simulate", "--seed", "1", "--out", "missing/x"], "missing/x.detections.jsonl"),
+        (["eval", "--pred", "v.pred.jsonl", "--gt", "v.gt.json", "--drift", "missing/d.csv",
+          "--out", "r.json"], "missing/d.csv"),
+        (["associate", "s.detections.jsonl", "--out-dir", "v.gt.json"], "v.gt.json"),
+    ])
+    def test_unwritable_output_is_two(self, tmp_path, capsys, monkeypatch, argv, path):
+        # Each of these ended in a traceback: an OSError from open or mkdir.
+        monkeypatch.chdir(tmp_path)
+        simulate(tmp_path, "s")
+        save_tubes("v.tubes.json", "v", [make_tube(0, [B] * 5, 1.0)])
+        save_gt("v.gt.json", "v", make_gt(0, [B] * 5))
+        save_predictions("v.pred.jsonl", [("v", make_prediction(0, 4, 0, [B] * 5))])
+        Path("a-dir").mkdir()
+        before = {p: p.read_bytes() for p in Path().iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot write file: ") and err.count("\n") == 1
+        # The path that could not be opened is left as it was.
+        assert Path("a-dir").is_dir() and not Path("missing").exists()
+        assert all(p.read_bytes() == data for p, data in before.items())
 
     def test_version_string(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -593,6 +620,22 @@ class TestSelectAndEval:
         assert lines[0].split(",") == ["part_1", "part_2", "part_3", "part_4", "part_5"]
         assert len(lines) == 2
         assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+    @pytest.mark.parametrize("gt, pred, message", [
+        (make_gt(0, [B] * 3), make_prediction(0, 2, 0, [B] * 3),
+         "interval [0, 2] is too short to split into fifths"),
+        (make_gt(0, [B] * 10), make_prediction(0, 4, 0, [B] * 5),
+         "prediction lacks boxes at GT frames [5, 6, 7, 8, 9]"),
+    ])
+    def test_drift_refusal_writes_nothing(self, tmp_path, capsys, gt, pred, message):
+        # The report and a header-only CSV used to be written before the refusal.
+        save_gt(str(tmp_path / "g.json"), "v", gt)
+        save_predictions(str(tmp_path / "p.jsonl"), [("v", pred)])
+        out, drift = tmp_path / "r.json", tmp_path / "d.csv"
+        assert main(["eval", "--pred", str(tmp_path / "p.jsonl"), "--gt", str(tmp_path / "g.json"),
+                     "--drift", str(drift), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not drift.exists()
 
     def test_select_interval_flags(self, tmp_path, capsys):
         prefix = simulate(tmp_path, "clean")

@@ -7,10 +7,12 @@ oracle.  Each field is tried with a string, a bool, NaN, a fractional value
 where an int is due, and the values just outside each end; the values just
 inside each end must pass and be held in normal form.
 """
+import ast
 import json
 import math
 import re
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +210,22 @@ def test_every_holder_keeps_its_arrays_read_only():
         assert arrays, name
         for key in arrays:
             assert not getattr(holder, key).flags.writeable, f"{name}.{key}"
+
+
+def test_hold_is_the_one_store():
+    # geometry.hold is the one writer of a frozen holder's fields: no other
+    # code calls object.__setattr__, nor freezes an array with setflags.
+    sites = {}
+    for path in sorted(Path(tubekit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        hold = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "hold"]
+        inside = {id(n) for h in hold for n in ast.walk(h)} if path.name == "geometry.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    (name := ast.unparse(node.func)) == "object.__setattr__"
+                    or name.endswith(".setflags")):
+                sites[f"{path.name}:{node.lineno}"] = id(node) in inside
+    assert sorted(sites.values()) == [True, True], sites
 
 
 CANDIDATE = CandidateTube("c", (0, 9), [CandidateRecord(t, BOX, 0.5) for t in range(10)],
