@@ -59,7 +59,9 @@ class FrameDetections:
         """The frames whose detections are laid end to end in boxes, scores
         and features: frame t[i] holds the sizes[i] rows after those of the
         frames before it.  The columns are checked once, by FrameDetections'
-        rules, and the norms taken once; a refusal names the frame at fault."""
+        rules, and the norms taken once; a refusal names the frame at fault.
+        A float64 features array is handed over, not copied: the frames hold
+        read-only slices of it."""
         t = integers(t, "t")
         sizes = integers(sizes, "sizes")
         if len(sizes) != len(t) or np.any(sizes < 0) or sizes.sum() != len(scores):
@@ -154,12 +156,13 @@ def _detection_columns(t: np.ndarray, sizes, boxes, scores, features) -> dict:
     every row: the checked columns and the features' row norms, by name,
     or a refusal naming the frame at fault."""
     where = f"frame {t[0]}: " if len(t) == 1 else ""
+    one_frame = sizes is None   # else from_columns, which hands its features over
     scores = within(scores, "score", "[0, 1]", float,
-                    int(t[0]) if sizes is None else np.repeat(t, sizes))
-    sizes = [scores.size] if sizes is None else sizes.tolist()
+                    int(t[0]) if one_frame else np.repeat(t, sizes))
+    sizes = [scores.size] if one_frame else sizes.tolist()
     if 0 in sizes:
         raise ValidationError(f"frame {t[sizes.index(0)]} has no detections")
-    features = numbers(features, "embed", where)
+    features = numbers(features, "embed", where, copy=one_frame)
     boxes = corner_rows(boxes)
     if scores.shape != boxes.shape[:1] or features.ndim != 2 or len(features) != len(boxes):
         raise ValidationError(f"{where}boxes, scores and features must hold one row per "
@@ -294,14 +297,18 @@ def run_association(frames: list[FrameDetections],
         memory, matched = associate_step(memory, frame, cfg)
         det.append(matched)
     det = np.array(det)
-    # A gap repeats the row before it, so row (k, slot) shows what the slot
-    # matched at `last`, its latest match up to frame k; src indexes that
-    # detection among all of the clip's.
+    # Each frame's matched rows, one per slot, and then a gap's row: the row
+    # before it, that of `last`, the slot's latest match up to its frame.
+    shape = det.shape
+    boxes, scores = np.empty(shape + (4,)), np.empty(shape)
+    features = np.empty(shape + frames[0].features.shape[1:])
+    for frame, rows, *out in zip(frames, np.maximum(det, 0), boxes, scores, features):
+        for column, into in zip((frame.boxes, frame.scores, frame.features), out):
+            column.take(rows, 0, into, "clip")   # in range; "clip" writes `into` unbuffered
     last = np.maximum.accumulate(np.where(det >= 0, np.arange(len(frames))[:, None], 0))
-    first = np.cumsum([0] + [len(f.scores) for f in frames[:-1]])
-    src = first[last] + np.take_along_axis(det, last, axis=0)
-    boxes = np.concatenate([f.boxes for f in frames])[src]
-    scores = np.where(det >= 0, np.concatenate([f.scores for f in frames])[src], 0.0)
-    features = np.concatenate([f.features for f in frames])[src]
+    gaps = np.nonzero(det < 0)
+    boxes[gaps] = boxes[last[gaps], gaps[1]]
+    features[gaps] = features[last[gaps], gaps[1]]
+    scores[gaps] = 0.0
     return [Tube(slot, ts, boxes[:, slot], scores[:, slot], det[:, slot], features[:, slot])
             for slot in range(cfg.n_q)]

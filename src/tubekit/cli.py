@@ -65,11 +65,6 @@ def _cmd_associate(args) -> int:
         raise ValidationError("use --out-dir when associating several files")
     if not args.out and not args.out_dir:
         raise ValidationError("one of --out or --out-dir is required")
-    if args.out_dir:
-        try:
-            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise FormatError(f"cannot write file: {e}", path=args.out_dir) from e
     sources: dict[str, str] = {}
     results = []
     for path in args.detections:
@@ -80,6 +75,11 @@ def _cmd_associate(args) -> int:
                                   f"'{video_id}'; each would write the same tube file")
         sources[video_id] = path
         tubes = run_association(frames, AssociationConfig(n_q=args.n_q, alpha=args.alpha))
+        if args.out_dir:   # made once there is a tube file to write
+            try:
+                Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                raise FormatError(f"cannot write file: {e}", path=args.out_dir) from e
         out_path = args.out or str(Path(args.out_dir) / f"{video_id}.tubes.json")
         save_tubes(out_path, video_id, tubes, include_embeds=args.embed)
         results.append((video_id, out_path))
@@ -230,7 +230,11 @@ def _cmd_eval(args) -> int:
     profiles = [drift_profile(preds[v], gts[v]) for v in order] if args.drift else None
     save_report(args.out, report)
     if args.drift:
-        save_drift(args.drift, profiles)
+        try:
+            save_drift(args.drift, profiles)
+        except BaseException:   # the report goes too, so a refusal leaves no file
+            Path(args.out).unlink(missing_ok=True)
+            raise
     print(f"m_tIoU {report['m_t_iou']}  m_vIoU {report['m_v_iou']}  -> {args.out}")
     return 0
 

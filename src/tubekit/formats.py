@@ -2,10 +2,14 @@
 
 Floats are written with 9 significant digits everywhere, so identical inputs
 produce byte-identical files.  A JSON document is written compact, on one
-line, and a JSONL line with json.dumps' default separators.  The writers
-build the text of their float arrays in one numpy pass (_f9_text), byte for
-byte what CPython's C encoder writes for the f9-rounded values; strings and
-scalar fields go through that encoder itself.  Non-finite numbers are
+line, and a JSONL line with json.dumps' default separators.  Number text
+is made in arrays (_rows_text): every number of a row gets a fixed cell of
+three uint64 words, the key text between them fixed words, and one pass
+drops the NUL bytes, leaving byte for byte what CPython's C encoder writes
+for the f9-rounded floats and for the ints.  A tube file is written a tube
+at a time, each tube's records, t, det and null included, from one such
+pass; the other writers join the rows of _f9_text.  Strings and scalar
+fields go through the C encoder itself.  Non-finite numbers are
 refused on write, leaving no file, and so is whatever a reader would
 refuse: a writer passes its ids, frame order and repeats through the rule
 that the reader applies (_string, _frame_at, _video_once, _slots_once), and
@@ -59,87 +63,162 @@ def f9(x: float) -> float:
 
 _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])   # 1e0 .. 1e22, all exact
 
-# Number text is built in one uint8 slot per element, then every NUL byte is
-# dropped.  Columns: 0 "[" before a row's first element; 1 the sign; 2-6 the
-# "0.000" of a value below 1; 7-23 the nine digits at the odd columns, the
-# point after digit j at column 8 + 2j; 24-25 the separator, or "]" and
-# "\n" after a row's last element.
-_SLOT = 26
-_n = np.arange(10_000, dtype=np.uint16)
-_DIGITS4 = ((_n[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0"))
+# Number text is built in cells of 24 bytes, one per number, as three
+# little-endian uint64 words A, B and C, and every NUL byte is then dropped.
+# A float's cell: byte 0 the sign; 1-5 the "0." to "0.000" of a value below
+# 1; its nine digits at bytes 6, 8, .. 20 and 21, the point after digit j at
+# byte 7 + 2j; 22-23 the separator.  An int's cell: byte 0 the sign, and the
+# twenty digits of its magnitude, leading zeros NUL, at bytes 4-23.
+_n = np.arange(10_000, dtype=np.uint32)
+_DIGITS4 = ((_n[:, None] // np.array([1000, 100, 10, 1], np.uint32) % 10 + ord("0"))
             .astype(np.uint8).view("<u4").ravel())          # n's four ASCII digits
-_ZEROS4 = ((_n % 10 == 0).astype(np.uint8) + (_n % 100 == 0) + (_n % 1000 == 0)
-           + (_n == 0))                                      # n's trailing zeros of four
-# Row j masks the digit words (NUL NUL NUL d0, d1-d4, d5-d8) to their first j digits.
-_FIRST = np.where(np.arange(12) < np.arange(3, 13)[:, None], 255, 0).astype(np.uint8).view("<u4")
-# For the point after digit e, e = -4 .. 7: columns 2-6, then 8, 10, .. 22.
-_e = np.arange(-4, 8)[:, None]
-_PLACES = np.hstack([
-    np.where((_e < 0) & (np.arange(5) < 1 - _e), np.where(np.arange(5) == 1, ord("."), ord("0")), 0),
-    np.where(np.arange(8) == _e, ord("."), 0)]).astype(np.uint8)
-del _n, _e
+_DIGIT_AT = np.r_[6:21:2, 21]                               # digit j of a float's cell
+
+
+def _digits(word: int, strip: bool) -> np.ndarray:
+    """Word B (1) or C (2) of the cell whose digits 4·word - 3 .. 4·word are
+    n, for each n < 10_000; with strip, n's trailing zeros are NUL."""
+    digits = _DIGITS4.view(np.uint8).reshape(-1, 4)
+    if strip:   # a digit stays if it or a later one is not "0"
+        digits = digits * np.logical_or.accumulate(digits[:, ::-1] > ord("0"), axis=1)[:, ::-1]
+    words = np.zeros((10_000, 8), np.uint8)
+    words[:, _DIGIT_AT[4 * word - 3:4 * word + 1] - 8 * word] = digits
+    return words.view("<u8").ravel()
+
+
+# Digits 1-4 as index mid + 10_000 * (low == 0), trailing zeros NUL only
+# when digits 5-8 are all zeros; digits 5-8, trailing zeros NUL.
+_MID = np.concatenate([_digits(1, False), _digits(1, True)])
+_LOW = _digits(2, True)
+
+
+def _points() -> tuple[np.ndarray, np.ndarray]:
+    """The words of a float's cell that follow from e, the point after digit
+    e, -4 <= e <= 6: word A with the sign bit s and the first digit d0, at
+    index e·20 + s·10 + d0; and words B and C, one row each, at index e, of
+    the point and of a "0" at each digit up to e + 1, kept though trailing.
+    A negative index counts from the end, as numpy reads it."""
+    cells = np.zeros((11, 24), np.uint8)
+    for e in range(-4, 7):
+        if e < 0:
+            cells[e, 1:2 - e] = np.frombuffer(("0." + "0" * (-e - 1)).encode(), np.uint8)
+        else:
+            cells[e, 7 + 2 * e] = ord(".")
+            cells[e, _DIGIT_AT[1:e + 2]] = ord("0")
+    heads = np.broadcast_to(cells[:, None, None, :8], (11, 2, 10, 8)).copy()   # e, s, d0
+    heads[:, 1, :, 0] = ord("-")
+    heads[..., 6] = np.arange(10) + ord("0")
+    return heads.view("<u8").ravel(), cells.view("<u8").T[1:].copy()
+
+
+_HEADS, _POINTS = _points()
+del _n
+
+
+def _f9_cells(x: np.ndarray, out: np.ndarray, seps: np.ndarray) -> None:
+    """Write into the cells `out`, shape x.shape + (3,), the JSON text the C
+    encoder writes for f9 of each element of the finite array x, each
+    followed by its separator, seps[j] for an element in column j.
+
+    The encoder writes a float as float.__repr__, the shortest text that
+    reads back as the same double.  With e = floor(log10|x|), the nine
+    significant digits of x are k = rint(|x|·10^(8 - e)).  Any other decimal
+    of nine digits or fewer lies at least 1e-9·|x| from k·10^(e - 8), and
+    doubles are 2.2e-16·|x| apart, so the text of f9(x) is k's digits
+    without their trailing zeros, with the point after digit e: "ddd.ddd",
+    "ddd.0" or "0.000ddd", the positional form repr keeps for
+    1e-4 <= |x| < 1e16.  k is exact only where the rounded product picks
+    the same k as the exact one, so an element is written by repr(f9(|x|))
+    instead when it is zero, when |x| lies outside [1e-4, 1e7), or when the
+    product is within 1e-6 of a rounding tie.  The sign comes from the sign
+    bit, so -0.0 is "-0.0".
+    """
+    shape = out.shape[:-1]
+    x = x.ravel()
+    mag = np.abs(x)
+    with np.errstate(all="ignore"):   # log10(0), -inf as an int, and the slow path's product
+        e = np.log10(mag)
+        np.floor(e, out=e)
+        fast = np.clip(e, -4.0, 6.0) == e
+        e = e.astype(np.intp)
+        e[~fast] = 0
+        p = mag * _POW10[8 - e]
+        k = np.rint(p)
+        fast &= (p >= 1e8) & (p <= 1e9 - 1.0) & (np.abs(p - k) < 0.5 - 1e-6)
+    k = np.where(fast, k, 1e8).astype(np.uint32)
+    high = k // 10_000
+    low = k - high * 10_000
+    first = high // 10_000
+    mid = high - first * 10_000
+    out[..., 0] = _HEADS[e * 20 + np.signbit(x) * 10 + first].reshape(shape)
+    np.bitwise_or(_MID[mid + (low == 0) * 10_000].reshape(shape), _POINTS[0][e].reshape(shape),
+                  out=out[..., 1])
+    np.bitwise_or(_LOW[low].reshape(shape), _POINTS[1][e].reshape(shape) | seps, out=out[..., 2])
+    if not fast.all():
+        slow = np.flatnonzero(~fast)
+        text = "".join(repr(f9(v)).ljust(21, "\0") for v in mag[slow].tolist())
+        out.view(np.uint8)[np.unravel_index(slow, shape) + (slice(1, 22),)] = (
+            np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 21))
+
+
+_POW10_4 = np.array([10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4, 1], np.uint64)
+_LAST = np.arange(20) == 19
+
+
+def _int_cells(v: np.ndarray, out: np.ndarray, negative: str | None) -> None:
+    """Write into the cells `out`, shape (n, 3), the decimal text of each
+    int64 of v, or, given `negative`, that text for a negative one."""
+    neg = v < 0
+    mag = np.abs(v).view(np.uint64)   # |-2**63| wraps to -2**63, whose bits are 2**63
+    groups = -(-len(str(int(mag.max(initial=0)))) // 4)   # of four digits, the most any needs
+    digits = _DIGITS4[mag[:, None] // _POW10_4[5 - groups:] % 10_000]
+    b = digits.view(np.uint8)
+    b *= np.logical_or.accumulate(b > ord("0"), axis=1) | _LAST[-4 * groups:]   # no leading zeros
+    cells = out.view(np.uint32)
+    cells[:, 0] = neg * ord("-")
+    cells[:, 1:6 - groups] = 0
+    cells[:, 6 - groups:] = digits
+    if negative is not None:
+        out[neg] = np.frombuffer(negative.encode().ljust(24, b"\0"), "<u8")
+
+
+def _rows_text(n: int, fields, sep: str = ",") -> bytes:
+    """The ASCII text of n rows, row i the text of each field in turn: a str
+    as it is; of a float array, f9 of its row i, a 2-D row as its numbers
+    joined by sep and closed by "]" (the "[" ends the str before it); of an
+    int array, element i; of a pair (int array, text), element i, or the
+    text where element i is negative.  Each field takes whole words of
+    every row, so one uint64 array holds all rows, and one pass drops its
+    NUL bytes."""
+    fields = ["]" if isinstance(f, np.ndarray) and f.ndim == 2 and not f.shape[1] else f
+              for f in fields]
+    widths = [-(-len(f) // 8) if isinstance(f, str) else 3 * (
+        f.shape[1] if isinstance(f, np.ndarray) and f.ndim == 2 else 1) for f in fields]
+    buf = np.empty((n, sum(widths)), np.uint64)
+    at = 0
+    for f, width in zip(fields, widths):
+        words = buf[:, at:at + width]
+        at += width
+        if isinstance(f, str):
+            words[:] = np.frombuffer(f.encode().ljust(8 * width, b"\0"), "<u8")
+        elif isinstance(f, tuple):
+            _int_cells(f[0], words, f[1])
+        elif f.dtype.kind in "iu":
+            _int_cells(f, words, None)
+        else:
+            ends = [sep] * (width // 3 - 1) + ["]"] if f.ndim == 2 else [""]
+            _f9_cells(f, words.reshape(n, width // 3, 3) if f.ndim == 2 else words, np.array(
+                [int.from_bytes(s.encode(), "little") << 48 for s in ends], np.uint64))
+    return buf.tobytes().translate(None, b"\0")
 
 
 def _f9_text(a: np.ndarray, sep: str) -> list[str]:
     """The JSON text the C encoder writes for f9 of each row of a finite
-    array: of a 2-D array, one JSON array per row, its elements joined by
-    `sep`; of a 1-D array, one number per element.
-
-    The encoder writes a float as float.__repr__, the shortest text that
-    reads back as the same double.  With m = 8 - floor(log10|x|), the nine
-    significant digits of x are k = rint(|x|·10^m).  Any other decimal of
-    nine digits or fewer lies at least 1e-9·|x| from k·10^-m, and doubles
-    are 2.2e-16·|x| apart, so the text of f9(x) is k's digits without their
-    trailing zeros, with the point after digit e = 8 - m: "ddd.ddd",
-    "ddd.0" or "0.000ddd", the positional form repr keeps for
-    1e-4 <= |x| < 1e16.  k is exact only where the rounded product |x|·10^m
-    picks the same k as the exact one, so an element is written by
-    repr(f9(|x|)) instead when it is zero, when |x| lies outside
-    [1e-4, 1e8), or when the product is within 1e-6 of a rounding tie.
-    The sign comes from the sign bit, so -0.0 is "-0.0".
-    """
+    array (see _f9_cells): of a 2-D array, one JSON array per row, its
+    elements joined by `sep`; of a 1-D array, one number per element."""
     x = np.asarray(a, dtype=float)
-    n = len(x)
-    if not x.size:
-        return ["[]" if x.ndim == 2 else ""] * n
-    mag = np.abs(x.ravel())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = 8.0 - np.floor(np.log10(mag))
-        fast = (m >= 1.0) & (m <= 12.0)
-        scale = _POW10[np.where(fast, m, 0.0).astype(np.intp)]
-        p = mag * scale
-        k = np.rint(p)
-        fast &= (p >= 1e8) & (p <= 1e9 - 1.0) & (np.abs(np.abs(p - k) - 0.5) > 1e-6)
-    k = np.where(fast, k, 1e8).astype(np.intp)
-    e = np.where(fast, 8.0 - m, 0.0).astype(np.intp)
-
-    buf = np.zeros((n, x.size // n, _SLOT), np.uint8)
-    end = b"\n"
-    if x.ndim == 2:
-        buf[:, 0, 0] = ord("[")
-        buf[:, :-1, 24:24 + len(sep)] = np.frombuffer(sep.encode(), np.uint8)
-        end = b"]\n"
-    buf[:, -1, 24:24 + len(end)] = np.frombuffer(end, np.uint8)
-    slots = buf.reshape(-1, _SLOT)
-    slots[:, 1] = np.signbit(x.ravel()) * np.uint8(ord("-"))
-    high, low = np.divmod(k, 10_000)
-    first, mid = np.divmod(high, 10_000)
-    words = np.empty((len(k), 3), np.uint32)
-    words[:, 0] = (first + ord("0")) << 24
-    words[:, 1] = _DIGITS4[mid]
-    words[:, 2] = _DIGITS4[low]
-    # Keep the digits up to the last nonzero one, and at least one after the point.
-    keep = np.maximum(9 - _ZEROS4[low] - (low == 0) * _ZEROS4[mid], e + 2)
-    words[:, 1:] &= _FIRST[keep, 1:]
-    slots[:, 7:24:2] = words.view(np.uint8)[:, 3:]
-    places = _PLACES[e + 4]
-    slots[:, 2:7] = places[:, :5]
-    slots[:, 8:23:2] = places[:, 5:]
-    if not fast.all():
-        slow = np.flatnonzero(~fast)
-        text = "".join(repr(f9(v)).ljust(22, "\0") for v in mag[slow].tolist())
-        slots[slow, 2:24] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 22)
-    rows = buf.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    text = _rows_text(len(x), ["[", x, "\n"] if x.ndim == 2 else [x, "\n"], sep)
+    rows = text.decode("ascii").split("\n")
     rows.pop()   # after the last "\n"
     return rows
 
@@ -171,13 +250,14 @@ def _check_finite(path: str, arrays) -> None:
 
 
 def _write(path: str, chunks) -> None:
-    """Write the text chunks one after another.  A refused write leaves no
-    partial file, and a path that cannot be opened or written is a FormatError."""
+    """Write the chunks one after another, a str as UTF-8, bytes as they
+    are, and no newline translated.  A refused write leaves no partial
+    file, and a path that cannot be opened or written is a FormatError."""
     try:
-        fh = open(path, "w", encoding="utf-8")
+        fh = open(path, "wb")
         try:
             with fh:
-                fh.writelines(chunks)
+                fh.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
         except BaseException:
             Path(path).unlink(missing_ok=True)
             raise
@@ -531,7 +611,8 @@ def _one_per_video(path: str, numbered, decode) -> list:
 
 def save_tubes(path: str, video_id: str, tubes: list[Tube],
                include_embeds: bool = False) -> None:
-    """Write the tube file one tube at a time."""
+    """Write the tube file one tube at a time, each tube's records in one
+    array pass (_rows_text)."""
     _string(video_id, "video_id")
     _slots_once(tubes)
     if include_embeds:
@@ -543,19 +624,19 @@ def save_tubes(path: str, video_id: str, tubes: list[Tube],
         (tube.boxes, tube.scores) + ((tube.features,) if include_embeds and len(tube.t) else ())
         for tube in tubes))
 
-    def tube_text(tube: Tube) -> str:
-        embeds = ([f',"embed":{e}' for e in _f9_text(tube.features, ",")]
-                  if include_embeds and len(tube.t) else [""] * len(tube.t))
-        text = ",".join(f'{{"t":{t},"box":{box},"score":{score},"det":{det}{embed}}}'
-                        for t, box, score, det, embed in zip(
-                            tube.t.tolist(), _f9_text(tube.boxes, ","), _f9_text(tube.scores, ","),
-                            ["null" if det < 0 else det for det in tube.det.tolist()], embeds))
-        return f'{{"slot_id":{_encode(path, tube.slot_id)},"records":[{text}]}}'
+    def records(tube: Tube) -> memoryview:
+        fields = ['{"t":', tube.t, ',"box":[', tube.boxes, ',"score":', tube.scores,
+                  ',"det":', (tube.det, "null")]
+        if include_embeds and len(tube.t):
+            fields += [',"embed":[', tube.features]
+        return memoryview(_rows_text(len(tube.t), fields + ["},"]))[:-1]   # no "," after the last
 
     def chunks():
         yield f'{{"video_id":{_encode(path, video_id)},"n_q":{len(tubes)},"tubes":['
         for i, tube in enumerate(tubes):
-            yield ("," if i else "") + tube_text(tube)
+            yield f'{"," if i else ""}{{"slot_id":{_encode(path, tube.slot_id)},"records":['
+            yield records(tube)
+            yield "]}"
         yield "]}\n"
 
     _write(path, chunks())

@@ -121,15 +121,16 @@ def corner_rows(rows, where: str = "") -> np.ndarray:
     return c
 
 
-def _array(values, key: str, where: str, ints: bool) -> np.ndarray:
+def _array(values, key: str, where: str, ints: bool, copy: bool = True) -> np.ndarray:
     """The body of `integers` (ints) and `numbers`: an ndarray of a safe kind
-    is cast by its dtype alone, anything else scanned once, value by value,
+    is cast by its dtype alone, and without copy returned as itself when it
+    has the dtype already; anything else is scanned once, value by value,
     and converted from its elements in one flat list; a refusal is a
     ValidationError naming `key`, after `where`."""
     dtype, kinds, word = (np.int64, "iu", "an integer") if ints else (float, "iuf", "a number")
     if isinstance(values, np.ndarray):
         if values.ndim and values.dtype.kind in kinds and np.can_cast(values.dtype, dtype):
-            return values.astype(dtype)
+            return values.astype(dtype, copy=copy)
         values = values.tolist()
     if ints:
         try:
@@ -176,12 +177,13 @@ def integer(value, key: str) -> int:
     return integers([value], key)[0].item()
 
 
-def numbers(values, key: str, where: str = "") -> np.ndarray:
+def numbers(values, key: str, where: str = "", copy: bool = True) -> np.ndarray:
     """A new float64 array of `values`, a number or nested arrays of them
     in rows of one length: ints and floats, numpy's included, an int within
     the float range.  A bool never passes, nor does a string or None:
-    np.array(..., dtype=float) would take True as 1.0 and "0.5" as 0.5."""
-    return _array(values, key, where, ints=False)
+    np.array(..., dtype=float) would take True as 1.0 and "0.5" as 0.5.
+    With copy False, a float64 array is returned as itself."""
+    return _array(values, key, where, ints=False, copy=copy)
 
 
 def number(value, key: str, where: str = "") -> float:

@@ -285,6 +285,18 @@ class TestHeldNorms:
         for frame, alone in zip(frames, self._frames_alone(frames)):
             assert frame.norms.tobytes() == alone.norms.tobytes()
 
+    def test_a_float64_clip_array_is_handed_over(self):
+        # One copy of a clip's features: from_columns keeps the float64
+        # array it is given, which load_detections makes for it alone, and
+        # FrameDetections(...) still copies what its caller keeps.
+        features = np.tile([1.0, 0.5], (3, 1))
+        frames = FrameDetections.from_columns([0, 1], [2, 1], np.tile(BOX.to_list(), (3, 1)),
+                                              [0.5] * 3, features)
+        assert all(np.shares_memory(f.features, features) for f in frames)
+        assert not any(f.features.flags.writeable for f in frames)
+        alone = FrameDetections(0, np.tile(BOX.to_list(), (2, 1)), [0.5] * 2, features[:2])
+        assert not np.shares_memory(alone.features, features)
+
     def test_norms_are_read_only_and_not_an_argument(self):
         frame = make_frame(0, [det(0.5, [3.0, 4.0])])
         memory = TubeMemory([[0.0, 2.0]])

@@ -115,6 +115,7 @@ class TestExitCodes:
         save_predictions("v.pred.jsonl", [("v", make_prediction(0, 4, 0, [B] * 5))])
         Path("a-dir").mkdir()
         before = {p: p.read_bytes() for p in Path().iterdir() if p.is_file()}
+        names = set(Path().iterdir())
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -122,6 +123,15 @@ class TestExitCodes:
         # The path that could not be opened is left as it was.
         assert Path("a-dir").is_dir() and not Path("missing").exists()
         assert all(p.read_bytes() == data for p, data in before.items())
+        # No output is left behind, eval's report beside its unwritable CSV included.
+        assert set(Path().iterdir()) == names and not Path("r.json").exists()
+
+    def test_refused_input_makes_no_out_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.detections.jsonl").write_text("{not json\n")
+        assert main(["associate", "--out-dir", "made/deep", "bad.detections.jsonl"]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "bad.detections.jsonl"]
 
     def test_version_string(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -735,6 +735,61 @@ class TestTubes:
         assert twice.read_text() == golden
 
 
+class TestTubeFileOracle:
+    """save_tubes writes, byte for byte, what the C encoder writes for the
+    file's dict form with f9 of every float, on tubes drawn with gap rows,
+    an empty tube, frame indices up to 2**53, -0.0, values of 1 and more,
+    and values on the f9 kernel's slow path: zeros, magnitudes below 1e-4
+    or from 1e7 up, and rounding ties."""
+
+    @staticmethod
+    def _floats(rng, shape, low: float, high: float) -> np.ndarray:
+        """Values in [low, high], a third of them plain, a third at a rounding
+        tie of their ninth digit, and the rest edge values."""
+        plain = rng.uniform(low, high, size=shape)
+        ties = ((rng.integers(10 ** 8, 10 ** 9, size=shape) + 0.5)
+                * 10.0 ** rng.integers(-13, 4, size=shape))
+        edges = rng.choice([0.0, -0.0, 5e-324, 3e-5, -9.99999999e-5, 1e-4, 0.1, 1 / 3, 1.0,
+                            2.5, 1e7, -12345678.9, 1e8, 123456789012.0, -1e300], size=shape)
+        x = np.select([rng.integers(0, 3, size=shape) == i for i in range(2)], [plain, ties], edges)
+        return np.where((x >= low) & (x <= high), x, plain)
+
+    def _tube(self, rng, slot_id: int, n: int, dim: int | None) -> Tube:
+        t = np.cumsum(rng.integers(1, 2 ** 45, size=n))
+        t += rng.choice([0, -t[-1] if n else 0, 2 ** 53 - (t[-1] if n else 0)])
+        x1, y1 = self._floats(rng, (2, n), 0.0, 0.5)
+        boxes = np.stack([x1, y1, x1 + self._floats(rng, n, 0.01, 1.0),
+                          y1 + self._floats(rng, n, 0.01, 1.0)], axis=1)
+        det = np.where(rng.uniform(size=n) < 0.3, -1, rng.integers(0, 2 ** 40, size=n))
+        features = None if dim is None else self._floats(rng, (n, dim), -1e12, 1e12)
+        return Tube(slot_id, t, boxes, self._floats(rng, n, 0.0, 1.0), det, features)
+
+    @staticmethod
+    def _doc(video_id: str, tubes: list[Tube], include_embeds: bool) -> dict:
+        def record(t, box, score, det, feature):
+            embed = {"embed": [f9(v) for v in feature]} if include_embeds else {}
+            return {"t": t, "box": [f9(v) for v in box], "score": f9(score),
+                    "det": None if det < 0 else det, **embed}
+        return {"video_id": video_id, "n_q": len(tubes), "tubes": [
+            {"slot_id": tube.slot_id, "records": [record(*r) for r in zip(
+                tube.t.tolist(), tube.boxes.tolist(), tube.scores.tolist(), tube.det.tolist(),
+                [None] * len(tube.t) if tube.features is None else tube.features.tolist())]}
+            for tube in tubes]}
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("include_embeds", [True, False])
+    def test_file_is_the_encoders_text(self, tmp_path, seed, include_embeds):
+        rng = np.random.default_rng([71, seed])
+        dims = [int(rng.integers(1, 20)), 0] if include_embeds else [None, 3]
+        tubes = [self._tube(rng, slot_id, n, dims[slot_id == 2])
+                 for slot_id, n in enumerate([int(rng.integers(1, 40)), 0, 5,
+                                              int(rng.integers(1, 40))])]
+        path = tmp_path / "o.tubes.json"
+        save_tubes(str(path), f"v\u00e9-{seed}", tubes, include_embeds=include_embeds)
+        want = _DOC.encode(self._doc(f"v\u00e9-{seed}", tubes, include_embeds)) + "\n"
+        assert path.read_text(encoding="utf-8") == want
+
+
 class TestPredictions:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "preds.jsonl")

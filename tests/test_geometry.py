@@ -256,6 +256,14 @@ class TestNumbers:
         out[0] = 9.0
         assert a.tolist() == [1.0, 2.0]
 
+    def test_without_copy_a_float64_array_is_itself(self):
+        a = np.array([1.0, 2.0])
+        assert numbers(a, "score", copy=False) is a
+        converted = numbers(a.astype(np.float32), "score", copy=False)
+        assert converted.dtype == np.float64 and converted.tolist() == [1.0, 2.0]
+        with pytest.raises(ValidationError, match="'score' must be a number, got True$"):
+            numbers(np.array([True]), "score", copy=False)
+
     @pytest.mark.parametrize("value, shown", [
         (True, "True"), (np.True_, "np.True_"), ("0.5", "'0.5'"), (None, "None"),
         (1j, "1j"), ({}, "{}")])
