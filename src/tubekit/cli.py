@@ -63,8 +63,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_associate(args) -> int:
     if len(args.detections) > 1 and args.out:
         raise ValidationError("use --out-dir when associating several files")
-    if not args.out and not args.out_dir:
-        raise ValidationError("one of --out or --out-dir is required")
     sources: dict[str, str] = {}
     results = []
     for path in args.detections:
@@ -324,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--embed", action="store_true",
                    help="include per-record embeddings in the tube file")
-    p.add_argument("--out", default=None)
-    p.add_argument("--out-dir", default=None)
+    out = p.add_mutually_exclusive_group(required=True)
+    out.add_argument("--out", default=None)
+    out.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_associate)
 
     p = sub.add_parser("mine", help="pick the tube closest to an annotation")

@@ -2,29 +2,28 @@
 
 Floats are written with 9 significant digits everywhere, so identical inputs
 produce byte-identical files.  A JSON document is written compact, on one
-line, and a JSONL line with json.dumps' default separators.  Number text
-is made in arrays (_rows_text): every number of a row gets a fixed cell of
-three uint64 words, the key text between them fixed words, and one pass
-drops the NUL bytes, leaving byte for byte what CPython's C encoder writes
-for the f9-rounded floats and for the ints.  A tube file is written a tube
-at a time, each tube's records, t, det and null included, from one such
-pass; the other writers join the rows of _f9_text.  Strings and scalar
-fields go through the C encoder itself.  Non-finite numbers are
-refused on write, leaving no file, and so is whatever a reader would
-refuse: a writer passes its ids, frame order and repeats through the rule
-that the reader applies (_string, _frame_at, _video_once, _slots_once), and
-label ids through the reader's own rule.  On read, this module checks the
-layout only: JSON types, frame order, counts and repeats, and that each
+line, and a JSONL line with json.dumps' default separators.  Every array of
+numbers becomes text in one place, _rows_text: each number of a row gets a
+fixed cell of three uint64 words, key text fixed words, text that some rows
+lack (a gap's null, "interpolated", a separator) words zeroed on the other
+rows, and one pass drops the NUL bytes, leaving byte for byte what CPython's
+C encoder writes for the f9-rounded floats and ints.  A writer makes one pass
+per tube, candidate, GT, prediction or 32 frames of detections; headers,
+strings and scalar fields go through the C encoder itself.  Non-finite
+numbers are refused on write, leaving no file, and so is whatever a reader
+would refuse: a writer passes its ids, frame order and repeats through the
+rule that the reader applies (_string, _frame_at, _video_once, _slots_once),
+and label ids through the reader's own rule.  On read, this module checks
+the layout only: JSON types, frame order, counts and repeats, and that each
 box, embed or appearance is an array of numbers of its width (_column); it
 keeps no number rule.  The holders it fills (FrameDetections, Tube, GtTube,
 Prediction, CandidateTube) check every value, by geometry.integers,
-geometry.numbers, geometry.within and the domain rules, finiteness
-included; score, t and det columns reach them raw.  Every
-rule is a function of its value alone and raises ValidationError; each
-loader names the place once, with _at around a document's or a JSONL
-line's decode, which turns a refusal into a FormatError at path[:LINE],
-lines 1-based.  Intervals in seconds (ts_sec / te_sec) need the
-document's fps.
+geometry.numbers, geometry.within and the domain rules, finiteness included;
+score, t and det columns reach them raw.  Every rule is a function of its
+value alone and raises ValidationError; each loader names the place once,
+with _at around a document's or a JSONL line's decode, which turns a refusal
+into a FormatError at path[:LINE], lines 1-based.  Intervals in seconds
+(ts_sec / te_sec) need the document's fps.
 
 A tube file is decoded in one pass: the records of all its tubes make one
 _values or _column call per key, and Tube.from_columns checks the columns
@@ -185,13 +184,11 @@ def _int_cells(v: np.ndarray, out: np.ndarray, negative: str | None) -> None:
 def _rows_text(n: int, fields, sep: str = ",") -> bytes:
     """The ASCII text of n rows, row i the text of each field in turn: a str
     as it is; of a float array, f9 of its row i, a 2-D row as its numbers
-    joined by sep and closed by "]" (the "[" ends the str before it); of an
-    int array, element i; of a pair (int array, text), element i, or the
-    text where element i is negative.  Each field takes whole words of
-    every row, so one uint64 array holds all rows, and one pass drops its
-    NUL bytes."""
-    fields = ["]" if isinstance(f, np.ndarray) and f.ndim == 2 and not f.shape[1] else f
-              for f in fields]
+    joined by sep; of an int array, element i; of a pair (int array, text),
+    element i, or the text where it is negative; of a pair (bool array,
+    text), the text where element i is true, a pair's text 24 bytes at
+    most.  Each field takes whole words of every row, so one uint64 array
+    holds all rows, and one pass drops its NUL bytes."""
     widths = [-(-len(f) // 8) if isinstance(f, str) else 3 * (
         f.shape[1] if isinstance(f, np.ndarray) and f.ndim == 2 else 1) for f in fields]
     buf = np.empty((n, sum(widths)), np.uint64)
@@ -201,26 +198,17 @@ def _rows_text(n: int, fields, sep: str = ",") -> bytes:
         at += width
         if isinstance(f, str):
             words[:] = np.frombuffer(f.encode().ljust(8 * width, b"\0"), "<u8")
+        elif isinstance(f, tuple) and f[0].dtype == bool:
+            words[:] = np.frombuffer(f[1].encode().ljust(24, b"\0"), "<u8") * f[0][:, None]
         elif isinstance(f, tuple):
             _int_cells(f[0], words, f[1])
         elif f.dtype.kind in "iu":
             _int_cells(f, words, None)
         else:
-            ends = [sep] * (width // 3 - 1) + ["]"] if f.ndim == 2 else [""]
+            ends = [sep] * (width // 3 - 1) + [""]
             _f9_cells(f, words.reshape(n, width // 3, 3) if f.ndim == 2 else words, np.array(
                 [int.from_bytes(s.encode(), "little") << 48 for s in ends], np.uint64))
     return buf.tobytes().translate(None, b"\0")
-
-
-def _f9_text(a: np.ndarray, sep: str) -> list[str]:
-    """The JSON text the C encoder writes for f9 of each row of a finite
-    array (see _f9_cells): of a 2-D array, one JSON array per row, its
-    elements joined by `sep`; of a 1-D array, one number per element."""
-    x = np.asarray(a, dtype=float)
-    text = _rows_text(len(x), ["[", x, "\n"] if x.ndim == 2 else [x, "\n"], sep)
-    rows = text.decode("ascii").split("\n")
-    rows.pop()   # after the last "\n"
-    return rows
 
 
 # Strings and scalar fields go through the C encoder, so their escaping is
@@ -433,20 +421,25 @@ def save_detections(path: str, video_id: str, fps: float,
         if fr.features.shape[1] != dim:
             raise ValidationError(f"frame {fr.t}: features have {fr.features.shape[1]} "
                                   f"columns, frame {frames[0].t} has {dim}")
-    fps = np.array([number(fps, "fps")])
-    columns = [np.concatenate([getattr(fr, name) for fr in frames])
-               for name in ("boxes", "scores", "features")]
-    _check_finite(path, [fps, *columns])
-    within(fps[0], "fps", "(0, inf)")
-    rows = zip(*(_f9_text(c, ", ") for c in columns))
+    fps = number(fps, "fps")
+    boxes, scores, features = (np.concatenate([getattr(fr, name) for fr in frames])
+                               for name in ("boxes", "scores", "features"))
+    _check_finite(path, [fps, boxes, scores, features])
+    within(fps, "fps", "(0, inf)")
+    starts = np.cumsum([0] + [len(fr.scores) for fr in frames])   # every frame has one
+    last = np.isin(np.arange(len(scores)), starts - 1)   # a frame's last detection
+    block = 32   # frames per text pass: one pass per clip measured slower
 
     def lines():
-        yield (f'{{"video_id": {_encode(path, video_id)}, "fps": {_f9_text(fps, ", ")[0]}, '
+        yield (f'{{"video_id": {_encode(path, video_id)}, "fps": {_encode(path, f9(fps))}, '
                f'"frame_count": {len(frames)}, "feature_dim": {dim}}}\n')
-        for t, fr in enumerate(frames):
-            dets = ", ".join(f'{{"box": {box}, "score": {score}, "embed": {embed}}}'
-                             for box, score, embed in islice(rows, len(fr.scores)))
-            yield f'{{"t": {t}, "detections": [{dets}]}}\n'
+        for b in range(0, len(frames), block):
+            at = slice(starts[b], starts[min(b + block, len(frames))])
+            text = _rows_text(at.stop - at.start, [
+                '{"box": [', boxes[at], '], "score": ', scores[at], ', "embed": [', features[at],
+                "]}", (~last[at], ", "), (last[at], "\n")], ", ")
+            for t, dets in enumerate(text.decode("ascii").split("\n")[:-1], b):
+                yield f'{{"t": {t}, "detections": [{dets}]}}\n'
 
     _write(path, lines())
 
@@ -530,19 +523,21 @@ def _interval_boxes(obj: dict) -> tuple:
     return video_id, ts, te, (t[0] if t else 0), rows
 
 
-def _frame_boxes_text(t0: int, boxes: np.ndarray, sep: str) -> str:
-    """The "boxes" array of a GT (sep ",") or a prediction (sep ", "): box i
-    is the box of frame t0 + i."""
-    colon = ":" if sep == "," else ": "
-    return "[" + sep.join(f'{{"t"{colon}{t}{sep}"box"{colon}{box}}}'
-                          for t, box in enumerate(_f9_text(boxes, sep), t0)) + "]"
+def _interval_text(path: str, video_id: str, ts: int, te: int, t0: int, boxes, encoder) -> str:
+    """A GT (encoder _DOC) or a prediction (_LINE) as one line, box i the
+    box of frame t0 + i: the encoder's text with no boxes, less its "[]}",
+    then the box array."""
+    sep, colon = encoder.item_separator, encoder.key_separator
+    head = _encode(path, {"video_id": video_id, "ts": ts, "te": te, "boxes": []}, encoder)[:-3]
+    text = _rows_text(len(boxes), ['{"t"' + colon, np.arange(len(boxes)) + t0,
+                                   sep + '"box"' + colon + "[", boxes, "]}" + sep], sep)
+    return head + "[" + text.decode("ascii")[:len(text) - len(sep)] + "]}\n"   # no last sep
 
 
 def save_gt(path: str, video_id: str, gt: GtTube) -> None:
     _string(video_id, "video_id")
     _check_finite(path, [gt.boxes])
-    _write(path, [f'{{"video_id":{_encode(path, video_id)},"ts":{_encode(path, gt.ts)},'
-                  f'"te":{_encode(path, gt.te)},"boxes":{_frame_boxes_text(gt.ts, gt.boxes, ",")}}}\n'])
+    _write(path, [_interval_text(path, video_id, gt.ts, gt.te, gt.ts, gt.boxes, _DOC)])
 
 
 def _gt_misfit(ts: int, te: int, t0: int, n: int) -> str:
@@ -625,10 +620,10 @@ def save_tubes(path: str, video_id: str, tubes: list[Tube],
         for tube in tubes))
 
     def records(tube: Tube) -> memoryview:
-        fields = ['{"t":', tube.t, ',"box":[', tube.boxes, ',"score":', tube.scores,
+        fields = ['{"t":', tube.t, ',"box":[', tube.boxes, '],"score":', tube.scores,
                   ',"det":', (tube.det, "null")]
         if include_embeds and len(tube.t):
-            fields += [',"embed":[', tube.features]
+            fields += [',"embed":[', tube.features, "]"]
         return memoryview(_rows_text(len(tube.t), fields + ["},"]))[:-1]   # no "," after the last
 
     def chunks():
@@ -694,9 +689,7 @@ def save_predictions(path: str, items: list[tuple[str, Prediction]]) -> None:
     for line, (video_id, _) in enumerate(items, 1):
         _video_once(lines, _string(video_id, "video_id"), line)
     _check_finite(path, [pred.boxes for _, pred in items])
-    _write(path, [f'{{"video_id": {_encode(path, video_id)}, "ts": {_encode(path, pred.ts)}, '
-                  f'"te": {_encode(path, pred.te)}, '
-                  f'"boxes": {_frame_boxes_text(pred.t0, pred.boxes, ", ")}}}\n'
+    _write(path, [_interval_text(path, video_id, pred.ts, pred.te, pred.t0, pred.boxes, _LINE)
                   for video_id, pred in items])
 
 
@@ -744,21 +737,24 @@ def save_candidates(path: str, video_id: str, candidates: list[CandidateTube]) -
     for c in candidates:
         _string(c.category, "category")
     columns = [(np.array([r.box.to_list() for r in c.records]),
-                np.array([r.score for r in c.records], dtype=float), c.appearance[None, :])
+                np.array([r.score for r in c.records], dtype=float), c.appearance[None, :],
+                np.array([r.interpolated for r in c.records], dtype=bool))
                for c in candidates]
     _check_finite(path, chain.from_iterable(columns))
 
-    def candidate_text(c: CandidateTube, boxes, scores, appearance) -> str:
-        records = ",".join(
-            f'{{"t":{_encode(path, r.t)},"box":{box},"score":{score}'
-            + (',"interpolated":true}' if r.interpolated else "}")
-            for r, box, score in zip(c.records, _f9_text(boxes, ","), _f9_text(scores, ",")))
-        return (f'{{"category":{_encode(path, c.category)},'
-                f'"span":{_encode(path, [c.span[0], c.span[1]], _DOC)},'
-                f'"records":[{records}],"appearance":{_f9_text(appearance, ",")[0]}}}')
+    def chunks():
+        yield f'{{"video_id":{_encode(path, video_id)},"candidates":['
+        for i, (c, (boxes, scores, appearance, flags)) in enumerate(zip(candidates, columns)):
+            yield (f'{"," if i else ""}{{"category":{_encode(path, c.category)},'
+                   f'"span":{_encode(path, [c.span[0], c.span[1]], _DOC)},"records":[')
+            t = np.arange(len(boxes)) + c.span[0]   # the records cover the span
+            yield memoryview(_rows_text(len(t), [
+                '{"t":', t, ',"box":[', boxes, '],"score":', scores,
+                (flags, ',"interpolated":true'), "},"]))[:-1]   # no "," after the last
+            yield _rows_text(1, ['],"appearance":[', appearance, "]}"])
+        yield "]}\n"
 
-    text = ",".join(candidate_text(c, *cols) for c, cols in zip(candidates, columns))
-    _write(path, [f'{{"video_id":{_encode(path, video_id)},"candidates":[{text}]}}\n'])
+    _write(path, chunks())
 
 
 def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
@@ -793,5 +789,7 @@ def save_report(path: str, doc: dict) -> None:
 def save_drift(path: str, profiles: list[list[float]]) -> None:
     """The drift profiles as CSV: a header, then one row of five f9-rounded
     parts per profile, each line ending in CRLF, as the csv module writes."""
-    rows = [[f"part_{i}" for i in range(1, 6)]] + [[repr(f9(x)) for x in p] for p in profiles]
-    _write(path, [",".join(row) + "\r\n" for row in rows])
+    parts = np.array(profiles, dtype=float).reshape(-1, 5)
+    _check_finite(path, [parts])
+    _write(path, [",".join(f"part_{i}" for i in range(1, 6)) + "\r\n",
+                  _rows_text(len(parts), [parts, "\r\n"])])

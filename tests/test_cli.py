@@ -133,6 +133,18 @@ class TestExitCodes:
         assert "invalid JSON" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "bad.detections.jsonl"]
 
+    @pytest.mark.parametrize("outs", [[], ["--out", "a.json", "--out-dir", "made/deep"]],
+                             ids=["neither", "both"])
+    def test_associate_takes_one_of_out_and_out_dir(self, tmp_path, capsys, monkeypatch, outs):
+        monkeypatch.chdir(tmp_path)
+        simulate(tmp_path, "s")
+        names = set(Path().iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(["associate", "s.detections.jsonl", *outs])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert set(Path().iterdir()) == names   # no file, no directory
+
     def test_version_string(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -1,4 +1,6 @@
 """File round trips, byte stability, and malformed-input diagnostics."""
+import csv
+import io
 import json
 import math
 import re
@@ -13,11 +15,11 @@ from tubekit.association import FrameDetections, Tube, TubeMemory
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.consistency import MinedTube
 from tubekit.errors import FormatError, ValidationError
-from tubekit.formats import (_DOC, _LINE, _f9_text, f9, load_candidates, load_detections,
+from tubekit.formats import (_DOC, _LINE, _rows_text, f9, load_candidates, load_detections,
                              load_gt, load_gt_collection, load_labels, load_predictions,
                              load_tubes, save_candidates, save_detections,
                              save_gt, save_labels, save_predictions,
-                             save_report, save_tubes)
+                             save_drift, save_report, save_tubes)
 from tubekit.geometry import Box, corner_rows
 from tubekit.metrics import Prediction
 from tubekit.mining import GtTube
@@ -67,6 +69,12 @@ class TestF9Rows:
     def _want(rows, encoder) -> list[str]:
         return [encoder.encode([f9(v) for v in row]) for row in np.asarray(rows).tolist()]
 
+    @staticmethod
+    def _f9_rows(a: np.ndarray, sep: str) -> list[str]:
+        """Each row of a 2-D array as a JSON array, or each element of a 1-D one."""
+        text = _rows_text(len(a), ["[", a, "]\n"] if a.ndim == 2 else [a, "\n"], sep)
+        return text.decode("ascii").split("\n")[:-1]
+
     def test_matches_scalar_f9(self):
         rng = np.random.default_rng(61)
         mags = 10.0 ** rng.integers(-20, 20, size=20000)
@@ -77,23 +85,17 @@ class TestF9Rows:
         rounded = [f9(v) for v in values[:2000]]
         values = np.concatenate([values, rounded])         # already-rounded input
         for sep, encoder in self.ENCODERS:
-            assert _f9_text(values, sep) == [encoder.encode(f9(v)) for v in values.tolist()]
+            assert self._f9_rows(values, sep) == [encoder.encode(f9(v)) for v in values.tolist()]
             rows = values[:len(values) // 7 * 7].reshape(-1, 7)
-            assert _f9_text(rows, sep) == self._want(rows, encoder)
+            assert self._f9_rows(rows, sep) == self._want(rows, encoder)
             for v in np.array_split(values, 997):          # ragged lengths
-                assert _f9_text(v[None, :], sep) == self._want([v], encoder)
-
-    def test_float32_and_int_input(self):
-        for v in (np.array([0.1, 1 / 3, 7.5, -0.0], dtype=np.float32), np.array([3, -7, 0])):
-            for sep, encoder in self.ENCODERS:
-                assert _f9_text(v, sep) == [encoder.encode(f9(x)) for x in v]
-                assert _f9_text(v[None, :], sep) == [encoder.encode([f9(x) for x in v])]
+                assert self._f9_rows(v[None, :], sep) == self._want([v], encoder)
 
     def test_empty(self):
         for sep, _ in self.ENCODERS:
-            assert _f9_text(np.empty(0), sep) == []
-            assert _f9_text(np.empty((0, 4)), sep) == []
-            assert _f9_text(np.empty((3, 0)), sep) == ["[]"] * 3
+            assert self._f9_rows(np.empty(0), sep) == []
+            assert self._f9_rows(np.empty((0, 4)), sep) == []
+            assert self._f9_rows(np.empty((3, 0)), sep) == ["[]"] * 3
 
     def test_two_dimensional_input_keeps_rows(self):
         rng = np.random.default_rng(62)
@@ -101,7 +103,7 @@ class TestF9Rows:
                   for n in (3, 0, 5)] + [np.array([[-0.0, 1e16, 1 / 3, 2.675]])]
         for a in arrays:
             for sep, encoder in self.ENCODERS:
-                assert _f9_text(a, sep) == self._want(a, encoder)
+                assert self._f9_rows(a, sep) == self._want(a, encoder)
 
 
 class TestDetections:
@@ -754,12 +756,17 @@ class TestTubeFileOracle:
         x = np.select([rng.integers(0, 3, size=shape) == i for i in range(2)], [plain, ties], edges)
         return np.where((x >= low) & (x <= high), x, plain)
 
+    @classmethod
+    def _boxes(cls, rng, n: int) -> np.ndarray:
+        """n boxes by Box's rule, clamped into the unit square."""
+        x1, y1 = cls._floats(rng, (2, n), 0.0, 0.5)
+        return corner_rows(np.stack([x1, y1, x1 + cls._floats(rng, n, 0.01, 1.0),
+                                     y1 + cls._floats(rng, n, 0.01, 1.0)], axis=1))
+
     def _tube(self, rng, slot_id: int, n: int, dim: int | None) -> Tube:
         t = np.cumsum(rng.integers(1, 2 ** 45, size=n))
         t += rng.choice([0, -t[-1] if n else 0, 2 ** 53 - (t[-1] if n else 0)])
-        x1, y1 = self._floats(rng, (2, n), 0.0, 0.5)
-        boxes = np.stack([x1, y1, x1 + self._floats(rng, n, 0.01, 1.0),
-                          y1 + self._floats(rng, n, 0.01, 1.0)], axis=1)
+        boxes = self._boxes(rng, n)
         det = np.where(rng.uniform(size=n) < 0.3, -1, rng.integers(0, 2 ** 40, size=n))
         features = None if dim is None else self._floats(rng, (n, dim), -1e12, 1e12)
         return Tube(slot_id, t, boxes, self._floats(rng, n, 0.0, 1.0), det, features)
@@ -788,6 +795,110 @@ class TestTubeFileOracle:
         save_tubes(str(path), f"v\u00e9-{seed}", tubes, include_embeds=include_embeds)
         want = _DOC.encode(self._doc(f"v\u00e9-{seed}", tubes, include_embeds)) + "\n"
         assert path.read_text(encoding="utf-8") == want
+
+
+def _f9s(values) -> list[float]:
+    return [f9(v) for v in values]
+
+
+class TestWriterOracles:
+    """The detections, GT, predictions and candidates writers write, byte for
+    byte, what the C encoder writes for each file's dict form with f9 of
+    every float, on values drawn as for TestTubeFileOracle, and frame
+    indices from -2**63 up to 2**63 - 1."""
+
+    _floats = staticmethod(TestTubeFileOracle._floats)
+    _boxes = TestTubeFileOracle._boxes
+
+    @classmethod
+    def _vectors(cls, rng, shape) -> np.ndarray:
+        """Drawn vectors, each with a first element that keeps its norm positive."""
+        x = cls._floats(rng, shape, -1e12, 1e12)
+        x[..., 0] = rng.uniform(0.5, 2.0, size=shape[:-1])
+        return x
+
+    @staticmethod
+    def _first_frame(rng, seed: int, n: int) -> int:
+        """The first of n frames: 0, a drawn one, -2**63 or 2**63 - n."""
+        return [0, int(rng.integers(-2 ** 62, 2 ** 62)), -2 ** 63, 2 ** 63 - n][seed % 4]
+
+    @pytest.mark.parametrize("seed, count", enumerate([1, 31, 32, 33, 64, 97]))
+    def test_detections(self, tmp_path, seed, count):
+        rng = np.random.default_rng([73, seed])
+        dim = int(rng.integers(1, 20))
+        frames = []
+        for t in range(count):   # one block of frames or more
+            n = int(rng.integers(1, 6))
+            frames.append(FrameDetections(t, self._boxes(rng, n), self._floats(rng, n, 0.0, 1.0),
+                                          self._vectors(rng, (n, dim))))
+        fps = float(self._floats(rng, 1, 1e-6, 1e9)[0])
+        path = tmp_path / "o.detections.jsonl"
+        save_detections(str(path), f"v\u00e9-{seed}", fps, frames)
+        lines = [{"video_id": f"v\u00e9-{seed}", "fps": f9(fps), "frame_count": count,
+                  "feature_dim": dim}] + [
+            {"t": fr.t, "detections": [
+                {"box": _f9s(box), "score": f9(score), "embed": _f9s(embed)}
+                for box, score, embed in zip(fr.boxes.tolist(), fr.scores.tolist(),
+                                             fr.features.tolist())]}
+            for fr in frames]
+        assert path.read_text(encoding="utf-8") == "".join(_LINE.encode(line) + "\n"
+                                                           for line in lines)
+
+    @staticmethod
+    def _boxes_doc(t0: int, boxes: np.ndarray) -> list[dict]:
+        return [{"t": t, "box": _f9s(box)} for t, box in enumerate(boxes.tolist(), t0)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gt(self, tmp_path, seed):
+        rng = np.random.default_rng([79, seed])
+        n = int(rng.integers(1, 40))
+        ts = self._first_frame(rng, seed, n)
+        gt = GtTube(ts, ts + n - 1, self._boxes(rng, n))
+        path = tmp_path / "o.gt.json"
+        save_gt(str(path), f"v\u00e9-{seed}", gt)
+        want = {"video_id": f"v\u00e9-{seed}", "ts": gt.ts, "te": gt.te,
+                "boxes": self._boxes_doc(gt.ts, gt.boxes)}
+        assert path.read_text(encoding="utf-8") == _DOC.encode(want) + "\n"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_predictions(self, tmp_path, seed):
+        rng = np.random.default_rng([83, seed])
+        items = []
+        for i in range(int(rng.integers(1, 4))):
+            k = int(rng.integers(1, 30))
+            t0 = self._first_frame(rng, seed + i, k)
+            ts = t0 + int(rng.integers(0, k))
+            te = ts + int(rng.integers(0, t0 + k - ts))
+            items.append((f"v\u00e9-{i}", Prediction(ts, te, t0, self._boxes(rng, k))))
+        path = tmp_path / "o.pred.jsonl"
+        save_predictions(str(path), items)
+        assert path.read_text(encoding="utf-8") == "".join(
+            _LINE.encode({"video_id": video_id, "ts": pred.ts, "te": pred.te,
+                          "boxes": self._boxes_doc(pred.t0, pred.boxes)}) + "\n"
+            for video_id, pred in items)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_candidates(self, tmp_path, seed):
+        rng = np.random.default_rng([89, seed])
+        candidates = []
+        for i in range(seed % 4):   # none at all for seed 0
+            k = int(rng.integers(1, 20))
+            s = self._first_frame(rng, seed + i, k)
+            flags = (rng.uniform(size=k) < 0.4).tolist()   # interpolated and real records
+            records = [CandidateRecord(t, Box(*box), score, flag) for t, box, score, flag in zip(
+                range(s, s + k), self._boxes(rng, k).tolist(),
+                self._floats(rng, k, 0.0, 1.0).tolist(), flags)]
+            candidates.append(CandidateTube(f"c\u00e9{i}", (s, s + k - 1), records,
+                                            self._vectors(rng, (int(rng.integers(1, 20)),))))
+        path = tmp_path / "o.candidates.json"
+        save_candidates(str(path), f"v\u00e9-{seed}", candidates)
+        want = {"video_id": f"v\u00e9-{seed}", "candidates": [
+            {"category": c.category, "span": list(c.span), "records": [
+                {"t": r.t, "box": _f9s(r.box.to_list()), "score": f9(r.score),
+                 **({"interpolated": True} if r.interpolated else {})} for r in c.records],
+             "appearance": _f9s(c.appearance.tolist())}
+            for c in candidates]}
+        assert path.read_text(encoding="utf-8") == _DOC.encode(want) + "\n"
 
 
 class TestPredictions:
@@ -923,6 +1034,25 @@ class TestReports:
             save_report(str(path), {"costs": [{"total": bad}]})
         assert str(path) in str(err.value)
         assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_drift_non_finite_refused_naming_the_path(self, tmp_path, bad):
+        path = tmp_path / "drift.csv"
+        with pytest.raises(ValidationError, match="non-finite") as err:
+            save_drift(str(path), [[0.5, 0.25, 0.125, 0.0, 1.0], [bad, 1.0, 0.5, 0.5, 0.1]])
+        assert str(err.value).startswith(f"{path}: ")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_drift_is_the_csv_modules_text(self, tmp_path, count):
+        profiles = TestTubeFileOracle._floats(np.random.default_rng([97, count]), (count, 5),
+                                              -1e12, 1e12).tolist()
+        path = tmp_path / "drift.csv"
+        save_drift(str(path), profiles)
+        want = io.StringIO()
+        csv.writer(want).writerows([[f"part_{i}" for i in range(1, 6)]]
+                                   + [_f9s(p) for p in profiles])
+        assert path.read_bytes() == want.getvalue().encode()
 
     def test_non_finite_tube_score_refused(self, tmp_path):
         tubes = [make_tube(0, [BOX], 0.5)]
