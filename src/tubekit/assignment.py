@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import numbers
+from .geometry import numbers, sum_in_order
 
 # Sub-solutions within tol = _TIE_RTOL * max(1, |best|) + 2 n^2 eps max|c|
 # (n pairs) of the optimal total are ties: summation-order noise, plus the
@@ -34,10 +34,12 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _validated_cost(cost) -> np.ndarray:
-    c = numbers(cost, "cost")
+    """cost as a 2-D, non-empty array of finite floats; a float64 array is
+    returned as itself, not copied: nothing here writes into it."""
+    c = numbers(cost, "cost", copy=False)
     if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
         raise ValidationError(f"cost matrix must be 2-D and non-empty, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValidationError("cost matrix contains non-finite entries")
     return c
 
@@ -145,7 +147,7 @@ def _optimal_total(cost: np.ndarray) -> float:
     return _pairs_total(cost, _real_pairs(sigma, *cost.shape))
 
 
-def _tie_gaps(rc: np.ndarray, sigma: list[int]) -> np.ndarray:
+def _tie_gaps(rc: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """G[r, c]: what the cheapest assignment using edge (r, c) costs above
     the optimum, from the reduced costs rc of the padded square matrix."""
     n = rc.shape[0]
@@ -178,8 +180,13 @@ def solve_assignment(cost) -> list[tuple[int, int]]:
     n_pairs = min(n_rows, n_cols)
     sub = _padded(c)
     sigma, u, v = _hungarian(c)
-    best_total = _pairs_total(c, _real_pairs(sigma, n_rows, n_cols))
     n = sub.shape[0]
+    rows = np.arange(n)
+    # at: each row of sub with its column in sigma, and costs its cost there,
+    # a padding pair's +0.0, which leaves the row-order total's bits alone.
+    at = (rows, np.array(sigma, dtype=int))
+    costs = sub[at]
+    best_total = sum_in_order(costs[:n_rows])
     c_max = np.abs(sub).max()
     tol = _TIE_RTOL * max(1.0, abs(best_total)) + 2.0 * n_pairs * n_pairs * _EPS * c_max
 
@@ -193,16 +200,15 @@ def solve_assignment(cost) -> list[tuple[int, int]]:
     while len(pairs) < n_pairs:
         m = sub.shape[0]
         k = n_cols - len(pairs)                 # real columns left
-        matched = (np.arange(m), sigma)
         rc = sub - u[:, None] - v
         # spent: what the best completion of the fixed rows costs above the
         # optimum.  band bounds the rounding of spent + G against the totals
         # the tolerance test sums: the drift of the matched edges' reduced
         # costs, the most negative reduced cost, and summation error.
-        spent = partial + float(sub[matched].sum()) - best_total
-        band = m * (np.abs(rc[matched]).max() + max(0.0, -rc.min())) + \
+        spent = partial + float(costs.sum()) - best_total
+        band = m * (np.abs(rc[at]).max() + max(0.0, -rc.min())) + \
             8.0 * n * n * _EPS * (c_max + np.abs(u).max() + np.abs(v).max())
-        rc[matched] = np.inf
+        rc[at] = np.inf
         # sigma is the answer when every other assignment is over tol for
         # sure: by rc alone, or else by G, which rc bounds from below.
         settled = abs(spent) <= tol - band
@@ -212,8 +218,8 @@ def solve_assignment(cost) -> list[tuple[int, int]]:
         # row whose rc keeps every column but sigma's out of reach skips it.
         gaps = np.full(m, np.inf)
         if row == 0 or spent + rc[0].min() <= tol + band:
-            g = np.abs(spent + _tie_gaps(rc, sigma))
-            g[matched] = np.inf
+            g = np.abs(spent + _tie_gaps(rc, at[1]))
+            g[at] = np.inf
             if settled and g[:n_rows - row, :k].min() > tol + band:
                 break
             gaps = g[0]
@@ -254,6 +260,8 @@ def solve_assignment(cost) -> list[tuple[int, int]]:
             sigma[holder - 1] = -1
             _augment(sub, u, v, row_of, sigma, holder - 1)
         row += 1
+        at = (rows[:m - 1], np.array(sigma, dtype=int))
+        costs = sub[at]
     k = n_cols - len(pairs)
     return pairs + [(row + r, cols[j]) for r, j in enumerate(sigma[:n_rows - row]) if j < k]
 
@@ -274,7 +282,7 @@ def checked_norms(vectors, refusal: str) -> np.ndarray:
     refused: each cosine in tubekit divides by this norm."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(np.atleast_2d(vectors), axis=1)
-    if not np.all((0.0 < norms) & (norms < np.inf)):
+    if not ((0.0 < norms) & (norms < np.inf)).all():
         raise ValidationError(refusal)
     return norms
 

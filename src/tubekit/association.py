@@ -16,6 +16,7 @@ end, once, by the rules a single holder applies, and cut them into holders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -209,6 +210,10 @@ def _tube_columns(where: str, t, boxes, scores, det, features, cuts=np.empty(0, 
     return cols
 
 
+_MEMORY_REFUSAL = ("memory contains a slot vector that is not finite, or whose norm is zero "
+                   "or overflows")
+
+
 @dataclass(frozen=True)
 class TubeMemory:
     """Per-slot reference features, shape (n_q, feature_dim), and their row
@@ -221,8 +226,7 @@ class TubeMemory:
         v = numbers(self.vectors, "vectors")
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValidationError(f"memory must be a non-empty (n_q, d) array, got {v.shape}")
-        hold(self, vectors=v, norms=checked_norms(v, "memory contains a slot vector that is not "
-                                                     "finite, or whose norm is zero or overflows"))
+        hold(self, vectors=v, norms=checked_norms(v, _MEMORY_REFUSAL))
 
     @property
     def n_q(self) -> int:
@@ -231,6 +235,8 @@ class TubeMemory:
 
 @dataclass(frozen=True)
 class AssociationConfig:
+    """n_q >= 1 tube slots, and the memory's EMA factor alpha in [0, 1]."""
+
     n_q: int = 15
     alpha: float = 0.1
 
@@ -258,6 +264,30 @@ def init_memory(frame: FrameDetections, cfg: AssociationConfig) -> tuple[TubeMem
     return TubeMemory(frame.features[det]), det
 
 
+def _step(vectors: np.ndarray, norms: np.ndarray, frame: FrameDetections,
+          cfg: AssociationConfig) -> np.ndarray:
+    """Match one frame against the memory held in `vectors` and their row
+    `norms`, and blend the matched slots in place; returns the (n_q,)
+    detection index each slot matched, -1 where it matched none.  Only the
+    blended rows' norms are taken anew: np.linalg.norm reduces each row on
+    its own, so they have the bits a whole-memory norm gives.  A blend that
+    checked_norms refuses is refused naming the frame, before any write."""
+    if frame.features.shape[1] != vectors.shape[1]:
+        raise ValidationError(f"frame {frame.t}: features have {frame.features.shape[1]} "
+                              f"columns, the memory has {vectors.shape[1]}")
+    chosen = top_by_confidence(frame, cfg.n_q)
+    feats = frame.features[chosen]
+    # Cosines from the norms held for the memory and taken for the frame.
+    pairs = solve_assignment(-(vectors @ feats.T) / (norms[:, None] * frame.norms[chosen]))
+    slots, cols = np.fromiter(chain.from_iterable(pairs), int, 2 * len(pairs)).reshape(-1, 2).T
+    det = np.full(len(vectors), -1)
+    det[slots] = chosen[cols]
+    blend = (1.0 - cfg.alpha) * vectors[slots] + cfg.alpha * feats[cols]
+    norms[slots] = checked_norms(blend, f"frame {frame.t}: {_MEMORY_REFUSAL}")
+    vectors[slots] = blend
+    return det
+
+
 def associate_step(memory: TubeMemory, frame: FrameDetections,
                    cfg: AssociationConfig) -> tuple[TubeMemory, np.ndarray]:
     """Match one frame against the memory.
@@ -265,38 +295,39 @@ def associate_step(memory: TubeMemory, frame: FrameDetections,
     Returns the updated memory and the (n_q,) detection index each slot
     matched, -1 where it matched none.  Matched slots blend the matched
     detection's feature in with factor alpha; unmatched slots keep theirs.
-    A frame whose feature dim is not the memory's is refused.
+    A frame whose feature dim is not the memory's is refused, and so is a
+    blend whose norm checked_norms refuses, naming the frame.
     """
-    if frame.features.shape[1] != memory.vectors.shape[1]:
-        raise ValidationError(f"frame {frame.t}: features have {frame.features.shape[1]} "
-                              f"columns, the memory has {memory.vectors.shape[1]}")
-    chosen = top_by_confidence(frame, cfg.n_q)
-    feats = frame.features[chosen]
-    # Cosines from the norms both holders took when they were made.
-    pairs = solve_assignment(-(memory.vectors @ feats.T)
-                             / np.outer(memory.norms, frame.norms[chosen]))
-    slots, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
-    det = np.full(memory.n_q, -1)
-    det[slots] = chosen[cols]
-    vectors = memory.vectors.copy()
-    vectors[slots] = (1.0 - cfg.alpha) * vectors[slots] + cfg.alpha * feats[cols]
-    return TubeMemory(vectors), det
+    vectors, norms = memory.vectors.copy(), memory.norms.copy()
+    det = _step(vectors, norms, frame, cfg)
+    updated = object.__new__(TubeMemory)   # the kernel checked what it changed
+    hold(updated, vectors=vectors, norms=norms)
+    return updated, det
+
+
+def _fold(frames: list[FrameDetections], cfg: AssociationConfig):
+    """init_memory on the first frame, then the step kernel over the rest:
+    the final memory's vectors and norms, and the (T, n_q) detection index
+    of each slot in each frame, -1 for a gap."""
+    memory, seeded = init_memory(frames[0], cfg)
+    vectors, norms = memory.vectors.copy(), memory.norms.copy()
+    det = np.empty((len(frames), cfg.n_q), dtype=int)
+    det[0] = seeded
+    for i, frame in enumerate(frames[1:], 1):
+        det[i] = _step(vectors, norms, frame, cfg)
+    return vectors, norms, det
 
 
 def run_association(frames: list[FrameDetections],
                     cfg: AssociationConfig = AssociationConfig()) -> list[Tube]:
-    """Fold a whole clip into n_q tubes, one row per tube per frame."""
+    """Fold a whole clip into n_q tubes, one row per tube per frame: the
+    step kernel of associate_step over the memory's two arrays."""
     if not frames:
         raise ValidationError("cannot associate an empty clip")
     ts = [f.t for f in frames]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValidationError("frame timestamps must be strictly increasing")
-    memory, seeded = init_memory(frames[0], cfg)
-    det = [seeded]
-    for frame in frames[1:]:
-        memory, matched = associate_step(memory, frame, cfg)
-        det.append(matched)
-    det = np.array(det)
+    det = _fold(frames, cfg)[2]
     # Each frame's matched rows, one per slot, and then a gap's row: the row
     # before it, that of `last`, the slot's latest match up to its frame.
     shape = det.shape
@@ -310,5 +341,9 @@ def run_association(frames: list[FrameDetections],
     boxes[gaps] = boxes[last[gaps], gaps[1]]
     features[gaps] = features[last[gaps], gaps[1]]
     scores[gaps] = 0.0
-    return [Tube(slot, ts, boxes[:, slot], scores[:, slot], det[:, slot], features[:, slot])
-            for slot in range(cfg.n_q)]
+    # Slot by slot, end to end, cut into tubes without a second check: the
+    # rows are the frames' checked ones, and ts increases.
+    columns = {k: c.swapaxes(0, 1).reshape((-1,) + c.shape[2:]) for k, c in
+               {"boxes": boxes, "scores": scores, "det": det, "features": features}.items()}
+    return _cut(Tube, np.full(cfg.n_q, len(frames)), columns | {"t": np.tile(ts, cfg.n_q)},
+                slot_id=list(range(cfg.n_q)))

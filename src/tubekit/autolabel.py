@@ -78,6 +78,8 @@ class CandidateTube:
 
 @dataclass(frozen=True)
 class AutolabelConfig:
+    """appearance_threshold in [-1, 1] to merge fragments, coverage_threshold in (0, 1]."""
+
     appearance_threshold: float = 0.7
     coverage_threshold: float = 0.5
 

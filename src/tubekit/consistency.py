@@ -71,6 +71,8 @@ class MinedTube:
 
 @dataclass(frozen=True)
 class LossWeights:
+    """Weights, each finite and >= 0, of the geometry and feature consistency losses."""
+
     w_temp: float = 2.0
     w_feat: float = 1.0
 
@@ -80,12 +82,16 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class Gradients:
+    """Gradients of the feature loss, (T, D), and of the geometry loss, (T, 4) corners."""
+
     d_features: np.ndarray  # (T, D), gradient of the feature loss
     d_boxes: np.ndarray     # (T, 4), gradient of the geometry loss, corner order
 
 
 @dataclass(frozen=True)
 class GradCheckReport:
+    """Central differences against the gradients: worst errors, kinks skipped, step."""
+
     max_rel_error: float
     max_abs_analytic: float
     max_abs_numeric: float

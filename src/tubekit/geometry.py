@@ -298,9 +298,9 @@ def sum_in_order(values: np.ndarray) -> float:
     """0.0 + v[0] + v[1] + ..., left to right, as an `acc += v` loop adds.
 
     np.sum adds pairwise and can differ in the last bit; a cumulative sum
-    is sequential.
+    is sequential.  values is 1-D.
     """
     if values.shape[0] == 0:
         return 0.0
     # + 0.0 is the loop's starting value: it turns an all -0.0 sum into 0.0.
-    return float(np.cumsum(values)[-1]) + 0.0
+    return float(np.add.accumulate(values)[-1]) + 0.0

@@ -131,12 +131,16 @@ def drift_profile(pred: Prediction, gt: GtTube) -> list[float]:
 
 @dataclass(frozen=True)
 class SampleResult:
+    """One sample's tIoU and vIoU."""
+
     t_iou: float
     v_iou: float
 
 
 @dataclass(frozen=True)
 class EvalReport:
+    """Per-sample results, their mean tIoU and vIoU, and the vIoU@threshold rates."""
+
     samples: list[SampleResult]
     m_t_iou: float
     m_v_iou: float

@@ -59,6 +59,8 @@ class GtTube:
 
 @dataclass(frozen=True)
 class CostWeights:
+    """Weights, each finite and >= 0, of the mining cost's class, box, GIoU and temporal terms."""
+
     w_cls: float = 1.0
     w_bbox: float = 5.0
     w_giou: float = 3.0
@@ -70,6 +72,8 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class CostBreakdown:
+    """A mining cost's class, box L1, GIoU and temporal terms, and their weighted total."""
+
     c_cls: float
     c_bbox: float
     c_giou: float

@@ -28,6 +28,8 @@ _MIN_EXTENT = 1e-3
 
 @dataclass(frozen=True)
 class SceneConfig:
+    """A seeded synthetic clip's size, and its drift, motion, noise and distractor scales."""
+
     seed: int
     frames: int = 64
     objects: int = 1
@@ -48,6 +50,8 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class LabeledScene:
+    """A simulated clip: config, frames, each detection's latent identity, GT tube."""
+
     config: SceneConfig
     frames: list[FrameDetections]
     identities: list[list[int]]     # per frame, aligned with detections

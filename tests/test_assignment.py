@@ -131,6 +131,18 @@ class TestSolveAssignment:
         with pytest.raises(ValidationError, match=rf"^'cost' must be a number, got {shown}$"):
             solve_assignment(cost)
 
+    def test_a_float64_cost_is_only_read(self):
+        # The solver keeps a float64 cost as it is, uncopied: a read-only
+        # one, ties and padding included, solves as its copy does.
+        rng = np.random.default_rng(83)
+        for n_rows, n_cols in _shapes(rng, 60, 1, 7):
+            for cost in (rng.integers(0, 3, size=(n_rows, n_cols)).astype(float),
+                         rng.normal(size=(n_rows, n_cols))):
+                frozen = cost.copy()
+                frozen.setflags(write=False)
+                assert solve_assignment(frozen) == solve_assignment(cost)
+                assert np.array_equal(frozen, cost)
+
 
 def _scipy_optimal_total(cost: np.ndarray) -> float:
     from scipy.optimize import linear_sum_assignment
@@ -377,6 +389,29 @@ class TestAgainstReference:
             feats = det[rng.permutation(n_det)] + 0.05 * rng.normal(size=(n_det, 8))
             self._agree(-(memory @ feats.T) / np.outer(np.linalg.norm(memory, axis=1),
                                                        np.linalg.norm(feats, axis=1)))
+
+
+class TestAssociationTies:
+    """Association's own costs: negated cosines between slot memories and
+    detection features, some features repeated, so that several
+    assignments share the optimal total exactly.  The pair list must be
+    brute force's lexicographic optimum."""
+
+    def test_repeated_features_against_brute_force(self):
+        rng = np.random.default_rng(79)
+        for n_q, n_det in _shapes(rng, 150, 2, 7):
+            pool = rng.normal(size=(max(2, n_det - 1), 8))
+            pool[:, 0] += 1.0
+            # At least two detections share a feature; slots seeded by
+            # cycling, as init_memory does, then drifted or not.
+            feats = pool[np.r_[0, 0, rng.integers(len(pool), size=n_det - 2)]]
+            feats = feats[rng.permutation(n_det)]
+            memory = feats[np.arange(n_q) % n_det] + rng.choice([0.0, 0.1]) * rng.normal(
+                size=(n_q, 8))
+            cost = -(memory @ feats.T) / np.outer(np.linalg.norm(memory, axis=1),
+                                                  np.linalg.norm(feats, axis=1))
+            for c in (cost, cost.T):
+                assert solve_assignment(c) == brute_force_optimum(c)[1], c
 
 
 class TestCosineSimilarity:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_frame
 from tubekit.assignment import solve_assignment
 from tubekit.association import (AssociationConfig, FrameDetections, Tube, TubeMemory,
-                                 init_memory, run_association, associate_step,
+                                 _fold, init_memory, run_association, associate_step,
                                  top_by_confidence)
 from tubekit.errors import ValidationError
 from tubekit.formats import load_detections, save_detections
@@ -534,3 +534,82 @@ class TestRunAssociation:
             memory, _ = associate_step(memory, frame, cfg)
             assert np.all(memory.vectors >= lo - 1e-12)
             assert np.all(memory.vectors <= hi + 1e-12)
+
+
+class TestOneKernel:
+    """run_association is the public fold, init_memory and then
+    associate_step frame by frame, bit for bit: every tube column, and the
+    memory it ends with."""
+
+    @staticmethod
+    def _cases():
+        # n_q above a frame's detections leaves slots unmatched: gap rows.
+        for seed, objects, n_q in [(1, 3, 3), (2, 4, 7), (3, 2, 5)]:
+            scene = generate_scene(SceneConfig(seed=seed, frames=24, objects=objects,
+                                               feature_dim=8, appearance_drift=0.5,
+                                               detection_noise=0.005, distractor_rate=1.0))
+            yield scene.frames, AssociationConfig(n_q=n_q, alpha=0.3)
+        for seed, per_frame, n_q in [(5, 4, 3), (6, 4, 6), (7, 2, 5), (8, 1, 2)]:
+            yield (_random_clip(seed, frames=12, per_frame=per_frame),
+                   AssociationConfig(n_q=n_q, alpha=0.2))
+
+    def test_run_association_is_the_public_fold(self):
+        gaps = 0
+        for frames, cfg in self._cases():
+            memory, seeded = init_memory(frames[0], cfg)
+            det = [seeded]
+            for frame in frames[1:]:
+                memory, matched = associate_step(memory, frame, cfg)
+                det.append(matched)
+            det = np.array(det)
+            gaps += int((det < 0).sum())
+            vectors, norms, folded = _fold(frames, cfg)
+            assert folded.tobytes() == det.tobytes()
+            assert vectors.tobytes() == memory.vectors.tobytes()
+            assert norms.tobytes() == memory.norms.tobytes()
+            # The held norms, only the blended rows' taken anew, are those
+            # of the whole memory.
+            assert norms.tobytes() == TubeMemory(vectors).norms.tobytes()
+            tubes = run_association(frames, cfg)
+            assert [tube.slot_id for tube in tubes] == list(range(cfg.n_q))
+            for tube, slot_det in zip(tubes, det.T.tolist()):
+                rows = []
+                for frame, d in zip(frames, slot_det):
+                    rows.append((frame.boxes[d], frame.scores[d], frame.features[d]) if d >= 0
+                                else (rows[-1][0], 0.0, rows[-1][2]))
+                boxes, scores, features = (np.array(column) for column in zip(*rows))
+                assert tube.t.tolist() == [frame.t for frame in frames]
+                assert tube.det.tolist() == slot_det
+                assert tube.boxes.tobytes() == boxes.tobytes()
+                assert tube.scores.tobytes() == scores.tobytes()
+                assert tube.features.tobytes() == features.tobytes()
+        assert gaps > 0
+
+
+class TestCancellingMemory:
+    """alpha = 0.5 and a detection that negates the slot's memory blend to
+    exactly 0, a slot vector no cosine can divide by: refused, naming the
+    frame."""
+
+    REFUSAL = ("memory contains a slot vector that is not finite, or whose norm is zero "
+               "or overflows")
+    CFG = AssociationConfig(n_q=1, alpha=0.5)
+
+    @staticmethod
+    def _clip():
+        return [make_frame(0, [det(0.9, [0.6, -0.8])]), make_frame(1, [det(0.9, [-0.6, 0.8])])]
+
+    def test_run_association_names_the_frame(self):
+        with pytest.raises(ValidationError, match=f"^frame 1: {self.REFUSAL}$"):
+            run_association(self._clip(), self.CFG)
+
+    def test_associate_step_names_the_frame(self):
+        seed, frame = self._clip()
+        memory, _ = init_memory(seed, self.CFG)
+        with pytest.raises(ValidationError, match=f"^frame 1: {self.REFUSAL}$"):
+            associate_step(memory, frame, self.CFG)
+        assert memory.vectors.tolist() == [[0.6, -0.8]]
+
+    def test_memory_refusal_is_unchanged(self):
+        with pytest.raises(ValidationError, match=f"^{self.REFUSAL}$"):
+            TubeMemory([[0.0, 0.0]])

@@ -12,8 +12,9 @@ import pytest
 import tubekit
 from conftest import make_gt, make_prediction, make_tube
 from tubekit.cli import main
-from tubekit.formats import (load_gt, load_predictions, load_tubes, save_candidates, save_gt,
-                             save_predictions, save_tubes)
+from tubekit.formats import (load_gt, load_predictions, load_tubes, save_candidates,
+                             save_detections, save_gt, save_predictions, save_tubes)
+from tubekit.association import FrameDetections
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.geometry import Box
 
@@ -414,6 +415,21 @@ class TestAssociate:
         assert main(["associate", f"{prefix}.detections.jsonl",
                      f"{prefix}.detections.jsonl",
                      "--out", str(tmp_path / "t.json")]) == 1
+
+    def test_cancelling_memory_names_the_frame(self, tmp_path, capsys):
+        # alpha 0.5 and frame 1's only detection the negation of frame 0's:
+        # the slot's memory blends to exactly 0.
+        frames = [FrameDetections(t, [B.to_list()], [0.9], [[0.6 * sign, -0.8 * sign]])
+                  for t, sign in enumerate((1.0, -1.0))]
+        path = tmp_path / "c.detections.jsonl"
+        save_detections(str(path), "c", 5.0, frames)
+        out = tmp_path / "c.tubes.json"
+        assert main(["associate", str(path), "--n-q", "1", "--alpha", "0.5",
+                     "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err == ("error: frame 1: memory contains a slot vector that is not finite, "
+                       "or whose norm is zero or overflows\n")
 
 
 def write_planted_tubes(tmp_path):

@@ -15,8 +15,9 @@ from tubekit.association import FrameDetections, Tube, TubeMemory
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.consistency import MinedTube
 from tubekit.errors import FormatError, ValidationError
-from tubekit.formats import (_DOC, _LINE, _rows_text, f9, load_candidates, load_detections,
-                             load_gt, load_gt_collection, load_labels, load_predictions,
+from tubekit.formats import (_DOC, _LINE, _detections_from, _rows_text, f9, load_candidates,
+                             load_detections, load_gt, load_gt_collection, load_labels,
+                             load_predictions,
                              load_tubes, save_candidates, save_detections,
                              save_gt, save_labels, save_predictions,
                              save_drift, save_report, save_tubes)
@@ -1700,10 +1701,10 @@ class TestDetectionsDecode:
     def _det(x1=0.1):
         return {"box": [x1, 0.2, x1 + 0.3, 0.5], "score": 0.5, "embed": [0.6, -0.8]}
 
-    def _lines(self, frame_count=FRAMES):
+    def _lines(self, frame_count=FRAMES, frames=FRAMES):
         return [{"video_id": "v", "fps": 25.0, "frame_count": frame_count, "feature_dim": 2}] + [
             {"t": t, "detections": [self._det(), self._det(0.4), self._det(0.6)]}
-            for t in range(self.FRAMES)]
+            for t in range(frames)]
 
     @staticmethod
     def _file(tmp_path, lines):
@@ -1791,6 +1792,39 @@ class TestDetectionsDecode:
         want = (f"{path}:6: frame 4: score must lie in [0, 1], got 2.0" if fault else
                 f"{path}: header promises {self.FRAMES + 1} frames, file has {self.FRAMES}")
         assert str(err.value) == want
+
+    # The clip pass decodes _BLOCK lines at a time: frames 7, 8 and 9 sit on
+    # both sides of the first block's end at 8, frames 31-33 at 32, and
+    # frame 70 in a later block.
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    @pytest.mark.parametrize("frame", [7, 8, 9, 31, 32, 33, 70])
+    def test_a_fault_in_a_later_block_is_named(self, tmp_path, fault, frame):
+        lines = self._lines(frame_count=80, frames=80)
+        self.FAULTS[fault][0](lines[frame + 1])
+        self.FAULTS["score-2"][0](lines[75])   # a later fault, in the last block
+        path = self._file(tmp_path, lines)
+        with pytest.raises(FormatError) as err:
+            load_detections(path)
+        assert str(err.value) == f"{path}:{frame + 2}: {self.FAULTS[fault][1](frame)}"
+
+    def test_blocks_give_the_frames_of_the_line_pass(self, tmp_path):
+        # Frames of 1 to 4 detections, 80 of them over several blocks: the
+        # clip pass accepts them, and gives the one-line pass's columns, bit
+        # for bit.
+        lines = self._lines(frame_count=80, frames=80)
+        for t, line in enumerate(lines[1:]):
+            line["detections"] = [self._det(0.1 + 0.01 * (t % 7) + 0.2 * k)
+                                  for k in range(1 + t % 4)]
+            line["detections"][0]["score"] = (t % 10) / 10
+        path = self._file(tmp_path, lines)
+        meta, frames = _detections_from(path, clip=True)
+        want_meta, want = _detections_from(path, clip=False)
+        assert meta == want_meta and len(frames) == len(want) == 80
+        for got, frame in zip(frames, want):
+            assert got.t == frame.t
+            for k in ("boxes", "scores", "features", "norms"):
+                assert getattr(got, k).tobytes() == getattr(frame, k).tobytes()
+                assert getattr(got, k).shape == getattr(frame, k).shape
 
     def test_frames_are_read_only_slices_of_the_clip(self, tmp_path):
         lines = self._lines()

@@ -272,3 +272,16 @@ def test_interval_must_be_a_pair(call):
                            (((0, 1), (2, 3)), "'interval' must be an integer, got (0, 1)")]:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             PAIRS[call](value)
+
+
+def test_every_public_dataclass_is_documented():
+    # A dataclass without a docstring gets one built from inspect.signature
+    # at import, which costs each CLI start time and says nothing.
+    undocumented = []
+    for path in sorted(Path(tubekit.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                    and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+                    and not ast.get_docstring(node)):
+                undocumented.append(f"{path.name}:{node.name}")
+    assert undocumented == []
