@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -21,40 +23,55 @@ from .consistency import (LossWeights, MinedTube, combined_loss, feature_loss,
                           geom_loss, grad_check)
 from .decoding import ExposureConfig, simulate_decoding
 from .errors import FormatError, ValidationError
-from .formats import (SCHEMA_VERSION, f9, load_candidates, load_detections,
-                      load_gt, load_gt_collection, load_tubes,
-                      load_predictions, save_detections, save_drift, save_gt,
-                      save_labels, save_predictions, save_report, save_tubes)
+from .formats import (SCHEMA_VERSION, load_candidates, load_detections, load_gt,
+                      load_gt_collection, load_tubes, load_predictions,
+                      save_detections, save_drift, save_gt, save_labels,
+                      save_predictions, save_report, save_tubes)
 from .geometry import within
 from .metrics import Prediction, drift_profile, evaluate, select_tube
 from .mining import CostWeights, mine_best_tube
 from .scenes import SceneConfig, generate_scene
 
 
-def _report_head(command: str, config: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "command": command, "config": config}
+def _report(path: str, command: str, config: dict, **fields) -> dict:
+    """Write the report of `command`; returns it as written, floats rounded."""
+    return save_report(path, {"schema_version": SCHEMA_VERSION, "command": command,
+                              "config": config, **fields})
+
+
+@contextmanager
+def _all_or_none():
+    """Yields write(save, path, ...), which returns save(path, ...) and notes
+    the path; when the command then fails, every file noted is removed."""
+    written = []
+
+    def write(save, path, *data, **named):
+        result = save(path, *data, **named)
+        written.append(path)
+        return result
+    try:
+        yield write
+    except BaseException:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 # ------------------------------------------------------------------ simulate
 
 def _cmd_simulate(args) -> int:
     within(args.fps, "--fps", "(0, inf)")
-    cfg = SceneConfig(seed=args.seed, frames=args.frames, objects=args.objects,
-                      feature_dim=args.feature_dim,
-                      appearance_drift=args.appearance_drift,
-                      motion_step=args.motion_step,
-                      detection_noise=args.detection_noise,
-                      confidence_noise=args.confidence_noise,
-                      distractor_rate=args.distractor_rate)
+    # Each of SceneConfig's fields has the option of its name.
+    cfg = SceneConfig(**{f.name: getattr(args, f.name) for f in fields(SceneConfig)})
     scene = generate_scene(cfg)
     video_id = args.video_id or f"sim-{args.seed}"
-    prefix = args.out
-    save_detections(f"{prefix}.detections.jsonl", video_id, args.fps, scene.frames)
-    save_gt(f"{prefix}.gt.json", video_id, scene.gt)
-    if args.labels:
-        save_labels(f"{prefix}.labels.json", video_id, scene.identities)
+    with _all_or_none() as write:
+        write(save_detections, f"{args.out}.detections.jsonl", video_id, args.fps, scene.frames)
+        write(save_gt, f"{args.out}.gt.json", video_id, scene.gt)
+        if args.labels:
+            write(save_labels, f"{args.out}.labels.json", video_id, scene.identities)
     print(f"{video_id}: {cfg.frames} frames, "
-          f"gt [{scene.gt.ts}, {scene.gt.te}] -> {prefix}.detections.jsonl")
+          f"gt [{scene.gt.ts}, {scene.gt.te}] -> {args.out}.detections.jsonl")
     return 0
 
 
@@ -96,28 +113,27 @@ def _tubes_of(path: str):
     return video_id, tubes
 
 
-def _cmd_mine(args) -> int:
-    video_id, tubes = _tubes_of(args.tubes)
-    gt_vid, gt = load_gt(args.gt)
+def _gt_for(path: str, video_id: str):
+    """The GT at `path`, which must be for the tube file's `video_id`."""
+    gt_vid, gt = load_gt(path)
     if gt_vid != video_id:
         raise ValidationError(f"tube file is for '{video_id}' but GT is for '{gt_vid}'")
+    return gt
+
+
+def _cmd_mine(args) -> int:
+    video_id, tubes = _tubes_of(args.tubes)
+    gt = _gt_for(args.gt, video_id)
     weights = CostWeights(w_cls=args.lambda_cls, w_bbox=args.lambda_bbox,
                           w_giou=args.lambda_giou, w_temp=args.lambda_temp)
     best, breakdowns = mine_best_tube(tubes, gt, weights)
-    report = _report_head("mine", {
-        "tubes": args.tubes, "gt": args.gt,
-        "lambda_cls": f9(weights.w_cls), "lambda_bbox": f9(weights.w_bbox),
-        "lambda_giou": f9(weights.w_giou), "lambda_temp": f9(weights.w_temp)})
-    report["video_id"] = video_id
-    report["selected"] = best
-    report["costs"] = [{
-        "slot_id": tubes[i].slot_id,
-        "c_cls": f9(b.c_cls), "c_bbox": f9(b.c_bbox),
-        "c_giou": f9(b.c_giou), "c_temp": f9(b.c_temp), "total": f9(b.total),
-    } for i, b in enumerate(breakdowns)]
-    save_report(args.out, report)
+    report = _report(args.out, "mine", {
+        "tubes": args.tubes, "gt": args.gt, "lambda_cls": weights.w_cls,
+        "lambda_bbox": weights.w_bbox, "lambda_giou": weights.w_giou, "lambda_temp": weights.w_temp},
+        video_id=video_id, selected=best,
+        costs=[{"slot_id": t.slot_id, **asdict(b)} for t, b in zip(tubes, breakdowns)])
     print(f"{video_id}: selected tube {best} "
-          f"(total {f9(breakdowns[best].total)}) -> {args.out}")
+          f"(total {report['costs'][best]['total']}) -> {args.out}")
     return 0
 
 
@@ -135,20 +151,14 @@ def _mined_tubes(args):
 def _cmd_losses(args) -> int:
     video_id, tubes = _mined_tubes(args)
     weights = LossWeights(w_temp=args.lambda_temp, w_feat=args.lambda_feat)
-    rows = []
-    for tube in tubes:
-        mined = MinedTube.from_tube(tube)
-        rows.append({"slot_id": tube.slot_id,
-                     "feature_loss": f9(feature_loss(mined)),
-                     "geom_loss": f9(geom_loss(mined)),
-                     "combined": f9(combined_loss(mined, weights))})
-    report = _report_head("losses", {
+    mined = [MinedTube.from_tube(t) for t in tubes]
+    rows = [{"slot_id": t.slot_id, "feature_loss": feature_loss(m), "geom_loss": geom_loss(m),
+             "combined": combined_loss(m, weights)} for t, m in zip(tubes, mined)]
+    report = _report(args.out, "losses", {
         "tubes": args.tubes, "slot": args.slot,
-        "lambda_temp": f9(weights.w_temp), "lambda_feat": f9(weights.w_feat)})
-    report["video_id"] = video_id
-    report["losses"] = rows
-    save_report(args.out, report)
-    for row in rows:
+        "lambda_temp": weights.w_temp, "lambda_feat": weights.w_feat},
+        video_id=video_id, losses=rows)
+    for row in report["losses"]:
         print(f"{video_id} slot {row['slot_id']}: combined {row['combined']}")
     return 0
 
@@ -157,18 +167,13 @@ def _cmd_grad_check(args) -> int:
     video_id, tubes = _mined_tubes(args)
     rows = []
     for tube in tubes:
-        rep = grad_check(MinedTube.from_tube(tube), h=args.step)
-        rows.append({"slot_id": tube.slot_id,
-                     "max_rel_error": f9(rep.max_rel_error),
-                     "max_abs_analytic": f9(rep.max_abs_analytic),
-                     "max_abs_numeric": f9(rep.max_abs_numeric),
-                     "skipped_kink_coords": rep.skipped_kink_coords})
-    report = _report_head("grad-check", {
-        "tubes": args.tubes, "slot": args.slot, "step": f9(args.step)})
-    report["video_id"] = video_id
-    report["checks"] = rows
-    save_report(args.out, report)
-    worst = max(r["max_rel_error"] for r in rows)
+        check = asdict(grad_check(MinedTube.from_tube(tube), h=args.step))
+        del check["step"]   # echoed once, in the config
+        rows.append({"slot_id": tube.slot_id, **check})
+    report = _report(args.out, "grad-check", {
+        "tubes": args.tubes, "slot": args.slot, "step": args.step},
+        video_id=video_id, checks=rows)
+    worst = max(r["max_rel_error"] for r in report["checks"])
     print(f"{video_id}: worst relative error {worst}")
     return 0
 
@@ -184,9 +189,7 @@ def _cmd_select(args) -> int:
     best = select_tube(tubes)
     tube = tubes[best]
     if args.gt is not None:
-        gt_vid, gt = load_gt(args.gt)
-        if gt_vid != video_id:
-            raise ValidationError(f"tube file is for '{video_id}' but GT is for '{gt_vid}'")
+        gt = _gt_for(args.gt, video_id)
         ts, te = gt.ts, gt.te
     elif given:
         ts, te = args.ts, args.te
@@ -203,36 +206,23 @@ def _cmd_select(args) -> int:
 def _cmd_eval(args) -> int:
     preds = dict(load_predictions(args.pred))
     gts = dict(load_gt_collection(args.gt))
-    if set(preds) != set(gts):
-        only_p = sorted(set(preds) - set(gts))
-        only_g = sorted(set(gts) - set(preds))
+    if preds.keys() != gts.keys():
         raise ValidationError(
-            f"prediction/GT video sets differ (pred only: {only_p[:3]}, "
-            f"gt only: {only_g[:3]})")
+            f"prediction/GT video sets differ (pred only: {sorted(preds.keys() - gts)[:3]}, "
+            f"gt only: {sorted(gts.keys() - preds)[:3]})")
     order = sorted(preds)
-    samples = [(preds[v], gts[v]) for v in order]
     taus = tuple(args.tau) if args.tau else (0.3, 0.5)
-    report_data = evaluate(samples, thresholds=taus)
-    report = _report_head("eval", {
-        "pred": args.pred, "gt": args.gt, "tau": [f9(t) for t in taus]})
-    report["samples"] = [{
-        "video_id": v,
-        "t_iou": f9(r.t_iou),
-        "v_iou": f9(r.v_iou),
-    } for v, r in zip(order, report_data.samples)]
-    report["m_t_iou"] = f9(report_data.m_t_iou)
-    report["m_v_iou"] = f9(report_data.m_v_iou)
-    report["v_iou_at"] = {f"{tau:g}": f9(val)
-                          for tau, val in sorted(report_data.v_iou_at.items())}
+    result = evaluate([(preds[v], gts[v]) for v in order], thresholds=taus)
     # Every profile is computed before anything is written, so a refusal leaves no file.
     profiles = [drift_profile(preds[v], gts[v]) for v in order] if args.drift else None
-    save_report(args.out, report)
-    if args.drift:
-        try:
-            save_drift(args.drift, profiles)
-        except BaseException:   # the report goes too, so a refusal leaves no file
-            Path(args.out).unlink(missing_ok=True)
-            raise
+    with _all_or_none() as write:
+        report = write(
+            _report, args.out, "eval", {"pred": args.pred, "gt": args.gt, "tau": taus},
+            samples=[{"video_id": v, **asdict(r)} for v, r in zip(order, result.samples)],
+            m_t_iou=result.m_t_iou, m_v_iou=result.m_v_iou,
+            v_iou_at={f"{tau:g}": val for tau, val in sorted(result.v_iou_at.items())})
+        if args.drift:
+            write(save_drift, args.drift, profiles)
     print(f"m_tIoU {report['m_t_iou']}  m_vIoU {report['m_v_iou']}  -> {args.out}")
     return 0
 
@@ -240,9 +230,8 @@ def _cmd_eval(args) -> int:
 # ------------------------------------------------------------------ exposure
 
 def _cmd_exposure(args) -> int:
-    cfg = ExposureConfig(sequence_length=args.length,
-                         per_step_error=args.eps, trials=args.trials,
-                         drift_step=args.drift_step,
+    cfg = ExposureConfig(sequence_length=args.length, per_step_error=args.eps,
+                         trials=args.trials, drift_step=args.drift_step,
                          token_budget=args.token_budget, seed=args.seed)
     if args.length % args.token_budget != 0:
         raise ValidationError(
@@ -253,15 +242,11 @@ def _cmd_exposure(args) -> int:
                               f"({5 * args.token_budget}), got {args.length}")
     track = [[0.4, 0.4, 0.6, 0.6]] * (args.length // args.token_budget)
     rep = simulate_decoding(cfg, track)
-    report = _report_head("exposure", {
-        "length": args.length, "eps": f9(args.eps), "trials": args.trials,
-        "drift_step": f9(args.drift_step), "token_budget": args.token_budget,
-        "seed": args.seed})
-    report["analytic"] = f9(rep.analytic_error_free)
-    report["linearized"] = f9(rep.linearized_error_free)
-    report["empirical"] = f9(rep.empirical_error_free)
-    report["profile"] = [f9(x) for x in rep.profile]
-    save_report(args.out, report)
+    report = _report(args.out, "exposure", {
+        "length": args.length, "eps": args.eps, "trials": args.trials,
+        "drift_step": args.drift_step, "token_budget": args.token_budget, "seed": args.seed},
+        analytic=rep.analytic_error_free, linearized=rep.linearized_error_free,
+        empirical=rep.empirical_error_free, profile=rep.profile)
     print(f"error-free: analytic {report['analytic']} "
           f"empirical {report['empirical']} -> {args.out}")
     return 0
@@ -273,8 +258,7 @@ def _cmd_autolabel(args) -> int:
     video_id, candidates = load_candidates(args.candidates)
     cfg = AutolabelConfig(appearance_threshold=args.appearance_threshold,
                           coverage_threshold=args.coverage_threshold)
-    conflicts = find_merge_conflicts(candidates, cfg)
-    for i, j in conflicts:
+    for i, j in find_merge_conflicts(candidates, cfg):
         print(f"{video_id}: candidates {i} and {j} look alike but overlap "
               "in time; left unmerged", file=sys.stderr)
     annotation = assemble_annotation(candidates, (args.ts, args.te), cfg)
@@ -300,14 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a seeded synthetic scene")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--frames", type=int, default=64)
-    p.add_argument("--objects", type=int, default=1)
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--appearance-drift", type=float, default=0.0)
-    p.add_argument("--motion-step", type=float, default=0.01)
-    p.add_argument("--detection-noise", type=float, default=0.0)
-    p.add_argument("--confidence-noise", type=float, default=0.0)
-    p.add_argument("--distractor-rate", type=float, default=0.0)
+    p.add_argument("--frames", type=int, default=SceneConfig.frames)
+    p.add_argument("--objects", type=int, default=SceneConfig.objects)
+    p.add_argument("--feature-dim", type=int, default=SceneConfig.feature_dim)
+    p.add_argument("--appearance-drift", type=float, default=SceneConfig.appearance_drift)
+    p.add_argument("--motion-step", type=float, default=SceneConfig.motion_step)
+    p.add_argument("--detection-noise", type=float, default=SceneConfig.detection_noise)
+    p.add_argument("--confidence-noise", type=float, default=SceneConfig.confidence_noise)
+    p.add_argument("--distractor-rate", type=float, default=SceneConfig.distractor_rate)
     p.add_argument("--fps", type=float, default=5.0)
     p.add_argument("--video-id", default=None)
     p.add_argument("--labels", action="store_true",
@@ -318,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("associate", help="fold detections into tubes")
     p.add_argument("detections", nargs="+")
-    p.add_argument("--n-q", type=int, default=15)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--n-q", type=int, default=AssociationConfig.n_q)
+    p.add_argument("--alpha", type=float, default=AssociationConfig.alpha)
     p.add_argument("--embed", action="store_true",
                    help="include per-record embeddings in the tube file")
     out = p.add_mutually_exclusive_group(required=True)
@@ -330,18 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="pick the tube closest to an annotation")
     p.add_argument("--tubes", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--lambda-cls", type=float, default=1.0)
-    p.add_argument("--lambda-bbox", type=float, default=5.0)
-    p.add_argument("--lambda-giou", type=float, default=3.0)
-    p.add_argument("--lambda-temp", type=float, default=2.0)
+    p.add_argument("--lambda-cls", type=float, default=CostWeights.w_cls)
+    p.add_argument("--lambda-bbox", type=float, default=CostWeights.w_bbox)
+    p.add_argument("--lambda-giou", type=float, default=CostWeights.w_giou)
+    p.add_argument("--lambda-temp", type=float, default=CostWeights.w_temp)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("losses", help="temporal consistency losses per tube")
     p.add_argument("--tubes", required=True, help="tube file written with --embed")
     p.add_argument("--slot", type=int, default=None)
-    p.add_argument("--lambda-temp", type=float, default=2.0)
-    p.add_argument("--lambda-feat", type=float, default=1.0)
+    p.add_argument("--lambda-temp", type=float, default=LossWeights.w_temp)
+    p.add_argument("--lambda-feat", type=float, default=LossWeights.w_feat)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_losses)
 
@@ -374,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True, help="token count")
     p.add_argument("--eps", type=float, required=True, help="per-token error rate")
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--drift-step", type=float, default=0.05)
-    p.add_argument("--token-budget", type=int, default=4)
+    p.add_argument("--drift-step", type=float, default=ExposureConfig.drift_step)
+    p.add_argument("--token-budget", type=int, default=ExposureConfig.token_budget)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_exposure)
@@ -384,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True)
     p.add_argument("--ts", type=int, required=True)
     p.add_argument("--te", type=int, required=True)
-    p.add_argument("--appearance-threshold", type=float, default=0.7)
-    p.add_argument("--coverage-threshold", type=float, default=0.5)
+    p.add_argument("--appearance-threshold", type=float,
+                   default=AutolabelConfig.appearance_threshold)
+    p.add_argument("--coverage-threshold", type=float, default=AutolabelConfig.coverage_threshold)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_autolabel)
 

@@ -9,7 +9,8 @@ lack (a gap's null, "interpolated", a separator) words zeroed on the other
 rows, and one pass drops the NUL bytes, leaving byte for byte what CPython's
 C encoder writes for the f9-rounded floats and ints.  A writer makes one pass
 per tube, candidate, GT, prediction or 32 frames of detections; headers,
-strings and scalar fields go through the C encoder itself.  Non-finite
+strings and scalar fields go through the C encoder itself, and save_report
+applies f9 to every float of a report, so no caller rounds.  Non-finite
 numbers are refused on write, leaving no file, and so is whatever a reader
 would refuse: a writer passes its ids, frame order and repeats through the
 rule that the reader applies (_string, _frame_at, _video_once, _slots_once),
@@ -388,7 +389,7 @@ def _iter_jsonl(path: str, lines=None, start: int = 1):
             yield from _iter_jsonl(path, fh, start)
         return
     for lineno, line in enumerate(lines, start=start):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
             obj = json.loads(line)
@@ -802,9 +803,21 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
 
 # ------------------------------------------------------------------- reports
 
-def save_report(path: str, doc: dict) -> None:
-    """Reports are plain JSON documents; floats must already be f9-rounded."""
+def _rounded(value):
+    """`value` with f9 applied to every float in it, however deeply nested."""
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(v) for v in value]
+    return f9(value) if isinstance(value, float) else value
+
+
+def save_report(path: str, doc: dict) -> dict:
+    """Write `doc` with every float in it, however deeply nested, rounded by
+    f9, and return it as written; NaN and infinity are refused, leaving no file."""
+    doc = _rounded(doc)
     _write_doc(path, doc)
+    return doc
 
 
 def save_drift(path: str, profiles: list[list[float]]) -> None:

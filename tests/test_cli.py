@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,18 @@ import pytest
 
 import tubekit
 from conftest import make_gt, make_prediction, make_tube
-from tubekit.cli import main
+from tubekit.association import AssociationConfig
+from tubekit.autolabel import AutolabelConfig
+from tubekit.cli import build_parser, main
+from tubekit.consistency import LossWeights
+from tubekit.decoding import ExposureConfig
 from tubekit.formats import (load_gt, load_predictions, load_tubes, save_candidates,
                              save_detections, save_gt, save_predictions, save_tubes)
 from tubekit.association import FrameDetections
 from tubekit.autolabel import CandidateRecord, CandidateTube
 from tubekit.geometry import Box
+from tubekit.mining import CostWeights
+from tubekit.scenes import SceneConfig
 
 B = Box(0.3, 0.3, 0.5, 0.5)
 OFF = Box(0.7, 0.7, 0.9, 0.9)
@@ -172,6 +179,16 @@ class TestSimulate:
                      "--out", str(tmp_path / "s")]) == 1
         assert "--fps must be a positive finite number" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("blocked, extra", [("gt.json", []), ("labels.json", ["--labels"])])
+    def test_later_write_failure_leaves_no_file(self, tmp_path, capsys, blocked, extra):
+        # The files written before the refused one go too.
+        (tmp_path / f"p.{blocked}").mkdir()
+        assert main(["simulate", "--seed", "1", "--frames", "8",
+                     "--out", str(tmp_path / "p"), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / f'p.{blocked}'}: cannot write file: ")
+        assert list(tmp_path.iterdir()) == [tmp_path / f"p.{blocked}"]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         simulate(tmp_path, "a", "--labels")
@@ -875,3 +892,32 @@ class TestInputsNeverMutated:
         tube_hash = sha(tubes)
         assert [sha(p) for p in inputs] == before
         assert sha(tubes) == tube_hash
+
+
+# Each subcommand's required options, the config it builds, the fields it
+# is given, and the options named otherwise than their field.
+CONFIG_DEFAULTS = {
+    "simulate": (["--seed", "1"], SceneConfig, {"seed": 1}, {}),
+    "associate": (["d.jsonl"], AssociationConfig, {}, {}),
+    "mine": (["--tubes", "t", "--gt", "g"], CostWeights, {},
+             {f"w_{k}": f"lambda_{k}" for k in ("cls", "bbox", "giou", "temp")}),
+    "losses": (["--tubes", "t"], LossWeights, {},
+               {f"w_{k}": f"lambda_{k}" for k in ("temp", "feat")}),
+    "exposure": (["--length", "40", "--eps", "0.25", "--seed", "1"], ExposureConfig,
+                 {"sequence_length": 40, "per_step_error": 0.25, "seed": 1, "trials": 10000},
+                 {}),
+    "autolabel": (["--candidates", "c", "--ts", "0", "--te", "9"], AutolabelConfig, {}, {}),
+}
+
+
+@pytest.mark.parametrize("command", CONFIG_DEFAULTS)
+def test_parsed_defaults_build_the_default_config(command):
+    # An option that sets a config field takes the field's default, so
+    # `simulate --seed 1` runs SceneConfig(seed=1).
+    argv, config, given, renamed = CONFIG_DEFAULTS[command]
+    args = build_parser().parse_args([command, *argv, "--out", "x"])
+    defaulted = [f.name for f in fields(config)
+                 if f.default is not MISSING and f.name not in given]
+    parsed = {name: getattr(args, renamed.get(name, name)) for name in defaulted}
+    assert config(**given, **parsed) == config(**given)
+    assert all(type(v) is type(getattr(config, k)) for k, v in parsed.items())

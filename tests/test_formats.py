@@ -147,6 +147,20 @@ class TestDetections:
         assert f"{path}:2:" in str(err.value)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("blank", [" \t", "\x0c", "\u00a0", ""])
+    def test_blank_lines_skipped_and_counted(self, tmp_path, blank):
+        path = tmp_path / "blank.jsonl"
+        save_detections(str(path), "v", 25.0, make_frames(2))
+        head, *frames = path.read_text().splitlines()
+        path.write_text("\n".join([blank, head, blank, *frames, blank]) + "\n",
+                        encoding="utf-8")
+        assert [f.t for f in load_detections(str(path))[1]] == [0, 1]
+        path.write_text("\n".join([blank, head, blank, frames[0], "{not json"]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_detections(str(path))
+        assert err.value.line == 5 and f"{path}:5:" in str(err.value)
+
     def test_non_contiguous_frames_rejected(self, tmp_path):
         frames = make_frames()
         path = str(tmp_path / "gap.jsonl")
@@ -1023,6 +1037,22 @@ class TestReports:
         save_report(str(path), {"metric": f9(0.123456789123)})
         doc = json.loads(path.read_text())
         assert doc["metric"] == f9(0.123456789123)
+
+    def test_every_float_is_rounded(self, tmp_path):
+        third = 1 / 3
+        doc = {"config": {"tau": (third, 0.5), "slot": None, "name": "x"},
+               "costs": [{"slot_id": 7, "total": np.float64(2 / 3), "ok": True}],
+               "deep": [[{"v": [third, 1e-300 / 3]}]], "count": 10**20, "flag": False}
+        path = tmp_path / "report.json"
+        written = save_report(str(path), doc)
+        assert written == json.loads(path.read_text()) == {
+            "config": {"tau": [0.333333333, 0.5], "slot": None, "name": "x"},
+            "costs": [{"slot_id": 7, "total": 0.666666667, "ok": True}],
+            "deep": [[{"v": [0.333333333, 3.33333333e-301]}]], "count": 10**20, "flag": False}
+        assert type(written["costs"][0]["total"]) is float
+        assert [type(v) for v in written["costs"][0].values()] == [int, float, bool]
+        save_report(str(tmp_path / "again.json"), written)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_missing_file_is_format_error(self, tmp_path):
         with pytest.raises(FormatError):

@@ -228,6 +228,17 @@ def test_hold_is_the_one_store():
     assert sorted(sites.values()) == [True, True], sites
 
 
+def test_reports_are_rounded_in_one_place():
+    # save_report rounds every float of a report, so no module but formats
+    # calls f9: a command passes its results as the library returns them.
+    callers = set()
+    for path in sorted(Path(tubekit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "f9":
+                callers.add(path.name)
+    assert callers == {"formats.py"}
+
+
 CANDIDATE = CandidateTube("c", (0, 9), [CandidateRecord(t, BOX, 0.5) for t in range(10)],
                           np.array([1.0]))
 # Each interval argument, given the bounds (s, e).
