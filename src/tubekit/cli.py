@@ -204,6 +204,9 @@ def _cmd_select(args) -> int:
 # ---------------------------------------------------------------------- eval
 
 def _cmd_eval(args) -> int:
+    if args.drift and Path(args.drift).resolve() == Path(args.out).resolve():
+        raise ValidationError("eval takes --out and --drift as two files; "
+                              f"got --out {args.out} --drift {args.drift}")
     preds = dict(load_predictions(args.pred))
     gts = dict(load_gt_collection(args.gt))
     if preds.keys() != gts.keys():
@@ -220,7 +223,7 @@ def _cmd_eval(args) -> int:
             _report, args.out, "eval", {"pred": args.pred, "gt": args.gt, "tau": taus},
             samples=[{"video_id": v, **asdict(r)} for v, r in zip(order, result.samples)],
             m_t_iou=result.m_t_iou, m_v_iou=result.m_v_iou,
-            v_iou_at={f"{tau:g}": val for tau, val in sorted(result.v_iou_at.items())})
+            v_iou_at=dict(sorted(result.v_iou_at.items())))
         if args.drift:
             write(save_drift, args.drift, profiles)
     print(f"m_tIoU {report['m_t_iou']}  m_vIoU {report['m_v_iou']}  -> {args.out}")

@@ -23,7 +23,9 @@ geometry.numbers, geometry.within and the domain rules, finiteness included;
 score, t and det columns reach them raw.  Every rule is a function of its
 value alone and raises ValidationError; each loader names the place once,
 with _at around a document's or a JSONL line's decode, which turns a refusal
-into a FormatError at path[:LINE], lines 1-based.  Intervals in seconds
+into a FormatError at path[:LINE].  Only _iter_jsonl splits a file into
+lines, numbered from 1, where text-mode reading ends them ("\n", "\r\n",
+"\r"), so a U+2028 or form feed in a record is text.  Intervals in seconds
 (ts_sec / te_sec) need the document's fps.
 
 A tube file is decoded in one pass: the records of all its tubes make one
@@ -365,39 +367,32 @@ def _open(path: str):
             raise FormatError(f"cannot read file: not UTF-8 text ({e.reason})", path=path) from e
 
 
-def _parse_json_doc(text: str, path: str) -> dict:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid JSON: {e.msg}", path=path, line=e.lineno) from e
+def _load_json_doc(path: str) -> dict:
+    with _open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"invalid JSON: {e.msg}", path=path, line=e.lineno) from e
     if not isinstance(obj, dict):
         raise FormatError("expected a JSON object at top level", path=path)
     return obj
 
 
-def _load_json_doc(path: str) -> dict:
+def _iter_jsonl(path: str):
+    """(line number, object) for each non-blank line of the file, lines
+    counted from 1 as text-mode reading ends them, blank ones included, and
+    read one at a time so that a large file is never held whole."""
     with _open(path) as fh:
-        return _parse_json_doc(fh.read(), path)
-
-
-def _iter_jsonl(path: str, lines=None, start: int = 1):
-    """(line number, object) for each non-blank line of `lines`, numbered
-    from start; without `lines`, of the file, read one line at a time so
-    that a large file is never held whole."""
-    if lines is None:
-        with _open(path) as fh:
-            yield from _iter_jsonl(path, fh, start)
-        return
-    for lineno, line in enumerate(lines, start=start):
-        if not line or line.isspace():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"invalid JSON: {e.msg}", path=path, line=lineno) from e
-        if not isinstance(obj, dict):
-            raise FormatError("expected a JSON object", path=path, line=lineno)
-        yield lineno, obj
+        for lineno, line in enumerate(fh, start=1):
+            if not line or line.isspace():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise FormatError(f"invalid JSON: {e.msg}", path=path, line=lineno) from e
+            if not isinstance(obj, dict):
+                raise FormatError("expected a JSON object", path=path, line=lineno)
+            yield lineno, obj
 
 
 def _interval_from(obj: dict) -> tuple[int, int]:
@@ -589,26 +584,22 @@ def load_gt(path: str) -> tuple[str, GtTube]:
 def load_gt_collection(path: str) -> list[tuple[str, GtTube]]:
     """One GT per line (JSONL), or a single GT document (JSON).
 
-    The file is JSONL when its first non-blank line is a JSON object on its
-    own; otherwise it is decoded as one document, so a syntax error is
-    reported at its own line either way.
+    The file is JSONL when its first non-blank line, as _iter_jsonl reads
+    it, is a JSON object on its own; otherwise it is decoded as one
+    document, so a syntax error is reported at its own line either way.
     """
-    with _open(path) as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    first = next((i for i, line in enumerate(lines) if line.strip()), None)
-    if first is None:
-        raise FormatError("empty ground-truth file", path=path)
+    lines = _iter_jsonl(path)
     try:
-        head = json.loads(lines[first])
-    except json.JSONDecodeError:
-        head = None
-    if not isinstance(head, dict):
-        obj = _parse_json_doc(text, path)
+        head = next(lines)
+    except StopIteration:
+        raise FormatError("empty ground-truth file", path=path) from None
+    except FormatError as e:
+        if e.line is None:   # the file cannot be read
+            raise
+        obj = _load_json_doc(path)
         with _at(path):
             return [_gt_from_obj(obj)]
-    rest = _iter_jsonl(path, lines[first + 1:], start=first + 2)
-    return _one_per_video(path, chain([(first + 1, head)], rest), _gt_from_obj)
+    return _one_per_video(path, chain([head], lines), _gt_from_obj)
 
 
 def _one_per_video(path: str, numbered, decode) -> list:
@@ -804,17 +795,21 @@ def load_candidates(path: str) -> tuple[str, list[CandidateTube]]:
 # ------------------------------------------------------------------- reports
 
 def _rounded(value):
-    """`value` with f9 applied to every float in it, however deeply nested."""
+    """`value` with f9 applied to every float in it, dict keys included,
+    however deeply nested; a dict whose keys coincide once rounded is refused."""
     if isinstance(value, dict):
-        return {k: _rounded(v) for k, v in value.items()}
+        if len(out := {_rounded(k): _rounded(v) for k, v in value.items()}) < len(value):
+            raise ValidationError(f"report keys {list(value)} coincide at 9 significant digits")
+        return out
     if isinstance(value, (list, tuple)):
         return [_rounded(v) for v in value]
     return f9(value) if isinstance(value, float) else value
 
 
 def save_report(path: str, doc: dict) -> dict:
-    """Write `doc` with every float in it, however deeply nested, rounded by
-    f9, and return it as written; NaN and infinity are refused, leaving no file."""
+    """Write `doc` with every float in it, dict keys included, however deeply
+    nested, rounded by f9, and return it as written; NaN and infinity, and
+    keys that coincide once rounded, are refused, leaving no file."""
     doc = _rounded(doc)
     _write_doc(path, doc)
     return doc

@@ -666,6 +666,37 @@ class TestSelectAndEval:
         assert report["m_v_iou"] == 1.0
         assert report["v_iou_at"] == {"0.3": 1.0, "0.5": 1.0}
 
+    def test_every_threshold_keeps_its_key(self, tmp_path, capsys):
+        # The keys were written with "{:g}", six significant digits: these
+        # five thresholds came out as "0.3" and "1".
+        prefix, preds = self._pipeline(tmp_path)
+        out = tmp_path / "eval.json"
+        taus = ["0.3", "0.3000001", "0.99999991", "0.99999992", "1"]
+        assert main(["eval", "--pred", str(preds), "--gt", f"{prefix}.gt.json",
+                     *[arg for tau in taus for arg in ("--tau", tau)], "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert list(report["v_iou_at"]) == ["0.3", "0.3000001", "0.99999991", "0.99999992", "1.0"]
+        assert list(report["v_iou_at"]) == [repr(tau) for tau in report["config"]["tau"]]
+
+    def test_thresholds_alike_to_9_digits_refused(self, tmp_path, capsys):
+        prefix, preds = self._pipeline(tmp_path)
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--pred", str(preds), "--gt", f"{prefix}.gt.json", "--tau", "0.3",
+                     "--tau", "0.3000000001", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: report keys [0.3, 0.3000000001] coincide at 9 significant digits\n")
+        assert not out.exists()
+
+    def test_drift_and_report_on_one_path_refused(self, tmp_path, capsys, monkeypatch):
+        # The drift CSV used to overwrite the report, and eval exited 0.
+        prefix, preds = self._pipeline(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--pred", str(preds), "--gt", f"{prefix}.gt.json",
+                     "--drift", "X", "--out", "./X"]) == 1
+        assert capsys.readouterr().err == ("error: eval takes --out and --drift as two files; "
+                                           "got --out ./X --drift X\n")
+        assert not (tmp_path / "X").exists()
+
     def test_drift_csv_shape(self, tmp_path, capsys):
         prefix, preds = self._pipeline(tmp_path)
         csv_path = tmp_path / "drift.csv"

@@ -480,7 +480,8 @@ def _fuzz_text(data, tree, jsonl: bool) -> str:
     if data.draw(st.booleans(), label="splice text"):
         cut = data.draw(st.integers(0, len(text)))
         text = text[:cut] + data.draw(st.sampled_from(["", "\n", "{", "]", ",", '"', "x", "NaN",
-                                                       "Infinity", "-Infinity"])) \
+                                                       "Infinity", "-Infinity", "\x0c", "\x85",
+                                                       "\u2028"])) \
             + text[cut + data.draw(st.integers(0, 3)):]
     return text
 
@@ -490,10 +491,17 @@ WHOLE_FILE = ("empty detections file", "header promises", "empty predictions fil
               "empty ground-truth file")
 
 
-def _jsonl_form(text: str) -> bool:
+def _lines(path) -> list[str]:
+    """The lines of a file as text-mode reading ends them: at "\\n", "\\r\\n"
+    or "\\r", not at the other breaks of str.splitlines."""
+    with open(path, encoding="utf-8") as fh:
+        return list(fh)
+
+
+def _jsonl_form(path) -> bool:
     """load_gt_collection's rule: JSONL when the first non-blank line is a
     JSON object on its own."""
-    first = next((line for line in text.splitlines() if line.strip()), "")
+    first = next((line for line in _lines(path) if line.strip()), "")
     try:
         return isinstance(json.loads(first), dict)
     except ValueError:
@@ -514,12 +522,12 @@ def _finite(loaded) -> bool:
 
 
 def _load_fuzzed(data, tmp_path, text, load, jsonl, numbered=None):
-    """Fuzz the valid file `text` and load it.  numbered(text) says whether
+    """Fuzz the valid file `text` and load it.  numbered(path) says whether
     errors must carry a line; by default, when the file is JSONL."""
     tree = _tree(text, jsonl)
     path = tmp_path / "fuzzed"
-    path.write_text(_fuzz_text(data, tree, jsonl))
-    numbered = jsonl if numbered is None else numbered(path.read_text())
+    path.write_text(_fuzz_text(data, tree, jsonl), encoding="utf-8")
+    numbered = jsonl if numbered is None else numbered(path)
     try:
         assert _finite(load(str(path)))
     except FormatError as e:
@@ -527,7 +535,7 @@ def _load_fuzzed(data, tmp_path, text, load, jsonl, numbered=None):
         if numbered and e.line is None:
             assert any(w in str(e) for w in WHOLE_FILE), str(e)
         if numbered and e.line is not None:
-            assert 1 <= e.line <= len(path.read_text().splitlines()), str(e)
+            assert 1 <= e.line <= len(_lines(path)), str(e)
 
 
 def _saved(tmp_path, save, *args, **kwargs) -> str:

@@ -664,6 +664,39 @@ class TestGt:
             load_gt_collection(str(path))
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("inside", ["\u2028", "\u2029", "\x85"])
+    def test_collection_line_break_of_str_splitlines_is_text(self, tmp_path, inside):
+        # A GT whose video_id held a U+2028 used to be refused as
+        # "invalid JSON", though load_predictions read the same line.
+        path = tmp_path / "u2028.gt.jsonl"
+        line = {"video_id": "a", "ts": 0, "te": 0, "boxes": [{"t": 0, "box": BOX.to_list()}]}
+        path.write_text("\n".join(json.dumps(x, ensure_ascii=False)
+                                  for x in (line, {**line, "video_id": f"b{inside}c"})) + "\n",
+                        encoding="utf-8")
+        expected = ["a", f"b{inside}c"]
+        assert [vid for vid, _ in load_gt_collection(str(path))] == expected
+        assert [vid for vid, _ in load_predictions(str(path))] == expected
+
+    @pytest.mark.parametrize("text, line", [
+        ("{a}\n\x0c\x0c\n{bad}\n", 3), ("{a}\r\n\r\n{bad}\r\n", 3), ("{a}\r{bad}\r", 2),
+        ("\u2028\n{a}\n\x85\n\u00a0\n{bad}\n", 5), ("{a}\n{b}\n{bad}\n", 3),
+        ("{a}\n\x1c\n{{not json\n", 3), ("{a}\n{b}\n\n{a}\n", 4)],
+        ids=["form-feed", "crlf", "cr", "blank-kinds", "u2028-in-record", "bad-json", "repeat"])
+    def test_collection_names_the_line_load_predictions_names(self, tmp_path, text, line):
+        # str.splitlines also broke GT collections at "\x0c", "\x1c", "\x85"
+        # and U+2028: the error after a line of "\x0c\x0c" was named at line 5.
+        record = {"video_id": "a", "ts": 0, "te": 0, "boxes": [{"t": 0, "box": BOX.to_list()}]}
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(text.format_map({
+            "a": json.dumps(record),
+            "b": json.dumps({**record, "video_id": "b\u2028c"}, ensure_ascii=False),
+            "bad": json.dumps({**record, "video_id": "d", "boxes": [{"t": 0, "box": [0]}]}),
+        }).encode())
+        for load in (load_gt_collection, load_predictions):
+            with pytest.raises(FormatError) as err:
+                load(str(path))
+            assert err.value.line == line, (load.__name__, str(err.value))
+
     def test_collection_repeated_video_id_refused(self, tmp_path):
         path = tmp_path / "twice.gt.jsonl"
         line = {"video_id": "a", "ts": 0, "te": 0, "boxes": [{"t": 0, "box": BOX.to_list()}]}
@@ -1053,6 +1086,18 @@ class TestReports:
         assert [type(v) for v in written["costs"][0].values()] == [int, float, bool]
         save_report(str(tmp_path / "again.json"), written)
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_float_keys_are_rounded(self, tmp_path):
+        path = tmp_path / "report.json"
+        written = save_report(str(path), {"at": {1.0: 1, 0.3000000001: 2, 1 / 3: 3, "k": 4}})
+        assert written == {"at": {1.0: 1, 0.3: 2, 0.333333333: 3, "k": 4}}
+        assert path.read_text() == '{"at":{"1.0":1,"0.3":2,"0.333333333":3,"k":4}}\n'
+
+    def test_keys_that_coincide_once_rounded_are_refused(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValidationError, match="coincide at 9 significant digits"):
+            save_report(str(path), {"at": {0.3: 1.0, 0.3000000001: 1.0}})
+        assert not path.exists()
 
     def test_missing_file_is_format_error(self, tmp_path):
         with pytest.raises(FormatError):

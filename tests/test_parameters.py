@@ -239,6 +239,18 @@ def test_reports_are_rounded_in_one_place():
     assert callers == {"formats.py"}
 
 
+def test_lines_are_split_in_one_place():
+    # formats._iter_jsonl reads every JSONL file a line at a time, as
+    # text-mode reading ends lines; str.splitlines also breaks at form
+    # feeds, U+2028 and more, so no module calls it.
+    callers = set()
+    for path in sorted(Path(tubekit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "splitlines":
+                callers.add(path.name)
+    assert callers == set()
+
+
 CANDIDATE = CandidateTube("c", (0, 9), [CandidateRecord(t, BOX, 0.5) for t in range(10)],
                           np.array([1.0]))
 # Each interval argument, given the bounds (s, e).
