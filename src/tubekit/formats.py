@@ -30,15 +30,13 @@ lines, numbered from 1, where text-mode reading ends them ("\n", "\r\n",
 
 A tube file is decoded in one pass: the records of all its tubes make one
 _values or _column call per key, and Tube.from_columns checks the columns
-once and cuts them into tubes.  When that pass refuses, the same decoder
-runs on one tube at a time, in file order, so the first tube at fault is
-named, and tubes whose embeds differ in width or presence still load.  A
-detections file is decoded _BLOCK lines at a time, each key once per
-block, and FrameDetections.from_columns checks the clip's columns once and
-cuts them into frames.  When anything refuses, the JSON of a later line
-included, the same decoder runs again from the top on one line at a time,
-checking each line's columns at its line, so the first line at fault is
-named.
+once and cuts them into tubes.  A detections file is decoded _BLOCK lines
+at a time, each key once per block, and FrameDetections.from_columns checks
+each block's columns at its first line and cuts them into frames, slices of
+their block.  When a pass refuses, a later detections line's JSON included,
+the same decoder runs again on one tube or one line at a time, in file
+order, so the first at fault is named, and tubes whose embeds differ in
+width or presence still load.
 """
 from __future__ import annotations
 
@@ -353,11 +351,12 @@ def _at(path: str, line: int | None = None):
 
 
 @contextmanager
-def _open(path: str):
-    """The file as UTF-8 text, whatever the locale; a file that cannot be
-    opened, or whose bytes are not UTF-8, is a FormatError."""
+def _open(path: str, errors: str = "strict"):
+    """The file as UTF-8 text, whatever the locale, bytes that are not UTF-8
+    handled as open() handles them by `errors`; a file that cannot be
+    opened, or whose bytes a strict decode refuses, is a FormatError."""
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8", errors=errors)
     except OSError as e:
         raise FormatError(f"cannot read file: {e}", path=path) from e
     with fh:
@@ -381,11 +380,15 @@ def _load_json_doc(path: str) -> dict:
 def _iter_jsonl(path: str):
     """(line number, object) for each non-blank line of the file, lines
     counted from 1 as text-mode reading ends them, blank ones included, and
-    read one at a time so that a large file is never held whole."""
-    with _open(path) as fh:
+    read one at a time so that a large file is never held whole.  Bytes that
+    are not UTF-8 are refused at the line that holds them, not where the
+    decoder's read-ahead first meets them."""
+    with _open(path, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line or line.isspace():
                 continue
+            if not line.isascii():   # a byte read as a lone surrogate is refused here
+                line = line.encode(errors="surrogateescape").decode()
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
@@ -441,32 +444,28 @@ def save_detections(path: str, video_id: str, fps: float,
     _write(path, lines())
 
 
-# Lines per decode in a clip pass.  On 256 frames of some 18 detections,
-# D=64, load_detections took a median 60.7 ms at 8 lines (and at 4), 62.7
-# ms at 32; a pass over the whole clip holds all its parsed JSON, a traced
-# peak of 16.9 MB against 5.5 MB at 8 lines.
+# Lines per block.  On 256 frames of some 18 detections, D=64, six alternating
+# processes' best load_detections times had a median of 58.1 ms at 8 lines, 58.3
+# at 16 and 57.9 checking the clip once; traced peaks were 3.4, 4.1 and 5.4 MB.
 _BLOCK = 8
 
 
 def load_detections(path: str) -> tuple[dict, list[FrameDetections]]:
     try:
-        return _detections_from(path, clip=True)
+        return _detections_from(path, _BLOCK)
     except (FormatError, ValidationError):
         # One line at a time, from the top: the first line at fault is
-        # named, even where a later line's JSON stopped the clip pass.
-        return _detections_from(path, clip=False)
+        # named, even where a later line's JSON stopped the block pass.
+        return _detections_from(path, 1)
 
 
-def _detections_from(path: str, clip: bool) -> tuple[dict, list[FrameDetections]]:
-    """The header and frames of a detections file: with clip, the lines
-    decoded _BLOCK at a time, and FrameDetections.from_columns checking
-    the clip's columns once at the end; else one line at a time, and
-    FrameDetections checking each line's at its line."""
+def _detections_from(path: str, block: int) -> tuple[dict, list[FrameDetections]]:
+    """The header and frames of a detections file, read `block` lines at a
+    time; each block's frames are read-only slices of its checked columns."""
     it = _iter_jsonl(path)
-    try:
-        lineno, header = next(it)
-    except StopIteration:
-        raise FormatError("empty detections file", path=path) from None
+    lineno, header = next(it, (None, None))
+    if header is None:
+        raise FormatError("empty detections file", path=path)
     with _at(path, lineno):
         meta = {
             "video_id": _str_field(header, "video_id"),
@@ -474,36 +473,21 @@ def _detections_from(path: str, clip: bool) -> tuple[dict, list[FrameDetections]
             "frame_count": _field(header, "frame_count", integer),
             "feature_dim": _field(header, "feature_dim", integer),
         }
-    dim = meta["feature_dim"]
-    count, blocks, frames = 0, [], []
-    while lines := list(islice(it, _BLOCK if clip else 1)):
-        with _at(path, lines[0][0]):   # in a clip pass, a refusal only starts the line pass
-            block = _lines_columns([obj for _, obj in lines], count, dim)
-            if clip:
-                blocks.append(block)
-            else:
-                t, _, boxes, scores, embeds = block
-                frames.append(FrameDetections(t[0], boxes, scores, embeds))
-        count += len(lines)
-    if count != meta["frame_count"]:
-        raise FormatError(f"header promises {meta['frame_count']} frames, file has {count}",
+    frames = []
+    while lines := list(islice(it, block)):
+        with _at(path, lines[0][0]):
+            frames += FrameDetections.from_columns(
+                *_lines_columns([obj for _, obj in lines], len(frames), meta["feature_dim"]))
+    if len(frames) != meta["frame_count"]:
+        raise FormatError(f"header promises {meta['frame_count']} frames, file has {len(frames)}",
                           path=path)
-    if blocks:
-        t, sizes, boxes, scores, embeds = zip(*blocks)
-        del blocks
-        boxes, embeds = np.concatenate(boxes), np.concatenate(embeds)   # frees the blocks' arrays
-        frames = FrameDetections.from_columns(
-            list(chain.from_iterable(t)), list(chain.from_iterable(sizes)), boxes,
-            list(chain.from_iterable(scores)), embeds)
     return meta, frames
 
 
 def _lines_columns(objs: list, count: int, dim: int) -> tuple:
     """The detections lines `objs`, frames count, count + 1, ..., decoded a
-    key at a time: their t, detection counts, and their detections' box,
-    score and embed columns laid end to end, scores raw.  One line gets the
-    refusals a line gets alone, in the same order: t, detections, box,
-    embed, score."""
+    key at a time, in the order of their refusals (t, detections, box,
+    embed, score), into the arguments of FrameDetections.from_columns."""
     t = integers([_require(obj, "t") for obj in objs], "t").tolist()
     for i, ti in enumerate(t, count):
         _frame_at(i, ti)

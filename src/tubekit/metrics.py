@@ -157,6 +157,8 @@ def evaluate(samples: list[tuple[Prediction, GtTube]],
     if not samples:
         raise ValidationError("evaluate needs at least one sample")
     thresholds = [within(tau, "threshold", "[0, 1]") for tau in thresholds]
+    if twice := [tau for i, tau in enumerate(thresholds) if tau in thresholds[:i]]:
+        raise ValidationError(f"threshold {twice[0]} is given more than once")
     results = []
     for pred, gt in samples:
         results.append(SampleResult(

@@ -687,6 +687,15 @@ class TestSelectAndEval:
             "error: report keys [0.3, 0.3000000001] coincide at 9 significant digits\n")
         assert not out.exists()
 
+    def test_repeated_threshold_refused(self, tmp_path, capsys):
+        # "--tau 0.3 --tau 0.3" wrote "tau": [0.3, 0.3] and one v_iou_at key.
+        prefix, preds = self._pipeline(tmp_path)
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--pred", str(preds), "--gt", f"{prefix}.gt.json", "--tau", "0.3",
+                     "--tau", "0.5", "--tau", "0.30", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: threshold 0.3 is given more than once\n"
+        assert not out.exists()
+
     def test_drift_and_report_on_one_path_refused(self, tmp_path, capsys, monkeypatch):
         # The drift CSV used to overwrite the report, and eval exited 0.
         prefix, preds = self._pipeline(tmp_path)

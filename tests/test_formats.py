@@ -211,6 +211,33 @@ def test_unreadable_file_is_format_error(tmp_path, load, name):
     assert str(err.value).startswith(f"{path}: ")
 
 
+_INTERVAL = {"video_id": "a", "ts": 0, "te": 0, "boxes": [{"t": 0, "box": BOX.to_list()}]}
+_GOOD_AND_BAD = {   # a file's first line, and a line refused for its short box
+    load_detections: ({"video_id": "v", "fps": 25.0, "frame_count": 1, "feature_dim": 1},
+                      {"t": 0, "detections": [{"box": [0.1], "score": 0.5, "embed": [1.0]}]}),
+    load_predictions: (_INTERVAL, {**_INTERVAL, "video_id": "b", "boxes": [{"t": 0, "box": [0.1]}]}),
+}
+_GOOD_AND_BAD[load_gt_collection] = _GOOD_AND_BAD[load_predictions]
+
+
+@pytest.mark.parametrize("load", list(_GOOD_AND_BAD), ids=lambda load: load.__name__)
+@pytest.mark.parametrize("apart", [10, 20_000])
+@pytest.mark.parametrize("byte_first", [True, False], ids=["byte-first", "record-first"])
+def test_bytes_not_utf8_are_refused_in_file_order(tmp_path, load, apart, byte_first):
+    # Text-mode reading decodes 8 KB ahead, so a stray byte within that
+    # reach of a bad record on line 2 used to be reported before it.
+    good, bad = (json.dumps(obj).encode() for obj in _GOOD_AND_BAD[load])
+    later = [bad, b"\xff"][::-1 if byte_first else 1]
+    path = tmp_path / "mixed.jsonl"
+    path.write_bytes(good + b"\n" + later[0] + b"\n" * apart + later[1] + b"\n")
+    with pytest.raises(FormatError) as err:
+        load(str(path))
+    if byte_first:
+        assert str(err.value) == f"{path}: cannot read file: not UTF-8 text (invalid start byte)"
+    else:
+        assert err.value.line == 2 and str(err.value).startswith(f"{path}:2: bad box")
+
+
 class TestJsonlWriters:
     def test_lines_keep_default_separators(self, tmp_path):
         det = tmp_path / "d.jsonl"
@@ -1765,8 +1792,8 @@ class TestTubeDecode:
 
 
 class TestDetectionsDecode:
-    """A detections file's lines are decoded to columns that are checked
-    once for the clip; a refusal decodes the file again from the top, one
+    """A detections file's lines are decoded to columns that are checked a
+    block at a time; a refusal decodes the file again from the top, one
     line at a time, so the first line at fault is named, with the message
     it gives on its own."""
 
@@ -1837,7 +1864,7 @@ class TestDetectionsDecode:
 
     @pytest.mark.parametrize("fault", list(FAULTS))
     def test_fault_before_invalid_json_is_named(self, tmp_path, fault):
-        # The clip pass stops at line 7's JSON, before it checks line 3's
+        # The block pass stops at line 7's JSON, before it checks line 3's
         # values; the line-by-line pass names line 3.
         lines = self._lines()
         self.FAULTS[fault][0](lines[2])    # frame 1, line 3
@@ -1868,33 +1895,34 @@ class TestDetectionsDecode:
                 f"{path}: header promises {self.FRAMES + 1} frames, file has {self.FRAMES}")
         assert str(err.value) == want
 
-    # The clip pass decodes _BLOCK lines at a time: frames 7, 8 and 9 sit on
-    # both sides of the first block's end at 8, frames 31-33 at 32, and
-    # frame 70 in a later block.
+    # The block pass decodes _BLOCK lines at a time: frames 7, 8 and 9 sit on
+    # both sides of the first block's end at 8, frames 31-33 at 32, frame 70
+    # in a later block, and frame 81 in the partial last block of 83 frames.
     @pytest.mark.parametrize("fault", list(FAULTS))
-    @pytest.mark.parametrize("frame", [7, 8, 9, 31, 32, 33, 70])
+    @pytest.mark.parametrize("frame", [7, 8, 9, 31, 32, 33, 70, 81])
     def test_a_fault_in_a_later_block_is_named(self, tmp_path, fault, frame):
-        lines = self._lines(frame_count=80, frames=80)
+        count = 83 if frame >= 80 else 80
+        lines = self._lines(frame_count=count, frames=count)
         self.FAULTS[fault][0](lines[frame + 1])
-        self.FAULTS["score-2"][0](lines[75])   # a later fault, in the last block
+        self.FAULTS["score-2"][0](lines[max(75, frame + 2)])   # a later fault, in the last block
         path = self._file(tmp_path, lines)
         with pytest.raises(FormatError) as err:
             load_detections(path)
         assert str(err.value) == f"{path}:{frame + 2}: {self.FAULTS[fault][1](frame)}"
 
-    def test_blocks_give_the_frames_of_the_line_pass(self, tmp_path):
-        # Frames of 1 to 4 detections, 80 of them over several blocks: the
-        # clip pass accepts them, and gives the one-line pass's columns, bit
-        # for bit.
-        lines = self._lines(frame_count=80, frames=80)
+    @pytest.mark.parametrize("count", [80, 83])   # whole blocks, then a partial last one
+    def test_blocks_give_the_frames_of_the_line_pass(self, tmp_path, count):
+        # Frames of 1 to 4 detections over several blocks: the block pass
+        # accepts them, and gives the one-line pass's columns, bit for bit.
+        lines = self._lines(frame_count=count, frames=count)
         for t, line in enumerate(lines[1:]):
             line["detections"] = [self._det(0.1 + 0.01 * (t % 7) + 0.2 * k)
                                   for k in range(1 + t % 4)]
             line["detections"][0]["score"] = (t % 10) / 10
         path = self._file(tmp_path, lines)
-        meta, frames = _detections_from(path, clip=True)
-        want_meta, want = _detections_from(path, clip=False)
-        assert meta == want_meta and len(frames) == len(want) == 80
+        meta, frames = _detections_from(path, 8)
+        want_meta, want = _detections_from(path, 1)
+        assert meta == want_meta and len(frames) == len(want) == count
         for got, frame in zip(frames, want):
             assert got.t == frame.t
             for k in ("boxes", "scores", "features", "norms"):

@@ -216,5 +216,11 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate([self._sample(B)], thresholds=(1.5,))
 
+    def test_repeated_threshold_rejected(self):
+        # A dict of rates keyed by threshold held the repeat once, so the
+        # report answered fewer thresholds than it was asked.
+        with pytest.raises(ValidationError, match=r"^threshold 0\.3 is given more than once$"):
+            evaluate([self._sample(B)], thresholds=(0.3, 0.5, 0.3))
+
     def test_report_type(self):
         assert isinstance(evaluate([self._sample(B)]), EvalReport)

@@ -251,6 +251,19 @@ def test_lines_are_split_in_one_place():
     assert callers == set()
 
 
+def test_detections_have_one_decode_path():
+    # formats builds frames only through FrameDetections.from_columns, a
+    # block of lines at a time, the one-line pass included: no second path
+    # makes a FrameDetections per line, and no `clip` flag picks a path.
+    path = Path(tubekit.__file__).parent / "formats.py"
+    tree = ast.parse(path.read_text(), str(path))
+    calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert "FrameDetections.from_columns" in calls and "FrameDetections" not in calls
+    [decoder] = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_detections_from"]
+    assert [arg.arg for arg in decoder.args.args + decoder.args.kwonlyargs] == ["path", "block"]
+
+
 CANDIDATE = CandidateTube("c", (0, 9), [CandidateRecord(t, BOX, 0.5) for t in range(10)],
                           np.array([1.0]))
 # Each interval argument, given the bounds (s, e).
