@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import numbers, sum_in_order
+from .geometry import numbers, pair, sum_in_order
 
 # Sub-solutions within tol = _TIE_RTOL * max(1, |best|) + 2 n^2 eps max|c|
 # (n pairs) of the optimal total are ties: summation-order noise, plus the
@@ -42,14 +42,6 @@ def _validated_cost(cost) -> np.ndarray:
     if not np.isfinite(c).all():
         raise ValidationError("cost matrix contains non-finite entries")
     return c
-
-
-def _pairs_total(cost: np.ndarray, pairs: list[tuple[int, int]]) -> float:
-    # Row-order summation, so equal pair sets always produce identical floats.
-    total = 0.0
-    for r, c in pairs:
-        total += float(cost[r, c])
-    return total
 
 
 def _augment(c, u, v, row_of, col_of, i) -> None:
@@ -136,15 +128,12 @@ def _padded(c: np.ndarray) -> np.ndarray:
     return p
 
 
-def _real_pairs(sigma: list[int], n_rows: int, n_cols: int) -> list[tuple[int, int]]:
-    return [(r, j) for r, j in enumerate(sigma[:n_rows]) if j < n_cols]
-
-
 def _optimal_total(cost: np.ndarray) -> float:
     if cost.size == 0:
         return 0.0
-    sigma = _hungarian(cost)[0]
-    return _pairs_total(cost, _real_pairs(sigma, *cost.shape))
+    sigma = _hungarian(cost)[0][:cost.shape[0]]
+    # A padding column's +0.0 leaves the row-order total's bits alone.
+    return sum_in_order(_padded(cost)[range(len(sigma)), sigma])
 
 
 def _tie_gaps(rc: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -267,9 +256,20 @@ def solve_assignment(cost) -> list[tuple[int, int]]:
 
 
 def assignment_total(cost, pairs: list[tuple[int, int]]) -> float:
-    """Total cost of an assignment, summed in row order."""
+    """Total cost of an assignment, summed in row order: `pairs` holds
+    (row, col) pairs of integers inside the matrix, no row and no column
+    twice, and is refused with a ValidationError otherwise."""
     c = _validated_cost(cost)
-    return _pairs_total(c, pairs)
+    try:
+        rows, cols = np.array([pair(p, "pair") for p in pairs], dtype=np.int64).reshape(-1, 2).T
+    except TypeError:   # pairs is no sequence
+        raise ValidationError(f"pairs must be a list of (row, col) pairs, got {pairs!r}") from None
+    if not (((0 <= rows) & (rows < c.shape[0]) & (0 <= cols) & (cols < c.shape[1])).all()
+            and len(set(rows.tolist())) == len(set(cols.tolist())) == len(rows)):
+        raise ValidationError(f"pairs {pairs!r} are not an assignment of a "
+                              f"{c.shape[0]} x {c.shape[1]} cost matrix")
+    order = np.argsort(rows)
+    return sum_in_order(c[rows[order], cols[order]])
 
 
 def checked_norms(vectors, refusal: str) -> np.ndarray:

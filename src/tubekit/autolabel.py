@@ -198,14 +198,8 @@ def assemble_annotation(candidates: list[CandidateTube], interval: tuple[int, in
     if not candidates:
         return None
     merged = merge_tubes(candidates, cfg)
-    best = 0
-    best_key = None
-    for i, tube in enumerate(merged):
-        key = (-float(score_fn(tube)), tube.span[0], i)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = i
-    winner = merged[best]
+    *_, winner = min((-float(score_fn(tube)), tube.span[0], i, tube)
+                     for i, tube in enumerate(merged))
     if not coverage_filter(winner, interval, cfg):
         return None
     s = max(interval[0], winner.span[0])

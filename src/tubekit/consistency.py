@@ -15,9 +15,12 @@ constant tube reports zero gradients everywhere.
 
 Both halves work on whole arrays.  A row-pair kernel, cos_pairs for the
 features and giou_pairs for the boxes, gives every pair term at once to the
-loss and to grad_check's probe; the feature gradient reuses cos_pairs.  Pair
-t-1 adds to row t before pair t does, as in a per-pair loop, so the array
-code keeps the loop's bits.
+loss and to grad_check's probe; the feature gradient reuses cos_pairs.  The
+box gradient is one kernel, _giou_grad, the derivative in the pair's first
+box, applied to the second box with the pair swapped: GIoU is symmetric, so
+the bits are those of a kernel written for each box.  Pair t-1 adds to row t
+before pair t does, as in a per-pair loop, so the array code keeps the
+loop's bits.
 
 grad_check differences each coordinate's two pair terms only, and skips a
 box coordinate whose step h reaches a kink: the same coordinate of a
@@ -140,9 +143,8 @@ def _check_smooth(a: np.ndarray, b: np.ndarray, iw: np.ndarray, ih: np.ndarray,
             f"non-smooth point: boxes at frames {t} and {t + 1} share a coordinate")
 
 
-def _giou_pair_grads(a: np.ndarray, b: np.ndarray, iw: np.ndarray,
-                     ih: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d giou / d corners for each row pair of two (N, 4) corner arrays, all
+def _giou_grad(a: np.ndarray, b: np.ndarray, iw: np.ndarray, ih: np.ndarray) -> np.ndarray:
+    """d giou(a, b) / d a for each row pair of two (N, 4) corner arrays, all
     strictly overlapping and untied; iw and ih are their intersection extents.
 
     With I the intersection, U the union and C the enclosing area,
@@ -151,14 +153,15 @@ def _giou_pair_grads(a: np.ndarray, b: np.ndarray, iw: np.ndarray,
         d giou = (I' U - I U') / U^2 + (U' C - U C') / C^2 .
 
     Each of I, U, C is bilinear in whichever corner the min/max picks, which
-    is why tied coordinates have no derivative.
+    is why tied coordinates have no derivative.  giou, iw and ih are
+    symmetric in a and b, and min, max, + and * commute, so
+    _giou_grad(b, a, iw, ih) is d giou / d b, bit for bit.
     """
-    ax1, ay1, ax2, ay2 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bx1, by1, bx2, by2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    ax1, ay1, ax2, ay2 = a.T
+    bx1, by1, bx2, by2 = b.T
     inter = iw * ih
     wa, ha = ax2 - ax1, ay2 - ay1
-    wb, hb = bx2 - bx1, by2 - by1
-    u = wa * ha + wb * hb - inter
+    u = wa * ha + (bx2 - bx1) * (by2 - by1) - inter
     cw = np.maximum(ax2, bx2) - np.minimum(ax1, bx1)
     ch = np.maximum(ay2, by2) - np.minimum(ay1, by1)
     c = cw * ch
@@ -166,21 +169,13 @@ def _giou_pair_grads(a: np.ndarray, b: np.ndarray, iw: np.ndarray,
     def pick(cond, v):
         return np.where(cond, v, 0.0)
 
-    di_a = np.stack([pick(ax1 > bx1, -ih), pick(ay1 > by1, -iw),
-                     pick(ax2 < bx2, ih), pick(ay2 < by2, iw)], axis=1)
-    di_b = np.stack([pick(bx1 > ax1, -ih), pick(by1 > ay1, -iw),
-                     pick(bx2 < ax2, ih), pick(by2 < ay2, iw)], axis=1)
-    du_a = np.stack([-ha, -wa, ha, wa], axis=1) - di_a
-    du_b = np.stack([-hb, -wb, hb, wb], axis=1) - di_b
-    dc_a = np.stack([pick(ax1 < bx1, -ch), pick(ay1 < by1, -cw),
-                     pick(ax2 > bx2, ch), pick(ay2 > by2, cw)], axis=1)
-    dc_b = np.stack([pick(bx1 < ax1, -ch), pick(by1 < ay1, -cw),
-                     pick(bx2 > ax2, ch), pick(by2 > ay2, cw)], axis=1)
-
+    di = np.stack([pick(ax1 > bx1, -ih), pick(ay1 > by1, -iw),
+                   pick(ax2 < bx2, ih), pick(ay2 < by2, iw)], axis=1)
+    du = np.stack([-ha, -wa, ha, wa], axis=1) - di
+    dc = np.stack([pick(ax1 < bx1, -ch), pick(ay1 < by1, -cw),
+                   pick(ax2 > bx2, ch), pick(ay2 > by2, cw)], axis=1)
     inter, u, c = inter[:, None], u[:, None], c[:, None]
-    dg_a = (di_a * u - inter * du_a) / (u * u) + (du_a * c - u * dc_a) / (c * c)
-    dg_b = (di_b * u - inter * du_b) / (u * u) + (du_b * c - u * dc_b) / (c * c)
-    return dg_a, dg_b
+    return (di * u - inter * du) / (u * u) + (du * c - u * dc) / (c * c)
 
 
 def _pair_extents(boxes: np.ndarray):
@@ -212,12 +207,11 @@ def loss_gradients(tube: MinedTube) -> Gradients:
     a, b, iw, ih = _pair_extents(tube.boxes)
     identical = (a == b).all(axis=1)
     _check_smooth(a, b, iw, ih, identical)
-    dg_a, dg_b = _giou_pair_grads(a, b, iw, ih)
     # Identical pairs contribute nothing.
     keep = ~identical[:, None]
     d_boxes = np.zeros((n, 4), dtype=float)
-    d_boxes[1:] -= np.where(keep, scale * dg_b, 0.0)
-    d_boxes[:-1] -= np.where(keep, scale * dg_a, 0.0)
+    d_boxes[1:] -= np.where(keep, scale * _giou_grad(b, a, iw, ih), 0.0)
+    d_boxes[:-1] -= np.where(keep, scale * _giou_grad(a, b, iw, ih), 0.0)
     return Gradients(d_features=d_features, d_boxes=d_boxes)
 
 

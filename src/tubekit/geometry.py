@@ -9,12 +9,14 @@ corner arrays, the layout of the boxes of a tube, a GT and a prediction:
 `corner_rows` applies Box's rule to every row, and `iou_pairs` and
 `giou_pairs` are the scalar IoU and GIoU row by row, bit for bit, for the
 per-frame loops of mining, the consistency losses and the metrics;
-`sum_in_order` adds per-frame terms in the order a plain accumulation loop
-would.  `integers` is the rule of every frame index and id, `pair` of an
-interval's or a span's two frames, `numbers` of every other number, the
-holders' and the readers' alike; `within` adds a range to them for every
-config field, scalar argument and bounded holder column, and `hold` stores
-every value a holder checked, scalars and columns alike, an array read-only.
+`sum_in_order` is the one sequential sum: it adds per-frame terms, or each
+row's, in the order a plain accumulation loop would, for the mining costs,
+the losses, the metrics and the assignment totals alike.  `integers` is the
+rule of every frame index and id, `pair` of an interval's or a span's two
+frames, `numbers` of every other number, the holders' and the readers'
+alike; `within` adds a range to them for every config field, scalar
+argument and bounded holder column, and `hold` stores every value a holder
+checked, scalars and columns alike, an array read-only.
 """
 from __future__ import annotations
 
@@ -294,13 +296,16 @@ def giou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / u - (c - u) / c
 
 
-def sum_in_order(values: np.ndarray) -> float:
-    """0.0 + v[0] + v[1] + ..., left to right, as an `acc += v` loop adds.
+def sum_in_order(values: np.ndarray):
+    """0.0 + v[0] + v[1] + ..., left to right along the last axis, as an
+    `acc += v` loop adds: a float for a 1-D array, the row sums of a 2-D one.
 
     np.sum adds pairwise and can differ in the last bit; a cumulative sum
-    is sequential.  values is 1-D.
+    is sequential.  An empty array or row sums to 0.0.
     """
-    if values.shape[0] == 0:
-        return 0.0
-    # + 0.0 is the loop's starting value: it turns an all -0.0 sum into 0.0.
-    return float(np.add.accumulate(values)[-1]) + 0.0
+    if values.shape[-1] == 0:
+        total = np.zeros(values.shape[:-1])
+    else:
+        # + 0.0 is the loop's starting value: it turns an all -0.0 sum into 0.0.
+        total = np.add.accumulate(values, axis=-1)[..., -1] + 0.0
+    return float(total) if values.ndim == 1 else total

@@ -15,8 +15,8 @@ wanders outside the interval pays for it.
 All k tubes are scored in one batched kernel: their columns are laid end to
 end, the GT frames of each tube form a (k, L) index, and the temporal term
 takes a (k, T_max) box array in which a shorter tube repeats its last box,
-a pair that adds exactly 0.0.  Each row is summed left to right, so every
-cost equals, bit for bit, the per-frame loop over that tube alone;
+a pair that adds exactly 0.0.  `sum_in_order` adds each row left to right,
+so every cost equals, bit for bit, the per-frame loop over that tube alone;
 match_cost is the kernel's k = 1 call.
 """
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .association import Tube
 from .errors import ValidationError
-from .geometry import corner_rows, giou_pairs, hold, hold_within, integer
+from .geometry import corner_rows, giou_pairs, hold, hold_within, integer, sum_in_order
 from .geometry import giou  # noqa: F401  (kept: perfbench counts giou calls through this name)
 
 
@@ -92,16 +92,11 @@ def _center_size_l1_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dcx + dcy + dw + dh
 
 
-def _row_sums(values: np.ndarray) -> np.ndarray:
-    """sum_in_order of each row of a (k, n >= 1) array."""
-    return np.cumsum(values, axis=1)[:, -1] + 0.0
-
-
 def _temporal_costs(c: np.ndarray, n) -> np.ndarray:
     """Mean (1 - giou) over consecutive boxes of each row of a (k, T, 4)
     corner array, row i of n[i] >= 2 boxes followed by copies of its last:
     a copy pairs at giou exactly 1, so it adds exactly 0.0."""
-    return _row_sums(1.0 - giou_pairs(c[:, :-1], c[:, 1:])) / (n - 1)
+    return sum_in_order(1.0 - giou_pairs(c[:, :-1], c[:, 1:])) / (n - 1)
 
 
 def corner_temporal_cost(c: np.ndarray) -> float:
@@ -151,9 +146,9 @@ def _costs(tubes: list[Tube], gt: GtTube, weights: CostWeights) -> list[CostBrea
     boxes = np.concatenate([tube.boxes for tube in tubes])
     on_gt = first[:, None] + np.arange(gt.length)
     scores = np.concatenate([tube.scores for tube in tubes])[on_gt]
-    c_cls = _row_sums(1.0 - scores) / gt.length
-    c_bbox = _row_sums(_center_size_l1_pairs(boxes[on_gt], gt.boxes)) / gt.length
-    c_giou = _row_sums(1.0 - giou_pairs(boxes[on_gt], gt.boxes)) / gt.length
+    c_cls = sum_in_order(1.0 - scores) / gt.length
+    c_bbox = sum_in_order(_center_size_l1_pairs(boxes[on_gt], gt.boxes)) / gt.length
+    c_giou = sum_in_order(1.0 - giou_pairs(boxes[on_gt], gt.boxes)) / gt.length
     # Each tube a row of n.max() boxes, padded with copies of its last.
     padded = start[:, None] + np.minimum(np.arange(n.max()), n[:, None] - 1)
     c_temp = _temporal_costs(boxes[padded], n)

@@ -3,14 +3,14 @@ solver it replaced, its dual certificate, plus cosine similarity: the
 norm rule checked_norms, and the row-pair kernel cos_pairs, which the scalar
 cosine_similarity returns, against np.dot and np.linalg.norm bit for bit."""
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from tubekit.assignment import (_TIE_RTOL, _hungarian, _padded, _pairs_total,
-                                _tie_gaps, _validated_cost, assignment_total,
-                                checked_norms, cos_pairs, cosine_similarity,
-                                solve_assignment)
+from tubekit.assignment import (_TIE_RTOL, _hungarian, _padded, _tie_gaps,
+                                _validated_cost, assignment_total, checked_norms,
+                                cos_pairs, cosine_similarity, solve_assignment)
 from tubekit.errors import ValidationError
 
 
@@ -144,11 +144,41 @@ class TestSolveAssignment:
                 assert np.array_equal(frozen, cost)
 
 
+class TestAssignmentTotal:
+    COST = [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_sums_in_row_order(self):
+        assert assignment_total(self.COST, [(1, 0), (0, 1)]) == 5.0
+        assert assignment_total(self.COST, [(1, 1)]) == 4.0
+        assert assignment_total(self.COST, []) == 0.0
+
+    @pytest.mark.parametrize("pairs", [
+        [(-1, 0)], [(0, -1)], [(2, 0)], [(0, 2)], [(0, 0), (1, 0)], [(0, 1), (0, 0)]])
+    def test_refuses_what_is_not_an_assignment(self, pairs):
+        # [(-1, 0)] read the last row and gave 3.0, [(2, 0)] raised
+        # IndexError, and [(0, 0), (1, 0)] gave 4.0 with column 0 used twice.
+        with pytest.raises(ValidationError, match=rf"^pairs {re.escape(repr(pairs))} are not "
+                                                  r"an assignment of a 2 x 2 cost matrix$"):
+            assignment_total(self.COST, pairs)
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0.5, 0)], "'pair' must be an integer, got 0.5"),
+        ([("0", 1)], "'pair' must be an integer, got '0'"),
+        ([(True, 1)], "'pair' must be an integer, got True"),
+        ([(0,)], "pair must be a 2-element array, got (0,)"),
+        ([None], "'pair' must be an array of integers, got None"),
+        (5, "pairs must be a list of (row, col) pairs, got 5")])
+    def test_refuses_what_is_not_an_index_pair(self, pairs, message):
+        # Each of these leaked an IndexError, a TypeError or a ValueError.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            assignment_total(self.COST, pairs)
+
+
 def _scipy_optimal_total(cost: np.ndarray) -> float:
     from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(cost)
-    return _pairs_total(cost, list(zip(rows.tolist(), cols.tolist())))
+    return assignment_total(cost, list(zip(rows.tolist(), cols.tolist())))
 
 
 def _reference_solve_assignment(cost) -> list[tuple[int, int]]:

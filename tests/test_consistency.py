@@ -229,6 +229,17 @@ class TestGradients:
             assert max_rel_error(grads.d_features, fd_feature_gradients(mt)) < 1e-4
             assert max_rel_error(grads.d_boxes, fd_box_gradients(mt)) < 1e-4
 
+    def test_time_reversal_mirrors_gradients_bitwise(self):
+        # Reversing the frames swaps the two boxes of every pair, so the
+        # second box's gradient, the first box's kernel on the swapped pair,
+        # must be the mirror of the first's, bit for bit.
+        for seed in range(100):
+            mt = make_smooth_tube(seed, length=2 + seed % 20, dim=1 + seed % 8)
+            back = MinedTube(features=mt.features[::-1], boxes=mt.boxes[::-1])
+            g, r = loss_gradients(mt), loss_gradients(back)
+            assert r.d_features.tobytes() == g.d_features[::-1].tobytes()
+            assert r.d_boxes.tobytes() == g.d_boxes[::-1].tobytes()
+
     def test_feature_gradient_orthogonal_to_own_row(self):
         # Cosine is scale-free along each row, so the gradient row has no
         # radial component.

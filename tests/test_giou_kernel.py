@@ -238,6 +238,17 @@ class TestGiouPairs:
         assert _bits(sum_in_order(np.array([-0.0, -0.0]))) == _bits(0.0)
         assert sum_in_order(np.array([])) == 0.0
 
+    def test_sum_in_order_sums_each_row(self):
+        # A 2-D array gives the 1-D sum of each row, bit for bit.
+        rng = np.random.default_rng(8)
+        for rows, cols in [(1, 1), (3, 7), (5, 300)]:
+            v = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-5, 5, size=(rows, 1))
+            v[0] = -0.0
+            want = np.array([sum_in_order(row) for row in v])
+            assert sum_in_order(v).tobytes() == want.tobytes()
+            assert _bits(want[0]) == _bits(0.0)
+        assert sum_in_order(np.zeros((4, 0))).tobytes() == np.zeros(4).tobytes()
+
 
 # ------------------------------------------------------ callers vs oracles
 

@@ -251,6 +251,45 @@ def test_lines_are_split_in_one_place():
     assert callers == set()
 
 
+def _cumulative_sum_lasts(tree) -> set[str]:
+    """Names of the functions in `tree` that take the last element, [-1],
+    [:, -1] or [..., -1], of a cumulative sum: of an np.cumsum or
+    np.add.accumulate call, or of a name bound to one."""
+    def cumulative(node) -> bool:
+        return isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+            ("cumsum", "add.accumulate"))
+
+    takers = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            bound = {ast.unparse(target) for node in ast.walk(fn)
+                     if isinstance(node, ast.Assign) and cumulative(node.value)
+                     for target in node.targets}
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Subscript)
+                        and (cumulative(node.value) or ast.unparse(node.value) in bound)
+                        and ast.unparse(getattr(node.slice, "elts", [node.slice])[-1]) == "-1"):
+                    takers.add(fn.name)
+    return takers
+
+
+def test_sequential_sums_have_one_kernel():
+    # geometry.sum_in_order is the one sequential sum: solve_assignment's
+    # exact tie test compares two of its totals, and mining and the losses
+    # agree bit for bit, only while every such sum is the same kernel.  A
+    # cumulative sum whose last element is not taken, such as decoding's
+    # random walk, is no sum.
+    probe = ast.parse("def a(v):\n    return np.cumsum(v, axis=1)[:, -1]\n"
+                      "def b(v):\n    s = np.add.accumulate(v)\n    return s[..., -1]\n"
+                      "def c(v):\n    return np.cumsum(v)[1:]\n")
+    assert _cumulative_sum_lasts(probe) == {"a", "b"}
+    takers = set()
+    for path in sorted(Path(tubekit.__file__).parent.glob("*.py")):
+        takers |= {f"{path.stem}.{name}"
+                   for name in _cumulative_sum_lasts(ast.parse(path.read_text(), str(path)))}
+    assert takers == {"geometry.sum_in_order"}
+
+
 def test_detections_have_one_decode_path():
     # formats builds frames only through FrameDetections.from_columns, a
     # block of lines at a time, the one-line pass included: no second path
