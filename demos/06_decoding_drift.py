@@ -29,8 +29,8 @@ def main():
     print()
 
     boxes = gt_track(frames=64)
-    # sequence_length counts tokens, so it must equal frames * budget.
-    cfg = ExposureConfig(sequence_length=len(boxes) * 4, per_step_error=0.01,
+    # The stream is len(boxes) * token_budget tokens long.
+    cfg = ExposureConfig(per_step_error=0.01,
                          trials=4000, drift_step=0.05, token_budget=4, seed=9)
     report = simulate_decoding(cfg, boxes)
     print(f"simulated decode of a {len(boxes)}-frame track, eps = {cfg.per_step_error}")
@@ -42,8 +42,7 @@ def main():
         print(f"  fifth {i + 1}: {m:.4f}")
     print()
 
-    clean_cfg = ExposureConfig(sequence_length=len(boxes) * 4, per_step_error=0.0,
-                               trials=200, token_budget=4, seed=9)
+    clean_cfg = ExposureConfig(per_step_error=0.0, trials=200, token_budget=4, seed=9)
     clean = simulate_decoding(clean_cfg, boxes)
     print(f"control at eps = 0: profile {[round(m, 4) for m in clean.profile]}")
 

@@ -11,9 +11,9 @@ candidates hold real records.
 
 Fragments that qualify on category and appearance but overlap in time cannot
 be one object seen twice; they are left alone and can be listed with
-find_merge_conflicts.  The best surviving tube is chosen by an injectable
-scoring hook (default: highest mean confidence, standing in for an external
-ranker) and kept only if it covers at least half of the query interval.
+find_merge_conflicts.  The surviving tube of highest mean confidence, standing
+in for an external ranker, wins, and is kept only if it covers at least the
+coverage threshold (half, by default) of the query interval.
 """
 from __future__ import annotations
 
@@ -185,20 +185,20 @@ def coverage_filter(tube: CandidateTube, interval: tuple[int, int],
 
 
 def assemble_annotation(candidates: list[CandidateTube], interval: tuple[int, int],
-                        cfg: AutolabelConfig = AutolabelConfig(),
-                        score_fn=None) -> GtTube | None:
-    """Full pipeline: merge, rank with the scoring hook, coverage-filter.
+                        cfg: AutolabelConfig = AutolabelConfig()) -> GtTube | None:
+    """Full pipeline: merge, rank by mean score, coverage-filter.
 
     Returns the pseudo annotation over the part of the interval the winning
-    tube covers, or None when no candidate survives.
+    tube covers, or None when no candidate survives.  An empty interval is
+    refused, with candidates or without.
     """
-    if score_fn is None:
-        score_fn = CandidateTube.mean_score
     interval = pair(interval, "interval")
+    if interval[0] > interval[1]:
+        raise ValidationError(f"empty interval {interval}")
     if not candidates:
         return None
     merged = merge_tubes(candidates, cfg)
-    *_, winner = min((-float(score_fn(tube)), tube.span[0], i, tube)
+    *_, winner = min((-tube.mean_score(), tube.span[0], i, tube)
                      for i, tube in enumerate(merged))
     if not coverage_filter(winner, interval, cfg):
         return None

@@ -233,8 +233,7 @@ def _cmd_eval(args) -> int:
 # ------------------------------------------------------------------ exposure
 
 def _cmd_exposure(args) -> int:
-    cfg = ExposureConfig(sequence_length=args.length, per_step_error=args.eps,
-                         trials=args.trials, drift_step=args.drift_step,
+    cfg = ExposureConfig(per_step_error=args.eps, trials=args.trials, drift_step=args.drift_step,
                          token_budget=args.token_budget, seed=args.seed)
     if args.length % args.token_budget != 0:
         raise ValidationError(

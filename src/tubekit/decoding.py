@@ -34,9 +34,8 @@ def p_error_free(length: int, per_step_error: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ExposureConfig:
-    """A decoding run: length, per-step error in [0, 1), trials, drift, token budget, seed."""
+    """A decoding run: per-step error in [0, 1), trials, drift, token budget, seed."""
 
-    sequence_length: int
     per_step_error: float
     trials: int
     drift_step: float = 0.05
@@ -44,7 +43,7 @@ class ExposureConfig:
     seed: int = 0
 
     def __post_init__(self):
-        hold_within(self, int, "[1, inf)", "sequence_length", "trials", "token_budget")
+        hold_within(self, int, "[1, inf)", "trials", "token_budget")
         hold_within(self, int, "[0, inf)", "seed")
         hold_within(self, float, "[0, 1)", "per_step_error")
         hold_within(self, float, "[0, inf)", "drift_step")
@@ -64,22 +63,17 @@ def simulate_decoding(cfg: ExposureConfig, gt_boxes) -> DecodingReport:
     """Monte Carlo decode of a ground-truth track.
 
     gt_boxes is the dense track being decoded, a (T, 4) corner array with
-    each row by Box's rule; T times the token budget must equal
-    sequence_length.  Needs at least 5 frames so the five-part profile is
-    defined.
+    each row by Box's rule; the stream is T times the token budget tokens
+    long.  Needs at least 5 frames so the five-part profile is defined.
     """
     corners = corner_rows(gt_boxes)
     T = corners.shape[0]
     if T < 5:
         raise ValidationError(f"need at least 5 ground-truth boxes, got {T}")
-    if T * cfg.token_budget != cfg.sequence_length:
-        raise ValidationError(
-            f"{T} frames at {cfg.token_budget} tokens each is "
-            f"{T * cfg.token_budget} tokens, not sequence_length={cfg.sequence_length}")
 
     rng = np.random.default_rng(cfg.seed)
     R = cfg.trials
-    L = cfg.sequence_length
+    L = T * cfg.token_budget
 
     if cfg.per_step_error == 0.0:
         first_error = np.full(R, L + 1, dtype=np.int64)

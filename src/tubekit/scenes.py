@@ -10,10 +10,14 @@ oracle for identity switches that real footage never provides.
 All randomness comes from one generator seeded by the config, and every draw
 happens whether or not its scale is zero, so the same seed produces the same
 scene layout across noise settings and bit-identical scenes across runs.
+
+A clip is built as columns: boxes, scores and features of every frame laid
+end to end, clamped in one pass each, then checked once and cut into frames
+by FrameDetections.from_columns, the path the detections reader takes.  A
+new per-detection field acts on those columns before that call.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,35 +62,30 @@ class LabeledScene:
     gt: GtTube
 
 
-def _reflect(x: float, lo: float, hi: float) -> float:
-    # Fold a coordinate back into [lo, hi] by mirroring at the borders.
-    if hi <= lo:
-        return 0.5 * (lo + hi)
+def _reflect(x, lo, hi):
+    """Fold each coordinate of x back into [lo, hi] by mirroring at the
+    borders, element by element: numbers or arrays that broadcast together,
+    a number for numbers."""
+    x = np.asarray(x, float)
+    if (overflowed := x[~np.isfinite(x)]).size:
+        raise ValidationError(f"a motion step overflowed to {overflowed[0]}; "
+                              "motion_step is too large")
+    # Farther out than one span, the mirror loop below would take about
+    # |x| / span turns (forever at 1e300).  Reduce modulo the mirror period
+    # first; a point within one span keeps the plain loop.
     span = hi - lo
-    if not lo - span <= x <= hi + span:
-        # Farther out than one span, the mirror loop below would take about
-        # |x| / span turns (forever at 1e300).  Reduce modulo the mirror
-        # period first; a point within one span keeps the plain loop.
-        if not math.isfinite(x):
-            raise ValidationError(f"a motion step overflowed to {x}; motion_step is too large")
-        x = lo + math.fmod(x - lo, 2.0 * span)
-    while x < lo or x > hi:
-        if x < lo:
-            x = lo + (lo - x)
-        else:
-            x = hi - (x - hi)
-    return x
+    x = np.where((lo - span <= x) & (x <= hi + span), x, lo + np.fmod(x - lo, 2.0 * span))
+    while ((x < lo) | (x > hi)).any():
+        x = np.where(x < lo, lo + (lo - x), np.where(x > hi, hi - (x - hi), x))
+    return x[()]
 
 
-def _sanitize_corners(c) -> list[float]:
-    x1, y1, x2, y2 = float(c[0]), float(c[1]), float(c[2]), float(c[3])
-    x1, x2 = min(x1, x2), max(x1, x2)
-    y1, y2 = min(y1, y2), max(y1, y2)
-    x1 = min(max(x1, 0.0), 1.0 - _MIN_EXTENT)
-    y1 = min(max(y1, 0.0), 1.0 - _MIN_EXTENT)
-    x2 = min(max(x2, x1 + _MIN_EXTENT), 1.0)
-    y2 = min(max(y2, y1 + _MIN_EXTENT), 1.0)
-    return [x1, y1, x2, y2]
+def _sanitize_corners(c: np.ndarray) -> np.ndarray:
+    """Each (x1, y1, x2, y2) row of c ordered, and clamped into the unit
+    square with at least _MIN_EXTENT of width and height."""
+    lo = np.clip(np.minimum(c[:, :2], c[:, 2:]), 0.0, 1.0 - _MIN_EXTENT)
+    return np.concatenate([lo, np.clip(np.maximum(c[:, :2], c[:, 2:]), lo + _MIN_EXTENT, 1.0)],
+                          axis=1)
 
 
 def generate_scene(cfg: SceneConfig) -> LabeledScene:
@@ -109,52 +108,46 @@ def generate_scene(cfg: SceneConfig) -> LabeledScene:
     else:
         gt_ts, gt_te = 0, T - 1
 
+    # The clip's columns, frame after frame: each frame's objects in object
+    # order, then its distractors; the boxes and scores as drawn, before the
+    # clamps.
     drift = np.zeros((cfg.objects, D))
     noise_scales = [cfg.detection_noise] * 4 + [cfg.confidence_noise]
-    frames: list[FrameDetections] = []
-    identities: list[list[int]] = []
-    gt_boxes: list[list[float]] = []
-    next_distractor = -1
-
+    truth, boxes, scores, features, n_spur = [], [], [], [], []
     for t in range(T):
         if t > 0:
             steps = rng.normal(0.0, cfg.motion_step, size=(cfg.objects, 2))
-            drift_steps = rng.normal(0.0, cfg.appearance_drift, size=(cfg.objects, D))
-            for i in range(cfg.objects):
-                w, h = sizes[i]
-                centers[i, 0] = _reflect(centers[i, 0] + steps[i, 0], w / 2, 1 - w / 2)
-                centers[i, 1] = _reflect(centers[i, 1] + steps[i, 1], h / 2, 1 - h / 2)
-            drift += drift_steps
+            drift += rng.normal(0.0, cfg.appearance_drift, size=(cfg.objects, D))
+            centers = _reflect(centers + steps, sizes / 2, 1 - sizes / 2)
 
         # Per object, in object order: four corner jitters, then one
         # confidence offset, as one draw.
         noise = rng.normal(0.0, noise_scales, size=(cfg.objects, 5))
-        true_corners = np.concatenate([centers - sizes / 2, centers + sizes / 2], axis=1)
-        boxes = [_sanitize_corners(c) for c in true_corners + noise[:, :4]]
-        scores = [min(max(conf, 0.0), 1.0) for conf in (base_conf + noise[:, 4]).tolist()]
-        features = [base_feats + drift]
-        ids = list(range(cfg.objects))
-        if gt_ts <= t <= gt_te:
-            gt_boxes.append(_sanitize_corners(true_corners[0]))
+        truth.append(np.concatenate([centers - sizes / 2, centers + sizes / 2], axis=1))
+        boxes.append(truth[-1] + noise[:, :4])
+        scores.append(base_conf + noise[:, 4])
+        features.append(base_feats + drift)
 
-        n_spur = int(rng.poisson(cfg.distractor_rate))
-        for _ in range(n_spur):
+        n_spur.append(int(rng.poisson(cfg.distractor_rate)))
+        for _ in range(n_spur[-1]):
             w = rng.uniform(0.08, 0.2)
             h = rng.uniform(0.08, 0.2)
             cx = rng.uniform(w / 2, 1 - w / 2)
             cy = rng.uniform(h / 2, 1 - h / 2)
             feat = rng.normal(0.0, 1.0, size=D)
             feat /= np.linalg.norm(feat)
-            boxes.append(_sanitize_corners([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2]))
-            scores.append(rng.uniform(0.05, 0.5))
+            boxes.append([[cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2]])
+            scores.append([rng.uniform(0.05, 0.5)])
             features.append(feat[None])
-            ids.append(next_distractor)
-            next_distractor -= 1
 
-        frames.append(FrameDetections(t, boxes, scores, np.concatenate(features)))
-        identities.append(ids)
-
-    gt = GtTube(ts=gt_ts, te=gt_te, boxes=np.array(gt_boxes))
+    frames = FrameDetections.from_columns(
+        np.arange(T), cfg.objects + np.array(n_spur), _sanitize_corners(np.concatenate(boxes)),
+        np.clip(np.concatenate(scores), 0.0, 1.0), np.concatenate(features))
+    # Distractor ids count down from -1 across the clip.
+    before = np.cumsum([0] + n_spur).tolist()
+    identities = [list(range(cfg.objects)) + list(range(-1 - b, -1 - b - n, -1))
+                  for b, n in zip(before, n_spur)]
+    gt = GtTube(ts=gt_ts, te=gt_te, boxes=_sanitize_corners(np.array(truth)[gt_ts:gt_te + 1, 0]))
     return LabeledScene(config=cfg, frames=frames, identities=identities, gt=gt)
 
 
@@ -166,7 +159,7 @@ def _tube_switch_rate(tube: Tube, identities: list[list[int]]) -> float:
     labels = []
     for t, det in zip(tube.t.tolist(), tube.det.tolist()):
         if det >= 0:   # a gap keeps the label of the box it repeats
-            if t >= len(identities) or det >= len(identities[t]):
+            if not 0 <= t < len(identities) or det >= len(identities[t]):
                 raise ValidationError(
                     f"record at frame {t} references detection {det} "
                     "outside the labeled scene")

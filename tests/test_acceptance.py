@@ -268,8 +268,7 @@ def test_criterion_07_exposure_bias():
     start = time.perf_counter()
     settings = [(50, 0.01, 2), (200, 0.005, 4), (400, 0.01, 4)]
     for length, eps, budget in settings:
-        cfg = ExposureConfig(sequence_length=length, per_step_error=eps,
-                             trials=10_000, drift_step=0.05,
+        cfg = ExposureConfig(per_step_error=eps, trials=10_000, drift_step=0.05,
                              token_budget=budget, seed=700 + length)
         track = [[0.4, 0.4, 0.6, 0.6]] * (length // budget)
         report = simulate_decoding(cfg, track)

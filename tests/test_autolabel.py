@@ -266,12 +266,18 @@ class TestAssembleAnnotation:
     def test_no_candidates_returns_none(self):
         assert assemble_annotation([], (0, 10)) is None
 
-    def test_score_hook_picks_winner(self):
-        weak = cand((0, 9), [1.0, 0.0], score=0.4)
+    @pytest.mark.parametrize("candidates", [0, 1, 2])
+    def test_empty_interval_refused(self, candidates):
+        # Without candidates, (10, 5) used to return None, as if no tube
+        # covered enough of it; with them, coverage_filter refused it.
+        fragments = [cand((0, 4), [1.0, 0.0]), cand((10, 14), [0.0, 1.0])][:candidates]
+        with pytest.raises(ValidationError, match=r"^empty interval \(10, 5\)$"):
+            assemble_annotation(fragments, (10, 5))
+
+    def test_highest_mean_score_wins(self):
+        weak = cand((0, 9), [1.0, 0.0], box=BOX_B, score=0.4)
         strong = cand((0, 9), [0.0, 1.0], score=0.9)
-        gt_default = assemble_annotation([weak, strong], (0, 9))
-        assert gt_default is not None
-        assert gt_default.boxes[0].tolist() == BOX_A.to_list()
-        flipped = assemble_annotation([weak, strong], (0, 9),
-                                      score_fn=lambda t: -t.mean_score())
-        assert flipped is not None
+        for fragments in ([weak, strong], [strong, weak]):
+            gt = assemble_annotation(fragments, (0, 9))
+            assert gt is not None
+            assert gt.boxes.tolist() == [BOX_A.to_list()] * 10

@@ -851,6 +851,18 @@ class TestAutolabel:
         assert (gt.ts, gt.te) == (0, 14)
         assert gt.boxes.shape == (15, 4)
 
+    @pytest.mark.parametrize("with_candidates", [False, True], ids=["none", "two"])
+    def test_empty_interval_refused(self, tmp_path, capsys, with_candidates):
+        # With no candidates, --ts 10 --te 5 used to exit 0, "nothing written".
+        path = self._candidates(tmp_path)
+        if not with_candidates:
+            save_candidates(str(path), "vid", [])
+        out = tmp_path / "pseudo.gt.json"
+        assert main(["autolabel", "--candidates", str(path),
+                     "--ts", "10", "--te", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: empty interval (10, 5)\n"
+        assert not out.exists()
+
     def test_far_apart_fragments_under_a_memory_cap(self, tmp_path):
         # Bridging this gap used to build ten million interpolated records
         # and die in a MemoryError traceback.  The gap is wider than the two
@@ -944,7 +956,7 @@ CONFIG_DEFAULTS = {
     "losses": (["--tubes", "t"], LossWeights, {},
                {f"w_{k}": f"lambda_{k}" for k in ("temp", "feat")}),
     "exposure": (["--length", "40", "--eps", "0.25", "--seed", "1"], ExposureConfig,
-                 {"sequence_length": 40, "per_step_error": 0.25, "seed": 1, "trials": 10000},
+                 {"per_step_error": 0.25, "seed": 1, "trials": 10000},
                  {}),
     "autolabel": (["--candidates", "c", "--ts", "0", "--te", "9"], AutolabelConfig, {}, {}),
 }

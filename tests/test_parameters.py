@@ -39,8 +39,7 @@ TARGETS = {
     "CostWeights": (CostWeights, {}),
     "LossWeights": (LossWeights, {}),
     "SceneConfig": (SceneConfig, {"seed": 0}),
-    "ExposureConfig": (ExposureConfig,
-                       {"sequence_length": 20, "per_step_error": 0.1, "trials": 10}),
+    "ExposureConfig": (ExposureConfig, {"per_step_error": 0.1, "trials": 10}),
     "p_error_free": (p_error_free, {"length": 10, "per_step_error": 0.1}),
     "grad_check": (lambda h: grad_check(TUBE, h), {"h": 1e-6}),
     "evaluate": (lambda threshold: evaluate([SAMPLE], (threshold,)), {"threshold": 0.5}),
@@ -62,7 +61,6 @@ PARAMETERS = [
     *[("SceneConfig", key, float, "[0, inf)", None)
       for key in ("appearance_drift", "motion_step", "detection_noise",
                   "confidence_noise", "distractor_rate")],
-    ("ExposureConfig", "sequence_length", int, "[1, inf)", None),
     ("ExposureConfig", "per_step_error", float, "[0, 1)", None),
     ("ExposureConfig", "trials", int, "[1, inf)", None),
     ("ExposureConfig", "drift_step", float, "[0, inf)", None),
@@ -301,6 +299,16 @@ def test_detections_have_one_decode_path():
     [decoder] = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "_detections_from"]
     assert [arg.arg for arg in decoder.args.args + decoder.args.kwonlyargs] == ["path", "block"]
+
+
+def test_simulator_checks_a_clip_once():
+    # scenes builds a clip's frames with one FrameDetections.from_columns
+    # call, the path the detections reader takes, and no FrameDetections
+    # per frame.
+    path = Path(tubekit.__file__).parent / "scenes.py"
+    tree = ast.parse(path.read_text(), str(path))
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert calls.count("FrameDetections.from_columns") == 1 and "FrameDetections" not in calls
 
 
 CANDIDATE = CandidateTube("c", (0, 9), [CandidateRecord(t, BOX, 0.5) for t in range(10)],

@@ -1,4 +1,6 @@
 """Synthetic scene generator and its identity-switch oracle."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,47 @@ class TestGenerateScene:
                     assert d.score <= 0.5
 
 
+# Configs that reach every branch of the generator: the GT's short-clip
+# rule and its sub-interval, one object and several, a motion step that
+# folds with fmod, corner and confidence noise past the clamps, distractors.
+PINNED_CONFIGS = [
+    SceneConfig(seed=0, frames=8),
+    SceneConfig(seed=1, frames=11, objects=4, appearance_drift=0.2, distractor_rate=0.5),
+    SceneConfig(seed=2, frames=12, objects=3, motion_step=5.0),
+    SceneConfig(seed=3, frames=30, objects=2, feature_dim=5, detection_noise=0.5),
+    SceneConfig(seed=4, frames=20, objects=5, confidence_noise=1.0, appearance_drift=0.05),
+    SceneConfig(seed=5, frames=40, objects=3, distractor_rate=3.0, detection_noise=0.02,
+                confidence_noise=0.05, motion_step=0.05),
+    SceneConfig(seed=6, frames=64, objects=6, feature_dim=32, appearance_drift=0.1,
+                motion_step=5.0, detection_noise=0.5, confidence_noise=1.0,
+                distractor_rate=3.0),
+]
+PINNED_DIGEST = "672475fbe6ba76136d6a41f317d170874a87c51676b11edea6a63b580c316a87"
+
+
+def _scene_digest(configs) -> str:
+    digest = hashlib.sha256()
+    for cfg in configs:
+        scene = generate_scene(cfg)
+        for frame in scene.frames:
+            digest.update(np.array([frame.t, len(frame.scores)], np.int64).tobytes())
+            for column in (frame.boxes, frame.scores, frame.features, frame.norms):
+                digest.update(np.ascontiguousarray(column, np.float64).tobytes())
+        for ids in scene.identities:
+            digest.update(np.array([len(ids)] + ids, np.int64).tobytes())
+        gt = scene.gt
+        digest.update(np.array([gt.ts, gt.te], np.int64).tobytes())
+        digest.update(np.ascontiguousarray(gt.boxes, np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def test_scene_bits_are_pinned():
+    # Every frame's t, boxes, scores, features and norms, the identities
+    # and the GT, over PINNED_CONFIGS: a change to how a clip is built
+    # must leave every bit of every scene as it was.
+    assert _scene_digest(PINNED_CONFIGS) == PINNED_DIGEST
+
+
 class TestIdentitySwitchRate:
     def _boxes(self):
         return Box(0.1, 0.1, 0.3, 0.3)
@@ -160,6 +203,14 @@ class TestIdentitySwitchRate:
         tube = make_tube(0, [box] * 2, 1.0, det=[0, 7])
         scene = self._scene_with_identities([[0], [0]])
         with pytest.raises(ValidationError):
+            identity_switch_rate([tube], scene)
+
+    @pytest.mark.parametrize("t", [[-1, 0], [1, 2]], ids=["before", "after"])
+    def test_frame_outside_scene_rejected(self, t):
+        # A frame of -1 used to read the last frame's identities.
+        tube = make_tube(0, [self._boxes()] * 2, 1.0, t=t, det=[0, 0])
+        scene = self._scene_with_identities([[0], [1]])
+        with pytest.raises(ValidationError, match="outside the labeled scene"):
             identity_switch_rate([tube], scene)
 
     def test_single_record_rejected(self):
